@@ -2,8 +2,9 @@
 
 All commands are batch-style: read JSON configs, write DOT/CSV/JSON/text
 artifacts, and exit 0 when every mathematical check passed, 1 when one
-failed, 2 on configuration errors.  Outputs are deterministic functions of
-the config and the seed, so repeated runs are byte-identical.
+failed, 2 on configuration errors and on balls over the vertex budget.
+Outputs are deterministic functions of the config and the seed, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .cocycles import plant_cocycle, verify_relations, window_region
 from .coset_graph import BallCache, build_ball
 from .ends import capacity, estimate_ends
 from .errors import (
+    BallTooLargeError,
     ConfigError,
     NotOneEndedError,
     RelendError,
@@ -82,24 +84,20 @@ def _write_text(path: str | None, lines: list[str]) -> None:
 def _cmd_graph(cfg: RunConfig) -> int:
     graph = build_ball(cfg.group, cfg.radius)
     group = cfg.group
+    labels = [group.word_str(v.rep) or "1" for v in graph.cosets]
     lines = ["digraph coset_ball {"]
-    verts = graph.vertices_in_order()
-    ids = {v: f"v{i}" for i, v in enumerate(verts)}
-    for v in verts:
-        label = group.word_str(v.rep) or "1"
-        lines.append(f'  {ids[v]} [label="{label}"];')
-    for v in verts:
-        for letter, w in graph.neighbors(v):
-            lines.append(
-                f'  {ids[v]} -> {ids[w]} [label="{group.letter_name(letter)}"];'
-            )
+    lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
+    for i, edges in enumerate(graph.adj):
+        for letter, j in edges:
+            lines.append(f'  v{i} -> v{j} [label="{group.letter_name(letter)}"];')
     lines.append("}")
     _write_text(cfg.out, lines)
     if cfg.csv:
         rows = ["vertex,norm,degree"]
-        for v in verts:
-            label = group.word_str(v.rep) or "1"
-            rows.append(f"{label},{graph.norms[v]},{graph.full_degree(v)}")
+        rows += [
+            f"{label},{n},{d}"
+            for label, n, d in zip(labels, graph.norm_of, graph.degree)
+        ]
         _write_text(cfg.csv, rows)
     return 0
 
@@ -197,11 +195,7 @@ def _window_soundness(cocycle, graph, rng, trials: int) -> bool:
     from .patterns import Pattern
 
     region = window_region(graph, cocycle.window)
-    outside = [
-        v
-        for v in graph.vertices_in_order()
-        if cocycle.window < graph.norms[v] <= graph.radius
-    ]
+    outside = graph.cosets[graph.ball_size(cocycle.window) :]
     non_default = [
         s for s in cocycle.alphabet.symbols if s != cocycle.alphabet.x0
     ]
@@ -310,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(args.command, cfg)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except BallTooLargeError as err:
+        print(f"size limit: {err}", file=sys.stderr)
         return 2
     except RelendError as err:
         print(f"check failed: {err}", file=sys.stderr)

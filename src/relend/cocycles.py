@@ -38,7 +38,7 @@ def window_region(graph: CosetGraph, window: int) -> frozenset[CosetId]:
         raise InsufficientRadiusError(
             f"window {window} exceeds built radius {graph.radius}"
         )
-    return frozenset(v for v, n in graph.norms.items() if n <= window)
+    return frozenset(graph.cosets[: graph.ball_size(window)])
 
 
 def pattern_key(p: Pattern) -> str:

@@ -2,20 +2,29 @@
 
 Vertices are canonical cosets gK; for each generator s the out-neighbours of
 gK are {g f K : f in F_s} where F_s is the family witness set, so adjacency
-within the built radius is complete and BFS distances are exact.  Graphs are
-built once and never mutated, so they can be queried concurrently.
+within the built radius is complete and BFS distances are exact.  Vertices are
+interned as dense ids in BFS discovery order, so ids sort by norm and the
+closed r-ball is the id prefix below sphere_start[r + 1].  A larger ball grows
+from a smaller one by copying the prefix, re-expanding the old boundary sphere
+and going on with the search: the ids equal a fresh build's.  Graphs are not
+changed after construction; the ``norms`` dict is derived from them on first
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
+    BallTooLargeError,
     InsufficientRadiusError,
     InternalError,
     VertexOutsideBallError,
 )
-from .groups import CosetId, Group, Letter, coset_of
+from .groups import CosetId, Group, GroupElement, Letter, coset_of
+
+MAX_VERTICES = 200_000  # vertex budget of a ball, checked per vertex
 
 
 @dataclass(frozen=True)
@@ -38,104 +47,133 @@ class Path:
 
 
 class CosetGraph:
-    """The ball of radius ``radius`` around the base coset K."""
+    """The ball of radius ``radius`` around the base coset K.
 
-    def __init__(self, group: Group, radius: int):
+    Lists indexed by vertex id hold the coset, norm, BFS parent, in-ball
+    ``(letter, id)`` edges and degree in the infinite graph.  ``grow_from`` is
+    a smaller ball of the same group to grow from.  A ball that would hold
+    more than MAX_VERTICES vertices raises BallTooLargeError.
+    """
+
+    def __init__(self, group: Group, radius: int, grow_from: CosetGraph | None = None):
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         self.group = group
         self.radius = radius
-        self.base = coset_of(group.identity())
-        self.norms: dict[CosetId, int] = {}
-        self.order: dict[CosetId, int] = {}
-        self.parents: dict[CosetId, tuple[CosetId, Letter]] = {}
-        self.adjacency: dict[CosetId, tuple[tuple[Letter, CosetId], ...]] = {}
-        self._witnesses = {
-            l: group.witness_elements(l) for l in group.s_letters
-        }
-        self._build()
+        old = grow_from
+        if old is None:
+            base = coset_of(group.identity())
+            self.cosets, self.norm_of, self.parent_of = [base], [0], [-1]
+            self.adj, self.degree, self.sphere_start = [], [], [0, 1]
+            self._index = {base.rep.payload: 0}
+        elif old.group is not group or old.radius > radius:
+            raise InternalError("can only grow a smaller ball of the same group")
+        else:
+            keep = old.sphere_start[old.radius]
+            self.cosets, self.norm_of = old.cosets[:], old.norm_of[:]
+            self.parent_of, self.sphere_start = old.parent_of[:], old.sphere_start[:]
+            self.adj, self.degree = old.adj[:keep], old.degree[:keep]
+            self._index = dict(old._index)
+        self.base = self.cosets[0]
+        self._build(0 if old is None else old.radius)
 
-    def _targets(self, v: CosetId) -> list[tuple[Letter, CosetId]]:
-        """All labeled out-neighbours of v, deduplicated, self-loops dropped."""
+    def _build(self, first: int) -> None:
+        """Expand the spheres first..radius, interning targets by payload."""
         group = self.group
-        out = []
-        seen = set()
-        for letter in group.s_letters:
-            for f in self._witnesses[letter]:
-                w = coset_of(group.multiply(v.rep, f))
-                if w == v or (letter, w) in seen:
-                    continue
-                seen.add((letter, w))
-                out.append((letter, w))
-        return out
+        mul, rep = group._mul_payload, group._coset_rep_payload
+        steps = [
+            (letter, f.payload)
+            for letter in group.s_letters
+            for f in group.witness_elements(letter)
+        ]
+        cosets, index = self.cosets, self._index
+        for r in range(first, self.radius + 1):
+            for v in range(self.sphere_start[r], self.sphere_start[r + 1]):
+                vp = cosets[v].rep.payload
+                # labelled targets without self-loops, first occurrence first
+                targets = dict.fromkeys(
+                    (letter, key)
+                    for letter, fp in steps
+                    if (key := rep(mul(vp, fp))) != vp
+                )
+                self.degree.append(len({key for _, key in targets}))
+                edges = []
+                for letter, key in targets:
+                    w = index.get(key)
+                    if w is None:
+                        if r == self.radius:
+                            continue
+                        w = index[key] = len(cosets)
+                        cosets.append(CosetId(GroupElement(group, key)))
+                        self.norm_of.append(r + 1)
+                        self.parent_of.append(v)
+                    edges.append((letter, w))
+                self.adj.append(tuple(edges))
+                if len(cosets) > MAX_VERTICES:
+                    raise BallTooLargeError(
+                        f"ball({self.radius}) has over {MAX_VERTICES} vertices"
+                    )
+            if r < self.radius:
+                self.sphere_start.append(len(cosets))
 
-    def _build(self) -> None:
-        queue = [self.base]
-        self.norms[self.base] = 0
-        self.order[self.base] = 0
-        raw: dict[CosetId, list[tuple[Letter, CosetId]]] = {}
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            d = self.norms[v]
-            targets = self._targets(v)
-            raw[v] = targets
-            if d < self.radius:
-                for letter, w in targets:
-                    if w not in self.norms:
-                        self.norms[w] = d + 1
-                        self.order[w] = len(queue)
-                        self.parents[w] = (v, letter)
-                        queue.append(w)
-        # keep only in-ball endpoints; done after BFS so that edges between
-        # two boundary vertices are stored from both sides
-        for v, targets in raw.items():
-            self.adjacency[v] = tuple(
-                (l, w) for l, w in targets if w in self.norms
-            )
+    def _id(self, v: CosetId) -> int:
+        i = self._index.get(v.rep.payload) if v.rep.group is self.group else None
+        if i is None:
+            raise VertexOutsideBallError(f"{v!r} is outside the built ball")
+        return i
 
     # -- queries --------------------------------------------------------------
 
+    @cached_property
+    def norms(self) -> dict[CosetId, int]:
+        """Norm of every vertex in id order; built on first use."""
+        return dict(zip(self.cosets, self.norm_of))
+
     def __contains__(self, v: CosetId) -> bool:
-        return v in self.norms
+        return v.rep.group is self.group and v.rep.payload in self._index
 
     def vertex_count(self) -> int:
-        return len(self.norms)
+        return len(self.cosets)
+
+    def ball_size(self, r: int) -> int:
+        """Number of vertices of norm at most r; they are the ids below it."""
+        return self.sphere_start[min(r, self.radius) + 1] if r >= 0 else 0
 
     def norm(self, v: CosetId) -> int:
-        try:
-            return self.norms[v]
-        except KeyError:
-            raise VertexOutsideBallError(f"{v!r} is outside the built ball") from None
+        return self.norm_of[self._id(v)]
 
     def vertices_in_order(self) -> list[CosetId]:
-        return sorted(self.norms, key=self.order.__getitem__)
+        return list(self.cosets)
 
     def neighbors(self, v: CosetId) -> tuple[tuple[Letter, CosetId], ...]:
         """In-ball labeled neighbours of v."""
-        if v not in self.norms:
-            raise VertexOutsideBallError(f"{v!r} is outside the built ball")
-        return self.adjacency[v]
+        return tuple((l, self.cosets[w]) for l, w in self.adj[self._id(v)])
 
     def full_degree(self, v: CosetId) -> int:
         """Degree in the infinite graph (neighbours outside the ball count)."""
-        if v not in self.norms:
-            raise VertexOutsideBallError(f"{v!r} is outside the built ball")
-        return len({w for _, w in self._targets(v)})
+        return self.degree[self._id(v)]
 
     def has_cycle(self) -> bool:
         """Whether the built ball, viewed as an undirected graph, has a cycle."""
-        und = {
-            frozenset((v, w))
-            for v, nbrs in self.adjacency.items()
-            for _, w in nbrs
-        }
+        und = {frozenset((v, w)) for v, nbrs in enumerate(self.adj) for _, w in nbrs}
         return len(und) != self.vertex_count() - 1
 
 
 def build_ball(group: Group, radius: int) -> CosetGraph:
     return CosetGraph(group, radius)
+
+
+def _bfs(graph: CosetGraph, sources, depth: int):
+    """Yield (id, distance) for the ids within ``depth`` of the sources."""
+    dist = {s: 0 for s in sources}
+    queue = list(dist)
+    for w in queue:
+        yield w, dist[w]
+        if dist[w] < depth:
+            for _, z in graph.adj[w]:
+                if z not in dist:
+                    dist[z] = dist[w] + 1
+                    queue.append(z)
 
 
 def distance(graph: CosetGraph, u: CosetId, v: CosetId) -> int | None:
@@ -145,21 +183,10 @@ def distance(graph: CosetGraph, u: CosetId, v: CosetId) -> int | None:
     geodesic of the full graph between u and v then stays inside the ball.
     """
     nu, nv = graph.norm(u), graph.norm(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = [u]
-    head = 0
-    while head < len(queue):
-        w = queue[head]
-        head += 1
-        for _, z in graph.neighbors(w):
-            if z not in dist:
-                dist[z] = dist[w] + 1
-                if z == v:
-                    d = dist[z]
-                    return d if nu + nv + d <= 2 * graph.radius else None
-                queue.append(z)
+    target = graph._id(v)
+    for w, d in _bfs(graph, (graph._id(u),), 2 * graph.radius):
+        if w == target:
+            return d if nu + nv + d <= 2 * graph.radius else None
     return None
 
 
@@ -172,9 +199,7 @@ def ball_around(graph: CosetGraph, r: int, v: CosetId) -> frozenset[CosetId]:
     return neighborhood(graph, r, (v,))
 
 
-def neighborhood(
-    graph: CosetGraph, depth: int, targets
-) -> frozenset[CosetId]:
+def neighborhood(graph: CosetGraph, depth: int, targets) -> frozenset[CosetId]:
     """Closed depth-neighbourhood of a vertex set, multi-source BFS."""
     targets = list(targets)
     for t in targets:
@@ -182,34 +207,19 @@ def neighborhood(
             raise InsufficientRadiusError(
                 f"neighbourhood({depth}) of {t!r} may leave radius {graph.radius}"
             )
-    dist = {t: 0 for t in targets}
-    queue = list(targets)
-    head = 0
-    while head < len(queue):
-        w = queue[head]
-        head += 1
-        if dist[w] == depth:
-            continue
-        for _, z in graph.neighbors(w):
-            if z not in dist:
-                dist[z] = dist[w] + 1
-                queue.append(z)
-    return frozenset(dist)
+    ids = [graph._id(t) for t in targets]
+    return frozenset(graph.cosets[i] for i, _ in _bfs(graph, ids, depth))
 
 
 def geodesic_to(graph: CosetGraph, v: CosetId) -> Path:
     """The BFS-tree path from the base to v; its length equals |v|."""
-    if v not in graph.norms:
-        raise VertexOutsideBallError(f"{v!r} is outside the built ball")
-    verts = [v]
-    labels: list[Letter] = []
-    while verts[-1] != graph.base:
-        parent, letter = graph.parents[verts[-1]]
-        verts.append(parent)
-        labels.append(letter)
-    verts.reverse()
-    labels.reverse()
-    return Path(tuple(verts), tuple(labels))
+    ids, labels = [graph._id(v)], []
+    while ids[-1]:
+        child, parent = ids[-1], graph.parent_of[ids[-1]]
+        # the first edge to the child is the one that discovered it
+        labels.append(next(l for l, w in graph.adj[parent] if w == child))
+        ids.append(parent)
+    return Path(tuple(graph.cosets[i] for i in reversed(ids)), tuple(reversed(labels)))
 
 
 def two_sided_geodesic(graph: CosetGraph, half: int) -> Path:
@@ -225,21 +235,15 @@ def two_sided_geodesic(graph: CosetGraph, half: int) -> Path:
         )
     if half == 0:
         return Path((graph.base,), ())
-    group = graph.group
-    far = None
-    for v in graph.vertices_in_order():
-        if graph.norms[v] == 2 * half:
-            far = v
-            break
-    if far is None:
+    first = graph.sphere_start[2 * half]
+    if first == graph.vertex_count():
         raise InsufficientRadiusError(
             f"no vertex of norm {2 * half}; is the subgroup of finite index?"
         )
-    spine = geodesic_to(graph, far)
+    spine = geodesic_to(graph, graph.cosets[first])
+    group = graph.group
     mid_inv = group.invert(spine.vertices[half].rep)
-    verts = tuple(
-        coset_of(group.multiply(mid_inv, g.rep)) for g in spine.vertices
-    )
+    verts = tuple(coset_of(group.multiply(mid_inv, g.rep)) for g in spine.vertices)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             if distance(graph, verts[i], verts[j]) != j - i:
@@ -258,5 +262,5 @@ class BallCache:
 
     def at_least(self, radius: int) -> CosetGraph:
         if self._graph is None or self._graph.radius < radius:
-            self._graph = CosetGraph(self.group, radius)
+            self._graph = CosetGraph(self.group, radius, self._graph)
         return self._graph

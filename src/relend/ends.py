@@ -63,6 +63,26 @@ class CapacityTable:
         return self.entries[r].value
 
 
+def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
+    """components_outside_ball as (id list, touches sphere) pairs."""
+    if inner > outer or outer > graph.radius:
+        raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
+    lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
+    seen = bytearray(hi)
+    out = []
+    for start in range(lo, hi):
+        if not seen[start]:
+            seen[start] = 1
+            comp = [start]
+            for v in comp:
+                for _, w in graph.adj[v]:
+                    if lo <= w < hi and not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+            out.append((comp, max(comp) >= top))
+    return out
+
+
 def components_outside_ball(
     graph: CosetGraph, inner: int, outer: int
 ) -> list[Component]:
@@ -71,32 +91,10 @@ def components_outside_ball(
     A component touches the sphere when it contains a vertex of norm equal
     to ``outer``; such components are the candidates for unbounded ones.
     """
-    if inner > outer or outer > graph.radius:
-        raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
-    shell = [
-        v for v in graph.vertices_in_order() if inner <= graph.norms[v] <= outer
+    return [
+        Component(frozenset(graph.cosets[i] for i in comp), touches)
+        for comp, touches in _shell_components(graph, inner, outer)
     ]
-    keep = set(shell)
-    seen: set[CosetId] = set()
-    out: list[Component] = []
-    for start in shell:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        head = 0
-        touches = graph.norms[start] == outer
-        while head < len(comp):
-            v = comp[head]
-            head += 1
-            for _, w in graph.neighbors(v):
-                if w in keep and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    if graph.norms[w] == outer:
-                        touches = True
-        out.append(Component(frozenset(comp), touches))
-    return out
 
 
 def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsReport:
@@ -104,11 +102,10 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
     if margin < 2:
         raise ValueError("margin must be at least 2")
     graph = cache.at_least(r_max + margin)
-    counts = []
-    rows = []
+    counts, rows = [], []
     for r in range(1, r_max + 1):
-        comps = components_outside_ball(graph, r, r + margin)
-        touching = sum(1 for c in comps if c.touches_sphere)
+        comps = _shell_components(graph, r, r + margin)
+        touching = sum(touches for _, touches in comps)
         counts.append(touching)
         rows.append((r, r + margin, len(comps), touching))
     window = counts[r_max // 2 :]
@@ -127,18 +124,16 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
 
 def _capacity_probe(graph: CosetGraph, r: int, probe: int) -> int:
     """Max norm of a ball(probe) vertex cut off from the sphere component."""
-    comps = components_outside_ball(graph, r + 1, probe)
-    touching = [c for c in comps if c.touches_sphere]
+    comps = _shell_components(graph, r + 1, probe)
+    touching = [comp for comp, touches in comps if touches]
     if len(touching) != 1:
         raise NotOneEndedError(
             f"{len(touching)} sphere-touching components after removing "
             f"ball({r}) at probe radius {probe}"
         )
-    unbounded = touching[0].vertices
+    unbounded = set(touching[0])
     return max(
-        norm
-        for v, norm in graph.norms.items()
-        if norm <= probe and v not in unbounded
+        graph.norm_of[i] for i in range(graph.ball_size(probe)) if i not in unbounded
     )
 
 

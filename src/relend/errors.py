@@ -39,3 +39,7 @@ class NotFoundError(RelendError):
 
 class SearchSpaceTooLargeError(RelendError):
     """The subset search space exceeds the configured cap."""
+
+
+class BallTooLargeError(RelendError):
+    """A ball would exceed its vertex budget; the radius is too large."""

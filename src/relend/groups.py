@@ -109,8 +109,8 @@ class Group:
     def is_in_k(self, a: GroupElement) -> bool:
         raise NotImplementedError
 
-    def coset_rep_element(self, a: GroupElement) -> GroupElement:
-        """The canonical representative of the left coset aK."""
+    def _coset_rep_payload(self, a: object) -> object:
+        """Payload of the canonical representative of the coset with payload a."""
         raise NotImplementedError
 
     def k_exponents(self, a: GroupElement) -> tuple[int, ...]:
@@ -133,6 +133,10 @@ class Group:
 
     def identity(self) -> GroupElement:
         return self._identity
+
+    def coset_rep_element(self, a: GroupElement) -> GroupElement:
+        """The canonical representative of the left coset aK."""
+        return GroupElement(self, self._coset_rep_payload(a.payload))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         if a.group is not self or b.group is not self:
@@ -234,11 +238,10 @@ class ZdGroup(Group):
         kset = set(self.k_coords)
         return all(c == 0 for i, c in enumerate(a.payload) if i not in kset)
 
-    def coset_rep_element(self, a):
-        kset = set(self.k_coords)
-        return GroupElement(
-            self, tuple(0 if i in kset else c for i, c in enumerate(a.payload))
-        )
+    def _coset_rep_payload(self, a):
+        if not self.k_coords:
+            return a
+        return tuple(0 if i in self.k_coords else c for i, c in enumerate(a))
 
     def k_exponents(self, a):
         return tuple(a.payload[c] for c in self.k_coords)
@@ -297,7 +300,7 @@ class ZmodGroup(Group):
     def is_in_k(self, a):
         return a.is_identity()
 
-    def coset_rep_element(self, a):
+    def _coset_rep_payload(self, a):
         return a
 
     def k_exponents(self, a):
@@ -354,7 +357,7 @@ class FreeGroup(Group):
     def is_in_k(self, a):
         return a.payload == ()
 
-    def coset_rep_element(self, a):
+    def _coset_rep_payload(self, a):
         return a
 
     def k_exponents(self, a):
@@ -387,8 +390,9 @@ class BsGroup(Group):
     family = "bs"
 
     def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
-            raise ConfigError(f"bs parameters must be positive, got ({m}, {n})")
+        if not (1 <= m <= 1000 and 1 <= n <= 1000):
+            # the witness sets of t and t^-1 hold m and n elements
+            raise ConfigError(f"bs parameters must lie in 1..1000, got ({m}, {n})")
         self.m = m
         self.n = n
         super().__init__(("x", "t"), (1,))
@@ -439,8 +443,8 @@ class BsGroup(Group):
     def is_in_k(self, a):
         return a.payload[0] == ()
 
-    def coset_rep_element(self, a):
-        return GroupElement(self, (a.payload[0], 0))
+    def _coset_rep_payload(self, a):
+        return (a[0], 0)
 
     def k_exponents(self, a):
         if a.payload[0] != ():
@@ -511,13 +515,10 @@ class ProductGroup(Group):
     def is_in_k(self, a):
         return self.left.is_in_k(a.payload[0]) and self.right.is_in_k(a.payload[1])
 
-    def coset_rep_element(self, a):
-        return GroupElement(
-            self,
-            (
-                self.left.coset_rep_element(a.payload[0]),
-                self.right.coset_rep_element(a.payload[1]),
-            ),
+    def _coset_rep_payload(self, a):
+        return (
+            self.left.coset_rep_element(a[0]),
+            self.right.coset_rep_element(a[1]),
         )
 
     def k_exponents(self, a):

@@ -82,16 +82,13 @@ def boundary_cocycle(
     graph = cache.at_least(radius)
     group = cache.group
     s_inv = group.letter_element(-letter)
-    out = []
-    top = 0
-    for v in graph.vertices_in_order():
-        if graph.norms[v] > radius:
-            continue
-        shifted = coset_of(group.multiply(s_inv, v.rep))
-        if region.member(v) != region.member(shifted):
-            out.append(v)
-            top = max(top, graph.norms[v])
-    if out and top >= radius:
+    out = [
+        v
+        for v in graph.cosets[: graph.ball_size(radius)]
+        if region.member(v) != region.member(coset_of(group.multiply(s_inv, v.rep)))
+    ]
+    # ids sort by norm, so the last difference cell has the largest norm
+    if out and graph.norm(out[-1]) >= radius:
         raise NoStabilizationError(
             f"difference set for letter {letter} still grows at radius {radius}"
         )
@@ -134,14 +131,11 @@ def direct_boundary(
     graph = cache.at_least(radius)
     group = cache.group
     g_inv = group.invert(g)
-    out = []
-    for v in graph.vertices_in_order():
-        if graph.norms[v] > radius:
-            continue
-        shifted = coset_of(group.multiply(g_inv, v.rep))
-        if region.member(v) != region.member(shifted):
-            out.append(v)
-    return frozenset(out)
+    return frozenset(
+        v
+        for v in graph.cosets[: graph.ball_size(radius)]
+        if region.member(v) != region.member(coset_of(group.multiply(g_inv, v.rep)))
+    )
 
 
 def sign_of(y: Pattern, cells: frozenset[CosetId]) -> int:
@@ -184,24 +178,20 @@ def bounded_coboundary_search(
     The cap bounds |ball(radius)| and rejects oversized instances up front.
     """
     graph = cache.at_least(radius + 1)
-    if sum(1 for n in graph.norms.values() if n <= radius) > cap:
+    if graph.ball_size(radius) > cap:
         raise SearchSpaceTooLargeError(
             f"|ball({radius})| exceeds the configured cap {cap}"
         )
     boundaries = generator_boundaries(cache, region, radius + 1)
     group = cache.group
 
-    inside = {v for v, n in graph.norms.items() if n <= radius}
+    order = graph.cosets[: graph.ball_size(radius)]
+    inside = set(order)
     # every constraint pairs v with s^-1 v across the edge labeled s
     constraints: list[tuple[CosetId, CosetId, bool]] = []
     for letter, cells in boundaries.items():
         s_inv = group.letter_element(-letter)
-        half = [
-            v
-            for v, n in graph.norms.items()
-            if n <= radius + 1
-        ]
-        for v in half:
+        for v in graph.cosets[: graph.ball_size(radius + 1)]:
             w = coset_of(group.multiply(s_inv, v.rep))
             if v not in inside and w not in inside:
                 if v in cells:
@@ -257,7 +247,6 @@ def bounded_coboundary_search(
     if not propagate():
         return SearchOutcome(None, decisions)
 
-    order = [v for v in graph.vertices_in_order() if v in inside]
     for v in order:
         if v in assignment:
             continue
@@ -305,7 +294,7 @@ def sign_cocycle_spec(
         )
         inv_cells[letter] = cells
         for c in cells:
-            window = max(window, graph.norms[c])
+            window = max(window, graph.norm(c))
     target = ZmodGroup((2,))
     minus_one = target.letter_element(1)
 

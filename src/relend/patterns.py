@@ -64,20 +64,28 @@ class Alphabet:
             perm = self._perm_map.get(name)
             if perm is None or e == 0:
                 continue
-            step = perm if e > 0 else _invert_perm(perm)
-            for _ in range(abs(e)):
-                result = [step[i] for i in result]
+            power = _perm_power(perm, e)
+            result = [power[i] for i in result]
         return tuple(result)
 
     def apply(self, group: Group, k: GroupElement, symbol: str) -> str:
         return self.symbols[self.permutation_of(group, k)[self.index(symbol)]]
 
 
-def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
+def _perm_power(perm: tuple[int, ...], e: int) -> list[int]:
+    """perm**e for any integer e, shifting each cycle by e modulo its length."""
     out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
+    done = [False] * len(perm)
+    for start in range(len(perm)):
+        if done[start]:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        for i, c in enumerate(cycle):
+            done[c] = True
+            out[c] = cycle[(i + e) % len(cycle)]
+    return out
 
 
 def trivial_alphabet(symbols: Iterable[str], x0: str) -> Alphabet:
@@ -145,11 +153,11 @@ def pattern_norm(graph: CosetGraph, y: Pattern) -> int:
     """Largest coset norm in the support; the empty pattern has norm 0."""
     best = 0
     for c in y.support():
-        if c not in graph.norms:
+        if c not in graph:
             raise InsufficientRadiusError(
                 f"support coset {c!r} is outside the built radius {graph.radius}"
             )
-        best = max(best, graph.norms[c])
+        best = max(best, graph.norm(c))
     return best
 
 
@@ -192,7 +200,7 @@ def random_pattern(
     max_entries: int = 6,
 ) -> Pattern:
     """A random finite-support pattern with support norm at most ``max_norm``."""
-    region = [v for v in graph.vertices_in_order() if graph.norms[v] <= max_norm]
+    region = graph.cosets[: graph.ball_size(max_norm)]
     non_default = [s for s in alphabet.symbols if s != alphabet.x0]
     count = rng.randrange(0, min(max_entries, len(region)) + 1)
     chosen = rng.sample(region, count) if count else []

@@ -33,24 +33,40 @@ from .groups import (
 from .patterns import Alphabet, Pattern, make_pattern
 
 
+def _int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {type(value).__name__}")
+    return tuple(_int(v, f"each entry of {what}") for v in value)
+
+
 def group_from_config(cfg: dict) -> Group:
     if not isinstance(cfg, dict) or "family" not in cfg:
-        raise ConfigError(f"group config needs a 'family' key, got {cfg!r}")
+        raise ConfigError("group config needs to be an object with a 'family' key")
     family = cfg["family"]
     try:
         if family == "zd":
-            return ZdGroup(int(cfg["d"]), tuple(cfg.get("k_coords", ())))
+            k_coords = _ints(cfg.get("k_coords", ()), "k_coords")
+            return ZdGroup(_int(cfg["d"], "d"), k_coords)
         if family == "free":
             k = cfg.get("k", "trivial")
             if k != "trivial":
                 raise ConfigError("free groups only support a trivial subgroup")
-            return FreeGroup(int(cfg["rank"]))
+            return FreeGroup(_int(cfg["rank"], "rank"))
         if family == "bs":
-            return BsGroup(int(cfg["m"]), int(cfg["n"]))
+            return BsGroup(_int(cfg["m"], "m"), _int(cfg["n"], "n"))
         if family == "zmod":
-            return ZmodGroup(tuple(int(m) for m in cfg["mods"]))
+            return ZmodGroup(_ints(cfg["mods"], "mods"))
         if family == "direct_product":
-            left, right = cfg["factors"]
+            factors = cfg["factors"]
+            if not isinstance(factors, list) or len(factors) != 2:
+                raise ConfigError("direct_product needs a list of two factors")
+            left, right = factors
             return ProductGroup(group_from_config(left), group_from_config(right))
     except KeyError as missing:
         raise ConfigError(f"{family} config is missing {missing}") from None
@@ -83,16 +99,17 @@ def parse_element(group: Group, text: str) -> GroupElement:
 
 
 def alphabet_from_config(cfg: dict) -> Alphabet:
+    if not isinstance(cfg, dict):
+        raise ConfigError("alphabet config needs to be an object")
     try:
-        symbols = tuple(str(s) for s in cfg["symbols"])
-        x0 = str(cfg["x0"])
+        symbols, x0 = cfg["symbols"], str(cfg["x0"])
     except KeyError as missing:
         raise ConfigError(f"alphabet config is missing {missing}") from None
-    perms = tuple(
-        (name, tuple(int(i) for i in perm))
-        for name, perm in sorted(cfg.get("alpha", {}).items())
-    )
-    return Alphabet(symbols, x0, perms)
+    alpha = cfg.get("alpha", {})
+    if not isinstance(symbols, list) or not isinstance(alpha, dict):
+        raise ConfigError("alphabet symbols must be a list and alpha an object")
+    perms = tuple((name, _ints(alpha[name], name)) for name in sorted(alpha))
+    return Alphabet(tuple(str(s) for s in symbols), x0, perms)
 
 
 def alphabet_to_config(alphabet: Alphabet) -> dict:

@@ -133,11 +133,11 @@ class Trivializer:
         for g in ball_elements(group, threshold + self.far_search_slack):
             if g.is_identity():
                 continue
-            v = coset_of(g)
-            if v in graph.norms and graph.norms[v] <= threshold:
+            c = coset_of(g)
+            if c in graph and graph.norm(c) <= threshold:
                 continue
-            w = coset_of(group.invert(g))
-            if w in graph.norms and graph.norms[w] <= threshold:
+            c = coset_of(group.invert(g))
+            if c in graph and graph.norm(c) <= threshold:
                 continue
             out.append(g)
             if len(out) == count:
@@ -213,11 +213,8 @@ class Trivializer:
         window = self.cocycle.window
         graph = self.cache.at_least(3 * window + 3)
         region = window_region(graph, 3 * window)
-        outside = [
-            v
-            for v in graph.vertices_in_order()
-            if 3 * window < graph.norms[v] <= 3 * window + 2
-        ]
+        lo, hi = graph.ball_size(3 * window), graph.ball_size(3 * window + 2)
+        outside = graph.cosets[lo:hi]
         non_default = [
             s for s in self.cocycle.alphabet.symbols if s != self.cocycle.alphabet.x0
         ]
@@ -327,19 +324,16 @@ class Trivializer:
             # literal form of the extension step: values must only depend on
             # the configuration out to |g^-1 K| + 3*window, so junk planted
             # beyond that radius cannot change the evaluation
-            gnorm = big.norms.get(coset_of(group.invert(g)), big.radius)
+            ginv = coset_of(group.invert(g))
+            gnorm = big.norm(ginv) if ginv in big else big.radius
             cut = min(gnorm + 3 * cocycle.window, big.radius)
-            junk_zone = [
-                v for v, n in big.norms.items() if cut < n <= cut + 2
-            ]
+            junk_zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
             junk = {
                 v: rng.choice(non_default)
                 for v in rng.sample(junk_zone, min(3, len(junk_zone)))
             }
             y_big = Pattern(cocycle.alphabet, y.entries | frozenset(junk.items()))
-            tilde = restrict(
-                y_big, frozenset(v for v, n in big.norms.items() if n <= cut)
-            )
+            tilde = restrict(y_big, window_region(big, cut))
             if evaluate(cocycle, g, y_big, big) != evaluate(cocycle, g, tilde, big):
                 tilde_ok = False
 

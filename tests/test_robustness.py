@@ -1,0 +1,179 @@
+"""Malformed input, size budgets, exponent reduction and cross-process output."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+import relend.coset_graph
+from relend.cli import main
+from relend.groups import BsGroup
+from relend.patterns import Alphabet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(argv):
+    """main(argv) with stderr captured; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"family": "zd", "d": 2, "k_coords": "ab"},
+        {"family": "zd", "d": 2, "k_coords": [None]},
+        {"family": "zmod", "mods": 5},
+        {"family": "zd", "d": "2"},
+        {"family": "bs", "m": 1, "n": True},
+        {"family": "bs", "m": 10**9, "n": 1},
+        {"family": "direct_product", "factors": [{"family": "zd", "d": 1}]},
+        {"group": {"family": "zd", "d": 1}, "alphabet": {"symbols": 5, "x0": 0}},
+        {"group": {"family": "zd", "d": 1}, "alphabet": ["0", "1"]},
+        {
+            "group": {"family": "zd", "d": 1, "k_coords": [0]},
+            "alphabet": {"symbols": ["0", "1"], "x0": "0", "alpha": {"a": "10"}},
+        },
+    ],
+)
+def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _run(["graph", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+FAMILIES = ["zd", "free", "bs", "zmod", "direct_product", "trivial"]
+KEYS = [
+    "family", "d", "k_coords", "rank", "k", "m", "n", "mods", "factors",
+    "group", "alphabet", "symbols", "x0", "alpha",
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(FAMILIES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+family_configs = st.fixed_dictionaries(
+    {"family": st.sampled_from(FAMILIES)},
+    optional={key: json_values for key in KEYS if key != "family"},
+)
+wrapped_configs = st.fixed_dictionaries({"group": family_configs})
+
+
+@given(cfg=json_values | family_configs | wrapped_configs)
+def test_config_fuzz_never_escapes(tmp_path_factory, cfg):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["graph", "--config", str(path), "--radius", "0", "--out", str(tmp / "o")]
+    code, err = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") <= 1
+
+
+def test_vertex_budget_exits_two(tmp_path, monkeypatch):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"family": "free", "rank": 2}))
+    monkeypatch.setattr(relend.coset_graph, "MAX_VERTICES", 20)
+    argv = ["graph", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert _run(argv + ["--radius", "2"]) == (0, "")
+    code, err = _run(argv + ["--radius", "3"])
+    assert code == 2
+    assert err.startswith("size limit: ") and err.count("\n") == 1
+
+
+def _perm_power_by_squaring(perm, k):
+    """perm ** (2 ** k) by k squarings, independent of cycle arithmetic."""
+    out = list(perm)
+    for _ in range(k):
+        out = [out[i] for i in out]
+    return tuple(out)
+
+
+def test_permutation_of_reduces_huge_exponents():
+    # in BS(1, 2), t^-k x t^k = x^(2^k); order-6 permutation on 7 symbols
+    group = BsGroup(1, 2)
+    perm = (0, 2, 1, 4, 5, 3, 6)
+    alphabet = Alphabet(tuple("0123456"), "0", (("x", perm),))
+    k = 40
+    g = group.element_from_word([-2] * k + [1] + [2] * k)
+    assert group.k_exponents(g) == (2**k,)
+    start = time.perf_counter()
+    forward = alphabet.permutation_of(group, g)
+    inverse = alphabet.permutation_of(group, group.invert(g))
+    assert time.perf_counter() - start < 1.0
+    assert forward == _perm_power_by_squaring(perm, k)
+    assert tuple(forward[i] for i in inverse) == tuple(range(7))
+
+
+@given(
+    perm=st.permutations(range(1, 6)).map(lambda p: (0,) + tuple(p)),
+    e=st.integers(-15, 15),
+)
+def test_permutation_of_matches_repeated_application(perm, e):
+    group = BsGroup(1, 2)
+    alphabet = Alphabet(tuple("012345"), "0", (("x", perm),))
+    inverse = [0] * 6
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    step = perm if e > 0 else tuple(inverse)
+    expected = list(range(6))
+    for _ in range(abs(e)):
+        expected = [step[i] for i in expected]
+    g = group.element_from_word([1 if e > 0 else -1] * abs(e))
+    assert alphabet.permutation_of(group, g) == tuple(expected)
+
+
+def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
+    out = tmp / hashseed
+    out.mkdir()
+    configs = {
+        "free2": {"family": "free", "rank": 2},
+        "zd3k0": {"family": "zd", "d": 3, "k_coords": [0]},
+        "zd2": {"family": "zd", "d": 2},
+    }
+    for name, cfg in configs.items():
+        (out / f"{name}.json").write_text(json.dumps(cfg))
+    commands = [
+        ["graph", "--config", "free2.json", "--radius", "4", "--out", "g.dot",
+         "--csv", "g.csv"],
+        ["ends", "--config", "zd3k0.json", "--rmax", "4", "--margin", "4",
+         "--csv", "e.csv"],
+        ["trivialize", "--config", "zd2.json", "--plant", "--b0-window", "1",
+         "--seed", "5", "--samples", "10", "--out", "t.json", "--report", "t.txt"],
+    ]
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
+    stdout = b""
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "relend.cli", *argv],
+            cwd=out, env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        stdout += done.stdout
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.stem not in configs}
+    files["stdout"] = stdout
+    return files
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    first = _outputs(tmp_path, "0")
+    assert set(first) == {"g.dot", "g.csv", "e.csv", "t.json", "t.txt", "stdout"}
+    assert first == _outputs(tmp_path, "12345")
