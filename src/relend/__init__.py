@@ -29,6 +29,7 @@ from .cocycles import (
     pattern_key,
     plant_cocycle,
     verify_relations,
+    window_patterns,
     window_region,
 )
 from .ends import (
@@ -56,6 +57,7 @@ from .groups import (
     find_separated_element,
     in_subgroup,
     inv,
+    iter_ball,
     k_ball,
     mul,
     verify_witness,

@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .cocycles import plant_cocycle, verify_relations, window_region
+from .cocycles import evaluate_word, plant_cocycle, verify_relations, window_region
 from .coset_graph import BallCache, build_ball
 from .ends import capacity, estimate_ends
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groups import Group, ZmodGroup
 from .obstruction import builtin_set, rho_forcing_check
-from .patterns import Alphabet, random_pattern, trivial_alphabet
+from .patterns import Alphabet, Pattern, random_pattern, trivial_alphabet
 from .serialize import (
     alphabet_from_config,
     cocycle_from_json,
@@ -191,9 +191,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _window_soundness(cocycle, graph, rng, trials: int) -> bool:
     """Perturbing a configuration outside the window must not change values."""
-    from .cocycles import evaluate_word
-    from .patterns import Pattern
-
     region = window_region(graph, cocycle.window)
     outside = graph.cosets[graph.ball_size(cocycle.window) :]
     non_default = [
@@ -282,25 +279,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        group, alphabet = _load_pair(args.config)
-        cfg = RunConfig(
-            command=args.command,
-            group=group,
-            alphabet=alphabet,
-            seed=args.seed,
-            radius=getattr(args, "radius", 4),
-            rmax=getattr(args, "rmax", 5),
-            margin=getattr(args, "margin", 5),
-            cap=getattr(args, "cap", 22),
-            samples=getattr(args, "samples", 50),
-            out=getattr(args, "out", None),
-            csv=getattr(args, "csv", None),
-            report=getattr(args, "report", None),
-            cocycle_path=getattr(args, "cocycle_path", None),
-            plant=getattr(args, "plant", False),
-            b0_window=getattr(args, "b0_window", 0),
-            set_name=getattr(args, "set_name", "halfline"),
-        )
+        options = vars(args)
+        group, alphabet = _load_pair(options.pop("config"))
+        cfg = RunConfig(group=group, alphabet=alphabet, **options)
         return run(args.command, cfg)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -2,18 +2,28 @@
 
 A cocycle into a target group H is stored as one lookup table per generator,
 keyed by the restriction of the configuration to the ball of the window
-radius around the base coset.  Evaluation on a general element walks its
-canonical word; word-independence is exactly the cocycle identity and is
-guarded by ``verify_relations``.  ``path_difference`` recomputes a
-difference of cocycle values along an edge path from per-edge subgroup
-witnesses, giving a second, independent route to the same group element.
+radius around the base coset.  The key is that restriction's ``entries``,
+the frozenset of (coset, symbol) pairs: keys have no text form here, and the
+``word=symbol|...`` strings of the JSON format exist only in ``serialize``.
+``window_patterns`` is the one enumerator of the patterns of a window.
+
+Evaluation on a general element walks its canonical word.  Each letter moves
+the configuration through a per-cocycle table of letter steps, filled on
+first use from ``coset_of`` and ``coset_cocycle``, so the check that every
+K-correction lies in K runs once per distinct (letter, cell) pair.
+Word-independence is exactly the cocycle identity and is guarded by
+``verify_relations``.  ``path_difference`` recomputes a difference of
+cocycle values along an edge path from per-edge subgroup witnesses and the
+uncached ``act``, giving a second, independent route to the same group
+element.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .coset_graph import CosetGraph, Path
 from .errors import (
@@ -27,9 +37,18 @@ from .groups import (
     Group,
     GroupElement,
     Letter,
+    coset_cocycle,
+    coset_of,
     k_ball,
 )
-from .patterns import Alphabet, Pattern, act, empty_pattern, restrict
+from .patterns import (
+    Alphabet,
+    Pattern,
+    act,
+    empty_pattern,
+    random_pattern,
+    restrict,
+)
 
 
 def window_region(graph: CosetGraph, window: int) -> frozenset[CosetId]:
@@ -38,16 +57,28 @@ def window_region(graph: CosetGraph, window: int) -> frozenset[CosetId]:
         raise InsufficientRadiusError(
             f"window {window} exceeds built radius {graph.radius}"
         )
-    return frozenset(graph.cosets[: graph.ball_size(window)])
+    return graph.ball_set(window)
 
 
-def pattern_key(p: Pattern) -> str:
-    """Canonical string key for a window pattern: sorted word=symbol pairs."""
-    items = []
-    for c, s in p.items():
-        g = c.rep
-        items.append((g.group.word_key(g), f"{g.group.word_str(g) or 'e'}={s}"))
-    return "|".join(text for _, text in sorted(items))
+def window_patterns(
+    region: frozenset[CosetId], alphabet: Alphabet
+) -> Iterator[Pattern]:
+    """Every pattern supported in the region.
+
+    Symbols run over the cells in shortlex order of their representatives,
+    the last cell fastest; planting draws its random values in this order.
+    """
+    cells = sorted(region, key=lambda v: v.rep.group.word_key(v.rep))
+    x0 = alphabet.x0
+    for combo in itertools.product(alphabet.symbols, repeat=len(cells)):
+        yield Pattern(
+            alphabet, frozenset((c, s) for c, s in zip(cells, combo) if s != x0)
+        )
+
+
+def pattern_key(p: Pattern) -> frozenset:
+    """Table key of a window pattern: its frozenset of (coset, symbol) entries."""
+    return p.entries
 
 
 @dataclass(frozen=True)
@@ -56,7 +87,7 @@ class PlantedData:
 
     seed: int
     b0_window: int
-    b0: dict[str, GroupElement]
+    b0: dict[frozenset, GroupElement]
     hom_images: dict[Letter, GroupElement]
     def_key: str = "planted"
 
@@ -73,33 +104,62 @@ class CocycleSpec:
 
     ``tables`` memoises generator values per window-pattern key; when a
     ``rule`` is present, missing entries are computed on demand, so tables
-    over large windows never need to be materialised in full.
+    over large windows never need to be materialised in full.  ``_steps``
+    maps (letter, cell) to the cell's image under the letter and the symbol
+    permutation of its K-correction, as a symbol map shared through
+    ``_images``; both depend only on the group and the alphabet, and take no
+    part in equality.
     """
 
     group: Group
     alphabet: Alphabet
     target: Group
     window: int
-    tables: dict[Letter, dict[str, GroupElement]] = field(default_factory=dict)
+    tables: dict[Letter, dict[frozenset, GroupElement]] = field(default_factory=dict)
     rule: Callable[[Letter, Pattern], GroupElement] | None = None
     derivation: object | None = None
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
-        key = pattern_key(window_pattern)
         table = self.tables.setdefault(letter, {})
-        hit = table.get(key)
+        hit = table.get(window_pattern.entries)
         if hit is not None:
             return hit
         if self.rule is None:
             raise InternalError(
-                f"table for letter {letter} has no entry for key {key!r}; "
+                f"table for letter {letter} has no entry for {window_pattern!r}; "
                 "an explicit cocycle table must be total"
             )
         value = self.rule(letter, window_pattern)
-        table[key] = value
+        table[window_pattern.entries] = value
         return value
 
-    def corrupted(self, letter: Letter, key: str, value: GroupElement) -> "CocycleSpec":
+    def _move(self, letter: Letter, y: Pattern) -> Pattern:
+        """act(s, y) for the letter s, one step-table lookup per cell."""
+        steps = self._steps
+        moved = []
+        for cell, symbol in y.entries:
+            step = steps.get((letter, cell))
+            if step is None:
+                step = steps[letter, cell] = self._new_step(letter, cell)
+            moved.append((step[0], step[1][symbol]))
+        return Pattern(y.alphabet, frozenset(moved))
+
+    def _new_step(self, letter: Letter, cell: CosetId) -> tuple[CosetId, dict]:
+        group, symbols = self.group, self.alphabet.symbols
+        g = group.letter_element(letter)
+        perm = self.alphabet.permutation_of(group, coset_cocycle(g, cell))
+        images = self._images.get(perm)
+        if images is None:
+            images = self._images[perm] = {
+                s: symbols[perm[i]] for i, s in enumerate(symbols)
+            }
+        return coset_of(group.multiply(g, cell.rep)), images
+
+    def corrupted(
+        self, letter: Letter, key: frozenset, value: GroupElement
+    ) -> "CocycleSpec":
         """A copy with one table entry overwritten; for negative controls."""
         tables = {l: dict(t) for l, t in self.tables.items()}
         tables.setdefault(letter, {})[key] = value
@@ -116,7 +176,7 @@ class CocycleSpec:
 
 def _shadow_rule(rule, letter, key, value):
     def shadowed(l: Letter, p: Pattern) -> GroupElement:
-        if l == letter and pattern_key(p) == key:
+        if l == letter and p.entries == key:
             return value
         return rule(l, p)
 
@@ -127,13 +187,14 @@ def evaluate_word(
     c: CocycleSpec, word, y: Pattern, region: frozenset[CosetId]
 ) -> GroupElement:
     """Cocycle value along an explicit letter word (right-to-left expansion)."""
-    group = c.group
     acc = c.target.identity()
     z = y
-    for letter in reversed(tuple(word)):
+    letters = tuple(word)[::-1]
+    for i, letter in enumerate(letters):
+        if i:  # moving after the last letter would be wasted work
+            z = c._move(letters[i - 1], z)
         f = c.factor(letter, restrict(z, region))
         acc = c.target.multiply(f, acc)
-        z = act(group.letter_element(letter), z)
     return acc
 
 
@@ -147,7 +208,7 @@ def evaluate(
 @dataclass(frozen=True)
 class RelationViolation:
     relator: tuple
-    key: str
+    key: frozenset
     value: GroupElement
 
 
@@ -173,8 +234,6 @@ def verify_relations(
     The empty configuration is always included in the sample.  A violation
     means the tables do not define a cocycle (word-independence fails).
     """
-    from .patterns import random_pattern
-
     rng = rng or random.Random(0)
     region = window_region(graph, c.window)
     pats = [empty_pattern(c.alphabet)] + [
@@ -307,10 +366,6 @@ def _random_target_element(target: Group, rng: random.Random) -> GroupElement:
     return target.element_from_word(word)
 
 
-def _abelian(target: Group) -> bool:
-    return target.family in ("zd", "zmod")
-
-
 def plant_cocycle(
     group: Group,
     alphabet: Alphabet,
@@ -324,32 +379,27 @@ def plant_cocycle(
     Draws a random map b0 on configurations of the b0_window ball and a
     random homomorphism, then codes c(s, y) = b0(s y)^-1 * hom(s) * b0(y).
     The value of c(s, .) is determined by the window b0_window + 1, which
-    becomes the window of the returned code.  Relators are repaired and
-    verified before returning.
+    becomes the window of the returned code.  The homomorphism's images are
+    repaired until every relator maps to the identity, which makes c a
+    cocycle by construction; the tables are not evaluated on relators here
+    (``verify_relations`` does that, and costs a pass over sampled patterns).
     """
-    import itertools
-
     if graph.group is not group:
         raise ConfigError("the supplied graph was built over a different group")
     rng = random.Random(seed)
-    region0 = sorted(
-        window_region(graph, b0_window),
-        key=lambda v: group.word_key(v.rep),
-    )
+    region0 = window_region(graph, b0_window)
     if len(alphabet.symbols) ** len(region0) > 10**6:
         raise ConfigError(
             f"b0 table over {len(region0)} cells and "
             f"{len(alphabet.symbols)} symbols is too large to materialise"
         )
-    b0: dict[str, GroupElement] = {}
-    from .patterns import make_pattern
-
-    for combo in itertools.product(alphabet.symbols, repeat=len(region0)):
-        p = make_pattern(alphabet, dict(zip(region0, combo)))
-        b0[pattern_key(p)] = _random_target_element(target, rng)
+    b0 = {
+        pattern_key(p): _random_target_element(target, rng)
+        for p in window_patterns(region0, alphabet)
+    }
 
     images: dict[Letter, GroupElement] = {}
-    if _abelian(target):
+    if target.is_abelian:
         for i in range(1, len(group.gen_names) + 1):
             images[i] = _random_target_element(target, rng)
     else:
@@ -381,13 +431,12 @@ def plant_cocycle(
         if not hom_value(rel).is_identity():
             raise InternalError(f"could not repair homomorphism on relator {rel}")
 
-    small_region = frozenset(region0)
     letter_images = {
         l: hom_value((l,)) for l in group.s_letters
     }
 
     def b0_of(p: Pattern) -> GroupElement:
-        return b0[pattern_key(restrict(p, small_region))]
+        return b0[pattern_key(restrict(p, region0))]
 
     def rule(letter: Letter, p: Pattern) -> GroupElement:
         moved = act(group.letter_element(letter), p)

@@ -7,8 +7,8 @@ interned as dense ids in BFS discovery order, so ids sort by norm and the
 closed r-ball is the id prefix below sphere_start[r + 1].  A larger ball grows
 from a smaller one by copying the prefix, re-expanding the old boundary sphere
 and going on with the search: the ids equal a fresh build's.  Graphs are not
-changed after construction; the ``norms`` dict is derived from them on first
-use.
+changed after construction; the ``norms`` dict and the ``ball_set`` sets are
+derived from them on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ from .errors import (
 from .groups import CosetId, Group, GroupElement, Letter, coset_of
 
 MAX_VERTICES = 200_000  # vertex budget of a ball, checked per vertex
+# Witness products a ball may take, per unit of MAX_VERTICES, checked before
+# each sphere is expanded: expanding a vertex multiplies it by every witness,
+# so a family with large witness sets (BS(m, n) has m + n) can take long over
+# a ball of few vertices.  At 4, every ball of the free group of rank 2 that
+# fits the vertex budget still builds.
+WITNESS_WORK = 4
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,8 @@ class CosetGraph:
     Lists indexed by vertex id hold the coset, norm, BFS parent, in-ball
     ``(letter, id)`` edges and degree in the infinite graph.  ``grow_from`` is
     a smaller ball of the same group to grow from.  A ball that would hold
-    more than MAX_VERTICES vertices raises BallTooLargeError.
+    more than MAX_VERTICES vertices, or take more than WITNESS_WORK *
+    MAX_VERTICES witness products to expand, raises BallTooLargeError.
     """
 
     def __init__(self, group: Group, radius: int, grow_from: CosetGraph | None = None):
@@ -75,6 +82,7 @@ class CosetGraph:
             self.adj, self.degree = old.adj[:keep], old.degree[:keep]
             self._index = dict(old._index)
         self.base = self.cosets[0]
+        self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
@@ -88,6 +96,12 @@ class CosetGraph:
         ]
         cosets, index = self.cosets, self._index
         for r in range(first, self.radius + 1):
+            # every vertex of norm <= r gets expanded; refuse before the work
+            if self.sphere_start[r + 1] * len(steps) > WITNESS_WORK * MAX_VERTICES:
+                raise BallTooLargeError(
+                    f"ball({self.radius}) takes over "
+                    f"{WITNESS_WORK * MAX_VERTICES} witness products"
+                )
             for v in range(self.sphere_start[r], self.sphere_start[r + 1]):
                 vp = cosets[v].rep.payload
                 # labelled targets without self-loops, first occurrence first
@@ -138,6 +152,13 @@ class CosetGraph:
     def ball_size(self, r: int) -> int:
         """Number of vertices of norm at most r; they are the ids below it."""
         return self.sphere_start[min(r, self.radius) + 1] if r >= 0 else 0
+
+    def ball_set(self, r: int) -> frozenset[CosetId]:
+        """The cosets of norm at most r as a set, built once per r."""
+        found = self._ball_sets.get(r)
+        if found is None:
+            found = self._ball_sets[r] = frozenset(self.cosets[: self.ball_size(r)])
+        return found
 
     def norm(self, v: CosetId) -> int:
         return self.norm_of[self._id(v)]

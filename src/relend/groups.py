@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
 
@@ -75,6 +75,8 @@ class Group:
     """Base class: generator bookkeeping plus family-specific arithmetic."""
 
     family = "abstract"
+    # every group of the family is abelian; False also means "not known to be"
+    is_abelian = False
 
     def __init__(self, gen_names: Sequence[str], k_primaries: Sequence[int]):
         if len(set(n.lower() for n in gen_names)) != len(gen_names):
@@ -204,6 +206,7 @@ class Group:
 
 class ZdGroup(Group):
     family = "zd"
+    is_abelian = True
 
     def __init__(self, d: int, k_coords: Sequence[int] = ()):
         if d < 0 or d > 26:
@@ -269,6 +272,7 @@ class ZdGroup(Group):
 
 class ZmodGroup(Group):
     family = "zmod"
+    is_abelian = True
 
     def __init__(self, mods: Sequence[int]):
         self.mods = tuple(int(m) for m in mods)
@@ -601,29 +605,39 @@ def k_ball(group: Group, radius: int) -> list[GroupElement]:
     return ball_elements(group, radius, group.t_letters)
 
 
-def ball_elements(
+def iter_ball(
     group: Group, radius: int, letters: Sequence[Letter] | None = None
-) -> list[GroupElement]:
-    """Shortlex enumeration of the word ball of the given radius."""
+) -> Iterator[GroupElement]:
+    """Shortlex enumeration of the word ball, yielding each element on discovery.
+
+    Callers that stop at the first few hits never build the rest of the ball.
+    The search runs on payloads, which hash faster than elements.
+    """
     if letters is None:
         letters = group.s_letters
-    gens = [group.letter_element(l) for l in letters]
-    start = group.identity()
-    out = [start]
+    mul = group._mul_payload
+    gens = [group._letter_payload(l) for l in letters]
+    start = group.identity().payload
+    yield group.identity()
+    queue = [start]
     dist = {start: 0}
-    head = 0
-    while head < len(out):
-        g = out[head]
-        head += 1
+    for g in queue:
         d = dist[g]
         if d == radius:
             continue
         for ge in gens:
-            h = group.multiply(g, ge)
+            h = mul(g, ge)
             if h not in dist:
                 dist[h] = d + 1
-                out.append(h)
-    return out
+                queue.append(h)
+                yield GroupElement(group, h)
+
+
+def ball_elements(
+    group: Group, radius: int, letters: Sequence[Letter] | None = None
+) -> list[GroupElement]:
+    """Shortlex enumeration of the word ball of the given radius."""
+    return list(iter_ball(group, radius, letters))
 
 
 def verify_witness(group: Group, w: Witness, radius: int) -> bool:
@@ -649,7 +663,7 @@ def find_separated_element(
     small, not that no such element exists.
     """
     left_inv = [group.invert(f) for f in left]
-    for g in ball_elements(group, radius):
+    for g in iter_ball(group, radius):
         if g.is_identity():
             continue
         hit = False

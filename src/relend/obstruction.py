@@ -15,10 +15,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .cocycles import CocycleSpec, ObstructionData
 from .coset_graph import BallCache
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
-from .groups import CosetId, Group, GroupElement, Letter, coset_of
-from .patterns import Alphabet, Pattern, act, make_pattern, trivial_alphabet
+from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup, coset_of
+from .patterns import (
+    Alphabet,
+    Pattern,
+    act,
+    make_pattern,
+    random_pattern,
+    trivial_alphabet,
+)
 
 PLUS = "+1"
 MINUS = "-1"
@@ -280,9 +288,6 @@ def sign_cocycle_spec(
     difference set; table entries are parities of the window configuration
     over those sets, computed lazily.
     """
-    from .cocycles import CocycleSpec, ObstructionData
-    from .groups import ZmodGroup
-
     group = cache.group
     boundaries = generator_boundaries(cache, region, radius)
     graph = cache.at_least(radius)
@@ -328,8 +333,6 @@ def verify_sign_identity(
     max_norm: int = 3,
 ) -> IdentityCheck:
     """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y)."""
-    from .patterns import random_pattern
-
     group = cache.group
     graph = cache.at_least(max(radius, max_norm))
     boundaries = generator_boundaries(cache, region, radius)

@@ -17,7 +17,14 @@ from typing import Iterable, Mapping
 
 from .coset_graph import CosetGraph
 from .errors import ConfigError, InsufficientRadiusError
-from .groups import CosetId, Group, GroupElement, coset_cocycle, coset_of
+from .groups import (
+    CosetId,
+    Group,
+    GroupElement,
+    ball_elements,
+    coset_cocycle,
+    coset_of,
+)
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,6 @@ def verify_coinduced_fixed_point(
     position (sK = tK), their alphabet corrections must agree on the symbol.
     Always true for the default symbol.
     """
-    from .groups import ball_elements
-
     base = coset_of(group.identity())
     seen: dict[CosetId, str] = {}
     for s in ball_elements(group, radius):

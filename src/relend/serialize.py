@@ -9,19 +9,24 @@ Group configs: ``{"family": "bs", "m": 1, "n": 2}``,
 Elements travel as whitespace-separated generator tokens with an uppercase
 first letter marking an inverse, e.g. ``"x x t X"``.  Patterns are lists of
 ``[word, symbol]`` pairs; cocycle tables map window-pattern keys to target
-words.
+words.  A key's text is ``word=symbol`` for each non-default cell, in
+shortlex order of the cells' words and joined by ``|``, with ``e`` for the
+base coset.  That text exists only here: in memory a key is the pattern's
+frozenset of entries, and two patterns whose texts coincide cannot be
+written or read.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
-from .cocycles import CocycleSpec, pattern_key, window_region
+from .cocycles import CocycleSpec, pattern_key, window_patterns, window_region
 from .coset_graph import CosetGraph
 from .errors import ConfigError
 from .groups import (
     BsGroup,
+    CosetId,
     FreeGroup,
     Group,
     GroupElement,
@@ -134,67 +139,91 @@ def pattern_to_json(p: Pattern) -> list:
     return [list(r) for r in sorted(rows)]
 
 
+TABLE_LIMIT = 4096  # window patterns per generator a cocycle file may hold
+
+
+def _key_texts(keys: Iterable[frozenset]) -> dict[str, frozenset]:
+    """Map each key's JSON text to the key; two keys with one text are refused."""
+    labels: dict[CosetId, tuple] = {}  # cell -> (shortlex key, word text)
+    out: dict[str, frozenset] = {}
+    for key in keys:
+        items = []
+        for c, s in key:
+            label = labels.get(c)
+            if label is None:
+                g = c.rep
+                label = labels[c] = (g.group.word_key(g), g.group.word_str(g) or "e")
+            items.append((label[0], f"{label[1]}={s}"))
+        text = "|".join(t for _, t in sorted(items))
+        if out.setdefault(text, key) is not key:
+            raise ConfigError(
+                f"two distinct window patterns share the JSON key {text!r}"
+            )
+    return out
+
+
+def _window_keys(
+    group: Group, alphabet: Alphabet, window: int, graph: CosetGraph, limit: int
+) -> dict[str, frozenset]:
+    """Text and key of every pattern of the window, refused over ``limit``."""
+    region = window_region(graph, window)
+    count = len(alphabet.symbols) ** len(region)
+    if count > limit:
+        raise ConfigError(
+            f"window table has {count} entries per generator; over the "
+            f"limit of {limit}"
+        )
+    return _key_texts(pattern_key(p) for p in window_patterns(region, alphabet))
+
+
 def cocycle_from_json(
     group: Group, alphabet: Alphabet, data: dict, graph: CosetGraph
 ) -> CocycleSpec:
-    """Load an explicit cocycle table and check it is total over its window."""
+    """Load an explicit cocycle table; it must be total over its window."""
     try:
         window = int(data["window"])
         target = group_from_config(data["H"])
         raw_tables = data["tables"]
     except KeyError as missing:
         raise ConfigError(f"cocycle config is missing {missing}") from None
-    tables: dict[int, dict[str, GroupElement]] = {}
-    for token, entries in raw_tables.items():
-        letter = group.parse_token(token)
-        tables[letter] = {
-            str(key): target.parse_element(word) for key, word in entries
-        }
-    spec = CocycleSpec(group, alphabet, target, window, tables, None, None)
-    _check_totality(spec, graph)
-    return spec
-
-
-def _check_totality(spec: CocycleSpec, graph: CosetGraph, limit: int = 4096) -> None:
-    import itertools
-
-    region = sorted(
-        window_region(graph, spec.window),
-        key=lambda v: spec.group.word_key(v.rep),
-    )
-    count = len(spec.alphabet.symbols) ** len(region)
-    if count > limit:
-        return  # too large to enumerate; missing keys surface on use
-    for letter in spec.group.s_letters:
-        table = spec.tables.get(letter, {})
-        for combo in itertools.product(spec.alphabet.symbols, repeat=len(region)):
-            p = make_pattern(spec.alphabet, dict(zip(region, combo)))
-            if pattern_key(p) not in table:
+    keys = _window_keys(group, alphabet, window, graph, TABLE_LIMIT)
+    values: dict[str, GroupElement] = {}  # each distinct target word parsed once
+    tables: dict[int, dict[frozenset, GroupElement]] = {}
+    for token, rows in raw_tables.items():
+        table = tables[group.parse_token(token)] = {}
+        for text, word in rows:
+            key = keys.get(str(text))
+            if key is None or key in table:
                 raise ConfigError(
-                    f"cocycle table for {spec.group.letter_name(letter)} is "
-                    f"missing window pattern {pattern_key(p)!r}"
+                    f"cocycle table for {token} has an unknown or repeated "
+                    f"window pattern {text!r}"
                 )
+            value = values.get(word)
+            if value is None:
+                value = values[word] = target.parse_element(word)
+            table[key] = value
+    for letter in group.s_letters:
+        table = tables.get(letter, {})
+        for text, key in keys.items():
+            if key not in table:
+                raise ConfigError(
+                    f"cocycle table for {group.letter_name(letter)} is "
+                    f"missing window pattern {text!r}"
+                )
+    return CocycleSpec(group, alphabet, target, window, tables, None, None)
 
 
-def cocycle_to_json(spec: CocycleSpec, graph: CosetGraph, limit: int = 4096) -> dict:
+def cocycle_to_json(
+    spec: CocycleSpec, graph: CosetGraph, limit: int = TABLE_LIMIT
+) -> dict:
     """Emit a cocycle as explicit tables, materialising rule-backed entries."""
-    import itertools
-
-    region = sorted(
-        window_region(graph, spec.window),
-        key=lambda v: spec.group.word_key(v.rep),
-    )
-    count = len(spec.alphabet.symbols) ** len(region)
-    if count > limit:
-        raise ConfigError(
-            f"window table has {count} entries per generator; refusing to emit"
-        )
+    keys = _window_keys(spec.group, spec.alphabet, spec.window, graph, limit)
     tables: dict[str, list] = {}
     for letter in spec.group.s_letters:
-        rows = []
-        for combo in itertools.product(spec.alphabet.symbols, repeat=len(region)):
-            p = make_pattern(spec.alphabet, dict(zip(region, combo)))
-            rows.append([pattern_key(p), element_str(spec.factor(letter, p))])
+        rows = [
+            [text, element_str(spec.factor(letter, Pattern(spec.alphabet, key)))]
+            for text, key in keys.items()
+        ]
         tables[spec.group.letter_name(letter)] = sorted(rows)
     return {
         "window": spec.window,
@@ -210,7 +239,10 @@ def transfer_to_json(group: Group, table) -> dict:
             group.letter_name(l): element_str(h)
             for l, h in sorted(table.hom.items(), key=lambda kv: abs(kv[0]) * 2 - (kv[0] > 0))
         },
-        "b": {key: element_str(h) for key, h in sorted(table.entries.items())},
+        "b": {
+            text: element_str(table.entries[key])
+            for text, key in sorted(_key_texts(table.entries).items())
+        },
     }
 
 

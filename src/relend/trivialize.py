@@ -22,8 +22,8 @@ from .cocycles import (
     window_region,
 )
 from .ends import capacity, estimate_ends
-from .errors import NotFoundError, NotOneEndedError
-from .groups import GroupElement, Letter, ball_elements
+from .errors import InsufficientRadiusError, NotFoundError, NotOneEndedError
+from .groups import GroupElement, Letter, coset_of, iter_ball
 from .patterns import (
     Pattern,
     act,
@@ -41,7 +41,7 @@ class TransferTable:
 
     window: int
     hom: dict[Letter, GroupElement] = field(default_factory=dict)
-    entries: dict[str, GroupElement] = field(default_factory=dict)
+    entries: dict[frozenset, GroupElement] = field(default_factory=dict)
     far_cache: dict[int, GroupElement] = field(default_factory=dict)
 
 
@@ -126,18 +126,12 @@ class Trivializer:
 
     def _far_candidates(self, threshold: int, count: int) -> list[GroupElement]:
         group = self.group
-        graph = self.cache.at_least(max(threshold, 1))
+        near = self.cache.at_least(max(threshold, 1)).ball_set(threshold)
         out = []
-        from .groups import coset_of
-
-        for g in ball_elements(group, threshold + self.far_search_slack):
-            if g.is_identity():
-                continue
-            c = coset_of(g)
-            if c in graph and graph.norm(c) <= threshold:
-                continue
-            c = coset_of(group.invert(g))
-            if c in graph and graph.norm(c) <= threshold:
+        ball = iter_ball(group, threshold + self.far_search_slack)
+        next(ball)  # the identity, whose coset is the base
+        for g in ball:
+            if coset_of(g) in near or coset_of(group.invert(g)) in near:
                 continue
             out.append(g)
             if len(out) == count:
@@ -145,8 +139,6 @@ class Trivializer:
         return out
 
     def _norm(self, y: Pattern) -> int:
-        from .errors import InsufficientRadiusError
-
         guess = self.cache.at_least(max(self.cocycle.window, 1)).radius
         for _ in range(64):
             graph = self.cache.at_least(guess)
@@ -307,8 +299,6 @@ class Trivializer:
         def b0_of(p: Pattern) -> GroupElement:
             return pd.b0[pattern_key(restrict(p, region0))]
 
-        from .groups import coset_of
-
         for _ in range(cohomology_samples):
             y = random_pattern(big, cocycle.alphabet, max_norm, rng)
             g = group.element_from_word(
@@ -359,17 +349,13 @@ class Trivializer:
                 len(planted_consts) == 1,
                 f"{len(planted_consts)} distinct offsets over sweep",
             )
-            if _target_abelian(self.target):
+            if self.target.is_abelian:
                 hom_match = all(
                     self.table.hom[l] == pd.hom_images[l] for l in group.s_letters
                 )
                 report.add("planted_homomorphism_recovered", hom_match)
 
         return self.table, report
-
-
-def _target_abelian(target) -> bool:
-    return target.family in ("zd", "zmod")
 
 
 def trivialize(

@@ -1,0 +1,128 @@
+"""Cocycle evaluation through the letter-step table, checked against ``act``."""
+
+import random
+
+import pytest
+
+from relend.coset_graph import BallCache, build_ball
+from relend.cocycles import (
+    CocycleSpec,
+    evaluate_word,
+    plant_cocycle,
+    verify_relations,
+    window_region,
+)
+from relend.errors import InternalError
+from relend.groups import BsGroup, FreeGroup, ZdGroup, ZmodGroup
+from relend.patterns import (
+    Alphabet,
+    act,
+    random_pattern,
+    restrict,
+    trivial_alphabet,
+)
+from relend.serialize import cocycle_from_json, cocycle_to_json
+
+# (group, alphabet): the first two alphabets are permuted by K's generator
+SETTINGS = {
+    "zd2k0": (ZdGroup(2, (0,)), Alphabet(("0", "1", "2"), "0", (("a", (0, 2, 1)),))),
+    "bs12": (BsGroup(1, 2), Alphabet(("0", "1", "2", "3"), "0", (("x", (0, 2, 3, 1)),))),
+    "free2": (FreeGroup(2), trivial_alphabet(("0", "1"), "0")),
+}
+
+
+def _random_table_cocycle(group, alphabet, window, seed):
+    """A rule-backed spec with a random value per window pattern.
+
+    It is not a cocycle; evaluation along a fixed word is still a function
+    of the pattern, which is all the comparison needs.
+    """
+    target = ZmodGroup((7,))
+    rng = random.Random(seed)
+
+    def rule(letter, p):
+        return target.element_from_word([1] * rng.randrange(7))
+
+    return CocycleSpec(group, alphabet, target, window, {}, rule, None)
+
+
+def _reference_walk(c, word, y, region):
+    """evaluate_word by the definition: act by each letter element in turn."""
+    acc = c.target.identity()
+    z = y
+    for letter in reversed(tuple(word)):
+        acc = c.target.multiply(c.factor(letter, restrict(z, region)), acc)
+        z = act(c.group.letter_element(letter), z)
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_evaluate_word_matches_reference_walk(name):
+    group, alphabet = SETTINGS[name]
+    graph = build_ball(group, 4)
+    c = _random_table_cocycle(group, alphabet, 1, seed=3)
+    region = window_region(graph, c.window)
+    rng = random.Random(11)
+    permuted = 0
+    for _ in range(150):
+        y = random_pattern(graph, alphabet, 3, rng)
+        word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
+        assert evaluate_word(c, word, y, region) == _reference_walk(c, word, y, region)
+        for letter in group.s_letters:
+            moved = act(group.letter_element(letter), y)
+            assert c._move(letter, y) == moved
+            if {s for _, s in moved.entries} != {s for _, s in y.entries}:
+                permuted += 1
+    # the K-twist of the symbols is exercised, not just the moving support
+    assert permuted > 0 or not alphabet.perms
+
+
+def test_broken_canonicalisation_raises_through_evaluate_word(monkeypatch):
+    group, alphabet = SETTINGS["zd2k0"]
+    graph = build_ball(group, 4)
+    region = window_region(graph, 1)
+    rng = random.Random(1)
+    y = random_pattern(graph, alphabet, 2, rng, max_entries=4)
+    while y.is_empty():
+        y = random_pattern(graph, alphabet, 2, rng, max_entries=4)
+    c = _random_table_cocycle(group, alphabet, 1, seed=4)
+    # zeroing the wrong coordinate: corrections then leave K = <a>
+    monkeypatch.setattr(group, "_coset_rep_payload", lambda a: (a[0], 0))
+    with pytest.raises(InternalError):
+        evaluate_word(c, (2, 2, 1), y, region)
+
+
+TABLE_PAIRS = {
+    "zd2": ZdGroup(2, ()),
+    "zd3": ZdGroup(3, ()),
+    "zd3k0": ZdGroup(3, (0,)),
+    "free2": FreeGroup(2),
+    "bs12": BsGroup(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+def test_cocycle_json_round_trip(name):
+    group = TABLE_PAIRS[name]
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    graph = BallCache(group).at_least(4)
+    spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, 29, graph)
+    data = cocycle_to_json(spec, graph)
+    loaded = cocycle_from_json(group, alphabet, data, graph)
+    assert cocycle_to_json(loaded, graph) == data
+    # the loaded table answers every lookup the planted rule answered
+    payloads = lambda tables: {
+        l: {k: h.payload for k, h in t.items()} for l, t in tables.items()
+    }
+    assert payloads(loaded.tables) == payloads(spec.tables)
+
+
+@pytest.mark.parametrize("name", ["zd2", "zd3k0", "free2", "bs12"])
+def test_planted_cocycles_pass_relations(name):
+    group = TABLE_PAIRS[name]
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    graph = BallCache(group).at_least(6)
+    for b0_window in (0, 1):
+        spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), b0_window, 8, graph)
+        report = verify_relations(spec, graph, samples=15, rng=random.Random(5))
+        assert report.ok and report.checked == 16 * len(group.relator_words())

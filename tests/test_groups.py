@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,12 +12,14 @@ from relend.groups import (
     ProductGroup,
     Witness,
     ZdGroup,
+    ZmodGroup,
     ball_elements,
     coset_cocycle,
     coset_of,
     find_separated_element,
     in_subgroup,
     inv,
+    iter_ball,
     k_ball,
     mul,
     verify_witness,
@@ -204,3 +207,37 @@ def test_element_serialization_round_trip():
             w = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 6))]
             g = group.element_from_word(w)
             assert group.parse_element(group.word_str(g)) == g
+
+
+def _old_bfs_ball(group, radius, letters=None):
+    """The list-building shortlex BFS that ``iter_ball`` replaced, as an oracle."""
+    letters = group.s_letters if letters is None else letters
+    gens = [group.letter_element(l) for l in letters]
+    out = [group.identity()]
+    dist = {out[0]: 0}
+    head = 0
+    while head < len(out):
+        g = out[head]
+        head += 1
+        if dist[g] == radius:
+            continue
+        for ge in gens:
+            h = group.multiply(g, ge)
+            if h not in dist:
+                dist[h] = dist[g] + 1
+                out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS + [ZmodGroup((2, 3))], ids=repr)
+def test_iter_ball_order_matches_old_bfs(group):
+    for radius in range(5):
+        expected = _old_bfs_ball(group, radius)
+        assert list(iter_ball(group, radius)) == expected
+        assert ball_elements(group, radius) == expected
+        assert list(iter_ball(group, radius, group.t_letters)) == _old_bfs_ball(
+            group, radius, group.t_letters
+        )
+    # lazy: taking a prefix stops the scan early
+    first = list(itertools.islice(iter_ball(group, 50), 3))
+    assert first == _old_bfs_ball(group, 1)[:3]

@@ -177,3 +177,17 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
     first = _outputs(tmp_path, "0")
     assert set(first) == {"g.dot", "g.csv", "e.csv", "t.json", "t.txt", "stdout"}
     assert first == _outputs(tmp_path, "12345")
+
+
+def test_witness_work_budget_stops_large_bs_quickly(tmp_path):
+    # 2,001 vertices, each multiplied by all 2,002 witnesses of BS(1000, 1000)
+    started = time.perf_counter()
+    with pytest.raises(relend.coset_graph.BallTooLargeError):
+        relend.coset_graph.CosetGraph(BsGroup(1000, 1000), 1)
+    assert time.perf_counter() - started < 3.0
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps({"family": "bs", "m": 1000, "n": 1000}))
+    code, err = _run(["graph", "--config", str(path), "--radius", "1",
+                      "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("size limit: ") and err.count("\n") == 1

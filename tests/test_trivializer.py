@@ -4,7 +4,7 @@ import pytest
 
 from relend.coset_graph import BallCache
 from relend.errors import NotFoundError, NotOneEndedError
-from relend.groups import FreeGroup, ZdGroup, ZmodGroup, coset_of
+from relend.groups import FreeGroup, ZdGroup, ZmodGroup, ball_elements, coset_of
 from relend.cocycles import (
     constant_cocycle,
     evaluate,
@@ -169,3 +169,30 @@ def test_not_one_ended_rejected_before_transfer():
         worker.run()
     assert worker.transfer_evaluations == 0
     assert not worker.table.entries
+
+
+def _old_far_candidates(worker, threshold, count):
+    """The far-element scan over a fully built word ball, as an oracle."""
+    group, graph = worker.group, worker.cache.at_least(max(threshold, 1))
+    ball = ball_elements(group, threshold + worker.far_search_slack)
+    out = []
+    for g in ball:
+        if g.is_identity():
+            continue
+        near = [coset_of(g), coset_of(group.invert(g))]
+        if any(c in graph and graph.norm(c) <= threshold for c in near):
+            continue
+        out.append(g)
+    return out[:count]
+
+
+@pytest.mark.parametrize("group", [ZdGroup(2, ()), ZdGroup(3, (0,))], ids=repr)
+def test_lazy_far_scan_matches_full_ball(group):
+    cache = BallCache(group)
+    c = constant_cocycle(group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), {})
+    worker = Trivializer(cache, c)
+    for t in range(1, 9):
+        expected = _old_far_candidates(worker, t, 5)
+        assert len(expected) == 5
+        assert worker._far_candidates(t, 5) == expected
+        assert worker.far_element(t) == expected[0]
