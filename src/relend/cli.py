@@ -2,7 +2,8 @@
 
 All commands are batch-style: read JSON configs, write DOT/CSV/JSON/text
 artifacts, and exit 0 when every mathematical check passed, 1 when one
-failed, 2 on configuration errors and on balls over the vertex budget.
+failed, 2 on configuration errors and on sizes over a budget (the vertex
+and witness-work budgets of a ball, and the ``--cap`` of ``obstruct``).
 Outputs are deterministic functions of the config and the seed, so repeated
 runs are byte-identical.
 """
@@ -22,6 +23,7 @@ from .errors import (
     ConfigError,
     NotOneEndedError,
     RelendError,
+    SearchSpaceTooLargeError,
 )
 from .groups import Group, ZmodGroup
 from .obstruction import builtin_set, rho_forcing_check
@@ -286,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except BallTooLargeError as err:
+    except (BallTooLargeError, SearchSpaceTooLargeError) as err:
         print(f"size limit: {err}", file=sys.stderr)
         return 2
     except RelendError as err:

@@ -38,7 +38,7 @@ class NotFoundError(RelendError):
 
 
 class SearchSpaceTooLargeError(RelendError):
-    """The subset search space exceeds the configured cap."""
+    """The ball of a coboundary search holds more cosets than its cap."""
 
 
 class BallTooLargeError(RelendError):

@@ -178,8 +178,8 @@ class Group:
         return " ".join(self.letter_name(l) for l in self.word_of(a))
 
     def parse_token(self, token: str) -> Letter:
-        sign = -1 if token[0].isupper() else +1
-        name = token[0].lower() + token[1:]
+        sign = -1 if token[:1].isupper() else +1
+        name = token[:1].lower() + token[1:]
         try:
             return sign * (self.gen_names.index(name) + 1)
         except ValueError:

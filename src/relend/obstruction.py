@@ -3,10 +3,12 @@
 Given a set A of cosets whose symmetric difference with every generator
 translate is finite, the map s -> A xor sA generates a subset-valued cocycle
 and, through sign products, a two-valued cocycle on configurations over the
-alphabet {+1, -1}.  The falsifier looks for a finite set B reproducing all
-the generator differences; its pruned subset search propagates forced
-memberships across graph edges, so infeasibility surfaces after linearly
-many decisions instead of 2^|ball| candidates.
+alphabet {+1, -1}.  The falsifier asks for a finite set B inside ball(R)
+with B xor sB = A xor sA for every generator s.  Over GF(2) these equations
+are a 2-colouring of the ball with parities, B pinned to 0 outside it: one
+breadth-first pass over graph ids either colours every coset or meets an
+equation that closes a cycle of odd parity, the certificate that no such B
+exists.
 """
 
 from __future__ import annotations
@@ -87,20 +89,13 @@ def boundary_cocycle(
     Raises NoStabilizationError when the difference still has elements at
     the two outermost norms, which means the truncation is not yet honest.
     """
+    out = direct_boundary(cache, region, cache.group.letter_element(letter), radius)
     graph = cache.at_least(radius)
-    group = cache.group
-    s_inv = group.letter_element(-letter)
-    out = [
-        v
-        for v in graph.cosets[: graph.ball_size(radius)]
-        if region.member(v) != region.member(coset_of(group.multiply(s_inv, v.rep)))
-    ]
-    # ids sort by norm, so the last difference cell has the largest norm
-    if out and graph.norm(out[-1]) >= radius:
+    if any(graph.norm(c) >= radius for c in out):
         raise NoStabilizationError(
             f"difference set for letter {letter} still grows at radius {radius}"
         )
-    return frozenset(out)
+    return out
 
 
 def generator_boundaries(
@@ -164,8 +159,14 @@ def sign_cocycle(
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A witness B, or an odd cycle of equations B(v) xor B(w) = parity that
+    rules every B out: entries ``(v, letter, w, parity)`` with w = s^-1 v, or
+    None outside the ball, where B is 0.  ``decisions`` counts the
+    components coloured from a free choice."""
+
     witness: frozenset[CosetId] | None
     decisions: int
+    cycle: tuple[tuple[CosetId, Letter, CosetId | None, int], ...] | None = None
 
     @property
     def found(self) -> bool:
@@ -180,103 +181,83 @@ def bounded_coboundary_search(
 ) -> SearchOutcome:
     """Look for a finite B inside ball(radius) with B xor sB = A xor sA.
 
-    Subset enumeration with forced-value pruning: the outside of the ball is
-    pinned to be empty, every edge constraint then propagates memberships
-    inward, and contradictions cut whole subtrees of the 2^|ball| space.
-    The cap bounds |ball(radius)| and rejects oversized instances up front.
+    Each generator s and coset v give B(v) xor B(s^-1 v) = [v in A xor sA],
+    and every coset outside the ball is one vertex pinned to 0, so this is a
+    2-colouring with parities.  A breadth-first pass colours from the outside
+    first, then from the smallest id of each component that never meets it,
+    set to 0, and checks every equation once.  The first equation whose ends
+    disagree closes an odd cycle with the two tree paths to its ends; that
+    cycle is the certificate.  The cap bounds |ball(radius)|.
     """
     graph = cache.at_least(radius + 1)
-    if graph.ball_size(radius) > cap:
+    n = graph.ball_size(radius)
+    if n > cap:
         raise SearchSpaceTooLargeError(
             f"|ball({radius})| exceeds the configured cap {cap}"
         )
-    boundaries = generator_boundaries(cache, region, radius + 1)
-    group = cache.group
+    generator_boundaries(cache, region, radius + 1)  # raises while A xor sA grows
+    member = bytearray(
+        region.member(c) for c in graph.cosets[: graph.ball_size(radius + 1)]
+    )
+    # Equations as edges (v, letter, w, parity) with v in the ball and the id n
+    # for the outside.  A letter moves a coset by at most one sphere, so every
+    # equation with an end in the ball has both ends in ball(radius + 1); the
+    # letter s^-1 gives the equations of s again, so positive letters suffice.
+    edges: list[tuple[int, Letter, int, int]] = []
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for letter in (l for l in cache.group.s_letters if l > 0):
+        for v, w in enumerate(graph.left_translate(-letter, radius + 1)):
+            a, b = min(v, n), w if 0 <= w < n else n
+            if a == b:
+                continue  # both ends outside, or a loop, whose parity is 0
+            # the end in the ball goes first; seen from w, the letter is s^-1
+            parity = member[v] ^ member[w]
+            edge = (a, letter, b, parity) if a < n else (b, -letter, a, parity)
+            incident[a].append(len(edges))
+            incident[b].append(len(edges))
+            edges.append(edge)
 
-    order = graph.cosets[: graph.ball_size(radius)]
-    inside = set(order)
-    # every constraint pairs v with s^-1 v across the edge labeled s
-    constraints: list[tuple[CosetId, CosetId, bool]] = []
-    for letter, cells in boundaries.items():
-        s_inv = group.letter_element(-letter)
-        for v in graph.cosets[: graph.ball_size(radius + 1)]:
-            w = coset_of(group.multiply(s_inv, v.rep))
-            if v not in inside and w not in inside:
-                if v in cells:
-                    return SearchOutcome(None, 0)   # boundary out of reach
-                continue
-            constraints.append((v, w, v in cells))
+    colour = [-1] * (n + 1)
+    up: list[tuple[int, int] | None] = [None] * (n + 1)  # (tree edge, parent)
+    checked = bytearray(len(edges))
 
-    assignment: dict[CosetId, int] = {}
-    adj: dict[CosetId, list[tuple[CosetId, bool]]] = {v: [] for v in inside}
+    def tree_path(x: int) -> list[int]:
+        path = []
+        while up[x]:
+            e, x = up[x]
+            path.append(e)
+        return path
+
     decisions = 0
-    queue: list[CosetId] = []
-
-    def value_of(v: CosetId) -> int | None:
-        if v in inside:
-            return assignment.get(v)
-        return 0
-
-    def assign(v: CosetId, val: int) -> bool:
-        known = value_of(v)
-        if known is not None:
-            return known == val
-        assignment[v] = val
-        queue.append(v)
-        return True
-
-    for v, w, parity in constraints:
-        bit = 1 if parity else 0
-        if v in inside:
-            adj[v].append((w, parity))
-        if w in inside:
-            adj[w].append((v, parity))
-        av, aw = value_of(v), value_of(w)
-        if av is not None and aw is None:
-            if not assign(w, av ^ bit):
-                return SearchOutcome(None, decisions)
-        elif aw is not None and av is None:
-            if not assign(v, aw ^ bit):
-                return SearchOutcome(None, decisions)
-        elif av is not None and aw is not None:
-            if av ^ aw != bit:
-                return SearchOutcome(None, decisions)
-
-    def propagate() -> bool:
-        while queue:
-            v = queue.pop()
-            av = assignment[v]
-            for w, parity in adj[v]:
-                bit = 1 if parity else 0
-                if not assign(w, av ^ bit):
-                    return False
-        return True
-
-    if not propagate():
-        return SearchOutcome(None, decisions)
-
-    for v in order:
-        if v in assignment:
+    for root in (n, *range(n)):
+        if colour[root] >= 0:
             continue
-        decisions += 1
-        saved = dict(assignment)
-        ok = assign(v, 0) and propagate()
-        if ok:
-            continue
-        assignment.clear()
-        assignment.update(saved)
-        queue.clear()
-        if not (assign(v, 1) and propagate()):
-            return SearchOutcome(None, decisions)
-
-    candidate = frozenset(v for v, bit in assignment.items() if bit)
-    for v, w, parity in constraints:
-        got = ((v in candidate) if v in inside else False) ^ (
-            (w in candidate) if w in inside else False
-        )
-        if got != parity:
-            return SearchOutcome(None, decisions)
-    return SearchOutcome(candidate, decisions)
+        decisions += root < n
+        colour[root] = 0
+        queue = [root]
+        for x in queue:
+            for e in incident[x]:
+                if checked[e]:
+                    continue
+                checked[e] = 1
+                a, _, b, parity = edges[e]
+                y = b if x == a else a
+                if colour[y] < 0:
+                    colour[y], up[y] = colour[x] ^ parity, (e, x)
+                    queue.append(y)
+                elif colour[x] ^ colour[y] != parity:
+                    # a -> b along e, up from b to where the tree paths meet,
+                    # then down to a
+                    to_a, to_b = tree_path(a), tree_path(b)
+                    while to_a and to_b and to_a[-1] == to_b[-1]:
+                        to_a.pop(), to_b.pop()
+                    return SearchOutcome(None, decisions, tuple(
+                        (graph.cosets[v], l, graph.cosets[w] if w < n else None, p)
+                        for v, l, w, p in (edges[i] for i in (e, *to_b, *to_a[::-1]))
+                    ))
+    return SearchOutcome(
+        frozenset(c for c, bit in zip(graph.cosets, colour[:n]) if bit), decisions
+    )
 
 
 def sign_cocycle_spec(
@@ -291,15 +272,11 @@ def sign_cocycle_spec(
     group = cache.group
     boundaries = generator_boundaries(cache, region, radius)
     graph = cache.at_least(radius)
-    window = 0
-    inv_cells: dict[Letter, frozenset[CosetId]] = {}
-    for letter in group.s_letters:
-        cells = word_boundary(
-            group, boundaries, group.invert(group.letter_element(letter)).word
-        )
-        inv_cells[letter] = cells
-        for c in cells:
-            window = max(window, graph.norm(c))
+    inv_cells = {
+        l: word_boundary(group, boundaries, group.invert(group.letter_element(l)).word)
+        for l in group.s_letters
+    }
+    window = max([1, *(graph.norm(c) for cells in inv_cells.values() for c in cells)])
     target = ZmodGroup((2,))
     minus_one = target.letter_element(1)
 
@@ -310,7 +287,7 @@ def sign_cocycle_spec(
         group,
         sign_alphabet(),
         target,
-        max(window, 1),
+        window,
         {},
         rule,
         ObstructionData(region.name),

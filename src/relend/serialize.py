@@ -180,19 +180,31 @@ def cocycle_from_json(
     group: Group, alphabet: Alphabet, data: dict, graph: CosetGraph
 ) -> CocycleSpec:
     """Load an explicit cocycle table; it must be total over its window."""
+    if not isinstance(data, dict):
+        raise ConfigError("a cocycle file must hold a JSON object")
     try:
-        window = int(data["window"])
+        window = _int(data["window"], "window")
         target = group_from_config(data["H"])
         raw_tables = data["tables"]
     except KeyError as missing:
         raise ConfigError(f"cocycle config is missing {missing}") from None
+    if not isinstance(raw_tables, dict):
+        raise ConfigError("cocycle tables must be an object keyed by generator names")
     keys = _window_keys(group, alphabet, window, graph, TABLE_LIMIT)
     values: dict[str, GroupElement] = {}  # each distinct target word parsed once
     tables: dict[int, dict[frozenset, GroupElement]] = {}
     for token, rows in raw_tables.items():
         table = tables[group.parse_token(token)] = {}
-        for text, word in rows:
-            key = keys.get(str(text))
+        if not isinstance(rows, list):
+            raise ConfigError(f"cocycle table for {token} must be a list of rows")
+        for row in rows:
+            if not isinstance(row, list) or [type(x) for x in row] != [str, str]:
+                raise ConfigError(
+                    f"cocycle table for {token} has a row {row!r}; rows are "
+                    "[key, word] pairs of strings"
+                )
+            text, word = row
+            key = keys.get(text)
             if key is None or key in table:
                 raise ConfigError(
                     f"cocycle table for {token} has an unknown or repeated "

@@ -186,3 +186,14 @@ def test_malformed_config_exit_two(configs, capsys):
     code = main(["ends", "--config", str(paths["bad"])])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_obstruct_cap_overflow_is_a_size_limit(configs, capsys):
+    tmp, paths = configs
+    code = main(
+        ["obstruct", "--config", str(paths["z1"]), "--radius", "12",
+         "--cap", "22", "--report", str(tmp / "obstruction.txt")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "size limit: |ball(12)| exceeds the configured cap 22\n"

@@ -4,7 +4,7 @@ import pytest
 
 from relend.coset_graph import BallCache
 from relend.errors import NoStabilizationError, SearchSpaceTooLargeError
-from relend.groups import FreeGroup, ZdGroup, coset_of
+from relend.groups import FreeGroup, ZdGroup, ZmodGroup, coset_of
 from relend.obstruction import (
     AlmostInvariantSet,
     bounded_coboundary_search,
@@ -200,3 +200,154 @@ def test_sign_cocycle_spec_is_a_cocycle(line):
         expected = sign_cocycle(group, b, g, y)
         got = evaluate(spec, g, y, graph)
         assert (expected == 1) == got.is_identity()
+
+
+# -- an oracle for the coboundary search: every subset of the ball ------------
+# The brute force below shares no code with the solver: it builds the balls by
+# right multiplication (trivial K, so a coset's norm is its word length) and
+# the equations B(v) xor B(s^-1 v) = [v in A xor sA] from group.multiply,
+# coset_of and region.member alone.
+
+
+def _oracle_ball(group, radius):
+    """The cosets within ``radius`` letters of the base, breadth first."""
+    ball = [coset_of(group.identity())]
+    frontier = list(ball)
+    for _ in range(radius):
+        nxt = []
+        for c in frontier:
+            for letter in group.s_letters:
+                d = coset_of(group.multiply(c.rep, group.letter_element(letter)))
+                if d not in ball and d not in nxt:
+                    nxt.append(d)
+        ball += nxt
+        frontier = nxt
+    return ball
+
+
+def _brute_force_witness(group, region, ordered):
+    """The least B (id 0 most significant) solving every equation, or None.
+
+    Every equation with an end in the ball is v -> s^-1 v for v in the ball
+    or in s * ball; B is 0 outside the ball.  Among the solutions, the least
+    one is the one that puts the smallest id of each free component at 0.
+    """
+    n = len(ordered)
+    bit = {c: 1 << (n - 1 - i) for i, c in enumerate(ordered)}
+    equations = []
+    for letter in group.s_letters:
+        s, s_inv = group.letter_element(letter), group.letter_element(-letter)
+        for u in ordered:
+            for v in (u, coset_of(group.multiply(s, u.rep))):
+                w = coset_of(group.multiply(s_inv, v.rep))
+                parity = region.member(v) != region.member(w)
+                equations.append((bit.get(v, 0), bit.get(w, 0), parity))
+    for mask in range(2**n):
+        if all(
+            (bool(mask & bv) != bool(mask & bw)) == parity
+            for bv, bw, parity in equations
+        ):
+            return frozenset(c for c in ordered if mask & bit[c])
+    return None
+
+
+def _walk_closes(ends, start):
+    here = start
+    for v, w in ends:
+        if here != v and here != w:
+            return False
+        here = w if here == v else v
+    return here == start
+
+
+def assert_certificate(cache, region, radius, outcome):
+    """Re-derive every equation of an odd cycle by group arithmetic."""
+    if outcome.found:
+        assert outcome.cycle is None
+        return
+    group = cache.group
+    inside = cache.at_least(radius).ball_set(radius)
+    ends = []
+    for v, letter, w, parity in outcome.cycle:
+        moved = coset_of(group.multiply(group.letter_element(-letter), v.rep))
+        assert v in inside
+        if w is None:
+            assert moved not in inside
+        else:
+            assert w == moved and w in inside
+        assert parity == (region.member(v) != region.member(moved))
+        ends.append((v, w))
+    assert sum(p for *_, p in outcome.cycle) % 2 == 1
+    # a closed walk, every outside end (None) being one vertex
+    assert any(_walk_closes(ends, start) for start in ends[0])
+
+
+def _xor_set(base, planted):
+    return AlmostInvariantSet("xor", lambda c: base.member(c) != (c in planted))
+
+
+@pytest.mark.parametrize(
+    "group,builtin,radii",
+    [
+        (ZdGroup(1, ()), "halfline", (1, 2, 3, 4)),
+        (FreeGroup(2), "aprefix", (1,)),
+        (ZmodGroup((5,)), None, (1, 2)),
+    ],
+    ids=["zd1", "free2", "zmod5"],
+)
+def test_search_matches_brute_force(group, builtin, radii):
+    rng = random.Random(9)
+    cache = BallCache(group)
+    for radius in radii:
+        ball = _oracle_ball(group, radius)
+        ordered = cache.at_least(radius).cosets[: len(ball)]
+        assert set(ordered) == set(ball)
+        inner = _oracle_ball(group, radius - 1)
+        planted = [frozenset(rng.sample(inner, rng.randrange(len(inner) + 1)))
+                   for _ in range(6)]
+        regions = [planted_finite_set(p) for p in planted]
+        if builtin:
+            base = builtin_set(group, builtin)
+            regions += [base] + [_xor_set(base, p) for p in planted[:3]]
+        for region in regions:
+            out = bounded_coboundary_search(cache, region, radius, cap=len(ball))
+            assert out.witness == _brute_force_witness(group, region, ordered)
+            assert_certificate(cache, region, radius, out)
+            if builtin:  # an infinite group: every component meets the outside
+                assert out.decisions == 0
+
+
+def test_search_on_a_finite_graph_fixes_the_gauge_at_the_base():
+    # Z/5: ball(2) is the whole group, so nothing is pinned outside and the
+    # one component is coloured from id 0, the base coset, set to 0
+    group = ZmodGroup((5,))
+    cache = BallCache(group)
+    base = coset_of(group.identity())
+    out = bounded_coboundary_search(cache, planted_finite_set({base}), 2, cap=5)
+    powers = {coset_of(group.element_from_word([1] * k)) for k in range(1, 5)}
+    assert out.witness == frozenset(powers)
+    assert out.decisions >= 1 and out.cycle is None
+    ordered = cache.at_least(2).cosets[:5]
+    assert out.witness == _brute_force_witness(
+        group, planted_finite_set({base}), ordered
+    )
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radius",
+    [
+        (ZdGroup(1, ()), "halfline", 12),
+        (ZdGroup(1, ()), "halfline", 27),
+        (ZdGroup(1, ()), "halfline", 40),
+        (ZdGroup(2, (0,)), "halfline", 12),
+        (FreeGroup(2), "aprefix", 4),
+        (FreeGroup(2), "aprefix", 5),
+    ],
+)
+def test_failing_searches_carry_a_checkable_odd_cycle(group, set_name, radius):
+    cache = BallCache(group)
+    region = builtin_set(group, set_name)
+    cap = cache.at_least(radius).ball_size(radius)
+    out = bounded_coboundary_search(cache, region, radius, cap=cap)
+    assert not out.found and out.cycle
+    assert_certificate(cache, region, radius, out)

@@ -191,3 +191,63 @@ def test_witness_work_budget_stops_large_bs_quickly(tmp_path):
                       "--out", str(tmp_path / "o")])
     assert code == 2
     assert err.startswith("size limit: ") and err.count("\n") == 1
+
+
+def _verify_cocycle(tmp: Path, cocycle) -> tuple[int, str]:
+    """``relend verify`` of a cocycle file over zd(2); returns (exit, stderr)."""
+    pair, path = tmp / "zd2.json", tmp / "cocycle.json"
+    pair.write_text(json.dumps({"family": "zd", "d": 2}))
+    path.write_text(json.dumps(cocycle))
+    return _run(["verify", "--config", str(pair), "--cocycle", str(path),
+                 "--samples", "2", "--report", str(tmp / "report.txt")])
+
+
+def _window0(tables):
+    return {"window": 0, "H": {"family": "zmod", "mods": [2]}, "tables": tables}
+
+
+@pytest.mark.parametrize(
+    "cocycle",
+    [
+        _window0([]),
+        _window0({"a": [["", 5], ["e=1", ""]]}),
+        [_window0({})],
+        _window0({"": []}),
+        _window0({"a": {"": ""}}),
+        _window0({"a": [["", "a", "a"]]}),
+        _window0({"a": [[None, "a"]]}),
+        {"window": [], "H": {"family": "zmod", "mods": [2]}, "tables": {}},
+    ],
+    ids=["tables-list", "word-int", "not-object", "empty-name", "rows-object",
+         "row-triple", "key-null", "window-list"],
+)
+def test_malformed_cocycle_file_exits_two_with_one_line(tmp_path, cocycle):
+    code, err = _verify_cocycle(tmp_path, cocycle)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+ROW_TEXTS = ["", "e=1", "a=1", "x"]
+TOKENS = ["a", "A", "b", "B", "c", ""]
+table_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=3)
+    | st.sampled_from(ROW_TEXTS + TOKENS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(TOKENS) | st.text(max_size=2), inner,
+                      max_size=4),
+    max_leaves=12,
+)
+table_rows = st.lists(
+    st.tuples(st.sampled_from(ROW_TEXTS), st.sampled_from(["", "a", "b"])).map(list),
+    max_size=3,
+)
+
+
+@given(tables=table_values | st.dictionaries(st.sampled_from(TOKENS), table_rows))
+def test_cocycle_tables_fuzz_never_escapes(tmp_path_factory, tables):
+    code, err = _verify_cocycle(tmp_path_factory.mktemp("fuzz"), _window0(tables))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") <= 1
