@@ -86,8 +86,8 @@ def boundary_cocycle(
 ) -> frozenset[CosetId]:
     """(A xor sA) within ball(radius), certified stable at the boundary.
 
-    Raises NoStabilizationError when the difference still has elements at
-    the two outermost norms, which means the truncation is not yet honest.
+    Raises NoStabilizationError when the difference has an element of norm
+    radius, which means the truncation is not yet honest.
     """
     out = direct_boundary(cache, region, cache.group.letter_element(letter), radius)
     graph = cache.at_least(radius)
@@ -195,10 +195,8 @@ def bounded_coboundary_search(
         raise SearchSpaceTooLargeError(
             f"|ball({radius})| exceeds the configured cap {cap}"
         )
-    generator_boundaries(cache, region, radius + 1)  # raises while A xor sA grows
-    member = bytearray(
-        region.member(c) for c in graph.cosets[: graph.ball_size(radius + 1)]
-    )
+    # raises while A xor sA grows; the parity of v's equation is [v in A xor sA]
+    boundaries = generator_boundaries(cache, region, radius + 1)
     # Equations as edges (v, letter, w, parity) with v in the ball and the id n
     # for the outside.  A letter moves a coset by at most one sphere, so every
     # equation with an end in the ball has both ends in ball(radius + 1); the
@@ -206,12 +204,13 @@ def bounded_coboundary_search(
     edges: list[tuple[int, Letter, int, int]] = []
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for letter in (l for l in cache.group.s_letters if l > 0):
+        odd = {graph._id(c) for c in boundaries[letter]}
         for v, w in enumerate(graph.left_translate(-letter, radius + 1)):
             a, b = min(v, n), w if 0 <= w < n else n
             if a == b:
                 continue  # both ends outside, or a loop, whose parity is 0
             # the end in the ball goes first; seen from w, the letter is s^-1
-            parity = member[v] ^ member[w]
+            parity = int(v in odd)
             edge = (a, letter, b, parity) if a < n else (b, -letter, a, parity)
             incident[a].append(len(edges))
             incident[b].append(len(edges))
@@ -302,17 +301,16 @@ class IdentityCheck:
 
 def verify_sign_identity(
     cache: BallCache,
-    region: AlmostInvariantSet,
+    boundaries: dict[Letter, frozenset[CosetId]],
     trials: int,
     rng: random.Random,
-    radius: int,
     max_word: int = 4,
     max_norm: int = 3,
 ) -> IdentityCheck:
-    """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y)."""
+    """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y) of the
+    sign cocycle built on the given difference sets."""
     group = cache.group
-    graph = cache.at_least(max(radius, max_norm))
-    boundaries = generator_boundaries(cache, region, radius)
+    graph = cache.at_least(max_norm)
     alphabet = sign_alphabet()
     bad = 0
     for _ in range(trials):
@@ -393,7 +391,11 @@ def rho_forcing_check(
 
     At the all-plus configuration every sign is +1, so any trivialization
     would force a trivial homomorphism part; combined with the failed
-    coboundary search this is the non-triviality evidence.
+    coboundary search this is the non-triviality evidence.  The difference
+    sets are computed once, within ball(radius) and certified to have no
+    element of norm radius; the report and the sign identity both read
+    them.  The search computes its own at radius + 1 and certifies norm
+    radius + 1.
     """
     group = cache.group
     report = ObstructionReport(region.name, radius, seed)
@@ -406,7 +408,7 @@ def rho_forcing_check(
     }
     rng = random.Random(seed)
     report.identity = verify_sign_identity(
-        cache, region, identity_trials, rng, radius
+        cache, report.boundaries, identity_trials, rng
     )
     report.search = bounded_coboundary_search(cache, region, radius, cap)
     return report

@@ -212,3 +212,12 @@ def random_pattern(
     return make_pattern(
         alphabet, {c: rng.choice(non_default) for c in chosen}
     )
+
+
+def scatter_junk(y: Pattern, cells: list[CosetId], rng: random.Random) -> Pattern:
+    """y with random non-default symbols added on up to three cells drawn
+    from ``cells``.  A drawn cell already in y's support would end up with
+    two entries, so callers draw from cells outside it."""
+    non_default = [s for s in y.alphabet.symbols if s != y.alphabet.x0]
+    junk = {c: rng.choice(non_default) for c in rng.sample(cells, min(3, len(cells)))}
+    return Pattern(y.alphabet, y.entries | frozenset(junk.items()))

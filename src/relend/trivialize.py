@@ -31,6 +31,7 @@ from .patterns import (
     pattern_norm,
     random_pattern,
     restrict,
+    scatter_junk,
     verify_coinduced_fixed_point,
 )
 
@@ -148,14 +149,18 @@ class Trivializer:
                 guess += 4
         raise NotFoundError("pattern support not reachable within 256 extra radius")
 
+    def _pull_back(self, g: GroupElement, y: Pattern) -> GroupElement:
+        """c(g, y)^-1 * hom(g), the transfer value when g is far enough."""
+        graph = self.cache.at_least(max(self.cocycle.window, 1))
+        val = evaluate(self.cocycle, g, y, graph)
+        return self.target.multiply(self.target.invert(val), self.homomorphism(g))
+
     def transfer(self, y: Pattern) -> GroupElement:
         """b(y) = c(g, y)^-1 * hom(g) for a sufficiently far g."""
         threshold = self.capacity_at(self._norm(y) + self.cocycle.window)
         g = self.far_element(threshold)
         self.transfer_evaluations += 1
-        graph = self.cache.at_least(max(self.cocycle.window, 1))
-        val = evaluate(self.cocycle, g, y, graph)
-        return self.target.multiply(self.target.invert(val), self.homomorphism(g))
+        return self._pull_back(g, y)
 
     def transfer_extended(self, y: Pattern) -> GroupElement:
         """b on arbitrary configurations, through the 3L-window truncation."""
@@ -179,14 +184,7 @@ class Trivializer:
             raise NotFoundError(
                 f"fewer than two far elements at threshold {threshold}"
             )
-        graph = self.cache.at_least(max(self.cocycle.window, 1))
-        values = set()
-        for g in candidates:
-            val = evaluate(self.cocycle, g, y, graph)
-            values.add(
-                self.target.multiply(self.target.invert(val), self.homomorphism(g))
-            )
-        return len(values) == 1
+        return len({self._pull_back(g, y) for g in candidates}) == 1
 
     def verify_cohomology(self, g: GroupElement, y: Pattern) -> bool:
         """Exact check of c(g, y) = b(g y) * hom(g) * b(y)^-1."""
@@ -207,20 +205,10 @@ class Trivializer:
         region = window_region(graph, 3 * window)
         lo, hi = graph.ball_size(3 * window), graph.ball_size(3 * window + 2)
         outside = graph.cosets[lo:hi]
-        non_default = [
-            s for s in self.cocycle.alphabet.symbols if s != self.cocycle.alphabet.x0
-        ]
         for _ in range(trials):
             y = random_pattern(graph, self.cocycle.alphabet, 3 * window + 2, rng)
             inner = restrict(y, region)
-            junk = {
-                c: rng.choice(non_default)
-                for c in rng.sample(outside, min(3, len(outside)))
-            }
-            y2 = Pattern(
-                self.cocycle.alphabet,
-                inner.entries | frozenset(junk.items()),
-            )
+            y2 = scatter_junk(inner, outside, rng)
             if self.transfer(y) != self.transfer(inner):
                 return False
             if self.transfer(y2) != self.transfer(inner):
@@ -292,9 +280,6 @@ class Trivializer:
         region0 = (
             window_region(big, pd.b0_window) if pd is not None else None
         )
-        non_default = [
-            s for s in cocycle.alphabet.symbols if s != cocycle.alphabet.x0
-        ]
 
         def b0_of(p: Pattern) -> GroupElement:
             return pd.b0[pattern_key(restrict(p, region0))]
@@ -318,11 +303,7 @@ class Trivializer:
             gnorm = big.norm(ginv) if ginv in big else big.radius
             cut = min(gnorm + 3 * cocycle.window, big.radius)
             junk_zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
-            junk = {
-                v: rng.choice(non_default)
-                for v in rng.sample(junk_zone, min(3, len(junk_zone)))
-            }
-            y_big = Pattern(cocycle.alphabet, y.entries | frozenset(junk.items()))
+            y_big = scatter_junk(y, junk_zone, rng)
             tilde = restrict(y_big, window_region(big, cut))
             if evaluate(cocycle, g, y_big, big) != evaluate(cocycle, g, tilde, big):
                 tilde_ok = False

@@ -250,7 +250,7 @@ def test_criterion_7_obstruction_evidence():
     bounds = generator_boundaries(cache, halfline, 8)
     ok = len(bounds[1]) == 1 and len(bounds[-1]) == 1
     identity_check = verify_sign_identity(
-        cache, halfline, 500, random.Random(41), radius=10
+        cache, generator_boundaries(cache, halfline, 10), 500, random.Random(41)
     )
     ok = ok and identity_check.violations == 0
     # parity oracle, checked per candidate: finite sets shift with even

@@ -197,3 +197,22 @@ def test_obstruct_cap_overflow_is_a_size_limit(configs, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "size limit: |ball(12)| exceeds the configured cap 22\n"
+
+
+@pytest.mark.parametrize(
+    "pair, set_name, radius", [("z1", "halfline", 0), ("free", "aprefix", 1)]
+)
+def test_obstruct_instability_at_radius_comes_before_the_cap(
+    configs, capsys, pair, set_name, radius
+):
+    tmp, paths = configs
+    code = main(
+        ["obstruct", "--config", str(paths[pair]), "--set", set_name,
+         "--radius", str(radius), "--cap", "0"]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"check failed: difference set for letter 1 still grows at radius {radius}\n"
+    )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import relend.obstruction
 from relend.coset_graph import BallCache
 from relend.errors import NoStabilizationError, SearchSpaceTooLargeError
 from relend.groups import FreeGroup, ZdGroup, ZmodGroup, coset_of
@@ -106,14 +107,17 @@ def test_sign_values(line):
 
 def test_sign_identity_many_triples(line):
     group, cache, region = line
-    check = verify_sign_identity(cache, region, 500, random.Random(2), radius=10)
+    check = verify_sign_identity(
+        cache, generator_boundaries(cache, region, 10), 500, random.Random(2)
+    )
     assert check.violations == 0 and check.trials == 500
 
 
 def test_sign_identity_tree(tree):
     group, cache, region = tree
     check = verify_sign_identity(
-        cache, region, 150, random.Random(3), radius=6, max_word=3
+        cache, generator_boundaries(cache, region, 6), 150, random.Random(3),
+        max_word=3,
     )
     assert check.violations == 0
 
@@ -351,3 +355,38 @@ def test_failing_searches_carry_a_checkable_odd_cycle(group, set_name, radius):
     out = bounded_coboundary_search(cache, region, radius, cap=cap)
     assert not out.found and out.cycle
     assert_certificate(cache, region, radius, out)
+
+
+@pytest.mark.parametrize(
+    "group", [ZdGroup(1, ()), ZdGroup(2, (0,))], ids=["zd1", "zd2k0"]
+)
+def test_sign_identity_counts_violations_of_a_broken_difference_set(group):
+    # negative control: with {e} xored into one letter's set the letter sets
+    # no longer come from one almost-invariant set, and the sampler must see it
+    cache = BallCache(group)
+    boundaries = generator_boundaries(cache, builtin_set(group, "halfline"), 6)
+    base = coset_of(group.identity())
+    for letter in group.s_letters:
+        broken = {**boundaries, letter: boundaries[letter] ^ {base}}
+        check = verify_sign_identity(cache, broken, 300, random.Random(7))
+        assert check.trials == 300 and check.violations > 0, letter
+
+
+@pytest.mark.parametrize("fixture, radius, cap", [("line", 10, 32), ("tree", 4, 161)])
+def test_one_forcing_check_computes_each_difference_set_once_per_radius(
+    request, monkeypatch, fixture, radius, cap
+):
+    group, _, region = request.getfixturevalue(fixture)
+    real = relend.obstruction.direct_boundary
+    radii = []
+
+    def counting(cache, region, g, r):
+        radii.append(r)
+        return real(cache, region, g, r)
+
+    monkeypatch.setattr(relend.obstruction, "direct_boundary", counting)
+    report = rho_forcing_check(BallCache(group), region, radius, seed=1, cap=cap)
+    assert report.search is not None and not report.search.found
+    # radius for the report and the sign identity, radius + 1 for the search
+    n = len(group.s_letters)
+    assert sorted(radii) == [radius] * n + [radius + 1] * n

@@ -148,6 +148,7 @@ def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
         "free2": {"family": "free", "rank": 2},
         "zd3k0": {"family": "zd", "d": 3, "k_coords": [0]},
         "zd2": {"family": "zd", "d": 2},
+        "zd1": {"family": "zd", "d": 1},
     }
     for name, cfg in configs.items():
         (out / f"{name}.json").write_text(json.dumps(cfg))
@@ -158,6 +159,10 @@ def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
          "--csv", "e.csv"],
         ["trivialize", "--config", "zd2.json", "--plant", "--b0-window", "1",
          "--seed", "5", "--samples", "10", "--out", "t.json", "--report", "t.txt"],
+        ["obstruct", "--config", "zd1.json", "--set", "halfline", "--radius", "12",
+         "--cap", "25", "--seed", "3", "--report", "o1.txt"],
+        ["obstruct", "--config", "free2.json", "--set", "aprefix", "--radius", "4",
+         "--cap", "161", "--seed", "3", "--report", "o2.txt"],
     ]
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
     stdout = b""
@@ -175,7 +180,9 @@ def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
 
 def test_outputs_identical_across_hash_seeds(tmp_path):
     first = _outputs(tmp_path, "0")
-    assert set(first) == {"g.dot", "g.csv", "e.csv", "t.json", "t.txt", "stdout"}
+    assert set(first) == {
+        "g.dot", "g.csv", "e.csv", "t.json", "t.txt", "o1.txt", "o2.txt", "stdout"
+    }
     assert first == _outputs(tmp_path, "12345")
 
 
