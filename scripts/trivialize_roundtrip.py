@@ -12,7 +12,7 @@ from relend.coset_graph import BallCache
 from relend.cocycles import plant_cocycle
 from relend.groups import ZdGroup, ZmodGroup
 from relend.patterns import trivial_alphabet
-from relend.trivialize import trivialize
+from relend.trivialize import Trivializer
 
 PAIRS = [
     ("Z^2 / trivial", lambda: ZdGroup(2, ())),
@@ -37,8 +37,8 @@ def main() -> int:
             cache.at_least(max(args.b0_window + 1, 6)),
         )
         started = time.perf_counter()
-        table, report = trivialize(
-            cache, cocycle, seed=args.seed, cohomology_samples=args.samples
+        table, report = Trivializer(cache, cocycle, seed=args.seed).run(
+            cohomology_samples=args.samples
         )
         elapsed = time.perf_counter() - started
         print(f"== {name} (window {cocycle.window}, {elapsed:.1f}s) ==")

@@ -66,7 +66,6 @@ from .groups import (
 from .obstruction import (
     AlmostInvariantSet,
     bounded_coboundary_search,
-    boundary_cocycle,
     builtin_set,
     generator_boundaries,
     rho_forcing_check,
@@ -86,6 +85,6 @@ from .patterns import (
     trivial_alphabet,
     verify_coinduced_fixed_point,
 )
-from .trivialize import TransferTable, Trivializer, TrivializeReport, trivialize
+from .trivialize import TransferTable, Trivializer, TrivializeReport
 
 __all__ = [name for name in dir() if not name.startswith("_")]

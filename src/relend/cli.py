@@ -35,7 +35,7 @@ from .serialize import (
     load_json,
     transfer_to_json,
 )
-from .trivialize import trivialize
+from .trivialize import Trivializer
 
 
 def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
@@ -126,8 +126,8 @@ def _cmd_trivialize(
     else:
         raise ConfigError("trivialize needs --cocycle FILE or --plant")
     try:
-        table, report = trivialize(
-            cache, cocycle, seed=args.seed, cohomology_samples=args.samples
+        table, report = Trivializer(cache, cocycle, seed=args.seed).run(
+            cohomology_samples=args.samples
         )
     except NotOneEndedError as err:
         _write_text(args.report, [f"seed: {args.seed}", f"FAIL one_ended: {err}"])

@@ -89,13 +89,6 @@ class PlantedData:
     b0_window: int
     b0: dict[frozenset, GroupElement]
     hom_images: dict[Letter, GroupElement]
-    def_key: str = "planted"
-
-
-@dataclass(frozen=True)
-class ObstructionData:
-    set_name: str
-    def_key: str = "obstruction"
 
 
 @dataclass

@@ -163,13 +163,13 @@ class CosetGraph:
     def norm(self, v: CosetId) -> int:
         return self.norm_of[self._id(v)]
 
-    def left_translate(self, letter: Letter, r: int) -> list[int]:
-        """For each id v of ball(r), the id of sv with s the letter, or -1 when
-        sv is outside the built graph."""
+    def left_translate(self, letter: Letter, ids: range) -> list[int]:
+        """For each id v in ids, the id of sv with s the letter, or -1 when sv
+        is outside the built graph."""
         mul, rep = self.group._mul_payload, self.group._coset_rep_payload
         s, find = self.group._letter_payload(letter), self._index.get
-        ball = self.cosets[: self.ball_size(r)]
-        return [find(rep(mul(s, c.rep.payload)), -1) for c in ball]
+        cosets = self.cosets
+        return [find(rep(mul(s, cosets[v].rep.payload)), -1) for v in ids]
 
     def vertices_in_order(self) -> list[CosetId]:
         return list(self.cosets)

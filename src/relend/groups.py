@@ -296,9 +296,12 @@ class ZmodGroup(Group):
         return tuple((-x) % m for x, m in zip(a, self.mods))
 
     def word_of(self, a):
+        """Each coordinate by its shortest signed exponent; at a tie, m/2,
+        the positive one."""
         out = []
-        for i, c in enumerate(a.payload):
-            out.extend([i + 1] * c)
+        for i, (c, m) in enumerate(zip(a.payload, self.mods)):
+            e = c - m if 2 * c > m else c
+            out.extend([i + 1 if e > 0 else -(i + 1)] * abs(e))
         return tuple(out)
 
     def is_in_k(self, a):

@@ -2,13 +2,20 @@
 
 Given a set A of cosets whose symmetric difference with every generator
 translate is finite, the map s -> A xor sA generates a subset-valued cocycle
-and, through sign products, a two-valued cocycle on configurations over the
-alphabet {+1, -1}.  The falsifier asks for a finite set B inside ball(R)
-with B xor sB = A xor sA for every generator s.  Over GF(2) these equations
-are a 2-colouring of the ball with parities, B pinned to 0 outside it: one
-breadth-first pass over graph ids either colours every coset or meets an
-equation that closes a cycle of odd parity, the certificate that no such B
-exists.
+c, c(uv) = c(u) xor u c(v), and through sign products a two-valued cocycle
+on configurations over the alphabet {+1, -1}: c'(g, y) is y's product over
+c(g^-1).  One pass over graph ids gives the difference sets: v lies in
+A xor sA exactly when member(v) != member(s^-1 v), with s^-1 v read off the
+graph's left translation.  The sign cocycle is evaluated pointwise: a cell u
+lies in c(l_1...l_k) exactly when an odd number of the p_i^-1 u lie in
+c(l_i), p_i = l_1...l_(i-1), so c'(g, y) is a parity over y's minus cells
+and c'(g, hy) one over those cells moved by h.
+
+The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
+for every generator s.  Over GF(2) these equations are a 2-colouring of the
+ball with parities, B pinned to 0 outside it: one breadth-first pass over
+graph ids either colours every coset or meets an equation that closes a
+cycle of odd parity, the certificate that no such B exists.
 """
 
 from __future__ import annotations
@@ -17,21 +24,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cocycles import CocycleSpec, ObstructionData
-from .coset_graph import BallCache
+from .cocycles import CocycleSpec
+from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
 from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup, coset_of
-from .patterns import (
-    Alphabet,
-    Pattern,
-    act,
-    make_pattern,
-    random_pattern,
-    trivial_alphabet,
-)
+from .patterns import Alphabet, Pattern, make_pattern, random_pattern, trivial_alphabet
 
 PLUS = "+1"
 MINUS = "-1"
+Boundaries = dict[Letter, frozenset[CosetId]]  # A xor sA for each letter s
 
 
 def sign_alphabet() -> Alphabet:
@@ -81,80 +82,84 @@ def planted_finite_set(vertices) -> AlmostInvariantSet:
     return AlmostInvariantSet("planted", lambda c: c in chosen)
 
 
-def boundary_cocycle(
-    cache: BallCache, region: AlmostInvariantSet, letter: Letter, radius: int
-) -> frozenset[CosetId]:
-    """(A xor sA) within ball(radius), certified stable at the boundary.
+def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
+    """The pass behind every difference set, over the ids of ball(radius).
 
-    Raises NoStabilizationError when the difference has an element of norm
-    radius, which means the truncation is not yet honest.
+    Membership is evaluated once per vertex, and once per translate s^-1 v
+    that leaves the ball, through its coset.  Per letter s: the id of s^-1 v
+    for every v (-1 outside the graph), and the ids of A xor sA, ascending.
     """
-    out = direct_boundary(cache, region, cache.group.letter_element(letter), radius)
     graph = cache.at_least(radius)
-    if any(graph.norm(c) >= radius for c in out):
-        raise NoStabilizationError(
-            f"difference set for letter {letter} still grows at radius {radius}"
-        )
-    return out
+    group, cosets, ids = graph.group, graph.cosets, range(graph.ball_size(radius))
+    inside = bytearray(bool(region.member(cosets[v])) for v in ids)
+    out = {}
+    for letter in group.s_letters:
+        back = graph.left_translate(-letter, ids)
+        s_inv = group.letter_element(-letter)
+        out[letter] = (back, [
+            v for v, w in zip(ids, back)
+            if inside[v] != (inside[w] if 0 <= w < len(inside) else bool(
+                region.member(coset_of(group.multiply(s_inv, cosets[v].rep)))
+            ))
+        ])
+    return graph, out
+
+
+def _stable(graph: CosetGraph, sets, radius: int) -> Boundaries:
+    """The sets within ball(radius), certified to have no element of norm
+    radius: raises for the first letter whose set does, which means the
+    truncation is not yet honest."""
+    lo, hi = graph.ball_size(radius - 1), graph.ball_size(radius)
+    for letter, (_, odd) in sets.items():
+        if any(lo <= v < hi for v in odd):
+            raise NoStabilizationError(
+                f"difference set for letter {letter} still grows at radius {radius}"
+            )
+    cosets = graph.cosets
+    return {
+        l: frozenset(cosets[v] for v in odd if v < hi) for l, (_, odd) in sets.items()
+    }
 
 
 def generator_boundaries(
     cache: BallCache, region: AlmostInvariantSet, radius: int
-) -> dict[Letter, frozenset[CosetId]]:
+) -> Boundaries:
+    """A xor sA within ball(radius) for every letter s, certified stable at
+    the boundary; raises for the first letter, in generator order, whose set
+    has an element of norm radius."""
+    return _stable(*_differences(cache, region, radius), radius)
+
+
+def _sign(group: Group, keys, word, cells) -> int:
+    """(-1) to the number of the cells (coset keys) that lie in c(word): the
+    walk tests each cell against c(l_i) and then moves it by l_i^-1."""
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    steps = [keys[l] for l in word]
+    odd = False
+    for x in cells:
+        for cells_of_letter, back in steps:
+            odd ^= x in cells_of_letter
+            x = rep(mul(back, x))
+    return -1 if odd else 1
+
+
+def _keys(group: Group, boundaries: Boundaries) -> dict[Letter, tuple]:
+    """Per letter s: the coset keys of c(s), and the payload of s^-1."""
     return {
-        l: boundary_cocycle(cache, region, l, radius)
-        for l in cache.group.s_letters
+        l: (frozenset(c.rep.payload for c in b), group._letter_payload(-l))
+        for l, b in boundaries.items()
     }
 
 
-def word_boundary(
-    group: Group,
-    boundaries: dict[Letter, frozenset[CosetId]],
-    word,
-) -> frozenset[CosetId]:
-    """The difference set of a word, assembled by the twisted-sum identity.
-
-    c(uv) = c(u) xor u*c(v), expanded letter by letter; agrees with the
-    direct computation A xor gA on every built ball.
-    """
-    out: set[CosetId] = set()
-    prefix = group.identity()
-    for letter in word:
-        step = boundaries[letter]
-        moved = {coset_of(group.multiply(prefix, c.rep)) for c in step}
-        out ^= moved
-        prefix = group.multiply(prefix, group.letter_element(letter))
-    return frozenset(out)
-
-
-def direct_boundary(
-    cache: BallCache, region: AlmostInvariantSet, g: GroupElement, radius: int
-) -> frozenset[CosetId]:
-    """A xor gA computed pointwise; the oracle side of the equivariance check."""
-    graph = cache.at_least(radius)
-    group = cache.group
-    g_inv = group.invert(g)
-    return frozenset(
-        v
-        for v in graph.cosets[: graph.ball_size(radius)]
-        if region.member(v) != region.member(coset_of(group.multiply(g_inv, v.rep)))
-    )
-
-
-def sign_of(y: Pattern, cells: frozenset[CosetId]) -> int:
-    """Product of the configuration over a finite set of cosets."""
-    minus = sum(1 for c in cells if y.value_at(c) == MINUS)
-    return -1 if minus % 2 else 1
+def _minus_cells(y: Pattern) -> list:
+    return [c.rep.payload for c, s in y.items() if s == MINUS]
 
 
 def sign_cocycle(
-    group: Group,
-    boundaries: dict[Letter, frozenset[CosetId]],
-    g: GroupElement,
-    y: Pattern,
+    group: Group, boundaries: Boundaries, g: GroupElement, y: Pattern
 ) -> int:
     """The two-valued cocycle: the configuration evaluated on c(g^-1)."""
-    return sign_of(y, word_boundary(group, boundaries, group.invert(g).word))
+    return _sign(group, _keys(group, boundaries), group.invert(g).word, _minus_cells(y))
 
 
 @dataclass(frozen=True)
@@ -174,38 +179,52 @@ class SearchOutcome:
 
 
 def bounded_coboundary_search(
-    cache: BallCache,
-    region: AlmostInvariantSet,
-    radius: int,
-    cap: int = 22,
+    cache: BallCache, region: AlmostInvariantSet, radius: int, cap: int = 22
 ) -> SearchOutcome:
     """Look for a finite B inside ball(radius) with B xor sB = A xor sA.
 
-    Each generator s and coset v give B(v) xor B(s^-1 v) = [v in A xor sA],
-    and every coset outside the ball is one vertex pinned to 0, so this is a
-    2-colouring with parities.  A breadth-first pass colours from the outside
-    first, then from the smallest id of each component that never meets it,
-    set to 0, and checks every equation once.  The first equation whose ends
-    disagree closes an odd cycle with the two tree paths to its ends; that
-    cycle is the certificate.  The cap bounds |ball(radius)|.
+    The difference sets come from a pass over ball(radius + 1), certified
+    at norm radius + 1; the cap bounds |ball(radius)|.
     """
-    graph = cache.at_least(radius + 1)
-    n = graph.ball_size(radius)
-    if n > cap:
+    _cap_check(cache, radius, cap)
+    graph, sets = _differences(cache, region, radius + 1)
+    _stable(graph, sets, radius + 1)
+    return _solve(graph, radius, sets)
+
+
+def _cap_check(cache: BallCache, radius: int, cap: int) -> None:
+    if cache.at_least(radius + 1).ball_size(radius) > cap:
         raise SearchSpaceTooLargeError(
             f"|ball({radius})| exceeds the configured cap {cap}"
         )
-    # raises while A xor sA grows; the parity of v's equation is [v in A xor sA]
-    boundaries = generator_boundaries(cache, region, radius + 1)
+
+
+def _solve(
+    graph: CosetGraph, radius: int, sets: dict[Letter, tuple[list[int], list[int]]]
+) -> SearchOutcome:
+    """The parity 2-colouring, from the pass's translates and difference ids.
+
+    Each generator s and coset v give B(v) xor B(s^-1 v) = [v in A xor sA],
+    and every coset outside the ball is one vertex pinned to 0.  A
+    breadth-first pass colours from the outside first, then from the
+    smallest id of each component that never meets it, set to 0, and checks
+    every equation once.  The first equation whose ends disagree closes an
+    odd cycle with the two tree paths to its ends; that cycle is the
+    certificate.  ``sets`` must hold the translates of every id of
+    ball(radius + 1).
+    """
+    n = graph.ball_size(radius)
     # Equations as edges (v, letter, w, parity) with v in the ball and the id n
     # for the outside.  A letter moves a coset by at most one sphere, so every
     # equation with an end in the ball has both ends in ball(radius + 1); the
     # letter s^-1 gives the equations of s again, so positive letters suffice.
     edges: list[tuple[int, Letter, int, int]] = []
     incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for letter in (l for l in cache.group.s_letters if l > 0):
-        odd = {graph._id(c) for c in boundaries[letter]}
-        for v, w in enumerate(graph.left_translate(-letter, radius + 1)):
+    for letter, (back, odd_ids) in sets.items():
+        if letter < 0:
+            continue
+        odd = set(odd_ids)
+        for v, w in enumerate(back):
             a, b = min(v, n), w if 0 <= w < n else n
             if a == b:
                 continue  # both ends outside, or a loop, whose parity is 0
@@ -264,33 +283,25 @@ def sign_cocycle_spec(
 ):
     """Package the sign cocycle as a block code into the two-element group.
 
-    The window is the smallest ball containing every generator's inverse
-    difference set; table entries are parities of the window configuration
-    over those sets, computed lazily.
+    The value at a letter s reads c(s^-1) = A xor s^-1 A, the difference set
+    of the letter s^-1; the window is the smallest ball containing every such
+    set, and table entries are parities of the window configuration over
+    them, computed lazily.
     """
     group = cache.group
     boundaries = generator_boundaries(cache, region, radius)
     graph = cache.at_least(radius)
-    inv_cells = {
-        l: word_boundary(group, boundaries, group.invert(group.letter_element(l)).word)
-        for l in group.s_letters
-    }
-    window = max([1, *(graph.norm(c) for cells in inv_cells.values() for c in cells)])
+    window = max([1, *(graph.norm(c) for cells in boundaries.values() for c in cells)])
+    keys = _keys(group, boundaries)
     target = ZmodGroup((2,))
     minus_one = target.letter_element(1)
 
     def rule(letter: Letter, p: Pattern):
-        return target.identity() if sign_of(p, inv_cells[letter]) == 1 else minus_one
+        if _sign(group, keys, (-letter,), _minus_cells(p)) == 1:
+            return target.identity()
+        return minus_one
 
-    return CocycleSpec(
-        group,
-        sign_alphabet(),
-        target,
-        window,
-        {},
-        rule,
-        ObstructionData(region.name),
-    )
+    return CocycleSpec(group, sign_alphabet(), target, window, {}, rule)
 
 
 @dataclass(frozen=True)
@@ -301,26 +312,31 @@ class IdentityCheck:
 
 def verify_sign_identity(
     cache: BallCache,
-    boundaries: dict[Letter, frozenset[CosetId]],
+    boundaries: Boundaries,
     trials: int,
     rng: random.Random,
     max_word: int = 4,
     max_norm: int = 3,
 ) -> IdentityCheck:
     """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y) of the
-    sign cocycle built on the given difference sets."""
+    sign cocycle built on the given difference sets.  The minus cells of hy
+    are y's moved by h, so c'(g, hy) is the parity over those."""
     group = cache.group
     graph = cache.at_least(max_norm)
     alphabet = sign_alphabet()
+    keys = _keys(group, boundaries)
+    mul, rep = group._mul_payload, group._coset_rep_payload
     bad = 0
     for _ in range(trials):
         y = random_pattern(graph, alphabet, max_norm, rng)
         w1 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         w2 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
-        lhs = sign_cocycle(group, boundaries, group.multiply(g1, g2), y)
-        rhs = sign_cocycle(group, boundaries, g1, act(g2, y)) * sign_cocycle(
-            group, boundaries, g2, y
+        cells = _minus_cells(y)
+        moved = [rep(mul(g2.payload, x)) for x in cells]
+        lhs = _sign(group, keys, group.invert(group.multiply(g1, g2)).word, cells)
+        rhs = _sign(group, keys, group.invert(g1).word, moved) * _sign(
+            group, keys, group.invert(g2).word, cells
         )
         if lhs != rhs:
             bad += 1
@@ -332,7 +348,7 @@ class ObstructionReport:
     set_name: str
     radius: int
     seed: int
-    boundaries: dict[Letter, frozenset[CosetId]] = field(default_factory=dict)
+    boundaries: Boundaries = field(default_factory=dict)
     identity: IdentityCheck | None = None
     forced_signs: dict[Letter, int] = field(default_factory=dict)
     search: SearchOutcome | None = None
@@ -391,24 +407,27 @@ def rho_forcing_check(
 
     At the all-plus configuration every sign is +1, so any trivialization
     would force a trivial homomorphism part; combined with the failed
-    coboundary search this is the non-triviality evidence.  The difference
-    sets are computed once, within ball(radius) and certified to have no
-    element of norm radius; the report and the sign identity both read
-    them.  The search computes its own at radius + 1 and certifies norm
-    radius + 1.
+    coboundary search this is the non-triviality evidence.  One pass over
+    ball(radius + 1) gives the difference sets.  Their part in ball(radius),
+    certified to have no element of norm radius, is what the report, the sign
+    identity and the search read; after the cap check, sphere radius + 1 is
+    certified empty too.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     group = cache.group
+    graph, sets = _differences(cache, region, radius + 1)
     report = ObstructionReport(region.name, radius, seed)
-    report.boundaries = generator_boundaries(cache, region, radius)
-    alphabet = sign_alphabet()
-    plus = make_pattern(alphabet, {})
+    report.boundaries = _stable(graph, sets, radius)
+    plus = make_pattern(sign_alphabet(), {})
     report.forced_signs = {
         l: sign_cocycle(group, report.boundaries, group.letter_element(l), plus)
         for l in group.s_letters
     }
-    rng = random.Random(seed)
     report.identity = verify_sign_identity(
-        cache, report.boundaries, identity_trials, rng
+        cache, report.boundaries, identity_trials, random.Random(seed)
     )
-    report.search = bounded_coboundary_search(cache, region, radius, cap)
+    _cap_check(cache, radius, cap)
+    _stable(graph, sets, radius + 1)
+    report.search = _solve(graph, radius, sets)
     return report

@@ -302,8 +302,11 @@ class Trivializer:
             ginv = coset_of(group.invert(g))
             gnorm = big.norm(ginv) if ginv in big else big.radius
             cut = min(gnorm + 3 * cocycle.window, big.radius)
-            junk_zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
-            y_big = scatter_junk(y, junk_zone, rng)
+            zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
+            if cut < max_norm:  # the zone meets y's support; junk goes off it
+                support = y.support()
+                zone = [c for c in zone if c not in support]
+            y_big = scatter_junk(y, zone, rng)
             tilde = restrict(y_big, window_region(big, cut))
             if evaluate(cocycle, g, y_big, big) != evaluate(cocycle, g, tilde, big):
                 tilde_ok = False
@@ -338,22 +341,3 @@ class Trivializer:
 
         return self.table, report
 
-
-def trivialize(
-    cache: BallCache, cocycle: CocycleSpec, seed: int = 0, **kwargs
-) -> tuple[TransferTable, TrivializeReport]:
-    """One-call pipeline; raises NotOneEndedError before any transfer work."""
-    run_params = {
-        k: kwargs.pop(k)
-        for k in (
-            "cohomology_samples",
-            "relation_samples",
-            "independence_trials",
-            "locality_trials",
-            "max_word",
-            "max_norm",
-        )
-        if k in kwargs
-    }
-    worker = Trivializer(cache, cocycle, seed=seed, **kwargs)
-    return worker.run(**run_params)

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports graph or group machinery from the package; the whole
-point is that these computations share no code path with what they check.
+The models share no code path with what they check: nothing in them imports
+graph or group machinery from the package.  The coset-level helpers at the
+end take the package's groups and balls, but only through group arithmetic
+and the ball's vertex list, never through the id-level passes they check.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from relend.groups import coset_of
 
 
 # -- lattice model (grids Z^k under the l1 metric, unit-step edges) ----------
@@ -121,3 +125,41 @@ def bs1n_affine(word, n: int) -> tuple:
             )
         scale, shift = scale * gs, scale * gb + shift
     return (scale, shift)
+
+
+# -- coset-level difference sets (the route the id-level passes must match) --
+# Unlike the models above these take the package's groups and balls, but they
+# use only group arithmetic (multiply, coset_of) and the ball's vertex list:
+# no graph ids, translation tables or pointwise sign walks.
+
+
+def word_boundary(group, boundaries, word):
+    """The difference set of a word, assembled by the twisted-sum identity.
+
+    c(uv) = c(u) xor u*c(v), expanded letter by letter.
+    """
+    out = set()
+    prefix = group.identity()
+    for letter in word:
+        moved = {coset_of(group.multiply(prefix, c.rep)) for c in boundaries[letter]}
+        out ^= moved
+        prefix = group.multiply(prefix, group.letter_element(letter))
+    return frozenset(out)
+
+
+def direct_boundary(cache, region, g, radius):
+    """A xor gA within ball(radius), computed pointwise."""
+    graph = cache.at_least(radius)
+    group = cache.group
+    g_inv = group.invert(g)
+    return frozenset(
+        v
+        for v in graph.cosets[: graph.ball_size(radius)]
+        if region.member(v) != region.member(coset_of(group.multiply(g_inv, v.rep)))
+    )
+
+
+def sign_of(y, cells):
+    """Product of a sign configuration over a finite set of cosets."""
+    minus = sum(1 for c in cells if y.value_at(c) == "-1")
+    return -1 if minus % 2 else 1

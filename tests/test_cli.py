@@ -216,3 +216,13 @@ def test_obstruct_instability_at_radius_comes_before_the_cap(
     assert err == (
         f"check failed: difference set for letter 1 still grows at radius {radius}\n"
     )
+
+
+def test_graph_of_a_large_cyclic_group_spells_inverses_short(tmp_path):
+    config = tmp_path / "zmod.json"
+    config.write_text(json.dumps({"family": "zmod", "mods": [1000000]}))
+    dot = tmp_path / "ball.dot"
+    argv = ["graph", "--config", str(config), "--radius", "1", "--out", str(dot)]
+    assert main(argv) == 0
+    assert dot.stat().st_size < 1024
+    assert '[label="A"]' in dot.read_text()

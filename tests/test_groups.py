@@ -9,6 +9,7 @@ from relend.errors import InternalError
 from relend.groups import (
     BsGroup,
     FreeGroup,
+    GroupElement,
     ProductGroup,
     Witness,
     ZdGroup,
@@ -241,3 +242,16 @@ def test_iter_ball_order_matches_old_bfs(group):
     # lazy: taking a prefix stops the scan early
     first = list(itertools.islice(iter_ball(group, 50), 3))
     assert first == _old_bfs_ball(group, 1)[:3]
+
+
+@pytest.mark.parametrize(
+    "mods", [(m,) for m in range(1, 10)] + [(2, 3), (4, 5)], ids=str
+)
+def test_zmod_words_are_shortest_and_parse_back(mods):
+    group = ZmodGroup(mods)
+    for payload in itertools.product(*(range(m) for m in mods)):
+        g = GroupElement(group, payload)
+        assert group.parse_element(group.word_str(g)) == g
+        assert len(g.word) == sum(min(c, m - c) for c, m in zip(payload, mods))
+    if mods == (2,):  # order two: the tie keeps the positive spelling
+        assert group.letter_element(-1).word == (1,)

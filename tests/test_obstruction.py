@@ -1,17 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
-import relend.obstruction
+from oracle_utils import direct_boundary, sign_of, word_boundary
 from relend.coset_graph import BallCache
 from relend.errors import NoStabilizationError, SearchSpaceTooLargeError
-from relend.groups import FreeGroup, ZdGroup, ZmodGroup, coset_of
+from relend.groups import (
+    BsGroup,
+    FreeGroup,
+    ProductGroup,
+    ZdGroup,
+    ZmodGroup,
+    coset_of,
+)
 from relend.obstruction import (
     AlmostInvariantSet,
     bounded_coboundary_search,
-    boundary_cocycle,
     builtin_set,
-    direct_boundary,
     generator_boundaries,
     planted_finite_set,
     rho_forcing_check,
@@ -19,7 +25,6 @@ from relend.obstruction import (
     sign_cocycle,
     sign_cocycle_spec,
     verify_sign_identity,
-    word_boundary,
 )
 from relend.patterns import make_pattern, random_pattern
 
@@ -55,14 +60,14 @@ def test_boundary_requires_stability():
         "prefix", lambda c: bool(c.rep.payload) and c.rep.payload[0] == 1
     )
     with pytest.raises(NoStabilizationError):
-        boundary_cocycle(cache, prefix, 2, 5)
+        generator_boundaries(cache, prefix, 5)
 
 
 def test_generator_with_invariant_set(line):
     group, cache, region = line
     # a K generator cannot appear in zd(1) trivial K, so plant an invariant set
     whole = AlmostInvariantSet("all", lambda c: True)
-    assert boundary_cocycle(cache, whole, 1, 6) == frozenset()
+    assert generator_boundaries(cache, whole, 6)[1] == frozenset()
 
 
 def test_tree_boundaries(tree):
@@ -373,20 +378,154 @@ def test_sign_identity_counts_violations_of_a_broken_difference_set(group):
 
 
 @pytest.mark.parametrize("fixture, radius, cap", [("line", 10, 32), ("tree", 4, 161)])
-def test_one_forcing_check_computes_each_difference_set_once_per_radius(
-    request, monkeypatch, fixture, radius, cap
+def test_one_forcing_check_evaluates_each_membership_once(
+    request, fixture, radius, cap
 ):
+    # one pass serves the report, the sign identity and the search: it tests
+    # each vertex of ball(radius + 1) once, and each translate s^-1 v that
+    # leaves that ball once more, and nothing else
     group, _, region = request.getfixturevalue(fixture)
-    real = relend.obstruction.direct_boundary
-    radii = []
+    seen = []
 
-    def counting(cache, region, g, r):
-        radii.append(r)
-        return real(cache, region, g, r)
+    def counting(c):
+        seen.append(c)
+        return region.member(c)
 
-    monkeypatch.setattr(relend.obstruction, "direct_boundary", counting)
-    report = rho_forcing_check(BallCache(group), region, radius, seed=1, cap=cap)
+    cache = BallCache(group)
+    report = rho_forcing_check(
+        cache, AlmostInvariantSet(region.name, counting), radius, seed=1, cap=cap
+    )
     assert report.search is not None and not report.search.found
-    # radius for the report and the sign identity, radius + 1 for the search
-    n = len(group.s_letters)
-    assert sorted(radii) == [radius] * n + [radius + 1] * n
+    inside = cache.at_least(radius + 1).ball_set(radius + 1)
+    leaving = [
+        moved
+        for v in inside
+        for letter in group.s_letters
+        if (moved := coset_of(group.multiply(group.letter_element(-letter), v.rep)))
+        not in inside
+    ]
+    assert leaving and Counter(seen) == Counter(inside) + Counter(leaving)
+
+
+# -- the id-level pass against the coset-level oracle ------------------------
+
+
+def _oracle_boundaries(cache, region, radius):
+    """direct_boundary per letter, with the stability check of the pass."""
+    out = {}
+    for letter in cache.group.s_letters:
+        g = cache.group.letter_element(letter)
+        cells = direct_boundary(cache, region, g, radius)
+        graph = cache.at_least(radius)
+        if any(graph.norm(c) >= radius for c in cells):
+            raise NoStabilizationError(
+                f"difference set for letter {letter} still grows at radius {radius}"
+            )
+        out[letter] = cells
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoStabilizationError as err:
+        return ("raised", str(err))
+
+
+EQUIVALENCE_GROUPS = [
+    (ZdGroup(1, ()), "halfline"),
+    (ZdGroup(2, (0,)), "halfline"),
+    (FreeGroup(2), "aprefix"),
+    (ZmodGroup((5,)), None),
+    (BsGroup(1, 2), None),
+    (ProductGroup(ZdGroup(1, ()), ZmodGroup((3,))), None),
+]
+
+
+@pytest.mark.parametrize(
+    "group,builtin", EQUIVALENCE_GROUPS,
+    ids=["zd1", "zd2k0", "free2", "zmod5", "bs12", "zd1xzmod3"],
+)
+def test_generator_boundaries_match_the_coset_oracle(group, builtin):
+    rng = random.Random(11)
+    cache = BallCache(group)
+    graph = cache.at_least(4)
+    planted = []
+    for _ in range(8):
+        top = graph.ball_size(rng.randrange(0, 4))
+        cells = rng.sample(graph.cosets[:top], rng.randrange(top + 1))
+        planted.append(frozenset(cells))
+    regions = [planted_finite_set(p) for p in planted]
+    if builtin:
+        base = builtin_set(group, builtin)
+        regions += [base] + [_xor_set(base, p) for p in planted[:3]]
+    raised = 0
+    for region in regions:
+        for radius in range(0, 5):
+            ours = _outcome(generator_boundaries, BallCache(group), region, radius)
+            theirs = _outcome(_oracle_boundaries, BallCache(group), region, radius)
+            assert ours == theirs, (region.name, radius)
+            raised += isinstance(ours, tuple)
+    assert 0 < raised < len(regions) * 5
+
+
+def test_pointwise_sign_cocycle_matches_the_word_boundary(line, tree):
+    rng = random.Random(12)
+    for group, cache, region in (line, tree):
+        b = generator_boundaries(cache, region, 6)
+        graph = cache.at_least(6)
+        base = coset_of(group.identity())
+        for trial in range(200):
+            # every fourth trial on sets that no longer come from one A
+            sets = b
+            if trial % 4 == 3:
+                sets = {**b, 1: b[1] ^ {base}}
+            y = random_pattern(graph, sign_alphabet(), 3, rng)
+            w = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 6))]
+            g = group.element_from_word(w)
+            expected = sign_of(y, word_boundary(group, sets, group.invert(g).word))
+            assert sign_cocycle(group, sets, g, y) == expected
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radii",
+    [
+        (ZdGroup(1, ()), "halfline", (2, 5, 12)),
+        (ZdGroup(2, (0,)), "halfline", (2, 6)),
+        (FreeGroup(2), "aprefix", (2, 3, 4)),
+    ],
+    ids=["zd1", "zd2k0", "free2"],
+)
+def test_forcing_check_search_equals_the_standalone_search(group, set_name, radii):
+    # the job's search reads the ball(R) pass plus sphere R + 1; the
+    # standalone search makes its own pass over ball(R + 1)
+    region = builtin_set(group, set_name)
+    for radius in radii:
+        cap = BallCache(group).at_least(radius).ball_size(radius)
+        report = rho_forcing_check(BallCache(group), region, radius, seed=2, cap=cap)
+        alone = bounded_coboundary_search(BallCache(group), region, radius, cap=cap)
+        assert report.search == alone
+
+
+def test_forcing_check_error_order():
+    # the a-tail set of F_2 moved right by b^(R+1): its difference sets are
+    # {a b^(R+1)} and {b^(R+1)}, stable at R but not at R + 1, which the
+    # check reports only after the cap
+    group = FreeGroup(2)
+    radius = 3
+    shift = group.invert(group.element_from_word([2] * (radius + 1)))
+
+    def member(c):
+        payload = group.multiply(c.rep, shift).payload
+        return bool(payload) and payload[-1] == 1
+
+    moved = AlmostInvariantSet("moved", member)
+    cap = BallCache(group).at_least(radius).ball_size(radius)
+    late = f"letter -1 still grows at radius {radius + 1}"
+    with pytest.raises(NoStabilizationError, match=late):
+        rho_forcing_check(BallCache(group), moved, radius, cap=cap)
+    with pytest.raises(SearchSpaceTooLargeError):
+        rho_forcing_check(BallCache(group), moved, radius, cap=cap - 1)
+    # unstable at R itself: reported before the cap
+    with pytest.raises(NoStabilizationError, match=f"radius {radius + 1}"):
+        rho_forcing_check(BallCache(group), moved, radius + 1, cap=1)

@@ -12,8 +12,14 @@ from relend.cocycles import (
     plant_cocycle,
     window_region,
 )
-from relend.patterns import empty_pattern, random_pattern, restrict, trivial_alphabet
-from relend.trivialize import Trivializer, trivialize
+from relend.patterns import (
+    empty_pattern,
+    random_pattern,
+    restrict,
+    scatter_junk,
+    trivial_alphabet,
+)
+from relend.trivialize import Trivializer
 
 
 @pytest.fixture()
@@ -133,7 +139,7 @@ def test_verify_cohomology_samples(grid_setting):
 
 def test_full_roundtrip_report(grid_setting):
     group, cache, alpha, target, c = grid_setting
-    table, report = trivialize(cache, c, seed=3, cohomology_samples=25)
+    table, report = Trivializer(cache, c, seed=3).run(cohomology_samples=25)
     assert report.ok
     names = {chk.name for chk in report.checks}
     assert {
@@ -154,7 +160,7 @@ def test_roundtrip_on_quotient_pair():
     cache = BallCache(group)
     alpha = trivial_alphabet(("0", "1"), "0")
     c = plant_cocycle(group, alpha, ZmodGroup((2,)), 1, 4, cache.at_least(8))
-    table, report = trivialize(cache, c, seed=9, cohomology_samples=15)
+    table, report = Trivializer(cache, c, seed=9).run(cohomology_samples=15)
     assert report.ok
 
 
@@ -196,3 +202,34 @@ def test_lazy_far_scan_matches_full_ball(group):
         assert len(expected) == 5
         assert worker._far_candidates(t, 5) == expected
         assert worker.far_element(t) == expected[0]
+
+
+def test_truncation_junk_never_lands_on_the_support(monkeypatch):
+    # a window-0 cocycle puts the junk zone at norms |g^-1 K| + 1..2, which
+    # meets the support of the sampled patterns (norm <= 3); junk drawn
+    # there would give one cell two symbols
+    import relend.trivialize as module
+
+    perturbed = []
+
+    def recording(y, cells, rng):
+        out = scatter_junk(y, cells, rng)
+        perturbed.append(out)
+        return out
+
+    monkeypatch.setattr(module, "scatter_junk", recording)
+    group = ZdGroup(2, ())
+    alpha = trivial_alphabet(("0", "1", "2"), "0")
+    c = constant_cocycle(group, alpha, ZmodGroup((2,)), {}, window=0)
+    table, report = Trivializer(BallCache(group), c, seed=1).run()
+    assert report.ok and len(perturbed) == 60
+    assert sum(len(p.entries) != len(p.support()) for p in perturbed) == 0
+
+
+def test_importing_the_submodule_gives_the_module():
+    import types
+
+    import relend.trivialize as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.Trivializer is Trivializer
