@@ -2,19 +2,24 @@
 
 Vertices are canonical cosets gK; for each generator s the out-neighbours of
 gK are {g f K : f in F_s} where F_s is the family witness set, so adjacency
-within the built radius is complete and BFS distances are exact.  Vertices are
-interned as dense ids in BFS discovery order, so ids sort by norm and the
-closed r-ball is the id prefix below sphere_start[r + 1].  A larger ball grows
-from a smaller one by copying the prefix, re-expanding the old boundary sphere
-and going on with the search: the ids equal a fresh build's.  Graphs are not
-changed after construction; the ``norms`` dict and the ``ball_set`` sets are
-derived from them on first use.
+within the built radius is complete and BFS distances are exact.  The build
+reads these neighbours off ``Group._coset_steps()``, which maps a coset
+payload to the ``(letter, key)`` pairs of its non-loop neighbours in
+generator and witness order.  Vertices are interned as dense ids in BFS
+discovery order, so ids sort by norm and the closed r-ball is the id prefix
+below sphere_start[r + 1].  A larger ball grows from a smaller one by copying
+the prefix, re-expanding the old boundary sphere and going on with the
+search: the ids equal a fresh build's.  Graphs are not changed after
+construction; the ``cosets`` and ``degree`` lists, the ``norms`` dict and the
+``ball_set`` sets are derived from them on first use, so a caller that reads
+only ids, norms and edges (``ends``) never makes a ``CosetId``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .errors import (
     BallTooLargeError,
@@ -26,10 +31,10 @@ from .groups import CosetId, Group, GroupElement, Letter, coset_of
 
 MAX_VERTICES = 200_000  # vertex budget of a ball, checked per vertex
 # Witness products a ball may take, per unit of MAX_VERTICES, checked before
-# each sphere is expanded: expanding a vertex multiplies it by every witness,
-# so a family with large witness sets (BS(m, n) has m + n) can take long over
-# a ball of few vertices.  At 4, every ball of the free group of rank 2 that
-# fits the vertex budget still builds.
+# each sphere is expanded: expanding a vertex steps it by every witness (the
+# identity ones count too), so a family with large witness sets (BS(m, n)
+# has m + n) can take long over a ball of few vertices.  At 4, every ball of
+# the free group of rank 2 that fits the vertex budget still builds.
 WITNESS_WORK = 4
 
 
@@ -55,11 +60,14 @@ class Path:
 class CosetGraph:
     """The ball of radius ``radius`` around the base coset K.
 
-    Lists indexed by vertex id hold the coset, norm, BFS parent, in-ball
-    ``(letter, id)`` edges and degree in the infinite graph.  ``grow_from`` is
-    a smaller ball of the same group to grow from.  A ball that would hold
-    more than MAX_VERTICES vertices, or take more than WITNESS_WORK *
-    MAX_VERTICES witness products to expand, raises BallTooLargeError.
+    Lists indexed by vertex id hold the coset payload (``payloads``), norm,
+    BFS parent and in-ball ``(letter, id)`` edges; ``index`` maps a payload
+    to its id.  ``cosets`` holds the ``CosetId`` of every vertex once it is
+    first read; a ball grown from one that had it reuses those objects.
+    ``grow_from`` is a smaller ball of the same group to grow from.  A ball
+    that would hold more than MAX_VERTICES vertices, or take more than
+    WITNESS_WORK * MAX_VERTICES witness products to expand, raises
+    BallTooLargeError.
     """
 
     def __init__(self, group: Group, radius: int, grow_from: CosetGraph | None = None):
@@ -69,69 +77,60 @@ class CosetGraph:
         self.radius = radius
         old = grow_from
         if old is None:
-            base = coset_of(group.identity())
-            self.cosets, self.norm_of, self.parent_of = [base], [0], [-1]
-            self.adj, self.degree, self.sphere_start = [], [], [0, 1]
-            self._index = {base.rep.payload: 0}
+            self.base = coset_of(group.identity())
+            self.payloads, self.norm_of = [self.base.rep.payload], [0]
+            self.parent_of, self.adj, self.sphere_start = [-1], [], [0, 1]
+            self.index = {self.base.rep.payload: 0}
+            self._inherited = [self.base]  # a prefix of ``cosets``
         elif old.group is not group or old.radius > radius:
             raise InternalError("can only grow a smaller ball of the same group")
         else:
             keep = old.sphere_start[old.radius]
-            self.cosets, self.norm_of = old.cosets[:], old.norm_of[:]
-            self.parent_of, self.sphere_start = old.parent_of[:], old.sphere_start[:]
-            self.adj, self.degree = old.adj[:keep], old.degree[:keep]
-            self._index = dict(old._index)
-        self.base = self.cosets[0]
+            self.base, self.payloads = old.base, old.payloads[:]
+            self.norm_of = old.norm_of[:]
+            self.parent_of, self.adj = old.parent_of[:], old.adj[:keep]
+            self.sphere_start, self.index = old.sphere_start[:], dict(old.index)
+            self._inherited = old._inherited
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
         """Expand the spheres first..radius, interning targets by payload."""
-        group = self.group
-        mul, rep = group._mul_payload, group._coset_rep_payload
-        steps = [
-            (letter, f.payload)
-            for letter in group.s_letters
-            for f in group.witness_elements(letter)
-        ]
-        cosets, index = self.cosets, self._index
+        group, limit = self.group, MAX_VERTICES
+        step = group._coset_steps()
+        products = sum(len(group.witness_elements(l)) for l in group.s_letters)
+        payloads, index, adj = self.payloads, self.index, self.adj
+        find, parent_of, starts = index.get, self.parent_of, self.sphere_start
         for r in range(first, self.radius + 1):
             # every vertex of norm <= r gets expanded; refuse before the work
-            if self.sphere_start[r + 1] * len(steps) > WITNESS_WORK * MAX_VERTICES:
+            if starts[r + 1] * products > WITNESS_WORK * limit:
                 raise BallTooLargeError(
                     f"ball({self.radius}) takes over "
-                    f"{WITNESS_WORK * MAX_VERTICES} witness products"
+                    f"{WITNESS_WORK * limit} witness products"
                 )
-            for v in range(self.sphere_start[r], self.sphere_start[r + 1]):
-                vp = cosets[v].rep.payload
-                # labelled targets without self-loops, first occurrence first
-                targets = dict.fromkeys(
-                    (letter, key)
-                    for letter, fp in steps
-                    if (key := rep(mul(vp, fp))) != vp
-                )
-                self.degree.append(len({key for _, key in targets}))
+            last = r == self.radius
+            for v in range(starts[r], starts[r + 1]):
                 edges = []
-                for letter, key in targets:
-                    w = index.get(key)
+                for letter, key in step(payloads[v]):
+                    w = find(key)
                     if w is None:
-                        if r == self.radius:
+                        if last:
                             continue
-                        w = index[key] = len(cosets)
-                        cosets.append(CosetId(GroupElement(group, key)))
-                        self.norm_of.append(r + 1)
-                        self.parent_of.append(v)
+                        w = index[key] = len(payloads)
+                        payloads.append(key)
+                        parent_of.append(v)
                     edges.append((letter, w))
-                self.adj.append(tuple(edges))
-                if len(cosets) > MAX_VERTICES:
+                adj.append(tuple(edges))
+                if len(payloads) > limit:
                     raise BallTooLargeError(
-                        f"ball({self.radius}) has over {MAX_VERTICES} vertices"
+                        f"ball({self.radius}) has over {limit} vertices"
                     )
-            if r < self.radius:
-                self.sphere_start.append(len(cosets))
+            if not last:
+                self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
+                starts.append(len(payloads))
 
     def _id(self, v: CosetId) -> int:
-        i = self._index.get(v.rep.payload) if v.rep.group is self.group else None
+        i = self.index.get(v.rep.payload) if v.rep.group is self.group else None
         if i is None:
             raise VertexOutsideBallError(f"{v!r} is outside the built ball")
         return i
@@ -139,15 +138,30 @@ class CosetGraph:
     # -- queries --------------------------------------------------------------
 
     @cached_property
+    def cosets(self) -> list[CosetId]:
+        """The coset of every vertex in id order; built on first use."""
+        group, out = self.group, self._inherited[:]
+        out += [CosetId(GroupElement(group, p)) for p in self.payloads[len(out) :]]
+        self._inherited = out
+        return out
+
+    @cached_property
+    def degree(self) -> list[int]:
+        """Degree in the infinite graph of every vertex in id order: its
+        distinct non-loop neighbours, counted by a second step."""
+        step = self.group._coset_steps()
+        return [len({key for _, key in step(p)}) for p in self.payloads]
+
+    @cached_property
     def norms(self) -> dict[CosetId, int]:
         """Norm of every vertex in id order; built on first use."""
         return dict(zip(self.cosets, self.norm_of))
 
     def __contains__(self, v: CosetId) -> bool:
-        return v.rep.group is self.group and v.rep.payload in self._index
+        return v.rep.group is self.group and v.rep.payload in self.index
 
     def vertex_count(self) -> int:
-        return len(self.cosets)
+        return len(self.payloads)
 
     def ball_size(self, r: int) -> int:
         """Number of vertices of norm at most r; they are the ids below it."""
@@ -163,13 +177,15 @@ class CosetGraph:
     def norm(self, v: CosetId) -> int:
         return self.norm_of[self._id(v)]
 
-    def left_translate(self, letter: Letter, ids: range) -> list[int]:
-        """For each id v in ids, the id of sv with s the letter, or -1 when sv
-        is outside the built graph."""
-        mul, rep = self.group._mul_payload, self.group._coset_rep_payload
-        s, find = self.group._letter_payload(letter), self._index.get
-        cosets = self.cosets
-        return [find(rep(mul(s, cosets[v].rep.payload)), -1) for v in ids]
+    def left_translate(self, letter: Letter, ids: range) -> Iterator[tuple[int, object]]:
+        """For each id v in ids, the id of sv with s the letter (-1 when sv is
+        outside the built graph) and the payload of sv's coset."""
+        group, payloads, find = self.group, self.payloads, self.index.get
+        mul, rep = group._mul_payload, group._coset_rep_payload
+        s = group._letter_payload(letter)
+        for v in ids:
+            key = rep(mul(s, payloads[v]))
+            yield find(key, -1), key
 
     def vertices_in_order(self) -> list[CosetId]:
         return list(self.cosets)

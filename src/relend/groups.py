@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
 
@@ -124,6 +124,29 @@ class Group:
 
     def relator_words(self) -> tuple[Word, ...]:
         raise NotImplementedError
+
+    def _coset_steps(self) -> Callable[[object], list]:
+        """The coset graph's step: a function from a coset payload to the
+        ``(letter, key)`` pairs of its non-loop neighbours, letters in
+        ``s_letters`` order and each letter's witnesses in order, a repeated
+        pair kept once.  This default multiplies by every witness but the
+        identity, whose product with a canonical representative is a loop;
+        families override it with a direct step."""
+        mul, rep = self._mul_payload, self._coset_rep_payload
+        one = self._identity_payload()
+        steps = [
+            (letter, f.payload)
+            for letter in self.s_letters
+            for f in self.witness_elements(letter)
+            if f.payload != one
+        ]
+
+        def step(vp):
+            return list(dict.fromkeys(
+                (letter, key) for letter, fp in steps if (key := rep(mul(vp, fp))) != vp
+            ))
+
+        return step
 
     def quotient_by_k(self) -> "Group":
         """The quotient group G/K when K is normal, as a built-in family."""
@@ -265,6 +288,16 @@ class ZdGroup(Group):
     def quotient_by_k(self):
         return ZdGroup(self.d - len(self.k_coords), ())
 
+    def _coset_steps(self):
+        # +-1 on one coordinate outside K; K's letters are loops
+        free = [i for i in range(self.d) if i not in self.k_coords]
+        moves = [(s * (i + 1), i, s) for i in free for s in (1, -1)]
+
+        def step(vp):
+            return [(l, vp[:i] + (vp[i] + s,) + vp[i + 1 :]) for l, i, s in moves]
+
+        return step
+
 
 # ---------------------------------------------------------------------------
 # Finite products of cyclic groups (used as cocycle targets, e.g. Z/2)
@@ -379,6 +412,16 @@ class FreeGroup(Group):
     def quotient_by_k(self):
         return self
 
+    def _coset_steps(self):
+        # append the letter, or cancel the last one
+        letters = self.s_letters
+
+        def step(vp):
+            last = vp[-1] if vp else 0
+            return [(l, vp[:-1] if l == -last else vp + (l,)) for l in letters]
+
+        return step
+
 
 # ---------------------------------------------------------------------------
 # Baumslag-Solitar groups BS(m, n) = <x, t | t^-1 x^m t = x^n>, K = <x>
@@ -474,12 +517,33 @@ class BsGroup(Group):
     def relator_words(self):
         return ((-2,) + (1,) * self.m + (2,) + (-1,) * self.n,)
 
+    def _coset_steps(self):
+        # in the Bass-Serre tree the witness x^i t^eps appends (i, eps), or
+        # for i = 0 pops back to the parent when the last pair has -eps
+        moves = [
+            (2 * eps, ((i, eps),), -eps if i == 0 else None)
+            for eps, count in ((+1, self.m), (-1, self.n))
+            for i in range(count)
+        ]
+
+        def step(vp):
+            pairs = vp[0]
+            back = pairs[-1][1] if pairs else 0
+            return [
+                (l, (pairs[:-1] if pop == back else pairs + pair, 0))
+                for l, pair, pop in moves
+            ]
+
+        return step
+
 
 # ---------------------------------------------------------------------------
 # Direct products
 
 
 class ProductGroup(Group):
+    """Componentwise product; a payload is the pair of the factors' payloads."""
+
     family = "direct_product"
 
     def __init__(self, left: Group, right: Group):
@@ -500,48 +564,55 @@ class ProductGroup(Group):
         return (self.right, (idx - self._offset) * (1 if letter > 0 else -1))
 
     def _identity_payload(self):
-        return (self.left.identity(), self.right.identity())
+        return (self.left.identity().payload, self.right.identity().payload)
 
     def _gen_payload(self, index: int):
+        left, right = self.left.identity().payload, self.right.identity().payload
         if index <= self._offset:
-            return (self.left.letter_element(index), self.right.identity())
-        return (self.left.identity(), self.right.letter_element(index - self._offset))
+            return (self.left._letter_payload(index), right)
+        return (left, self.right._letter_payload(index - self._offset))
 
     def _mul_payload(self, a, b):
-        return (self.left.multiply(a[0], b[0]), self.right.multiply(a[1], b[1]))
+        return (
+            self.left._mul_payload(a[0], b[0]), self.right._mul_payload(a[1], b[1])
+        )
 
     def _inv_payload(self, a):
-        return (self.left.invert(a[0]), self.right.invert(a[1]))
+        return (self.left._inv_payload(a[0]), self.right._inv_payload(a[1]))
+
+    def _factors(self, a: GroupElement) -> tuple[GroupElement, GroupElement]:
+        left, right = a.payload
+        return GroupElement(self.left, left), GroupElement(self.right, right)
 
     def word_of(self, a):
-        lw = a.payload[0].word
-        rw = a.payload[1].word
+        lw, rw = (f.word for f in self._factors(a))
         shift = self._offset
         return lw + tuple((abs(l) + shift) * (1 if l > 0 else -1) for l in rw)
 
     def is_in_k(self, a):
-        return self.left.is_in_k(a.payload[0]) and self.right.is_in_k(a.payload[1])
+        left, right = self._factors(a)
+        return self.left.is_in_k(left) and self.right.is_in_k(right)
 
     def _coset_rep_payload(self, a):
         return (
-            self.left.coset_rep_element(a[0]),
-            self.right.coset_rep_element(a[1]),
+            self.left._coset_rep_payload(a[0]),
+            self.right._coset_rep_payload(a[1]),
         )
 
     def k_exponents(self, a):
-        return self.left.k_exponents(a.payload[0]) + self.right.k_exponents(
-            a.payload[1]
-        )
+        left, right = self._factors(a)
+        return self.left.k_exponents(left) + self.right.k_exponents(right)
 
     def witness_elements(self, letter):
         side, inner = self._split(letter)
+        left, right = self.left.identity().payload, self.right.identity().payload
         if side is self.left:
             return tuple(
-                GroupElement(self, (f, self.right.identity()))
+                GroupElement(self, (f.payload, right))
                 for f in self.left.witness_elements(inner)
             )
         return tuple(
-            GroupElement(self, (self.left.identity(), f))
+            GroupElement(self, (left, f.payload))
             for f in self.right.witness_elements(inner)
         )
 
@@ -557,6 +628,21 @@ class ProductGroup(Group):
 
     def quotient_by_k(self):
         return ProductGroup(self.left.quotient_by_k(), self.right.quotient_by_k())
+
+    def _coset_steps(self):
+        # the left factor's steps, then the right factor's, letters shifted
+        shift = self._offset
+        left_step, right_step = self.left._coset_steps(), self.right._coset_steps()
+
+        def step(vp):
+            a, b = vp
+            out = [(l, (k, b)) for l, k in left_step(a)]
+            out += [
+                (l + shift if l > 0 else l - shift, (a, k)) for l, k in right_step(b)
+            ]
+            return out
+
+        return step
 
 
 # ---------------------------------------------------------------------------

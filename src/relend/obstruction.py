@@ -27,7 +27,7 @@ from typing import Callable
 from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
-from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup, coset_of
+from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup
 from .patterns import Alphabet, Pattern, make_pattern, random_pattern, trivial_alphabet
 
 PLUS = "+1"
@@ -94,14 +94,14 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
     inside = bytearray(bool(region.member(cosets[v])) for v in ids)
     out = {}
     for letter in group.s_letters:
-        back = graph.left_translate(-letter, ids)
-        s_inv = group.letter_element(-letter)
-        out[letter] = (back, [
-            v for v, w in zip(ids, back)
+        back, odd = [], []
+        for v, (w, key) in zip(ids, graph.left_translate(-letter, ids)):
+            back.append(w)
             if inside[v] != (inside[w] if 0 <= w < len(inside) else bool(
-                region.member(coset_of(group.multiply(s_inv, cosets[v].rep)))
-            ))
-        ])
+                region.member(CosetId(GroupElement(group, key)))
+            )):
+                odd.append(v)
+        out[letter] = (back, odd)
     return graph, out
 
 

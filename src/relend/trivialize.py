@@ -127,12 +127,16 @@ class Trivializer:
 
     def _far_candidates(self, threshold: int, count: int) -> list[GroupElement]:
         group = self.group
-        near = self.cache.at_least(max(threshold, 1)).ball_set(threshold)
+        rep, inv = group._coset_rep_payload, group._inv_payload
+        graph = self.cache.at_least(max(threshold, 1))
+        # a coset is near when its id is below the ball's size; ids outside
+        # the built graph count as far
+        top, find = graph.ball_size(threshold), graph.index.get
         out = []
         ball = iter_ball(group, threshold + self.far_search_slack)
         next(ball)  # the identity, whose coset is the base
         for g in ball:
-            if coset_of(g) in near or coset_of(group.invert(g)) in near:
+            if find(rep(g.payload), top) < top or find(rep(inv(g.payload)), top) < top:
                 continue
             out.append(g)
             if len(out) == count:
@@ -271,7 +275,15 @@ class Trivializer:
             self.transfer(self._zero).is_identity(),
         )
 
-        big = self.cache.at_least(3 * cocycle.window + max_word + max_norm + 2)
+        # every pattern handed to `transfer` below has norm <= max_norm +
+        # max_word (a translate g y) or <= 3 * window + 2 (locality); growing
+        # the balls for the largest one here makes the largest ball, and so
+        # the run's memory, independent of which patterns the seed draws
+        reach = max(max_norm + max_word, 3 * cocycle.window + 2)
+        self.capacity_at(reach + cocycle.window)
+        # the sweep reads patterns of norm <= max_norm and truncation junk of
+        # norm <= cut + 2 <= max_word + 3 * window + 2
+        big = self.cache.at_least(max(3 * cocycle.window + max_word + 2, max_norm))
         sweep_ok = True
         tilde_ok = True
         consistency_ok = True

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -226,3 +227,20 @@ def test_graph_of_a_large_cyclic_group_spells_inverses_short(tmp_path):
     assert main(argv) == 0
     assert dot.stat().st_size < 1024
     assert '[label="A"]' in dot.read_text()
+
+
+def test_trivialize_plants_and_recovers_on_a_non_normal_pair(tmp_path):
+    # BS(1,2) x Z relative to <x> x 0: K is commensurated, not normal, and
+    # the pair has one relative end.  The sweep ball is sized by the norms
+    # the sweep reads, so b0-window 1 fits the budgets.
+    config = tmp_path / "bs_z.json"
+    config.write_text(json.dumps({"family": "direct_product", "factors": [
+        {"family": "bs", "m": 1, "n": 2}, {"family": "zd", "d": 1}]}))
+    report = tmp_path / "report.txt"
+    start = time.perf_counter()
+    code = main(["trivialize", "--config", str(config), "--plant", "--b0-window",
+                 "1", "--seed", "1", "--report", str(report)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert report.read_text().splitlines()[-1] == "RESULT: ok"
+    assert elapsed < 20, f"BS(1,2) x Z round trip took {elapsed:.2f}s"

@@ -1,0 +1,90 @@
+"""Per-family coset steps, the budgets they leave unchanged, and the lazy
+``cosets`` list of a coset graph."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from relend import coset_graph
+from relend.coset_graph import BallCache, CosetGraph
+from relend.ends import capacity_table, estimate_ends
+from relend.errors import BallTooLargeError
+from relend.groups import (
+    BsGroup,
+    CosetId,
+    FreeGroup,
+    Group,
+    GroupElement,
+    ProductGroup,
+    ZdGroup,
+    ZmodGroup,
+)
+
+GROUPS = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda d: st.sets(st.integers(0, d - 1)).map(lambda k: ZdGroup(d, sorted(k)))
+    ),
+    st.just(ZdGroup(2, (0, 1))),
+    st.integers(1, 3).map(FreeGroup),
+    st.builds(BsGroup, st.integers(1, 4), st.integers(1, 4)),
+    st.just(ProductGroup(ZdGroup(1), BsGroup(1, 2))),
+    # nested, with a zmod(2) factor whose two letters reach one neighbour
+    st.just(ProductGroup(
+        ZdGroup(2, (1,)), ProductGroup(FreeGroup(1), ZmodGroup((2,)))
+    )),
+)
+
+
+@given(group=GROUPS, radius=st.integers(0, 5))
+def test_family_steps_equal_the_generic_default(group, radius):
+    step, generic = group._coset_steps(), Group._coset_steps(group)
+    graph = CosetGraph(group, radius)
+    for p in graph.payloads:
+        assert step(p) == generic(p)
+
+
+def _limit(build) -> str:
+    with pytest.raises(BallTooLargeError) as err:
+        build()
+    return str(err.value)
+
+
+def test_size_limit_texts_are_unchanged(monkeypatch):
+    # the witness-work budget counts identity witnesses as products
+    assert _limit(lambda: CosetGraph(BsGroup(1000, 1000), 1)) == (
+        "ball(1) takes over 800000 witness products"
+    )
+    monkeypatch.setattr(coset_graph, "MAX_VERTICES", 20)
+    assert _limit(lambda: CosetGraph(FreeGroup(2), 3)) == "ball(3) has over 20 vertices"
+    # ball(2) of BS(1,2) x Z has 20 vertices and 7 witness products each,
+    # 2 of them identities: 140 > 4 * 30, while 20 * 5 non-loop steps is not
+    monkeypatch.setattr(coset_graph, "MAX_VERTICES", 30)
+    bs_z = ProductGroup(BsGroup(1, 2), ZdGroup(1))
+    assert _limit(lambda: CosetGraph(bs_z, 2)) == (
+        "ball(2) takes over 120 witness products"
+    )
+
+
+@pytest.mark.parametrize("group", [ZdGroup(3, (0,)), BsGroup(1, 2), FreeGroup(2)])
+def test_ends_never_creates_the_cosets(group):
+    cache = BallCache(group)
+    report = estimate_ends(cache, 3, 3)
+    if report.is_exactly(1):
+        capacity_table(cache, 3)
+    assert "cosets" not in vars(cache.at_least(0))
+
+
+def test_grown_ball_shares_its_parents_coset_objects():
+    cache = BallCache(FreeGroup(2))
+    small = cache.at_least(2)
+    old = small.cosets
+    # the ball between never makes its cosets; the next one still shares
+    # the objects of the ball that did
+    middle = cache.at_least(3)
+    grown = cache.at_least(4)
+    assert "cosets" not in vars(middle)
+    assert grown.base is small.base
+    assert all(a is b for a, b in zip(grown.cosets, old))
+    assert small.cosets is old and len(old) == small.vertex_count()
+    assert grown.cosets[len(old):] == [
+        CosetId(GroupElement(grown.group, p)) for p in grown.payloads[len(old):]
+    ]

@@ -233,3 +233,19 @@ def test_importing_the_submodule_gives_the_module():
 
     assert isinstance(module, types.ModuleType)
     assert module.Trivializer is Trivializer
+
+
+def test_largest_ball_does_not_depend_on_the_seed():
+    # the run grows its balls for the largest pattern norm it can meet before
+    # sampling, so the seed cannot change how far the cache grows (and with it
+    # the run's peak memory); without that, seeds 0-7 end at radius 9, 10 or 11
+    alpha = trivial_alphabet(("0", "1"), "0")
+    radii = set()
+    for seed in range(8):
+        group = ZdGroup(2, ())
+        cache = BallCache(group)
+        c = plant_cocycle(group, alpha, ZmodGroup((2,)), 0, 21, cache.at_least(4))
+        table, report = Trivializer(cache, c, seed=seed).run(cohomology_samples=10)
+        assert report.ok
+        radii.add(cache.at_least(0).radius)
+    assert radii == {11}
