@@ -55,11 +55,8 @@ from .groups import (
     coset_cocycle,
     coset_of,
     find_separated_element,
-    in_subgroup,
-    inv,
     iter_ball,
     k_ball,
-    mul,
     verify_witness,
     witness,
 )

@@ -7,6 +7,8 @@ the frozenset of (coset, symbol) pairs: keys have no text form here, and the
 ``word=symbol|...`` strings of the JSON format exist only in ``serialize``.
 ``window_patterns`` is the one enumerator of the patterns of a window.
 
+A cocycle carries its window: ``CocycleSpec.region`` holds the cells of the
+window ball, so evaluation takes no ball or region from its caller.
 Evaluation on a general element walks its canonical word.  Each letter moves
 the configuration through a per-cocycle table of letter steps, filled on
 first use from ``coset_of`` and ``coset_cocycle``, so the check that every
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .coset_graph import CosetGraph, Path
@@ -83,12 +86,20 @@ def pattern_key(p: Pattern) -> frozenset:
 
 @dataclass(frozen=True)
 class PlantedData:
-    """Provenance of a planted coboundary-of-a-homomorphism cocycle."""
+    """Provenance of a planted coboundary-of-a-homomorphism cocycle.
+
+    ``region`` holds the cells of the b0 window, whose patterns key ``b0``.
+    """
 
     seed: int
     b0_window: int
+    region: frozenset[CosetId]
     b0: dict[frozenset, GroupElement]
     hom_images: dict[Letter, GroupElement]
+
+    def b0_of(self, p: Pattern) -> GroupElement:
+        """The planted transfer value b0 of a configuration."""
+        return self.b0[pattern_key(restrict(p, self.region))]
 
 
 @dataclass
@@ -101,7 +112,7 @@ class CocycleSpec:
     maps (letter, cell) to the cell's image under the letter and the symbol
     permutation of its K-correction, as a symbol map shared through
     ``_images``; both depend only on the group and the alphabet, and take no
-    part in equality.
+    part in equality.  Neither does ``region``, the cells of the window ball.
     """
 
     group: Group
@@ -113,6 +124,11 @@ class CocycleSpec:
     derivation: object | None = None
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def region(self) -> frozenset[CosetId]:
+        """The cells of the window ball; patterns restricted to it key ``tables``."""
+        return CosetGraph(self.group, self.window).ball_set(self.window)
 
     def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
         table = self.tables.setdefault(letter, {})
@@ -176,10 +192,9 @@ def _shadow_rule(rule, letter, key, value):
     return shadowed
 
 
-def evaluate_word(
-    c: CocycleSpec, word, y: Pattern, region: frozenset[CosetId]
-) -> GroupElement:
+def evaluate_word(c: CocycleSpec, word, y: Pattern) -> GroupElement:
     """Cocycle value along an explicit letter word (right-to-left expansion)."""
+    region = c.region
     acc = c.target.identity()
     z = y
     letters = tuple(word)[::-1]
@@ -191,11 +206,9 @@ def evaluate_word(
     return acc
 
 
-def evaluate(
-    c: CocycleSpec, g: GroupElement, y: Pattern, graph: CosetGraph
-) -> GroupElement:
+def evaluate(c: CocycleSpec, g: GroupElement, y: Pattern) -> GroupElement:
     """c(g, y) along the canonical word of g."""
-    return evaluate_word(c, g.word, y, window_region(graph, c.window))
+    return evaluate_word(c, g.word, y)
 
 
 @dataclass(frozen=True)
@@ -228,7 +241,7 @@ def verify_relations(
     means the tables do not define a cocycle (word-independence fails).
     """
     rng = rng or random.Random(0)
-    region = window_region(graph, c.window)
+    region = c.region
     pats = [empty_pattern(c.alphabet)] + [
         random_pattern(graph, c.alphabet, max_norm, rng) for _ in range(samples)
     ]
@@ -238,7 +251,7 @@ def verify_relations(
     for rel in c.group.relator_words():
         for y in pats:
             checked += 1
-            value = evaluate_word(c, rel, y, region)
+            value = evaluate_word(c, rel, y)
             if value != identity:
                 violations.append(
                     RelationViolation(rel, pattern_key(restrict(y, region)), value)
@@ -270,13 +283,10 @@ def edge_witness(
     return None
 
 
-def path_difference(
-    c: CocycleSpec,
-    path: Path,
-    y: Pattern,
-    graph: CosetGraph,
-    witness_radius: int = 4,
-) -> GroupElement:
+WITNESS_RADIUS = 4  # K-ball radius searched for each edge witness
+
+
+def path_difference(c: CocycleSpec, path: Path, y: Pattern) -> GroupElement:
     """c(g_n^-1, y) * c(g_0^-1, y)^-1 computed through per-edge witnesses.
 
     Each edge contributes three factors (for x^-1, s^-1, y^-1 of its
@@ -285,41 +295,38 @@ def path_difference(
     routes being independent.
     """
     group = c.group
-    region = window_region(graph, c.window)
     witnesses = []
     for i in range(len(path)):
         w = edge_witness(
-            path.vertices[i], path.vertices[i + 1], path.labels[i], witness_radius
+            path.vertices[i], path.vertices[i + 1], path.labels[i], WITNESS_RADIUS
         )
         if w is None:
             raise NotFoundError(
-                f"no edge witness within K-ball radius {witness_radius} for "
+                f"no edge witness within K-ball radius {WITNESS_RADIUS} for "
                 f"edge {i} of the path"
             )
         witnesses.append(w)
     total = c.target.identity()
     z = act(group.invert(path.vertices[0].rep), y)
     for w in witnesses:
-        eta3 = evaluate_word(c, group.invert(w.y).word, z, region)
+        eta3 = evaluate_word(c, group.invert(w.y).word, z)
         z = act(group.invert(w.y), z)
-        eta2 = evaluate_word(c, (-w.letter,), z, region)
+        eta2 = evaluate_word(c, (-w.letter,), z)
         z = act(group.letter_element(-w.letter), z)
-        eta1 = evaluate_word(c, group.invert(w.x).word, z, region)
+        eta1 = evaluate_word(c, group.invert(w.x).word, z)
         z = act(group.invert(w.x), z)
         block = c.target.multiply(eta1, c.target.multiply(eta2, eta3))
         total = c.target.multiply(block, total)
     return total
 
 
-def locality_check(
-    c: CocycleSpec, path: Path, y: Pattern, z: Pattern, graph: CosetGraph
-) -> bool:
+def locality_check(c: CocycleSpec, path: Path, y: Pattern, z: Pattern) -> bool:
     """Whether two configurations give the same path difference.
 
     Callers arrange for y and z to agree on the window neighbourhood of the
     path; genuine cocycles then always return True.
     """
-    return path_difference(c, path, y, graph) == path_difference(c, path, z, graph)
+    return path_difference(c, path, y) == path_difference(c, path, z)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +341,7 @@ def constant_cocycle(
     window: int = 1,
 ) -> CocycleSpec:
     """The cocycle ignoring the configuration: c(s, y) = images[s]."""
+    images = dict(images)
     for l in group.s_letters:
         if l not in images and -l in images:
             images[l] = target.invert(images[-l])
@@ -427,9 +435,8 @@ def plant_cocycle(
     letter_images = {
         l: hom_value((l,)) for l in group.s_letters
     }
-
-    def b0_of(p: Pattern) -> GroupElement:
-        return b0[pattern_key(restrict(p, region0))]
+    planted = PlantedData(seed, b0_window, region0, b0, letter_images)
+    b0_of = planted.b0_of
 
     def rule(letter: Letter, p: Pattern) -> GroupElement:
         moved = act(group.letter_element(letter), p)
@@ -438,13 +445,6 @@ def plant_cocycle(
             lhs, target.multiply(letter_images[letter], b0_of(p))
         )
 
-    spec = CocycleSpec(
-        group,
-        alphabet,
-        target,
-        b0_window + 1,
-        {},
-        rule,
-        PlantedData(seed, b0_window, b0, dict(letter_images)),
+    return CocycleSpec(
+        group, alphabet, target, b0_window + 1, {}, rule, planted
     )
-    return spec

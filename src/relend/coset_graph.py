@@ -10,9 +10,9 @@ discovery order, so ids sort by norm and the closed r-ball is the id prefix
 below sphere_start[r + 1].  A larger ball grows from a smaller one by copying
 the prefix, re-expanding the old boundary sphere and going on with the
 search: the ids equal a fresh build's.  Graphs are not changed after
-construction; the ``cosets`` and ``degree`` lists, the ``norms`` dict and the
-``ball_set`` sets are derived from them on first use, so a caller that reads
-only ids, norms and edges (``ends``) never makes a ``CosetId``.
+construction; the ``cosets`` and ``degree`` lists and the ``ball_set`` sets
+are derived from them on first use, so a caller that reads only ids, norms
+and edges (``ends``) never makes a ``CosetId``.
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ class CosetGraph:
         distinct non-loop neighbours, counted by a second step."""
         step = self.group._coset_steps()
         return [len({key for _, key in step(p)}) for p in self.payloads]
-
-    @cached_property
-    def norms(self) -> dict[CosetId, int]:
-        """Norm of every vertex in id order; built on first use."""
-        return dict(zip(self.cosets, self.norm_of))
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index

@@ -649,18 +649,6 @@ class ProductGroup(Group):
 # Module-level operations
 
 
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.group.multiply(a, b)
-
-
-def inv(a: GroupElement) -> GroupElement:
-    return a.group.invert(a)
-
-
-def in_subgroup(a: GroupElement) -> bool:
-    return a.group.is_in_k(a)
-
-
 def coset_of(a: GroupElement) -> CosetId:
     """Canonical coset aK; equal cosets yield equal CosetIds."""
     return CosetId(a.group.coset_rep_element(a))
@@ -702,6 +690,8 @@ def iter_ball(
     Callers that stop at the first few hits never build the rest of the ball.
     The search runs on payloads, which hash faster than elements.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     if letters is None:
         letters = group.s_letters
     mul = group._mul_payload
@@ -712,7 +702,7 @@ def iter_ball(
     dist = {start: 0}
     for g in queue:
         d = dist[g]
-        if d == radius:
+        if d >= radius:
             continue
         for ge in gens:
             h = mul(g, ge)

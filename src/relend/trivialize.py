@@ -36,14 +36,18 @@ from .patterns import (
 )
 
 
+# Far elements one scan looks for: enough for ``run``'s default choice-
+# independence trials, so those reuse the scan that ``far_element`` made.
+FAR_BATCH = 5
+
+
 @dataclass
 class TransferTable:
-    """Recovered trivialization data: hom images, transfer values, caches."""
+    """Recovered trivialization data: hom images and transfer values."""
 
     window: int
     hom: dict[Letter, GroupElement] = field(default_factory=dict)
     entries: dict[frozenset, GroupElement] = field(default_factory=dict)
-    far_cache: dict[int, GroupElement] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,8 @@ class Trivializer:
         self.far_search_slack = far_search_slack
         self.table = TransferTable(cocycle.window)
         self._capacity: dict[int, int] = {}
+        # threshold -> (far elements found, how many its scan looked for)
+        self._far: dict[int, tuple[list[GroupElement], int]] = {}
         self._zero = empty_pattern(cocycle.alphabet)
         self.transfer_evaluations = 0
 
@@ -103,8 +109,7 @@ class Trivializer:
 
     def homomorphism(self, g: GroupElement) -> GroupElement:
         """The cocycle evaluated at the fixed empty configuration."""
-        graph = self.cache.at_least(max(self.cocycle.window, 1))
-        return evaluate(self.cocycle, g, self._zero, graph)
+        return evaluate(self.cocycle, g, self._zero)
 
     def capacity_at(self, r: int) -> int:
         if r not in self._capacity:
@@ -113,19 +118,26 @@ class Trivializer:
 
     def far_element(self, threshold: int) -> GroupElement:
         """First element in shortlex order with both coset norms > threshold."""
-        cached = self.table.far_cache.get(threshold)
-        if cached is not None:
-            return cached
         found = self._far_candidates(threshold, 1)
         if not found:
             raise NotFoundError(
                 f"no far element for threshold {threshold} within word radius "
                 f"{threshold + self.far_search_slack}"
             )
-        self.table.far_cache[threshold] = found[0]
         return found[0]
 
     def _far_candidates(self, threshold: int, count: int) -> list[GroupElement]:
+        """The first ``count`` far elements in shortlex order, memoised per
+        threshold; a scan looks for at least FAR_BATCH of them, so that
+        ``far_element`` and ``verify_choice_independence`` share it."""
+        memo = self._far.get(threshold)
+        # a scan that found fewer than it looked for exhausted the word ball
+        if memo is None or (count > memo[1] and len(memo[0]) == memo[1]):
+            wanted = max(count, FAR_BATCH)
+            memo = self._far[threshold] = (self._far_scan(threshold, wanted), wanted)
+        return memo[0][:count]
+
+    def _far_scan(self, threshold: int, count: int) -> list[GroupElement]:
         group = self.group
         rep, inv = group._coset_rep_payload, group._inv_payload
         graph = self.cache.at_least(max(threshold, 1))
@@ -155,8 +167,7 @@ class Trivializer:
 
     def _pull_back(self, g: GroupElement, y: Pattern) -> GroupElement:
         """c(g, y)^-1 * hom(g), the transfer value when g is far enough."""
-        graph = self.cache.at_least(max(self.cocycle.window, 1))
-        val = evaluate(self.cocycle, g, y, graph)
+        val = evaluate(self.cocycle, g, y)
         return self.target.multiply(self.target.invert(val), self.homomorphism(g))
 
     def transfer(self, y: Pattern) -> GroupElement:
@@ -192,8 +203,7 @@ class Trivializer:
 
     def verify_cohomology(self, g: GroupElement, y: Pattern) -> bool:
         """Exact check of c(g, y) = b(g y) * hom(g) * b(y)^-1."""
-        graph = self.cache.at_least(max(self.cocycle.window, 1))
-        lhs = evaluate(self.cocycle, g, y, graph)
+        lhs = evaluate(self.cocycle, g, y)
         rhs = self.target.multiply(
             self.transfer(act(g, y)),
             self.target.multiply(
@@ -289,13 +299,6 @@ class Trivializer:
         consistency_ok = True
         planted_consts: set[GroupElement] = set()
         pd = cocycle.derivation if isinstance(cocycle.derivation, PlantedData) else None
-        region0 = (
-            window_region(big, pd.b0_window) if pd is not None else None
-        )
-
-        def b0_of(p: Pattern) -> GroupElement:
-            return pd.b0[pattern_key(restrict(p, region0))]
-
         for _ in range(cohomology_samples):
             y = random_pattern(big, cocycle.alphabet, max_norm, rng)
             g = group.element_from_word(
@@ -307,7 +310,7 @@ class Trivializer:
             if ext != self.transfer(y):
                 consistency_ok = False
             if pd is not None:
-                planted_consts.add(self.target.multiply(b0_of(y), ext))
+                planted_consts.add(self.target.multiply(pd.b0_of(y), ext))
             # literal form of the extension step: values must only depend on
             # the configuration out to |g^-1 K| + 3*window, so junk planted
             # beyond that radius cannot change the evaluation
@@ -320,7 +323,7 @@ class Trivializer:
                 zone = [c for c in zone if c not in support]
             y_big = scatter_junk(y, zone, rng)
             tilde = restrict(y_big, window_region(big, cut))
-            if evaluate(cocycle, g, y_big, big) != evaluate(cocycle, g, tilde, big):
+            if evaluate(cocycle, g, y_big) != evaluate(cocycle, g, tilde):
                 tilde_ok = False
 
         report.add("cohomology_sweep", sweep_ok, f"{cohomology_samples} samples")

@@ -4,19 +4,24 @@ import random
 
 import pytest
 
-from relend.coset_graph import BallCache, build_ball
+from relend.coset_graph import BallCache, Path, build_ball
 from relend.cocycles import (
     CocycleSpec,
+    constant_cocycle,
     evaluate_word,
+    path_difference,
+    pattern_key,
     plant_cocycle,
     verify_relations,
     window_region,
 )
 from relend.errors import InternalError
 from relend.groups import BsGroup, FreeGroup, ZdGroup, ZmodGroup
+from relend.obstruction import builtin_set, sign_cocycle_spec
 from relend.patterns import (
     Alphabet,
     act,
+    empty_pattern,
     random_pattern,
     restrict,
     trivial_alphabet,
@@ -67,7 +72,7 @@ def test_evaluate_word_matches_reference_walk(name):
     for _ in range(150):
         y = random_pattern(graph, alphabet, 3, rng)
         word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
-        assert evaluate_word(c, word, y, region) == _reference_walk(c, word, y, region)
+        assert evaluate_word(c, word, y) == _reference_walk(c, word, y, region)
         for letter in group.s_letters:
             moved = act(group.letter_element(letter), y)
             assert c._move(letter, y) == moved
@@ -80,7 +85,6 @@ def test_evaluate_word_matches_reference_walk(name):
 def test_broken_canonicalisation_raises_through_evaluate_word(monkeypatch):
     group, alphabet = SETTINGS["zd2k0"]
     graph = build_ball(group, 4)
-    region = window_region(graph, 1)
     rng = random.Random(1)
     y = random_pattern(graph, alphabet, 2, rng, max_entries=4)
     while y.is_empty():
@@ -89,7 +93,7 @@ def test_broken_canonicalisation_raises_through_evaluate_word(monkeypatch):
     # zeroing the wrong coordinate: corrections then leave K = <a>
     monkeypatch.setattr(group, "_coset_rep_payload", lambda a: (a[0], 0))
     with pytest.raises(InternalError):
-        evaluate_word(c, (2, 2, 1), y, region)
+        evaluate_word(c, (2, 2, 1), y)
 
 
 TABLE_PAIRS = {
@@ -126,3 +130,81 @@ def test_planted_cocycles_pass_relations(name):
         spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), b0_window, 8, graph)
         report = verify_relations(spec, graph, samples=15, rng=random.Random(5))
         assert report.ok and report.checked == 16 * len(group.relator_words())
+
+
+# -- the window a spec carries ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+def test_spec_region_is_the_window_ball(name):
+    group = TABLE_PAIRS[name]
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    target = ZmodGroup((2,))
+    graph = BallCache(group).at_least(4)
+    planted = plant_cocycle(group, alphabet, target, 0, 29, graph)
+    loaded = cocycle_from_json(
+        group, alphabet, cocycle_to_json(planted, graph), graph
+    )
+    specs = [
+        planted,
+        loaded,
+        constant_cocycle(group, alphabet, target, {1: target.letter_element(1)}),
+        constant_cocycle(group, alphabet, target, {}, window=0),
+        plant_cocycle(group, alphabet, target, 1, 3, graph),
+    ]
+    specs += [
+        c.corrupted(1, pattern_key(empty_pattern(alphabet)), target.identity())
+        for c in specs
+    ]
+    for c in specs:
+        assert c.region == window_region(graph, c.window)
+        assert c.region is c.region  # built once
+
+
+@pytest.mark.parametrize("name", ["zd1", "free2"])
+def test_sign_spec_region_is_the_window_ball(name):
+    group = ZdGroup(1, ()) if name == "zd1" else FreeGroup(2)
+    cache = BallCache(group)
+    region = builtin_set(group, "halfline" if name == "zd1" else "aprefix")
+    spec = sign_cocycle_spec(cache, region, 4)
+    assert spec.region == window_region(cache.at_least(4), spec.window)
+
+
+def test_region_takes_no_part_in_equality():
+    group, alphabet = SETTINGS["free2"]
+    a = _random_table_cocycle(group, alphabet, 1, seed=3)
+    b = CocycleSpec(group, alphabet, a.target, 1, a.tables, a.rule, None)
+    a.region  # built on a only
+    assert a == b
+
+
+@pytest.mark.parametrize("name", ["zd2", "zd3k0", "bs12"])
+def test_planted_b0_of_is_the_b0_table_lookup(name):
+    group = TABLE_PAIRS[name]
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    graph = BallCache(group).at_least(5)
+    rng = random.Random(12)
+    for b0_window in (0, 1):
+        planted = plant_cocycle(
+            group, alphabet, ZmodGroup((2,)), b0_window, 6, graph
+        ).derivation
+        region0 = window_region(graph, b0_window)
+        assert planted.region == region0
+        for _ in range(60):
+            y = random_pattern(graph, alphabet, 4, rng)
+            assert planted.b0_of(y) == planted.b0[pattern_key(restrict(y, region0))]
+
+
+def test_stale_call_with_a_graph_is_refused():
+    # evaluation reads the spec's own window; passing a ball is an error, not
+    # a ball taken for some other parameter
+    group = ZdGroup(2, ())
+    graph = build_ball(group, 4)
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    c = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, 1, graph)
+    p = Path((graph.base,), ())
+    y = empty_pattern(alphabet)
+    with pytest.raises(TypeError):
+        path_difference(c, p, y, graph)
+    with pytest.raises(TypeError):
+        evaluate_word(c, (1,), y, c.region)

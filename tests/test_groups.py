@@ -18,11 +18,8 @@ from relend.groups import (
     coset_cocycle,
     coset_of,
     find_separated_element,
-    in_subgroup,
-    inv,
     iter_ball,
     k_ball,
-    mul,
     verify_witness,
     witness,
 )
@@ -48,7 +45,7 @@ def test_normal_form_respects_concatenation(group):
     for _ in range(1000):
         u = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 6))]
         v = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 6))]
-        assert group.element_from_word(u + v) == mul(
+        assert group.element_from_word(u + v) == group.multiply(
             group.element_from_word(u), group.element_from_word(v)
         )
 
@@ -59,21 +56,29 @@ def test_inverse_and_canonical_word(group):
     for _ in range(300):
         w = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 7))]
         g = group.element_from_word(w)
-        assert mul(g, inv(g)).is_identity()
+        assert group.multiply(g, group.invert(g)).is_identity()
         assert group.element_from_word(g.word) == g
+
+
+def test_iter_ball_ends_for_negative_and_fractional_radii():
+    # on an infinite group a radius that no depth equals must still end the scan
+    line = ZdGroup(1, ())
+    with pytest.raises(ValueError):
+        list(itertools.islice(iter_ball(line, -1), 50))
+    assert list(itertools.islice(iter_ball(line, 2.5), 50)) == ball_elements(line, 3)
 
 
 def test_zd_examples():
     z2 = ZdGroup(2, ())
-    assert mul(z2.parse_element("a"), z2.parse_element("b")).payload == (1, 1)
+    assert z2.multiply(z2.parse_element("a"), z2.parse_element("b")).payload == (1, 1)
     z3 = ZdGroup(3, ())
-    assert inv(z3.element_from_word([1, 2, 2, -3])).payload == (-1, -2, 1)
+    assert z3.invert(z3.element_from_word([1, 2, 2, -3])).payload == (-1, -2, 1)
 
 
 def test_free_examples():
     f = FreeGroup(2)
-    assert mul(f.parse_element("a"), f.parse_element("A")).is_identity()
-    assert inv(f.parse_element("a b")).word == (-2, -1)
+    assert f.multiply(f.parse_element("a"), f.parse_element("A")).is_identity()
+    assert f.invert(f.parse_element("a b")).word == (-2, -1)
 
 
 def test_bs_normal_form_against_affine_model():
@@ -88,17 +93,17 @@ def test_bs_normal_form_against_affine_model():
 
 def test_bs_rewrite_example():
     g = BsGroup(1, 2)
-    xt = mul(g.parse_element("x"), g.parse_element("t"))
+    xt = g.multiply(g.parse_element("x"), g.parse_element("t"))
     assert g.word_str(xt) == "t x x"
 
 
 def test_subgroup_membership():
     z = ZdGroup(2, (0,))
-    assert in_subgroup(z.element_from_word([1, 1, 1]))
-    assert not in_subgroup(z.element_from_word([1, 1, 1, 2]))
+    assert z.is_in_k(z.element_from_word([1, 1, 1]))
+    assert not z.is_in_k(z.element_from_word([1, 1, 1, 2]))
     b = BsGroup(1, 2)
-    assert in_subgroup(b.element_from_word([1] * 5))
-    assert not in_subgroup(b.parse_element("t"))
+    assert b.is_in_k(b.element_from_word([1] * 5))
+    assert not b.is_in_k(b.parse_element("t"))
 
 
 def test_coset_reps():
@@ -119,8 +124,8 @@ def test_coset_rep_idempotent_and_constant(group):
         rep = coset_of(g).rep
         assert coset_of(rep).rep == rep
         k = rng.choice(k_ball(group, 3))
-        assert coset_of(mul(g, k)) == coset_of(g)
-        assert in_subgroup(mul(inv(rep), g))
+        assert coset_of(group.multiply(g, k)) == coset_of(g)
+        assert group.is_in_k(group.multiply(group.invert(rep), g))
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: repr(g))
@@ -135,9 +140,9 @@ def test_coset_cocycle_identity(group):
         g1 = group.element_from_word(w1)
         g2 = group.element_from_word(w2)
         c = coset_of(group.element_from_word(ws))
-        moved = coset_of(mul(g2, c.rep))
-        lhs = coset_cocycle(mul(g1, g2), c)
-        rhs = mul(coset_cocycle(g1, moved), coset_cocycle(g2, c))
+        moved = coset_of(group.multiply(g2, c.rep))
+        lhs = coset_cocycle(group.multiply(g1, g2), c)
+        rhs = group.multiply(coset_cocycle(g1, moved), coset_cocycle(g2, c))
         assert lhs == rhs
     assert coset_cocycle(group.identity(), base).is_identity()
 

@@ -135,7 +135,7 @@ def test_parity_oracle_per_candidate(line):
     rng = random.Random(4)
     shift = group.letter_element(1)
     for _ in range(200):
-        cells = rng.sample(list(graph.norms), rng.randrange(0, 10))
+        cells = rng.sample(graph.cosets, rng.randrange(0, 10))
         candidate = frozenset(cells)
         shifted = frozenset(coset_of(group.multiply(shift, c.rep)) for c in candidate)
         assert len(candidate ^ shifted) % 2 == 0
@@ -207,7 +207,7 @@ def test_sign_cocycle_spec_is_a_cocycle(line):
         w = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 4))]
         g = group.element_from_word(w)
         expected = sign_cocycle(group, b, g, y)
-        got = evaluate(spec, g, y, graph)
+        got = evaluate(spec, g, y)
         assert (expected == 1) == got.is_identity()
 
 

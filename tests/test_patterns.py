@@ -36,7 +36,7 @@ def test_alphabet_validation():
 
 
 def test_alphabet_homomorphism_property():
-    from relend.groups import k_ball, mul
+    from relend.groups import k_ball
 
     group = BsGroup(1, 2)
     alpha = Alphabet(("p", "0", "1", "2"), "p", (("x", (0, 2, 3, 1)),))
@@ -46,7 +46,7 @@ def test_alphabet_homomorphism_property():
             p1 = alpha.permutation_of(group, k1)
             p2 = alpha.permutation_of(group, k2)
             composed = tuple(p1[p2[i]] for i in range(4))
-            assert composed == alpha.permutation_of(group, mul(k1, k2))
+            assert composed == alpha.permutation_of(group, group.multiply(k1, k2))
 
 
 def test_act_identity_and_empty(setup):

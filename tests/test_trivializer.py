@@ -4,7 +4,14 @@ import pytest
 
 from relend.coset_graph import BallCache
 from relend.errors import NotFoundError, NotOneEndedError
-from relend.groups import FreeGroup, ZdGroup, ZmodGroup, ball_elements, coset_of
+from relend.groups import (
+    FreeGroup,
+    ZdGroup,
+    ZmodGroup,
+    ball_elements,
+    coset_of,
+    iter_ball,
+)
 from relend.cocycles import (
     constant_cocycle,
     evaluate,
@@ -54,8 +61,8 @@ def test_far_element_deterministic_shortlex(grid_setting):
     # cached and reused
     assert worker.far_element(3) is g
     graph = cache.at_least(5)
-    assert graph.norms[coset_of(g)] > 3
-    assert graph.norms[coset_of(group.invert(g))] > 3
+    assert graph.norm(coset_of(g)) > 3
+    assert graph.norm(coset_of(group.invert(g))) > 3
     # threshold zero: the first generator already qualifies
     assert worker.far_element(0).payload == (1, 0)
 
@@ -113,7 +120,7 @@ def test_too_small_threshold_can_break_independence(grid_setting):
         candidates = worker._far_candidates(0, 6)
         values = {
             target.multiply(
-                target.invert(evaluate(c, g, y, graph)),
+                target.invert(evaluate(c, g, y)),
                 worker.homomorphism(g),
             )
             for g in candidates
@@ -202,6 +209,32 @@ def test_lazy_far_scan_matches_full_ball(group):
         assert len(expected) == 5
         assert worker._far_candidates(t, 5) == expected
         assert worker.far_element(t) == expected[0]
+
+
+def test_far_scan_runs_once_per_threshold(grid_setting, monkeypatch):
+    # far_element and verify_choice_independence share one scan of the word
+    # ball per threshold, resumed when a later call asks for more elements
+    import relend.trivialize as module
+
+    group, cache, alpha, target, c = grid_setting
+    radii = []
+
+    def counting(group, radius, *rest):
+        radii.append(radius)
+        return iter_ball(group, radius, *rest)
+
+    monkeypatch.setattr(module, "iter_ball", counting)
+    worker = Trivializer(cache, c, seed=1)
+    y = random_pattern(cache.at_least(8), alpha, 2, random.Random(6))
+    threshold = worker.capacity_at(worker._norm(y) + c.window)
+    first = worker.far_element(threshold)
+    for _ in range(3):
+        assert worker.verify_choice_independence(y, trials=5)
+        assert worker.far_element(threshold) is first
+    assert radii == [threshold + worker.far_search_slack]
+    assert worker._far_candidates(threshold, 5) == _old_far_candidates(
+        worker, threshold, 5
+    )
 
 
 def test_truncation_junk_never_lands_on_the_support(monkeypatch):
