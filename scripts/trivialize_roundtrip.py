@@ -34,7 +34,7 @@ def main() -> int:
         cache = BallCache(group)
         cocycle = plant_cocycle(
             group, alphabet, ZmodGroup((2,)), args.b0_window, args.seed,
-            cache.at_least(max(args.b0_window + 1, 6)),
+            cache.at_least(args.b0_window),
         )
         started = time.perf_counter()
         table, report = Trivializer(cache, cocycle, seed=args.seed).run(

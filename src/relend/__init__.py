@@ -54,7 +54,6 @@ from .groups import (
     ball_elements,
     coset_cocycle,
     coset_of,
-    find_separated_element,
     iter_ball,
     k_ball,
     verify_witness,

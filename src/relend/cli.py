@@ -114,15 +114,12 @@ def _cmd_trivialize(
     alphabet = alphabet or _default_alphabet()
     cache = BallCache(group)
     if args.plant:
-        graph = cache.at_least(max(args.b0_window + 1, 4))
+        graph = cache.at_least(args.b0_window)
         cocycle = plant_cocycle(
             group, alphabet, ZmodGroup((2,)), args.b0_window, args.seed, graph
         )
     elif args.cocycle_path:
-        graph = cache.at_least(4)
-        cocycle = cocycle_from_json(
-            group, alphabet, load_json(args.cocycle_path), graph
-        )
+        cocycle = cocycle_from_json(group, alphabet, load_json(args.cocycle_path))
     else:
         raise ConfigError("trivialize needs --cocycle FILE or --plant")
     try:
@@ -159,26 +156,26 @@ def _cmd_verify(
     args: argparse.Namespace, group: Group, alphabet: Alphabet | None
 ) -> int:
     alphabet = alphabet or _default_alphabet()
+    cocycle = cocycle_from_json(group, alphabet, load_json(args.cocycle_path))
     cache = BallCache(group)
-    graph = cache.at_least(max(4, args.radius))
-    if not args.cocycle_path:
-        raise ConfigError("verify needs --cocycle FILE")
-    cocycle = cocycle_from_json(
-        group, alphabet, load_json(args.cocycle_path), graph
-    )
     rng = random.Random(args.seed)
-    relations = verify_relations(cocycle, graph, args.samples, rng)
+    relations = verify_relations(cocycle, cache, args.samples, rng)
     lines = [f"seed: {args.seed}"]
     mark = "PASS" if relations.ok else "FAIL"
     lines.append(f"{mark} relations: {relations.checked} relator evaluations")
-    window_ok = _window_soundness(cocycle, graph, rng, trials=20)
+    window_ok = _window_soundness(cocycle, cache, rng, trials=20)
     lines.append(("PASS" if window_ok else "FAIL") + " window_soundness")
     _write_text(args.report, lines)
     return 0 if relations.ok and window_ok else 1
 
 
-def _window_soundness(cocycle, graph, rng, trials: int) -> bool:
-    """Perturbing a configuration outside the window must not change values."""
+def _window_soundness(cocycle, cache, rng, trials: int) -> bool:
+    """Perturbing a configuration outside the window must not change values.
+
+    The junk lands past the window in ball(window + 2), so on at least the
+    two spheres beyond it.
+    """
+    graph = cache.at_least(cocycle.window + 2)
     outside = graph.cosets[graph.ball_size(cocycle.window) :]
     if not outside:
         return True
@@ -233,7 +230,7 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--report", help="text report path (stdout when omitted)")
 
     v = sub.add_parser("verify", help="check a cocycle table file")
-    common(v, _cmd_verify, radius=True)
+    common(v, _cmd_verify)
     v.add_argument("--cocycle", dest="cocycle_path", required=True)
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--report", help="text report path (stdout when omitted)")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .coset_graph import CosetGraph, Path
+from .coset_graph import BallCache, CosetGraph, Path
 from .errors import (
     ConfigError,
     InsufficientRadiusError,
@@ -178,18 +178,9 @@ class CocycleSpec:
             self.target,
             self.window,
             tables,
-            None if self.rule is None else _shadow_rule(self.rule, letter, key, value),
+            self.rule,  # ``factor`` reads the overwritten entry before the rule
             self.derivation,
         )
-
-
-def _shadow_rule(rule, letter, key, value):
-    def shadowed(l: Letter, p: Pattern) -> GroupElement:
-        if l == letter and p.entries == key:
-            return value
-        return rule(l, p)
-
-    return shadowed
 
 
 def evaluate_word(c: CocycleSpec, word, y: Pattern) -> GroupElement:
@@ -230,18 +221,20 @@ class RelationReport:
 
 def verify_relations(
     c: CocycleSpec,
-    graph: CosetGraph,
+    cache: BallCache,
     samples: int = 20,
     rng: random.Random | None = None,
     max_norm: int = 3,
 ) -> RelationReport:
     """Evaluate every family relator on sampled patterns; all must vanish.
 
-    The empty configuration is always included in the sample.  A violation
+    The patterns are drawn from ball(max_norm), which the cache grows to;
+    the empty configuration is always included in the sample.  A violation
     means the tables do not define a cocycle (word-independence fails).
     """
     rng = rng or random.Random(0)
     region = c.region
+    graph = cache.at_least(max_norm)
     pats = [empty_pattern(c.alphabet)] + [
         random_pattern(graph, c.alphabet, max_norm, rng) for _ in range(samples)
     ]

@@ -729,31 +729,3 @@ def verify_witness(group: Group, w: Witness, radius: int) -> bool:
             return False
     return True
 
-
-def find_separated_element(
-    group: Group,
-    left: Sequence[GroupElement],
-    right: Sequence[GroupElement],
-    radius: int,
-) -> GroupElement | None:
-    """First nonidentity g in the word ball with g outside F * K * F'^-1.
-
-    Returns None when the ball is exhausted; that signals the radius was too
-    small, not that no such element exists.
-    """
-    left_inv = [group.invert(f) for f in left]
-    for g in iter_ball(group, radius):
-        if g.is_identity():
-            continue
-        hit = False
-        for fi in left_inv:
-            fig = group.multiply(fi, g)
-            for f2 in right:
-                if group.is_in_k(group.multiply(fig, f2)):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            return g
-    return None

@@ -205,6 +205,11 @@ def random_pattern(
     max_entries: int = 6,
 ) -> Pattern:
     """A random finite-support pattern with support norm at most ``max_norm``."""
+    if max_norm > graph.radius:
+        raise InsufficientRadiusError(
+            f"patterns of norm {max_norm} need a ball of that radius; "
+            f"built radius {graph.radius}"
+        )
     region = graph.cosets[: graph.ball_size(max_norm)]
     non_default = [s for s in alphabet.symbols if s != alphabet.x0]
     count = rng.randrange(0, min(max_entries, len(region)) + 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .cocycles import CocycleSpec, pattern_key, window_patterns, window_region
+from .cocycles import CocycleSpec, pattern_key, window_patterns
 from .coset_graph import CosetGraph
 from .errors import ConfigError
 from .groups import (
@@ -163,10 +163,9 @@ def _key_texts(keys: Iterable[frozenset]) -> dict[str, frozenset]:
 
 
 def _window_keys(
-    group: Group, alphabet: Alphabet, window: int, graph: CosetGraph, limit: int
+    alphabet: Alphabet, region: frozenset[CosetId], limit: int
 ) -> dict[str, frozenset]:
-    """Text and key of every pattern of the window, refused over ``limit``."""
-    region = window_region(graph, window)
+    """Text and key of every pattern on the window cells, refused over ``limit``."""
     count = len(alphabet.symbols) ** len(region)
     if count > limit:
         raise ConfigError(
@@ -176,10 +175,12 @@ def _window_keys(
     return _key_texts(pattern_key(p) for p in window_patterns(region, alphabet))
 
 
-def cocycle_from_json(
-    group: Group, alphabet: Alphabet, data: dict, graph: CosetGraph
-) -> CocycleSpec:
-    """Load an explicit cocycle table; it must be total over its window."""
+def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSpec:
+    """Load an explicit cocycle table; it must be total over its window.
+
+    The rows are keyed on the patterns of the loaded cocycle's own window
+    ball, so no caller sizes a ball for the loader.
+    """
     if not isinstance(data, dict):
         raise ConfigError("a cocycle file must hold a JSON object")
     try:
@@ -188,11 +189,14 @@ def cocycle_from_json(
         raw_tables = data["tables"]
     except KeyError as missing:
         raise ConfigError(f"cocycle config is missing {missing}") from None
+    if window < 0:
+        raise ConfigError(f"window must be nonnegative, got {window}")
     if not isinstance(raw_tables, dict):
         raise ConfigError("cocycle tables must be an object keyed by generator names")
-    keys = _window_keys(group, alphabet, window, graph, TABLE_LIMIT)
+    spec = CocycleSpec(group, alphabet, target, window)
+    keys = _window_keys(alphabet, spec.region, TABLE_LIMIT)
     values: dict[str, GroupElement] = {}  # each distinct target word parsed once
-    tables: dict[int, dict[frozenset, GroupElement]] = {}
+    tables = spec.tables
     for token, rows in raw_tables.items():
         table = tables[group.parse_token(token)] = {}
         if not isinstance(rows, list):
@@ -222,14 +226,17 @@ def cocycle_from_json(
                     f"cocycle table for {group.letter_name(letter)} is "
                     f"missing window pattern {text!r}"
                 )
-    return CocycleSpec(group, alphabet, target, window, tables, None, None)
+    return spec
 
 
 def cocycle_to_json(
     spec: CocycleSpec, graph: CosetGraph, limit: int = TABLE_LIMIT
 ) -> dict:
-    """Emit a cocycle as explicit tables, materialising rule-backed entries."""
-    keys = _window_keys(spec.group, spec.alphabet, spec.window, graph, limit)
+    """Emit a cocycle as explicit tables, materialising rule-backed entries.
+
+    The keys come from ``spec.region``; ``graph`` is not read.
+    """
+    keys = _window_keys(spec.alphabet, spec.region, limit)
     tables: dict[str, list] = {}
     for letter in spec.group.s_letters:
         rows = [

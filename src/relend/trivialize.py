@@ -22,7 +22,7 @@ from .cocycles import (
     window_region,
 )
 from .ends import capacity, estimate_ends
-from .errors import InsufficientRadiusError, NotFoundError, NotOneEndedError
+from .errors import NotFoundError, NotOneEndedError
 from .groups import GroupElement, Letter, coset_of, iter_ball
 from .patterns import (
     Pattern,
@@ -140,7 +140,7 @@ class Trivializer:
     def _far_scan(self, threshold: int, count: int) -> list[GroupElement]:
         group = self.group
         rep, inv = group._coset_rep_payload, group._inv_payload
-        graph = self.cache.at_least(max(threshold, 1))
+        graph = self.cache.at_least(threshold)
         # a coset is near when its id is below the ball's size; ids outside
         # the built graph count as far
         top, find = graph.ball_size(threshold), graph.index.get
@@ -156,14 +156,13 @@ class Trivializer:
         return out
 
     def _norm(self, y: Pattern) -> int:
-        guess = self.cache.at_least(max(self.cocycle.window, 1)).radius
-        for _ in range(64):
-            graph = self.cache.at_least(guess)
-            try:
-                return pattern_norm(graph, y)
-            except InsufficientRadiusError:
-                guess += 4
-        raise NotFoundError("pattern support not reachable within 256 extra radius")
+        """y's support norm; the cache grows one radius at a time until the
+        support fits, and the vertex budget bounds the growth."""
+        support = y.support()
+        graph = self.cache.at_least(0)
+        while not all(c in graph for c in support):
+            graph = self.cache.at_least(graph.radius + 1)
+        return pattern_norm(graph, y)
 
     def _pull_back(self, g: GroupElement, y: Pattern) -> GroupElement:
         """c(g, y)^-1 * hom(g), the transfer value when g is far enough."""
@@ -215,7 +214,7 @@ class Trivializer:
     def verify_locality(self, trials: int, rng: random.Random) -> bool:
         """Pairs agreeing on the 3L ball must share their transfer value."""
         window = self.cocycle.window
-        graph = self.cache.at_least(3 * window + 3)
+        graph = self.cache.at_least(3 * window + 2)
         region = window_region(graph, 3 * window)
         lo, hi = graph.ball_size(3 * window), graph.ball_size(3 * window + 2)
         outside = graph.cosets[lo:hi]
@@ -260,8 +259,7 @@ class Trivializer:
         if not fixed:
             return self.table, report
 
-        graph = self.cache.at_least(max(cocycle.window, 1))
-        relations = verify_relations(cocycle, graph, relation_samples, rng)
+        relations = verify_relations(cocycle, self.cache, relation_samples, rng)
         report.add(
             "relations",
             relations.ok,
@@ -313,10 +311,9 @@ class Trivializer:
                 planted_consts.add(self.target.multiply(pd.b0_of(y), ext))
             # literal form of the extension step: values must only depend on
             # the configuration out to |g^-1 K| + 3*window, so junk planted
-            # beyond that radius cannot change the evaluation
-            ginv = coset_of(group.invert(g))
-            gnorm = big.norm(ginv) if ginv in big else big.radius
-            cut = min(gnorm + 3 * cocycle.window, big.radius)
+            # beyond that radius cannot change the evaluation; |g^-1 K| <=
+            # |g| <= max_word, so ball(cut + 2) lies inside big
+            cut = big.norm(coset_of(group.invert(g))) + 3 * cocycle.window
             zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
             if cut < max_norm:  # the zone meets y's support; junk goes off it
                 support = y.support()

@@ -299,14 +299,14 @@ def test_criterion_8_negative_controls():
     alpha = trivial_alphabet(("0", "1"), "0")
     target = ZmodGroup((2,))
     cocycle = plant_cocycle(group, alpha, target, 0, 13, graph)
-    ok = verify_relations(cocycle, graph, samples=5, rng=random.Random(1)).ok
+    ok = verify_relations(cocycle, BallCache(group), samples=5, rng=random.Random(1)).ok
     key = pattern_key(empty_pattern(alpha))
     honest = cocycle.factor(1, empty_pattern(alpha))
     corrupted = cocycle.corrupted(
         1, key, target.multiply(honest, target.letter_element(1))
     )
     ok = ok and not verify_relations(
-        corrupted, graph, samples=5, rng=random.Random(2)
+        corrupted, BallCache(group), samples=5, rng=random.Random(2)
     ).ok
 
     free_group = FreeGroup(2)

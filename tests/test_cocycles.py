@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relend.coset_graph import Path, build_ball, neighborhood
+from relend.coset_graph import BallCache, Path, build_ball, neighborhood
 from relend.errors import InternalError
 from relend.groups import ZdGroup, ZmodGroup, coset_of
 from relend.cocycles import (
@@ -89,7 +89,7 @@ def test_constant_cocycle_leaves_its_images_argument_alone(setting):
 
 def test_verify_relations_planted_passes(setting):
     group, graph, alpha, target, c = setting
-    report = verify_relations(c, graph, samples=15, rng=random.Random(2))
+    report = verify_relations(c, BallCache(group), samples=15, rng=random.Random(2))
     assert report.ok and report.checked > 0
 
 
@@ -99,7 +99,7 @@ def test_verify_relations_flags_corruption(setting):
     honest = c.factor(1, empty_pattern(alpha))
     bad = target.multiply(honest, target.letter_element(1))
     corrupted = c.corrupted(1, key, bad)
-    report = verify_relations(corrupted, graph, samples=5, rng=random.Random(3))
+    report = verify_relations(corrupted, BallCache(group), samples=5, rng=random.Random(3))
     assert not report.ok
 
 

@@ -112,7 +112,7 @@ def test_cocycle_json_round_trip(name):
     graph = BallCache(group).at_least(4)
     spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, 29, graph)
     data = cocycle_to_json(spec, graph)
-    loaded = cocycle_from_json(group, alphabet, data, graph)
+    loaded = cocycle_from_json(group, alphabet, data)
     assert cocycle_to_json(loaded, graph) == data
     # the loaded table answers every lookup the planted rule answered
     payloads = lambda tables: {
@@ -128,7 +128,7 @@ def test_planted_cocycles_pass_relations(name):
     graph = BallCache(group).at_least(6)
     for b0_window in (0, 1):
         spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), b0_window, 8, graph)
-        report = verify_relations(spec, graph, samples=15, rng=random.Random(5))
+        report = verify_relations(spec, BallCache(group), samples=15, rng=random.Random(5))
         assert report.ok and report.checked == 16 * len(group.relator_words())
 
 
@@ -143,7 +143,7 @@ def test_spec_region_is_the_window_ball(name):
     graph = BallCache(group).at_least(4)
     planted = plant_cocycle(group, alphabet, target, 0, 29, graph)
     loaded = cocycle_from_json(
-        group, alphabet, cocycle_to_json(planted, graph), graph
+        group, alphabet, cocycle_to_json(planted, graph)
     )
     specs = [
         planted,

@@ -17,7 +17,6 @@ from relend.groups import (
     ball_elements,
     coset_cocycle,
     coset_of,
-    find_separated_element,
     iter_ball,
     k_ball,
     verify_witness,
@@ -182,19 +181,6 @@ def test_witness_values():
     z = ZdGroup(2, (0,))
     assert witness(z, 1).elements == (z.identity(),)  # generator inside K
     assert witness(z, 2).elements == (z.letter_element(2),)
-
-
-def test_find_separated_element():
-    z = ZdGroup(2, (0,))
-    e = z.identity()
-    g = find_separated_element(z, [e], [e], 3)
-    assert g is not None and g.payload == (0, 1)
-    # empty families: the first nonidentity element qualifies
-    g = find_separated_element(z, [], [], 2)
-    assert g is not None and not g.is_identity()
-    # finite index: zd(1) with K = everything, the union covers G
-    full = ZdGroup(1, (0,))
-    assert find_separated_element(full, [full.identity()], [full.identity()], 4) is None
 
 
 @given(st.data())

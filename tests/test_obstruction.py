@@ -196,7 +196,7 @@ def test_sign_cocycle_spec_is_a_cocycle(line):
     from relend.cocycles import verify_relations
 
     graph = cache.at_least(8)
-    assert verify_relations(spec, graph, samples=10, rng=random.Random(6)).ok
+    assert verify_relations(spec, cache, samples=10, rng=random.Random(6)).ok
     # spec evaluation matches the direct sign computation
     from relend.cocycles import evaluate
 

@@ -138,6 +138,17 @@ def test_restrict(setup):
     assert restrict(y, y.support()) == y
 
 
+def test_random_pattern_refuses_a_ball_below_its_norm(setup):
+    group, graph, alpha = setup
+    small = build_ball(group, 2)
+    with pytest.raises(InsufficientRadiusError, match="built radius 2"):
+        random_pattern(small, alpha, 3, random.Random(1))
+    # at the built radius it draws, and from the same cells as a larger ball
+    assert random_pattern(small, alpha, 2, random.Random(1)) == random_pattern(
+        graph, alpha, 2, random.Random(1)
+    )
+
+
 def test_fixed_point_checks():
     group = BsGroup(1, 2)
     alpha = Alphabet(("p", "0", "1", "2"), "p", (("x", (0, 2, 3, 1)),))

@@ -224,14 +224,22 @@ def _window0(tables):
         _window0({"a": [["", "a", "a"]]}),
         _window0({"a": [[None, "a"]]}),
         {"window": [], "H": {"family": "zmod", "mods": [2]}, "tables": {}},
+        {"window": -1, "H": {"family": "zmod", "mods": [2]}, "tables": {}},
     ],
     ids=["tables-list", "word-int", "not-object", "empty-name", "rows-object",
-         "row-triple", "key-null", "window-list"],
+         "row-triple", "key-null", "window-list", "window-negative"],
 )
 def test_malformed_cocycle_file_exits_two_with_one_line(tmp_path, cocycle):
     code, err = _verify_cocycle(tmp_path, cocycle)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_negative_window_is_named_in_the_message(tmp_path):
+    cocycle = {"window": -1, "H": {"family": "zmod", "mods": [2]}, "tables": {}}
+    assert _verify_cocycle(tmp_path, cocycle) == (
+        2, "config error: window must be nonnegative, got -1\n"
+    )
 
 
 ROW_TEXTS = ["", "e=1", "a=1", "x"]

@@ -84,8 +84,8 @@ def test_cocycle_totality_enforced():
     graph = build_ball(group, 5)
     spec = plant_cocycle(group, alpha, ZmodGroup((2,)), 0, 5, graph)
     data = cocycle_to_json(spec, graph)
-    loaded = cocycle_from_json(group, alpha, data, graph)
+    loaded = cocycle_from_json(group, alpha, data)
     assert loaded.window == spec.window
     del data["tables"]["a"][0]
     with pytest.raises(ConfigError):
-        cocycle_from_json(group, alpha, data, graph)
+        cocycle_from_json(group, alpha, data)

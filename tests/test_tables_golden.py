@@ -1,0 +1,156 @@
+"""Byte-level digests of ``relend verify`` and ``relend trivialize`` runs.
+
+Each case pins the sha256 of (exit code, stdout, stderr, report file,
+transfer JSON) for one argument list, so any change to cocycle loading, the
+relation and window checks or the trivialize pipeline that moves a byte of a
+report, a transfer table, a message or an exit code shows up here.  The
+cocycle files are window-1 tables planted with ``plant_cocycle`` and written
+with ``cocycle_to_json``, one per pair of the benchmark's tables workload.
+The cases verify each file at two seeds, trivialize each file, verify one
+file with a corrupted entry, and plant-and-trivialize at b0-windows 0 and 1.
+
+To re-record after an intended change, run this file as a script; it prints
+the table below.
+"""
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from relend.cli import main
+from relend.cocycles import plant_cocycle
+from relend.coset_graph import BallCache
+from relend.groups import ZmodGroup
+from relend.patterns import trivial_alphabet
+from relend.serialize import cocycle_to_json, group_from_config
+
+CONFIGS = {
+    "zd2": {"family": "zd", "d": 2, "k_coords": []},
+    "zd3": {"family": "zd", "d": 3, "k_coords": []},
+    "zd3k0": {"family": "zd", "d": 3, "k_coords": [0]},
+    "free2": {"family": "free", "rank": 2, "k": "trivial"},
+    "bs12": {"family": "bs", "m": 1, "n": 2},
+}
+PLANT_SEED = 11  # seed of every planted cocycle file
+
+# (command, pair, seed, extra arguments)
+CASES = (
+    [("verify", pair, seed, ()) for pair in CONFIGS for seed in (1, 2)]
+    + [("trivialize", pair, 1, ("--samples", "12")) for pair in CONFIGS]
+    + [("verify-corrupt", "zd2", 1, ())]
+    + [
+        ("plant", pair, 1, ("--b0-window", str(w), "--samples", "12"))
+        for pair in ("zd2", "zd3k0", "bs12")
+        for w in (0, 1)
+    ]
+)
+
+
+def _name(case):
+    command, pair, seed, extra = case
+    return "-".join([command, pair, f"s{seed}", *(a.lstrip("-") for a in extra)])
+
+
+def _write_cocycle(pair: str, path: Path, corrupt: bool) -> None:
+    group = group_from_config(CONFIGS[pair])
+    alphabet = trivial_alphabet(("0", "1"), "0")
+    graph = BallCache(group).at_least(1)
+    spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, PLANT_SEED, graph)
+    data = cocycle_to_json(spec, graph)
+    if corrupt:  # flip the value of the first row of the first generator
+        row = data["tables"][sorted(data["tables"])[0]][0]
+        row[1] = "" if row[1] else "a"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def run_case(case, workdir: Path) -> str:
+    command, pair, seed, extra = case
+    config = workdir / f"{pair}.json"
+    config.write_text(json.dumps(CONFIGS[pair]))
+    report, transfer = workdir / "report.txt", workdir / "transfer.json"
+    for f in (report, transfer):
+        f.unlink(missing_ok=True)
+    argv = ["--config", str(config), "--seed", str(seed), "--report", str(report)]
+    if command == "plant":
+        argv = ["trivialize", *argv, "--plant", "--out", str(transfer)]
+    else:
+        cocycle = workdir / "cocycle.json"
+        _write_cocycle(pair, cocycle, command == "verify-corrupt")
+        argv = [command.split("-")[0], *argv, "--cocycle", str(cocycle)]
+        if command == "trivialize":
+            argv += ["--out", str(transfer)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + list(extra))
+    digest = hashlib.sha256()
+    parts = [str(code).encode(), out.getvalue().encode(), err.getvalue().encode()]
+    parts += [f.read_bytes() if f.exists() else b"<no file>" for f in (report, transfer)]
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+GOLDEN = {
+    "verify-zd2-s1":
+        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+    "verify-zd2-s2":
+        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+    "verify-zd3-s1":
+        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
+    "verify-zd3-s2":
+        "cc2617cdcdb54ed21c61322ffe316ad4b2e3fd46fbfcc7aea4431a5d618e3c5d",
+    "verify-zd3k0-s1":
+        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
+    "verify-zd3k0-s2":
+        "cc2617cdcdb54ed21c61322ffe316ad4b2e3fd46fbfcc7aea4431a5d618e3c5d",
+    "verify-free2-s1":
+        "957bd46e81e8619f55f93942b3adbb8ed3797a5aad6059b6ad64d439a2173f39",
+    "verify-free2-s2":
+        "b1721e88b2d5c56568b19b109bec19ac6c8e95e3becc873bea788a0cc978e169",
+    "verify-bs12-s1":
+        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+    "verify-bs12-s2":
+        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+    "trivialize-zd2-s1-samples-12":
+        "d0c8fb250aab9a6fe94e2e61db3948d49ff2d65c15428ab523f20679e0fce3b3",
+    "trivialize-zd3-s1-samples-12":
+        "9dd1ac35e86fc0bc1ea846840d7dac6387416af9d693b8d801a8fe264d177dcb",
+    "trivialize-zd3k0-s1-samples-12":
+        "4f52b9c016a9a08f044a289f6dff2fb8596bc06652342727775f28dd8a3f85c1",
+    "trivialize-free2-s1-samples-12":
+        "c20ad46b5490f5d95e488ccac08ae5e4b396040f1e1a01d8f7f11e83cd1f2577",
+    "trivialize-bs12-s1-samples-12":
+        "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
+    "verify-corrupt-zd2-s1":
+        "c078a646d351e35c2fab2a02a871ba88bbdff89b30d10452f0821f6a9536745e",
+    "plant-zd2-s1-b0-window-0-samples-12":
+        "77343e221469032abc7e6317d35fda0d9f4fa1c4b0e6aec743af17b19073cb80",
+    "plant-zd2-s1-b0-window-1-samples-12":
+        "60862076c05d1214cc7573baf3116281950496e07d496625e7aa1f82936005bc",
+    "plant-zd3k0-s1-b0-window-0-samples-12":
+        "95c79d6a7eb267af7583f420994be76c53518a8f99343d0ad217021fb3972eb6",
+    "plant-zd3k0-s1-b0-window-1-samples-12":
+        "8fcebc626f029d920508d3c0dbff238d50ec8efa99079020be3bd52bbe5616df",
+    "plant-bs12-s1-b0-window-0-samples-12":
+        "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
+    "plant-bs12-s1-b0-window-1-samples-12":
+        "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=_name)
+def test_tables_output_digest(case, tmp_path):
+    assert run_case(case, tmp_path) == GOLDEN[_name(case)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            sys.stdout.write(f'    "{_name(case)}":\n')
+            sys.stdout.write(f'        "{run_case(case, Path(tmp))}",\n')

@@ -21,6 +21,7 @@ from relend.cocycles import (
 )
 from relend.patterns import (
     empty_pattern,
+    make_pattern,
     random_pattern,
     restrict,
     scatter_junk,
@@ -282,3 +283,15 @@ def test_largest_ball_does_not_depend_on_the_seed():
         assert report.ok
         radii.add(cache.at_least(0).radius)
     assert radii == {11}
+
+
+def test_norm_grows_the_cache_one_radius_at_a_time():
+    group = ZdGroup(2, ())
+    alpha = trivial_alphabet(("0", "1"), "0")
+    cocycle = constant_cocycle(group, alpha, ZmodGroup((2,)), {}, window=1)
+    cache = BallCache(group)
+    worker = Trivializer(cache, cocycle)
+    far = make_pattern(alpha, {coset_of(group.parse_element("a a a b b b b")): "1"})
+    assert worker._norm(far) == 7 and cache.at_least(0).radius == 7
+    assert worker._norm(empty_pattern(alpha)) == 0
+    assert cache.at_least(0).radius == 7

@@ -52,7 +52,7 @@ def test_json_boundary_refuses_colliding_texts(zd5, tmp_path):
         cocycle_to_json(spec, graph)
     data = {"window": 1, "H": {"family": "zmod", "mods": [2]}, "tables": {}}
     with pytest.raises(ConfigError, match="share the JSON key"):
-        cocycle_from_json(group, ALPHA, data, graph)
+        cocycle_from_json(group, ALPHA, data)
     table = TransferTable(1)
     for p in _colliding_pair(group):
         table.entries[pattern_key(p)] = ZmodGroup((2,)).identity()
@@ -75,18 +75,18 @@ def test_loader_refuses_unknown_repeated_and_oversized_rows():
     graph = build_ball(group, 4)
     spec = plant_cocycle(group, ALPHA, ZmodGroup((2,)), 0, 5, graph)
     data = cocycle_to_json(spec, graph)
-    assert cocycle_from_json(group, ALPHA, data, graph).window == 1
+    assert cocycle_from_json(group, ALPHA, data).window == 1
     repeated = json.loads(json.dumps(data))
     repeated["tables"]["a"].append(list(repeated["tables"]["a"][0]))
     with pytest.raises(ConfigError, match="repeated"):
-        cocycle_from_json(group, ALPHA, repeated, graph)
+        cocycle_from_json(group, ALPHA, repeated)
     unknown = json.loads(json.dumps(data))
     unknown["tables"]["a"][0][0] = "a a a=1"
     with pytest.raises(ConfigError, match="unknown"):
-        cocycle_from_json(group, ALPHA, unknown, graph)
+        cocycle_from_json(group, ALPHA, unknown)
     # 13 cells at window 2: 8192 rows per generator, over the limit
     with pytest.raises(ConfigError, match="over the limit"):
-        cocycle_from_json(group, ALPHA, dict(data, window=2), graph)
+        cocycle_from_json(group, ALPHA, dict(data, window=2))
 
 
 def test_window_patterns_enumerates_each_pattern_once():
