@@ -114,6 +114,8 @@ def _cmd_trivialize(
     alphabet = alphabet or _default_alphabet()
     cache = BallCache(group)
     if args.plant:
+        if args.b0_window < 0:
+            raise ConfigError(f"--b0-window must be nonnegative, got {args.b0_window}")
         graph = cache.at_least(args.b0_window)
         cocycle = plant_cocycle(
             group, alphabet, ZmodGroup((2,)), args.b0_window, args.seed, graph
@@ -176,7 +178,7 @@ def _window_soundness(cocycle, cache, rng, trials: int) -> bool:
     two spheres beyond it.
     """
     graph = cache.at_least(cocycle.window + 2)
-    outside = graph.cosets[graph.ball_size(cocycle.window) :]
+    outside = graph.cosets_slice(graph.ball_size(cocycle.window), graph.vertex_count())
     if not outside:
         return True
     for _ in range(trials):

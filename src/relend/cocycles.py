@@ -9,11 +9,14 @@ the frozenset of (coset, symbol) pairs: keys have no text form here, and the
 
 A cocycle carries its window: ``CocycleSpec.region`` holds the cells of the
 window ball, so evaluation takes no ball or region from its caller.
-Evaluation on a general element walks its canonical word.  Each letter moves
-the configuration through a per-cocycle table of letter steps, filled on
-first use from ``coset_of`` and ``coset_cocycle``, so the check that every
-K-correction lies in K runs once per distinct (letter, cell) pair.
-Word-independence is exactly the cocycle identity and is guarded by
+Evaluation on a general element walks its canonical word on cell ids: a
+spec interns each cell it meets as a small int, the window's cells first,
+and moves the configuration, a list of (id, symbol) pairs, through a
+per-cocycle table of letter steps.  A step is filled on first use from one
+product s * rep on payloads, so the check that every K-correction lies in K
+runs once per distinct (letter, cell) pair.  The ids never leave the spec:
+``factor`` gets the window pattern keyed by its (coset, symbol) entries, as
+before.  Word-independence is exactly the cocycle identity and is guarded by
 ``verify_relations``.  ``path_difference`` recomputes a difference of
 cocycle values along an edge path from per-edge subgroup witnesses and the
 uncached ``act``, giving a second, independent route to the same group
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
@@ -35,15 +39,7 @@ from .errors import (
     InternalError,
     NotFoundError,
 )
-from .groups import (
-    CosetId,
-    Group,
-    GroupElement,
-    Letter,
-    coset_cocycle,
-    coset_of,
-    k_ball,
-)
+from .groups import CosetId, Group, GroupElement, Letter, k_ball
 from .patterns import (
     Alphabet,
     Pattern,
@@ -106,13 +102,19 @@ class PlantedData:
 class CocycleSpec:
     """A block-coded cocycle G x Y -> H of window radius ``window``.
 
-    ``tables`` memoises generator values per window-pattern key; when a
-    ``rule`` is present, missing entries are computed on demand, so tables
-    over large windows never need to be materialised in full.  ``_steps``
-    maps (letter, cell) to the cell's image under the letter and the symbol
-    permutation of its K-correction, as a symbol map shared through
-    ``_images``; both depend only on the group and the alphabet, and take no
-    part in equality.  Neither does ``region``, the cells of the window ball.
+    ``tables`` memoises generator values per window-pattern key, the
+    frozenset of (coset, symbol) entries; when a ``rule`` is present, missing
+    entries are computed on demand, so tables over large windows never need
+    to be materialised in full.  ``region`` holds the cells of the window
+    ball.  For evaluation the spec interns each coset payload it meets as an
+    id in ``_ids``, the window cells (``_window_cells``, in BFS order) first,
+    so an id below len(region) is a window cell.  ``_letter_steps`` maps a
+    letter and a cell id to the id of the moved cell and the symbol map of
+    its K-correction, one map per distinct correction in ``_images``.  The
+    ids are internal: the keys of ``tables`` hold cosets, as they always
+    have.  These caches depend only on the group, the alphabet and the
+    window, and none of them takes part in equality.  Ids are numbered as
+    the spec evaluates, so one spec is evaluated by one thread at a time.
     """
 
     group: Group
@@ -122,13 +124,33 @@ class CocycleSpec:
     tables: dict[Letter, dict[frozenset, GroupElement]] = field(default_factory=dict)
     rule: Callable[[Letter, Pattern], GroupElement] | None = None
     derivation: object | None = None
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _letter_steps: dict = field(
+        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
+    )
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _window_cells(self) -> list[CosetId]:
+        graph = CosetGraph(self.group, self.window)
+        return graph.cosets_slice(0, graph.ball_size(self.window))
 
     @cached_property
     def region(self) -> frozenset[CosetId]:
         """The cells of the window ball; patterns restricted to it key ``tables``."""
-        return CosetGraph(self.group, self.window).ball_set(self.window)
+        return frozenset(self._window_cells)
+
+    @cached_property
+    def _payloads(self) -> list:
+        """The coset payload of every interned id."""
+        return [v.rep.payload for v in self._window_cells]
+
+    @cached_property
+    def _ids(self) -> dict[object, int]:
+        return {p: i for i, p in enumerate(self._payloads)}
+
+    @cached_property
+    def _letter_payloads(self) -> dict[Letter, object]:
+        return {l: self.group._letter_payload(l) for l in self.group.s_letters}
 
     def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
         table = self.tables.setdefault(letter, {})
@@ -144,27 +166,34 @@ class CocycleSpec:
         table[window_pattern.entries] = value
         return value
 
-    def _move(self, letter: Letter, y: Pattern) -> Pattern:
-        """act(s, y) for the letter s, one step-table lookup per cell."""
-        steps = self._steps
-        moved = []
-        for cell, symbol in y.entries:
-            step = steps.get((letter, cell))
-            if step is None:
-                step = steps[letter, cell] = self._new_step(letter, cell)
-            moved.append((step[0], step[1][symbol]))
-        return Pattern(y.alphabet, frozenset(moved))
+    def _intern(self, payload) -> int:
+        """The id of the cell with this coset payload, made on first sight."""
+        v = self._ids.get(payload)
+        if v is None:
+            v = self._ids[payload] = len(self._payloads)
+            self._payloads.append(payload)
+        return v
 
-    def _new_step(self, letter: Letter, cell: CosetId) -> tuple[CosetId, dict]:
+    def _new_step(self, letter: Letter, v: int) -> tuple[int, dict]:
+        """The id of s * cell v and the symbol map of the K-correction
+        rep(s c)^-1 * s * rep(c), with s the letter, from one product s * rep."""
         group, symbols = self.group, self.alphabet.symbols
-        g = group.letter_element(letter)
-        perm = self.alphabet.permutation_of(group, coset_cocycle(g, cell))
-        images = self._images.get(perm)
+        mul = group._mul_payload
+        moved = mul(self._letter_payloads[letter], self._payloads[v])
+        key = group._coset_rep_payload(moved)
+        correction = GroupElement(group, mul(group._inv_payload(key), moved))
+        if not group.is_in_k(correction):
+            raise InternalError(
+                f"coset correction {correction!r} is outside K; "
+                "coset_rep is inconsistent"
+            )
+        images = self._images.get(correction.payload)
         if images is None:
-            images = self._images[perm] = {
+            perm = self.alphabet.permutation_of(group, correction)
+            images = self._images[correction.payload] = {
                 s: symbols[perm[i]] for i, s in enumerate(symbols)
             }
-        return coset_of(group.multiply(g, cell.rep)), images
+        return self._intern(key), images
 
     def corrupted(
         self, letter: Letter, key: frozenset, value: GroupElement
@@ -184,16 +213,31 @@ class CocycleSpec:
 
 
 def evaluate_word(c: CocycleSpec, word, y: Pattern) -> GroupElement:
-    """Cocycle value along an explicit letter word (right-to-left expansion)."""
-    region = c.region
+    """Cocycle value along an explicit letter word (right-to-left expansion).
+
+    The configuration walks as (id, symbol) pairs; per letter only the
+    window pattern handed to ``factor`` is made of cosets.
+    """
     acc = c.target.identity()
-    z = y
     letters = tuple(word)[::-1]
+    if not letters:
+        return acc
+    cells, intern, steps = c._window_cells, c._intern, c._letter_steps
+    inside, alphabet, mul = len(cells), y.alphabet, c.target.multiply
+    z = [(intern(cell.rep.payload), s) for cell, s in y.entries]
     for i, letter in enumerate(letters):
         if i:  # moving after the last letter would be wasted work
-            z = c._move(letters[i - 1], z)
-        f = c.factor(letter, restrict(z, region))
-        acc = c.target.multiply(f, acc)
+            prev = letters[i - 1]
+            table = steps[prev]
+            moved = []
+            for v, s in z:
+                step = table.get(v)
+                if step is None:
+                    step = table[v] = c._new_step(prev, v)
+                moved.append((step[0], step[1][s]))
+            z = moved
+        key = frozenset([(cells[v], s) for v, s in z if v < inside])
+        acc = mul(c.factor(letter, Pattern(alphabet, key)), acc)
     return acc
 
 

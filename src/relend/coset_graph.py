@@ -12,7 +12,8 @@ the prefix, re-expanding the old boundary sphere and going on with the
 search: the ids equal a fresh build's.  Graphs are not changed after
 construction; the ``cosets`` and ``degree`` lists and the ``ball_set`` sets
 are derived from them on first use, so a caller that reads only ids, norms
-and edges (``ends``) never makes a ``CosetId``.
+and edges (``ends``) never makes a ``CosetId``, and one that reads an id
+range (``cosets_slice``) makes them only up to its end.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class CosetGraph:
 
     Lists indexed by vertex id hold the coset payload (``payloads``), norm,
     BFS parent and in-ball ``(letter, id)`` edges; ``index`` maps a payload
-    to its id.  ``cosets`` holds the ``CosetId`` of every vertex once it is
-    first read; a ball grown from one that had it reuses those objects.
+    to its id.  ``cosets_slice`` makes the ``CosetId`` of each vertex on its
+    first read, and ``cosets`` is the slice of every vertex; a grown ball
+    starts from the ``CosetId`` objects that its smaller ball had made.
     ``grow_from`` is a smaller ball of the same group to grow from.  A ball
     that would hold more than MAX_VERTICES vertices, or take more than
     WITNESS_WORK * MAX_VERTICES witness products to expand, raises
@@ -81,7 +83,7 @@ class CosetGraph:
             self.payloads, self.norm_of = [self.base.rep.payload], [0]
             self.parent_of, self.adj, self.sphere_start = [-1], [], [0, 1]
             self.index = {self.base.rep.payload: 0}
-            self._inherited = [self.base]  # a prefix of ``cosets``
+            self._made = [self.base]  # the CosetIds made so far, by id
         elif old.group is not group or old.radius > radius:
             raise InternalError("can only grow a smaller ball of the same group")
         else:
@@ -90,7 +92,7 @@ class CosetGraph:
             self.norm_of = old.norm_of[:]
             self.parent_of, self.adj = old.parent_of[:], old.adj[:keep]
             self.sphere_start, self.index = old.sphere_start[:], dict(old.index)
-            self._inherited = old._inherited
+            self._made = old._made
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._build(0 if old is None else old.radius)
 
@@ -137,13 +139,23 @@ class CosetGraph:
 
     # -- queries --------------------------------------------------------------
 
+    def _made_up_to(self, stop: int) -> list[CosetId]:
+        """The CosetIds of at least the ids below stop, made on first read."""
+        made = self._made
+        if len(made) < stop:
+            group, new = self.group, self.payloads[len(made) : stop]
+            made = self._made = made + [CosetId(GroupElement(group, p)) for p in new]
+        return made
+
+    def cosets_slice(self, start: int, stop: int) -> list[CosetId]:
+        """The cosets of the ids start..stop-1; a coset is made on the first
+        read of its id, so a reader of a short prefix makes only that."""
+        return self._made_up_to(stop)[start:stop]
+
     @cached_property
     def cosets(self) -> list[CosetId]:
         """The coset of every vertex in id order; built on first use."""
-        group, out = self.group, self._inherited[:]
-        out += [CosetId(GroupElement(group, p)) for p in self.payloads[len(out) :]]
-        self._inherited = out
-        return out
+        return self._made_up_to(len(self.payloads))
 
     @cached_property
     def degree(self) -> list[int]:
@@ -166,7 +178,8 @@ class CosetGraph:
         """The cosets of norm at most r as a set, built once per r."""
         found = self._ball_sets.get(r)
         if found is None:
-            found = self._ball_sets[r] = frozenset(self.cosets[: self.ball_size(r)])
+            cells = self.cosets_slice(0, self.ball_size(r))
+            found = self._ball_sets[r] = frozenset(cells)
         return found
 
     def norm(self, v: CosetId) -> int:

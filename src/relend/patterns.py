@@ -210,7 +210,7 @@ def random_pattern(
             f"patterns of norm {max_norm} need a ball of that radius; "
             f"built radius {graph.radius}"
         )
-    region = graph.cosets[: graph.ball_size(max_norm)]
+    region = graph.cosets_slice(0, graph.ball_size(max_norm))
     non_default = [s for s in alphabet.symbols if s != alphabet.x0]
     count = rng.randrange(0, min(max_entries, len(region)) + 1)
     chosen = rng.sample(region, count) if count else []

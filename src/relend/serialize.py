@@ -22,7 +22,7 @@ import json
 from typing import Any, Iterable
 
 from .cocycles import CocycleSpec, pattern_key, window_patterns
-from .coset_graph import CosetGraph
+from .coset_graph import BallCache, CosetGraph
 from .errors import ConfigError
 from .groups import (
     BsGroup,
@@ -175,11 +175,31 @@ def _window_keys(
     return _key_texts(pattern_key(p) for p in window_patterns(region, alphabet))
 
 
+def _refuse_large_window(
+    group: Group, alphabet: Alphabet, window: int, limit: int
+) -> None:
+    """Refuse a window whose table would be over ``limit`` at the first radius
+    below it whose patterns alone are too many, growing the ball one sphere
+    at a time, so that an oversized window ball is never built.  The window
+    ball itself is counted by ``_window_keys``."""
+    cache = BallCache(group)
+    for r in range(1, window):
+        cells = cache.at_least(r).ball_size(r)
+        count = len(alphabet.symbols) ** cells
+        if count > limit:
+            raise ConfigError(
+                f"window {window} table has at least {count} entries per "
+                f"generator ({cells} cells within radius {r}); over the limit "
+                f"of {limit}"
+            )
+
+
 def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSpec:
     """Load an explicit cocycle table; it must be total over its window.
 
     The rows are keyed on the patterns of the loaded cocycle's own window
-    ball, so no caller sizes a ball for the loader.
+    ball, so no caller sizes a ball for the loader.  A window whose table
+    would be over TABLE_LIMIT is refused before its ball is built.
     """
     if not isinstance(data, dict):
         raise ConfigError("a cocycle file must hold a JSON object")
@@ -193,6 +213,7 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
         raise ConfigError(f"window must be nonnegative, got {window}")
     if not isinstance(raw_tables, dict):
         raise ConfigError("cocycle tables must be an object keyed by generator names")
+    _refuse_large_window(group, alphabet, window, TABLE_LIMIT)
     spec = CocycleSpec(group, alphabet, target, window)
     keys = _window_keys(alphabet, spec.region, TABLE_LIMIT)
     values: dict[str, GroupElement] = {}  # each distinct target word parsed once

@@ -5,6 +5,8 @@ is fixed, extract the homomorphism part by evaluating at that fixed point,
 then recover the transfer map by pulling each configuration far away with a
 group element whose coset norm (both ways) beats the capacity threshold.
 Every step is an exact group-element identity; there are no tolerances.
+A ``Trivializer`` computes each pure value once per run: hom(g) per element
+and b(y) per configuration are memoised on the instance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .cocycles import (
     CocycleSpec,
     PlantedData,
     evaluate,
+    evaluate_word,
     pattern_key,
     verify_relations,
     window_region,
@@ -79,7 +82,12 @@ class TrivializeReport:
 
 
 class Trivializer:
-    """Runs the trivialization pipeline for one cocycle over one pair."""
+    """Runs the trivialization pipeline for one cocycle over one pair.
+
+    ``homomorphism`` memoises hom(g) per element and ``transfer`` memoises
+    b(y) per configuration; c(g, y) on the empty configuration is read from
+    the hom memo.  ``transfer_evaluations`` counts the transfers computed.
+    """
 
     def __init__(
         self,
@@ -103,13 +111,24 @@ class Trivializer:
         # threshold -> (far elements found, how many its scan looked for)
         self._far: dict[int, tuple[list[GroupElement], int]] = {}
         self._zero = empty_pattern(cocycle.alphabet)
+        self._hom: dict[object, GroupElement] = {}  # element payload -> hom
+        self._transfers: dict[frozenset, GroupElement] = {}  # y.entries -> b(y)
         self.transfer_evaluations = 0
 
     # -- building blocks ------------------------------------------------------
 
     def homomorphism(self, g: GroupElement) -> GroupElement:
         """The cocycle evaluated at the fixed empty configuration."""
-        return evaluate(self.cocycle, g, self._zero)
+        value = self._hom.get(g.payload)
+        if value is None:
+            value = self._hom[g.payload] = evaluate(self.cocycle, g, self._zero)
+        return value
+
+    def _value(self, g: GroupElement, y: Pattern) -> GroupElement:
+        """c(g, y); on the empty configuration, the memoised hom(g)."""
+        if y.is_empty():
+            return self.homomorphism(g)
+        return evaluate(self.cocycle, g, y)
 
     def capacity_at(self, r: int) -> int:
         if r not in self._capacity:
@@ -166,15 +185,18 @@ class Trivializer:
 
     def _pull_back(self, g: GroupElement, y: Pattern) -> GroupElement:
         """c(g, y)^-1 * hom(g), the transfer value when g is far enough."""
-        val = evaluate(self.cocycle, g, y)
+        val = self._value(g, y)
         return self.target.multiply(self.target.invert(val), self.homomorphism(g))
 
     def transfer(self, y: Pattern) -> GroupElement:
         """b(y) = c(g, y)^-1 * hom(g) for a sufficiently far g."""
-        threshold = self.capacity_at(self._norm(y) + self.cocycle.window)
-        g = self.far_element(threshold)
-        self.transfer_evaluations += 1
-        return self._pull_back(g, y)
+        value = self._transfers.get(y.entries)
+        if value is None:
+            threshold = self.capacity_at(self._norm(y) + self.cocycle.window)
+            g = self.far_element(threshold)
+            self.transfer_evaluations += 1
+            value = self._transfers[y.entries] = self._pull_back(g, y)
+        return value
 
     def transfer_extended(self, y: Pattern) -> GroupElement:
         """b on arbitrary configurations, through the 3L-window truncation."""
@@ -202,7 +224,7 @@ class Trivializer:
 
     def verify_cohomology(self, g: GroupElement, y: Pattern) -> bool:
         """Exact check of c(g, y) = b(g y) * hom(g) * b(y)^-1."""
-        lhs = evaluate(self.cocycle, g, y)
+        lhs = self._value(g, y)
         rhs = self.target.multiply(
             self.transfer(act(g, y)),
             self.target.multiply(
@@ -217,7 +239,7 @@ class Trivializer:
         graph = self.cache.at_least(3 * window + 2)
         region = window_region(graph, 3 * window)
         lo, hi = graph.ball_size(3 * window), graph.ball_size(3 * window + 2)
-        outside = graph.cosets[lo:hi]
+        outside = graph.cosets_slice(lo, hi)
         for _ in range(trials):
             y = random_pattern(graph, self.cocycle.alphabet, 3 * window + 2, rng)
             inner = restrict(y, region)
@@ -272,8 +294,10 @@ class Trivializer:
             self.table.hom[letter] = self.homomorphism(
                 group.letter_element(letter)
             )
+        # along each relator's own word: a relator's element is the identity,
+        # whose canonical word is empty
         hom_ok = all(
-            self.homomorphism(group.element_from_word(rel)).is_identity()
+            evaluate_word(cocycle, rel, self._zero).is_identity()
             for rel in group.relator_words()
         )
         report.add("homomorphism_on_relators", hom_ok)
@@ -314,13 +338,13 @@ class Trivializer:
             # beyond that radius cannot change the evaluation; |g^-1 K| <=
             # |g| <= max_word, so ball(cut + 2) lies inside big
             cut = big.norm(coset_of(group.invert(g))) + 3 * cocycle.window
-            zone = big.cosets[big.ball_size(cut) : big.ball_size(cut + 2)]
+            zone = big.cosets_slice(big.ball_size(cut), big.ball_size(cut + 2))
             if cut < max_norm:  # the zone meets y's support; junk goes off it
                 support = y.support()
                 zone = [c for c in zone if c not in support]
             y_big = scatter_junk(y, zone, rng)
             tilde = restrict(y_big, window_region(big, cut))
-            if evaluate(cocycle, g, y_big) != evaluate(cocycle, g, tilde):
+            if self._value(g, y_big) != self._value(g, tilde):
                 tilde_ok = False
 
         report.add("cohomology_sweep", sweep_ok, f"{cohomology_samples} samples")

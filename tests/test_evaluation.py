@@ -1,4 +1,4 @@
-"""Cocycle evaluation through the letter-step table, checked against ``act``."""
+"""Cocycle evaluation on interned cell ids, checked against ``act``."""
 
 import random
 
@@ -61,25 +61,71 @@ def _reference_walk(c, word, y, region):
     return acc
 
 
+def _reference_patterns(c, word, y, region):
+    """The (letter, window pattern) pairs the definition hands to ``factor``:
+    restrict, then act by the letter element, right to left."""
+    out, z = [], y
+    for letter in reversed(tuple(word)):
+        out.append((letter, restrict(z, region)))
+        z = act(c.group.letter_element(letter), z)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 def test_evaluate_word_matches_reference_walk(name):
     group, alphabet = SETTINGS[name]
     graph = build_ball(group, 4)
     c = _random_table_cocycle(group, alphabet, 1, seed=3)
     region = window_region(graph, c.window)
+    # a recording factor: every window pattern the walk hands to the table
+    received, factor = [], c.factor
+    c.factor = lambda letter, p: received.append((letter, p)) or factor(letter, p)
+    there_and_back = [
+        (s,) * k + (-s,) * k for s in group.s_letters for k in range(1, 5)
+    ]
     rng = random.Random(11)
     permuted = 0
-    for _ in range(150):
+    for i in range(150):
         y = random_pattern(graph, alphabet, 3, rng)
-        word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
-        assert evaluate_word(c, word, y) == _reference_walk(c, word, y, region)
-        for letter in group.s_letters:
-            moved = act(group.letter_element(letter), y)
-            assert c._move(letter, y) == moved
-            if {s for _, s in moved.entries} != {s for _, s in y.entries}:
-                permuted += 1
+        random_word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
+        for word in (random_word, there_and_back[i % len(there_and_back)]):
+            received.clear()
+            value = evaluate_word(c, word, y)
+            expected = _reference_patterns(c, word, y, region)
+            assert received == expected
+            assert value == _reference_walk(c, word, y, region)
+            symbols = [{s for _, s in p.entries} for _, p in expected]
+            permuted += any(a != b for a, b in zip(symbols, symbols[1:]))
     # the K-twist of the symbols is exercised, not just the moving support
     assert permuted > 0 or not alphabet.perms
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_each_letter_step_is_built_once_per_spec(name, monkeypatch):
+    group, alphabet = SETTINGS[name]
+    graph = build_ball(group, 4)
+    built = []
+    new_step = CocycleSpec._new_step
+
+    def counting(self, letter, v):
+        built.append((id(self), letter, self._payloads[v]))
+        return new_step(self, letter, v)
+
+    monkeypatch.setattr(CocycleSpec, "_new_step", counting)
+    specs = [_random_table_cocycle(group, alphabet, 1, seed) for seed in (3, 4)]
+    rng = random.Random(5)
+    walked = 0
+    for _ in range(100):
+        y = random_pattern(graph, alphabet, 3, rng)
+        word = [rng.choice(group.s_letters) for _ in range(rng.randrange(1, 9))]
+        walked += len(y.entries) * (len(word) - 1)
+        for c in specs:
+            evaluate_word(c, word, y)
+    assert len(built) == len(set(built))
+    for c in specs:
+        steps = sum(len(t) for t in c._letter_steps.values())
+        assert steps == sum(1 for b in built if b[0] == id(c))
+        assert 0 < steps < walked  # steps are reused across walks
 
 
 def test_broken_canonicalisation_raises_through_evaluate_word(monkeypatch):

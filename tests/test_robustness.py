@@ -242,6 +242,45 @@ def test_negative_window_is_named_in_the_message(tmp_path):
     )
 
 
+def _spy_on_balls(monkeypatch) -> list[int]:
+    """The radius of every coset graph built from now on, in build order."""
+    radii = []
+    init = relend.coset_graph.CosetGraph.__init__
+
+    def recording(self, group, radius, grow_from=None):
+        radii.append(radius)
+        init(self, group, radius, grow_from)
+
+    monkeypatch.setattr(relend.coset_graph.CosetGraph, "__init__", recording)
+    return radii
+
+
+def test_oversized_window_is_refused_before_its_ball_is_built(tmp_path, monkeypatch):
+    # two symbols on the 25 cells of zd(3)'s ball(2) are already over the
+    # table limit, so the window-100 ball is never built
+    pair, path = tmp_path / "zd3.json", tmp_path / "cocycle.json"
+    pair.write_text(json.dumps({"family": "zd", "d": 3}))
+    path.write_text(json.dumps(
+        {"window": 100, "H": {"family": "zmod", "mods": [2]}, "tables": {}}
+    ))
+    radii = _spy_on_balls(monkeypatch)
+    assert _run(["verify", "--config", str(pair), "--cocycle", str(path)]) == (
+        2,
+        "config error: window 100 table has at least 33554432 entries per "
+        "generator (25 cells within radius 2); over the limit of 4096\n",
+    )
+    assert max(radii) == 2
+
+
+def test_negative_b0_window_is_named_in_the_message(tmp_path, monkeypatch):
+    pair = tmp_path / "zd2.json"
+    pair.write_text(json.dumps({"family": "zd", "d": 2}))
+    radii = _spy_on_balls(monkeypatch)
+    argv = ["trivialize", "--config", str(pair), "--plant", "--b0-window", "-1"]
+    assert _run(argv) == (2, "config error: --b0-window must be nonnegative, got -1\n")
+    assert radii == []  # refused before any ball is built
+
+
 ROW_TEXTS = ["", "e=1", "a=1", "x"]
 TOKENS = ["a", "A", "b", "B", "c", ""]
 table_values = st.recursive(

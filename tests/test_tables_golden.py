@@ -8,6 +8,10 @@ cocycle files are window-1 tables planted with ``plant_cocycle`` and written
 with ``cocycle_to_json``, one per pair of the benchmark's tables workload.
 The cases verify each file at two seeds, trivialize each file, verify one
 file with a corrupted entry, and plant-and-trivialize at b0-windows 0 and 1.
+Two pairs carry an alphabet that K permutes, given as a
+``{"group": ..., "alphabet": ...}`` config: zd(3, [0]) with a = (0 2 1) is
+planted and trivialized, and a file planted on BS(1, 2) with x = (0 2 3 1)
+is verified (BS(1, 2) is many-ended, so trivialize stops at one_ended).
 
 To re-record after an intended change, run this file as a script; it prints
 the table below.
@@ -28,7 +32,7 @@ from relend.cocycles import plant_cocycle
 from relend.coset_graph import BallCache
 from relend.groups import ZmodGroup
 from relend.patterns import trivial_alphabet
-from relend.serialize import cocycle_to_json, group_from_config
+from relend.serialize import alphabet_from_config, cocycle_to_json, group_from_config
 
 CONFIGS = {
     "zd2": {"family": "zd", "d": 2, "k_coords": []},
@@ -36,17 +40,35 @@ CONFIGS = {
     "zd3k0": {"family": "zd", "d": 3, "k_coords": [0]},
     "free2": {"family": "free", "rank": 2, "k": "trivial"},
     "bs12": {"family": "bs", "m": 1, "n": 2},
+    "zd3k0a": {
+        "group": {"family": "zd", "d": 3, "k_coords": [0]},
+        "alphabet": {"symbols": ["0", "1", "2"], "x0": "0", "alpha": {"a": [0, 2, 1]}},
+    },
+    "bs12x": {
+        "group": {"family": "bs", "m": 1, "n": 2},
+        "alphabet": {
+            "symbols": ["0", "1", "2", "3"], "x0": "0", "alpha": {"x": [0, 2, 3, 1]}
+        },
+    },
 }
 PLANT_SEED = 11  # seed of every planted cocycle file
+PLAIN = ("zd2", "zd3", "zd3k0", "free2", "bs12")  # binary trivial alphabet
 
 # (command, pair, seed, extra arguments)
 CASES = (
-    [("verify", pair, seed, ()) for pair in CONFIGS for seed in (1, 2)]
-    + [("trivialize", pair, 1, ("--samples", "12")) for pair in CONFIGS]
+    [("verify", pair, seed, ()) for pair in PLAIN for seed in (1, 2)]
+    + [("trivialize", pair, 1, ("--samples", "12")) for pair in PLAIN]
     + [("verify-corrupt", "zd2", 1, ())]
     + [
         ("plant", pair, 1, ("--b0-window", str(w), "--samples", "12"))
         for pair in ("zd2", "zd3k0", "bs12")
+        for w in (0, 1)
+    ]
+    # alphabets permuted by K
+    + [("verify", "bs12x", seed, ()) for seed in (1, 2)]
+    + [("trivialize", "zd3k0a", 1, ("--samples", "12"))]
+    + [
+        ("plant", "zd3k0a", 1, ("--b0-window", str(w), "--samples", "12"))
         for w in (0, 1)
     ]
 )
@@ -58,8 +80,12 @@ def _name(case):
 
 
 def _write_cocycle(pair: str, path: Path, corrupt: bool) -> None:
-    group = group_from_config(CONFIGS[pair])
-    alphabet = trivial_alphabet(("0", "1"), "0")
+    cfg = CONFIGS[pair]
+    if "group" in cfg:
+        group = group_from_config(cfg["group"])
+        alphabet = alphabet_from_config(cfg["alphabet"])
+    else:
+        group, alphabet = group_from_config(cfg), trivial_alphabet(("0", "1"), "0")
     graph = BallCache(group).at_least(1)
     spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, PLANT_SEED, graph)
     data = cocycle_to_json(spec, graph)
@@ -141,6 +167,16 @@ GOLDEN = {
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
     "plant-bs12-s1-b0-window-1-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
+    "verify-bs12x-s1":
+        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+    "verify-bs12x-s2":
+        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+    "trivialize-zd3k0a-s1-samples-12":
+        "015838b3d29882ecb80f42573a3b95ee6d13c37b70f895bdafcc7da52fa8fda8",
+    "plant-zd3k0a-s1-b0-window-0-samples-12":
+        "3f9d9d0ccf3e1329ec6fefe23ebeb3a1d1a9e8e70ac879900564cc1b91e09d26",
+    "plant-zd3k0a-s1-b0-window-1-samples-12":
+        "201e885dd5c3c7df7d46bc69d78682ee143551f106e489656c493f25cde914cf",
 }
 
 

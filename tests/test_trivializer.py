@@ -12,7 +12,9 @@ from relend.groups import (
     coset_of,
     iter_ball,
 )
+from relend import trivialize
 from relend.cocycles import (
+    RelationReport,
     constant_cocycle,
     evaluate,
     pattern_key,
@@ -20,6 +22,7 @@ from relend.cocycles import (
     window_region,
 )
 from relend.patterns import (
+    Pattern,
     empty_pattern,
     make_pattern,
     random_pattern,
@@ -295,3 +298,68 @@ def test_norm_grows_the_cache_one_radius_at_a_time():
     assert worker._norm(far) == 7 and cache.at_least(0).radius == 7
     assert worker._norm(empty_pattern(alpha)) == 0
     assert cache.at_least(0).radius == 7
+
+
+# -- values computed once per run --------------------------------------------
+
+
+def test_hom_on_the_empty_configuration_is_evaluated_once_per_element(
+    grid_setting, monkeypatch
+):
+    group, cache, alpha, target, c = grid_setting
+    evaluated = []
+    real = trivialize.evaluate
+
+    def recording(cocycle, g, y):
+        if y.is_empty():
+            evaluated.append(g.payload)
+        return real(cocycle, g, y)
+
+    monkeypatch.setattr(trivialize, "evaluate", recording)
+    table, report = Trivializer(cache, c, seed=3).run(cohomology_samples=25)
+    assert report.ok
+    assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+def test_memoised_transfers_equal_fresh_values(grid_setting):
+    group, cache, alpha, target, c = grid_setting
+    worker = Trivializer(cache, c, seed=3)
+    worker.run(cohomology_samples=25)
+    memo = worker._transfers
+    assert len(memo) == worker.transfer_evaluations > 20
+    for key, value in sorted(memo.items(), key=lambda kv: repr(kv[0]))[:40]:
+        fresh = Trivializer(BallCache(group), c, seed=3)
+        assert fresh.transfer(Pattern(alpha, key)) == value
+
+
+def test_homomorphism_on_relators_reads_the_relator_words(monkeypatch):
+    # with the relation check forced to pass, a table whose value on the
+    # empty configuration breaks the relator a b A B must fail this check
+    group = ZdGroup(2, ())
+    cache = BallCache(group)
+    alpha = trivial_alphabet(("0", "1"), "0")
+    target = ZmodGroup((2,))
+    c = plant_cocycle(group, alpha, target, 0, 21, cache.at_least(1))
+    empty = pattern_key(empty_pattern(alpha))
+    flipped = target.multiply(c.factor(1, empty_pattern(alpha)), target.letter_element(1))
+    broken = c.corrupted(1, empty, flipped)
+    monkeypatch.setattr(
+        trivialize, "verify_relations", lambda *args: RelationReport(0, ())
+    )
+    table, report = Trivializer(cache, broken, seed=3).run(cohomology_samples=5)
+    checks = {chk.name: chk.passed for chk in report.checks}
+    assert checks["relations"] and not checks["homomorphism_on_relators"]
+
+
+def test_a_run_makes_cosets_only_for_the_balls_it_reads():
+    # the zd(3) run grows its cache to ball(11) for the capacity thresholds,
+    # but reads cells only up to norm 3 * window + max_word + 2 = 9
+    group = ZdGroup(3, ())
+    cache = BallCache(group)
+    alpha = trivial_alphabet(("0", "1"), "0")
+    c = plant_cocycle(group, alpha, ZmodGroup((2,)), 0, 11, cache.at_least(0))
+    table, report = Trivializer(cache, c, seed=1).run(cohomology_samples=12)
+    graph = cache.at_least(0)
+    assert report.ok and graph.radius == 11
+    assert "cosets" not in vars(graph)
+    assert len(graph._made) <= graph.ball_size(9) < graph.vertex_count()
