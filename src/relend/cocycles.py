@@ -9,18 +9,17 @@ the frozenset of (coset, symbol) pairs: keys have no text form here, and the
 
 A cocycle carries its window: ``CocycleSpec.region`` holds the cells of the
 window ball, so evaluation takes no ball or region from its caller.
-Evaluation on a general element walks its canonical word on cell ids: a
-spec interns each cell it meets as a small int, the window's cells first,
-and moves the configuration, a list of (id, symbol) pairs, through a
-per-cocycle table of letter steps.  A step is filled on first use from one
-product s * rep on payloads, so the check that every K-correction lies in K
-runs once per distinct (letter, cell) pair.  The ids never leave the spec:
-``factor`` gets the window pattern keyed by its (coset, symbol) entries, as
-before.  Word-independence is exactly the cocycle identity and is guarded by
-``verify_relations``.  ``path_difference`` recomputes a difference of
-cocycle values along an edge path from per-edge subgroup witnesses and the
-uncached ``act``, giving a second, independent route to the same group
-element.
+Evaluation on a general element walks its canonical word on coset
+payloads: the configuration, a list of (payload, symbol) pairs, moves
+through a per-cocycle table of letter steps keyed by payload.  A step is
+filled on first use from one product s * rep, so the check that every
+K-correction lies in K runs once per distinct (letter, cell) pair.  Only
+the window pattern handed to ``factor`` is made of cosets, keyed by its
+(coset, symbol) entries as before.  Word-independence is exactly the
+cocycle identity and is guarded by ``verify_relations``.
+``path_difference`` recomputes a difference of cocycle values along an
+edge path from per-edge subgroup witnesses and the uncached ``act``,
+giving a second, independent route to the same group element.
 """
 
 from __future__ import annotations
@@ -106,15 +105,13 @@ class CocycleSpec:
     frozenset of (coset, symbol) entries; when a ``rule`` is present, missing
     entries are computed on demand, so tables over large windows never need
     to be materialised in full.  ``region`` holds the cells of the window
-    ball.  For evaluation the spec interns each coset payload it meets as an
-    id in ``_ids``, the window cells (``_window_cells``, in BFS order) first,
-    so an id below len(region) is a window cell.  ``_letter_steps`` maps a
-    letter and a cell id to the id of the moved cell and the symbol map of
-    its K-correction, one map per distinct correction in ``_images``.  The
-    ids are internal: the keys of ``tables`` hold cosets, as they always
-    have.  These caches depend only on the group, the alphabet and the
-    window, and none of them takes part in equality.  Ids are numbered as
-    the spec evaluates, so one spec is evaluated by one thread at a time.
+    ball, and ``_window`` maps the coset payload of each of them to its
+    ``CosetId``.  ``_letter_steps`` maps a letter and a cell's payload to the
+    payload of the moved cell and the symbol map of its K-correction, one
+    map per distinct correction in ``_images``.  Payloads stay inside the
+    spec: the keys of ``tables`` hold cosets, as they always have.  These
+    caches depend only on the group, the alphabet and the window, are
+    filled idempotently, and take no part in equality.
     """
 
     group: Group
@@ -130,23 +127,15 @@ class CocycleSpec:
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def _window_cells(self) -> list[CosetId]:
+    def _window(self) -> dict[object, CosetId]:
         graph = CosetGraph(self.group, self.window)
-        return graph.cosets_slice(0, graph.ball_size(self.window))
+        cells = graph.cosets_slice(0, graph.ball_size(self.window))
+        return {v.rep.payload: v for v in cells}
 
     @cached_property
     def region(self) -> frozenset[CosetId]:
         """The cells of the window ball; patterns restricted to it key ``tables``."""
-        return frozenset(self._window_cells)
-
-    @cached_property
-    def _payloads(self) -> list:
-        """The coset payload of every interned id."""
-        return [v.rep.payload for v in self._window_cells]
-
-    @cached_property
-    def _ids(self) -> dict[object, int]:
-        return {p: i for i, p in enumerate(self._payloads)}
+        return frozenset(self._window.values())
 
     @cached_property
     def _letter_payloads(self) -> dict[Letter, object]:
@@ -166,20 +155,12 @@ class CocycleSpec:
         table[window_pattern.entries] = value
         return value
 
-    def _intern(self, payload) -> int:
-        """The id of the cell with this coset payload, made on first sight."""
-        v = self._ids.get(payload)
-        if v is None:
-            v = self._ids[payload] = len(self._payloads)
-            self._payloads.append(payload)
-        return v
-
-    def _new_step(self, letter: Letter, v: int) -> tuple[int, dict]:
-        """The id of s * cell v and the symbol map of the K-correction
+    def _new_step(self, letter: Letter, cell) -> tuple[object, dict]:
+        """The coset payload of s * cell and the symbol map of the K-correction
         rep(s c)^-1 * s * rep(c), with s the letter, from one product s * rep."""
         group, symbols = self.group, self.alphabet.symbols
         mul = group._mul_payload
-        moved = mul(self._letter_payloads[letter], self._payloads[v])
+        moved = mul(self._letter_payloads[letter], cell)
         key = group._coset_rep_payload(moved)
         correction = GroupElement(group, mul(group._inv_payload(key), moved))
         if not group.is_in_k(correction):
@@ -193,7 +174,7 @@ class CocycleSpec:
             images = self._images[correction.payload] = {
                 s: symbols[perm[i]] for i, s in enumerate(symbols)
             }
-        return self._intern(key), images
+        return key, images
 
     def corrupted(
         self, letter: Letter, key: frozenset, value: GroupElement
@@ -215,28 +196,28 @@ class CocycleSpec:
 def evaluate_word(c: CocycleSpec, word, y: Pattern) -> GroupElement:
     """Cocycle value along an explicit letter word (right-to-left expansion).
 
-    The configuration walks as (id, symbol) pairs; per letter only the
+    The configuration walks as (payload, symbol) pairs; per letter only the
     window pattern handed to ``factor`` is made of cosets.
     """
     acc = c.target.identity()
     letters = tuple(word)[::-1]
     if not letters:
         return acc
-    cells, intern, steps = c._window_cells, c._intern, c._letter_steps
-    inside, alphabet, mul = len(cells), y.alphabet, c.target.multiply
-    z = [(intern(cell.rep.payload), s) for cell, s in y.entries]
+    window, steps = c._window.get, c._letter_steps
+    alphabet, mul = y.alphabet, c.target.multiply
+    z = [(cell.rep.payload, s) for cell, s in y.entries]
     for i, letter in enumerate(letters):
         if i:  # moving after the last letter would be wasted work
             prev = letters[i - 1]
             table = steps[prev]
             moved = []
-            for v, s in z:
-                step = table.get(v)
+            for p, s in z:
+                step = table.get(p)
                 if step is None:
-                    step = table[v] = c._new_step(prev, v)
+                    step = table[p] = c._new_step(prev, p)
                 moved.append((step[0], step[1][s]))
             z = moved
-        key = frozenset([(cells[v], s) for v, s in z if v < inside])
+        key = frozenset([(cell, s) for p, s in z if (cell := window(p)) is not None])
         acc = mul(c.factor(letter, Pattern(alphabet, key)), acc)
     return acc
 

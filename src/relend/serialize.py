@@ -162,36 +162,25 @@ def _key_texts(keys: Iterable[frozenset]) -> dict[str, frozenset]:
     return out
 
 
-def _window_keys(
-    alphabet: Alphabet, region: frozenset[CosetId], limit: int
-) -> dict[str, frozenset]:
-    """Text and key of every pattern on the window cells, refused over ``limit``."""
-    count = len(alphabet.symbols) ** len(region)
+def _refuse_over_limit(
+    alphabet: Alphabet, window: int, radius: int, cells: int, limit: int
+) -> None:
+    """Refuse a window table when the patterns on the ``cells`` cells within
+    ``radius`` of the base, a part of the window, are already over ``limit``."""
+    count = len(alphabet.symbols) ** cells
     if count > limit:
         raise ConfigError(
-            f"window table has {count} entries per generator; over the "
-            f"limit of {limit}"
+            f"window {window} table has at least {count} entries per "
+            f"generator ({cells} cells within radius {radius}); over the limit "
+            f"of {limit}"
         )
+
+
+def _window_keys(
+    alphabet: Alphabet, region: frozenset[CosetId]
+) -> dict[str, frozenset]:
+    """Text and key of every pattern on the window cells."""
     return _key_texts(pattern_key(p) for p in window_patterns(region, alphabet))
-
-
-def _refuse_large_window(
-    group: Group, alphabet: Alphabet, window: int, limit: int
-) -> None:
-    """Refuse a window whose table would be over ``limit`` at the first radius
-    below it whose patterns alone are too many, growing the ball one sphere
-    at a time, so that an oversized window ball is never built.  The window
-    ball itself is counted by ``_window_keys``."""
-    cache = BallCache(group)
-    for r in range(1, window):
-        cells = cache.at_least(r).ball_size(r)
-        count = len(alphabet.symbols) ** cells
-        if count > limit:
-            raise ConfigError(
-                f"window {window} table has at least {count} entries per "
-                f"generator ({cells} cells within radius {r}); over the limit "
-                f"of {limit}"
-            )
 
 
 def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSpec:
@@ -213,9 +202,15 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
         raise ConfigError(f"window must be nonnegative, got {window}")
     if not isinstance(raw_tables, dict):
         raise ConfigError("cocycle tables must be an object keyed by generator names")
-    _refuse_large_window(group, alphabet, window, TABLE_LIMIT)
+    # count the balls between the base cell and the window one sphere at a
+    # time, so that an oversized window ball is never built
+    cache = BallCache(group)
+    for r in range(1, window):
+        cells = cache.at_least(r).ball_size(r)
+        _refuse_over_limit(alphabet, window, r, cells, TABLE_LIMIT)
     spec = CocycleSpec(group, alphabet, target, window)
-    keys = _window_keys(alphabet, spec.region, TABLE_LIMIT)
+    _refuse_over_limit(alphabet, window, window, len(spec.region), TABLE_LIMIT)
+    keys = _window_keys(alphabet, spec.region)
     values: dict[str, GroupElement] = {}  # each distinct target word parsed once
     tables = spec.tables
     for token, rows in raw_tables.items():
@@ -257,7 +252,9 @@ def cocycle_to_json(
 
     The keys come from ``spec.region``; ``graph`` is not read.
     """
-    keys = _window_keys(spec.alphabet, spec.region, limit)
+    window = spec.window
+    _refuse_over_limit(spec.alphabet, window, window, len(spec.region), limit)
+    keys = _window_keys(spec.alphabet, spec.region)
     tables: dict[str, list] = {}
     for letter in spec.group.s_letters:
         rows = [

@@ -1,4 +1,4 @@
-"""Cocycle evaluation on interned cell ids, checked against ``act``."""
+"""Cocycle evaluation on coset payloads, checked against ``act``."""
 
 import random
 
@@ -94,8 +94,10 @@ def test_evaluate_word_matches_reference_walk(name):
             expected = _reference_patterns(c, word, y, region)
             assert received == expected
             assert value == _reference_walk(c, word, y, region)
-            symbols = [{s for _, s in p.entries} for _, p in expected]
-            permuted += any(a != b for a, b in zip(symbols, symbols[1:]))
+        for letter in group.s_letters:
+            moved = act(group.letter_element(letter), y)
+            if {s for _, s in moved.entries} != {s for _, s in y.entries}:
+                permuted += 1
     # the K-twist of the symbols is exercised, not just the moving support
     assert permuted > 0 or not alphabet.perms
 
@@ -107,9 +109,9 @@ def test_each_letter_step_is_built_once_per_spec(name, monkeypatch):
     built = []
     new_step = CocycleSpec._new_step
 
-    def counting(self, letter, v):
-        built.append((id(self), letter, self._payloads[v]))
-        return new_step(self, letter, v)
+    def counting(self, letter, cell):
+        built.append((id(self), letter, cell))
+        return new_step(self, letter, cell)
 
     monkeypatch.setattr(CocycleSpec, "_new_step", counting)
     specs = [_random_table_cocycle(group, alphabet, 1, seed) for seed in (3, 4)]

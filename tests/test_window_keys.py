@@ -89,6 +89,27 @@ def test_loader_refuses_unknown_repeated_and_oversized_rows():
         cocycle_from_json(group, ALPHA, dict(data, window=2))
 
 
+def test_loader_and_emitter_refuse_oversized_tables_alike():
+    group = ZdGroup(2, ())
+    graph = build_ball(group, 4)
+    spec = plant_cocycle(group, ALPHA, ZmodGroup((2,)), 0, 5, graph)
+    assert spec.window == 1
+    with pytest.raises(ConfigError) as emitted:
+        cocycle_to_json(spec, graph, limit=16)
+    assert str(emitted.value) == (
+        "window 1 table has at least 32 entries per generator "
+        "(5 cells within radius 1); over the limit of 16"
+    )
+    # the loader's last sphere is counted on the window ball it keys on
+    data = dict(cocycle_to_json(spec, graph), window=2)
+    with pytest.raises(ConfigError) as loaded:
+        cocycle_from_json(group, ALPHA, data)
+    assert str(loaded.value) == (
+        "window 2 table has at least 8192 entries per generator "
+        "(13 cells within radius 2); over the limit of 4096"
+    )
+
+
 def test_window_patterns_enumerates_each_pattern_once():
     group = ZdGroup(2, (0,))
     graph = build_ball(group, 3)
