@@ -243,6 +243,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 0) < 0:
+            raise ConfigError("--samples must be nonnegative")
         return args.handler(args, *_load_pair(args.config))
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -137,10 +137,6 @@ class CocycleSpec:
         """The cells of the window ball; patterns restricted to it key ``tables``."""
         return frozenset(self._window.values())
 
-    @cached_property
-    def _letter_payloads(self) -> dict[Letter, object]:
-        return {l: self.group._letter_payload(l) for l in self.group.s_letters}
-
     def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
         table = self.tables.setdefault(letter, {})
         hit = table.get(window_pattern.entries)
@@ -160,7 +156,7 @@ class CocycleSpec:
         rep(s c)^-1 * s * rep(c), with s the letter, from one product s * rep."""
         group, symbols = self.group, self.alphabet.symbols
         mul = group._mul_payload
-        moved = mul(self._letter_payloads[letter], cell)
+        moved = mul(group._letter_payloads[letter], cell)
         key = group._coset_rep_payload(moved)
         correction = GroupElement(group, mul(group._inv_payload(key), moved))
         if not group.is_in_k(correction):

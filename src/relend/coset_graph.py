@@ -10,17 +10,17 @@ discovery order, so ids sort by norm and the closed r-ball is the id prefix
 below sphere_start[r + 1].  A larger ball grows from a smaller one by copying
 the prefix, re-expanding the old boundary sphere and going on with the
 search: the ids equal a fresh build's.  Graphs are not changed after
-construction; the ``cosets`` and ``degree`` lists and the ``ball_set`` sets
-are derived from them on first use, so a caller that reads only ids, norms
-and edges (``ends``) never makes a ``CosetId``, and one that reads an id
-range (``cosets_slice``) makes them only up to its end.
+construction; the ``cosets`` and ``degree`` lists, the ``ball_set`` sets and
+the left tables (``left_ids``: the id of sv for every id v, from the family's
+``Group._left_step``) are derived from them on first use, so a caller that
+reads only ids, norms and edges (``ends``) never makes a ``CosetId``, and one
+that reads an id range (``cosets_slice``) makes them only up to its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     BallTooLargeError,
@@ -94,6 +94,7 @@ class CosetGraph:
             self.sphere_start, self.index = old.sphere_start[:], dict(old.index)
             self._made = old._made
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
+        self._left: dict[Letter, list[int]] = {}
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
@@ -185,15 +186,14 @@ class CosetGraph:
     def norm(self, v: CosetId) -> int:
         return self.norm_of[self._id(v)]
 
-    def left_translate(self, letter: Letter, ids: range) -> Iterator[tuple[int, object]]:
-        """For each id v in ids, the id of sv with s the letter (-1 when sv is
-        outside the built graph) and the payload of sv's coset."""
-        group, payloads, find = self.group, self.payloads, self.index.get
-        mul, rep = group._mul_payload, group._coset_rep_payload
-        s = group._letter_payload(letter)
-        for v in ids:
-            key = rep(mul(s, payloads[v]))
-            yield find(key, -1), key
+    def left_ids(self, letter: Letter) -> list[int]:
+        """For every id v, the id of sv with s the letter, or -1 when sv is
+        outside the built graph; built once per letter."""
+        table = self._left.get(letter)
+        if table is None:
+            step, find = self.group._left_step(letter), self.index.get
+            table = self._left[letter] = [find(step(p), -1) for p in self.payloads]
+        return table
 
     def vertices_in_order(self) -> list[CosetId]:
         return list(self.cosets)

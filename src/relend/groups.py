@@ -92,6 +92,11 @@ class Group:
             l for l in self.s_letters if abs(l) in kset
         )
         self._identity = GroupElement(self, self._identity_payload())
+        # the payload of every letter, made once and read by every product
+        one, self._letter_payloads = self._identity_payload(), {}
+        for letter in self.s_letters:
+            g = self._mul_payload(one, self._gen_payload(abs(letter)))
+            self._letter_payloads[letter] = g if letter > 0 else self._inv_payload(g)
 
     # -- family hooks -------------------------------------------------------
 
@@ -148,6 +153,13 @@ class Group:
 
         return step
 
+    def _left_step(self, letter: Letter) -> Callable[[object], object]:
+        """The function from the payload of a coset vK to that of svK, s the
+        letter; families override this product with a direct step."""
+        mul, rep = self._mul_payload, self._coset_rep_payload
+        s = self._letter_payloads[letter]
+        return lambda vp: rep(mul(s, vp))
+
     def quotient_by_k(self) -> "Group":
         """The quotient group G/K when K is normal, as a built-in family."""
         raise UnsupportedFamilyError(
@@ -172,23 +184,15 @@ class Group:
         return GroupElement(self, self._inv_payload(a.payload))
 
     def letter_element(self, letter: Letter) -> GroupElement:
-        return GroupElement(self, self._letter_payload(letter))
-
-    def _letter_payload(self, letter: Letter) -> object:
-        base = self._mul_payload(
-            self._identity_payload(), self._gen_payload(abs(letter))
-        )
-        if letter > 0:
-            return base
-        return self._inv_payload(base)
+        return GroupElement(self, self._letter_payloads[letter])
 
     def _gen_payload(self, index: int) -> object:
         raise NotImplementedError
 
     def element_from_word(self, word: Iterable[Letter]) -> GroupElement:
-        out = self._identity_payload()
+        out, mul = self._identity_payload(), self._mul_payload
         for letter in word:
-            out = self._mul_payload(out, self._letter_payload(letter))
+            out = mul(out, self._letter_payloads[letter])
         return GroupElement(self, out)
 
     def letter_name(self, letter: Letter) -> str:
@@ -297,6 +301,13 @@ class ZdGroup(Group):
             return [(l, vp[:i] + (vp[i] + s,) + vp[i + 1 :]) for l, i, s in moves]
 
         return step
+
+    def _left_step(self, letter):
+        # abelian, so the right step: +-1 on a free coordinate, K's letters fix
+        i, s = abs(letter) - 1, 1 if letter > 0 else -1
+        if i in self.k_coords:
+            return lambda vp: vp
+        return lambda vp: vp[:i] + (vp[i] + s,) + vp[i + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +432,10 @@ class FreeGroup(Group):
             return [(l, vp[:-1] if l == -last else vp + (l,)) for l in letters]
 
         return step
+
+    def _left_step(self, letter):
+        # prepend the letter, or cancel the first one
+        return lambda vp: vp[1:] if vp and vp[0] == -letter else (letter,) + vp
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +584,8 @@ class ProductGroup(Group):
     def _gen_payload(self, index: int):
         left, right = self.left.identity().payload, self.right.identity().payload
         if index <= self._offset:
-            return (self.left._letter_payload(index), right)
-        return (left, self.right._letter_payload(index - self._offset))
+            return (self.left._letter_payloads[index], right)
+        return (left, self.right._letter_payloads[index - self._offset])
 
     def _mul_payload(self, a, b):
         return (
@@ -644,6 +659,14 @@ class ProductGroup(Group):
 
         return step
 
+    def _left_step(self, letter):
+        # the letter's factor steps, the other factor stays
+        side, inner = self._split(letter)
+        step = side._left_step(inner)
+        if side is self.left:
+            return lambda vp: (step(vp[0]), vp[1])
+        return lambda vp: (vp[0], step(vp[1]))
+
 
 # ---------------------------------------------------------------------------
 # Module-level operations
@@ -695,7 +718,7 @@ def iter_ball(
     if letters is None:
         letters = group.s_letters
     mul = group._mul_payload
-    gens = [group._letter_payload(l) for l in letters]
+    gens = [group._letter_payloads[l] for l in letters]
     start = group.identity().payload
     yield group.identity()
     queue = [start]

@@ -6,10 +6,12 @@ c, c(uv) = c(u) xor u c(v), and through sign products a two-valued cocycle
 on configurations over the alphabet {+1, -1}: c'(g, y) is y's product over
 c(g^-1).  One pass over graph ids gives the difference sets: v lies in
 A xor sA exactly when member(v) != member(s^-1 v), with s^-1 v read off the
-graph's left translation.  The sign cocycle is evaluated pointwise: a cell u
-lies in c(l_1...l_k) exactly when an odd number of the p_i^-1 u lie in
-c(l_i), p_i = l_1...l_(i-1), so c'(g, y) is a parity over y's minus cells
-and c'(g, hy) one over those cells moved by h.
+graph's left table of s^-1 (``CosetGraph.left_ids``).  The sign cocycle is
+evaluated pointwise: a cell u lies in c(l_1...l_k) exactly when an odd
+number of the p_i^-1 u lie in c(l_i), p_i = l_1...l_(i-1), so c'(g, y) is a
+parity over y's minus cells and c'(g, hy) one over those cells moved by h.
+The walk steps a cell through the same left tables while it stays in the
+graph, and on coset payloads with the family's left step once it leaves.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
 for every generator s.  Over GF(2) these equations are a 2-colouring of the
@@ -28,7 +30,7 @@ from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
 from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup
-from .patterns import Alphabet, Pattern, make_pattern, random_pattern, trivial_alphabet
+from .patterns import Alphabet, Pattern, make_pattern, trivial_alphabet
 
 PLUS = "+1"
 MINUS = "-1"
@@ -86,19 +88,20 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
     """The pass behind every difference set, over the ids of ball(radius).
 
     Membership is evaluated once per vertex, and once per translate s^-1 v
-    that leaves the ball, through its coset.  Per letter s: the id of s^-1 v
-    for every v (-1 outside the graph), and the ids of A xor sA, ascending.
+    that leaves the ball, through its coset.  Per letter s: the graph's left
+    table of s^-1, and the ids of A xor sA, ascending.
     """
     graph = cache.at_least(radius)
-    group, cosets, ids = graph.group, graph.cosets, range(graph.ball_size(radius))
+    group, cosets, payloads = graph.group, graph.cosets, graph.payloads
+    ids = range(graph.ball_size(radius))
     inside = bytearray(bool(region.member(cosets[v])) for v in ids)
     out = {}
     for letter in group.s_letters:
-        back, odd = [], []
-        for v, (w, key) in zip(ids, graph.left_translate(-letter, ids)):
-            back.append(w)
+        back, step, odd = graph.left_ids(-letter), group._left_step(-letter), []
+        for v in ids:
+            w = back[v]
             if inside[v] != (inside[w] if 0 <= w < len(inside) else bool(
-                region.member(CosetId(GroupElement(group, key)))
+                region.member(CosetId(GroupElement(group, step(payloads[v]))))
             )):
                 odd.append(v)
         out[letter] = (back, odd)
@@ -130,36 +133,55 @@ def generator_boundaries(
     return _stable(*_differences(cache, region, radius), radius)
 
 
-def _sign(group: Group, keys, word, cells) -> int:
-    """(-1) to the number of the cells (coset keys) that lie in c(word): the
-    walk tests each cell against c(l_i) and then moves it by l_i^-1."""
-    mul, rep = group._mul_payload, group._coset_rep_payload
-    steps = [keys[l] for l in word]
-    odd = False
-    for x in cells:
-        for cells_of_letter, back in steps:
-            odd ^= x in cells_of_letter
-            x = rep(mul(back, x))
-    return -1 if odd else 1
+class _SignWalk:
+    """The pointwise parity walk over the sets c(l) of one family.  Per
+    letter l: c(l) as a bytearray over a graph's ids and the graph's left
+    table of l^-1 (none without a graph), and c(l) as coset payloads with the
+    left step by l^-1, for cells outside the graph."""
 
+    def __init__(self, group: Group, boundaries: Boundaries, graph=None):
+        self.payloads = graph.payloads if graph else ()
+        self.find = graph.index.get if graph else {}.get
+        self.letters = {}
+        for l, b in boundaries.items():
+            cells = frozenset(c.rep.payload for c in b)
+            mark = bytearray(len(self.payloads))
+            for v in {self.find(p, -1) for p in cells} - {-1}:
+                mark[v] = 1
+            back = graph.left_ids(-l) if graph else None
+            self.letters[l] = (mark, back, cells, group._left_step(-l))
 
-def _keys(group: Group, boundaries: Boundaries) -> dict[Letter, tuple]:
-    """Per letter s: the coset keys of c(s), and the payload of s^-1."""
-    return {
-        l: (frozenset(c.rep.payload for c in b), group._letter_payload(-l))
-        for l, b in boundaries.items()
-    }
+    def sign(self, word, cells) -> int:
+        """(-1) to the number of the cells (coset payloads) that lie in
+        c(word).  A cell in the graph walks on its ids until it leaves it,
+        and from there on payloads."""
+        walk, payloads, odd = [self.letters[l] for l in word], self.payloads, False
+        for x in cells:
+            v, rest = self.find(x, -1), walk
+            if v >= 0:
+                for i, (mark, back, _, step) in enumerate(walk):
+                    odd ^= mark[v]
+                    if back[v] < 0:
+                        x, rest = step(payloads[v]), walk[i + 1 :]
+                        break
+                    v = back[v]
+                else:
+                    continue
+            for _, _, members, step in rest:
+                odd ^= x in members
+                x = step(x)
+        return -1 if odd else 1
 
-
-def _minus_cells(y: Pattern) -> list:
-    return [c.rep.payload for c, s in y.items() if s == MINUS]
+    def on_pattern(self, word, y: Pattern) -> int:
+        """The sign over the minus cells of a configuration."""
+        return self.sign(word, [c.rep.payload for c, s in y.items() if s == MINUS])
 
 
 def sign_cocycle(
     group: Group, boundaries: Boundaries, g: GroupElement, y: Pattern
 ) -> int:
     """The two-valued cocycle: the configuration evaluated on c(g^-1)."""
-    return _sign(group, _keys(group, boundaries), group.invert(g).word, _minus_cells(y))
+    return _SignWalk(group, boundaries).on_pattern(group.invert(g).word, y)
 
 
 @dataclass(frozen=True)
@@ -292,12 +314,12 @@ def sign_cocycle_spec(
     boundaries = generator_boundaries(cache, region, radius)
     graph = cache.at_least(radius)
     window = max([1, *(graph.norm(c) for cells in boundaries.values() for c in cells)])
-    keys = _keys(group, boundaries)
+    walk = _SignWalk(group, boundaries)
     target = ZmodGroup((2,))
     minus_one = target.letter_element(1)
 
     def rule(letter: Letter, p: Pattern):
-        if _sign(group, keys, (-letter,), _minus_cells(p)) == 1:
+        if walk.on_pattern((-letter,), p) == 1:
             return target.identity()
         return minus_one
 
@@ -320,23 +342,28 @@ def verify_sign_identity(
 ) -> IdentityCheck:
     """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y) of the
     sign cocycle built on the given difference sets.  The minus cells of hy
-    are y's moved by h, so c'(g, hy) is the parity over those."""
+    are y's moved by h, so c'(g, hy) is the parity over those.  y is drawn
+    on the ids of ball(max_norm) with the draws of ``random_pattern`` (a
+    count, the cells, a symbol per cell), so a seed gives the same trials."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     group = cache.group
     graph = cache.at_least(max_norm)
-    alphabet = sign_alphabet()
-    keys = _keys(group, boundaries)
+    walk, n = _SignWalk(group, boundaries, graph), graph.ball_size(max_norm)
     mul, rep = group._mul_payload, group._coset_rep_payload
     bad = 0
     for _ in range(trials):
-        y = random_pattern(graph, alphabet, max_norm, rng)
+        count = rng.randrange(0, min(6, n) + 1)
+        cells = [graph.payloads[v] for v in rng.sample(range(n), count)]
+        for _ in cells:
+            rng.choice((MINUS,))
         w1 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         w2 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
-        cells = _minus_cells(y)
         moved = [rep(mul(g2.payload, x)) for x in cells]
-        lhs = _sign(group, keys, group.invert(group.multiply(g1, g2)).word, cells)
-        rhs = _sign(group, keys, group.invert(g1).word, moved) * _sign(
-            group, keys, group.invert(g2).word, cells
+        lhs = walk.sign(group.invert(group.multiply(g1, g2)).word, cells)
+        rhs = walk.sign(group.invert(g1).word, moved) * walk.sign(
+            group.invert(g2).word, cells
         )
         if lhs != rhs:
             bad += 1

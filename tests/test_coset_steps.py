@@ -1,5 +1,5 @@
-"""Per-family coset steps, the budgets they leave unchanged, and the lazy
-``cosets`` list of a coset graph."""
+"""Per-family coset steps and left steps, the budgets they leave unchanged,
+the lazy ``cosets`` list and the left tables of a coset graph."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +8,7 @@ from relend import coset_graph
 from relend.coset_graph import BallCache, CosetGraph
 from relend.ends import capacity_table, estimate_ends
 from relend.errors import BallTooLargeError
+from relend.obstruction import builtin_set, rho_forcing_check
 from relend.groups import (
     BsGroup,
     CosetId,
@@ -88,3 +89,54 @@ def test_grown_ball_shares_its_parents_coset_objects():
     assert grown.cosets[len(old):] == [
         CosetId(GroupElement(grown.group, p)) for p in grown.payloads[len(old):]
     ]
+
+
+# -- left steps and the left tables of a graph ---------------------------------
+
+
+@given(group=GROUPS, radius=st.integers(0, 4))
+def test_family_left_steps_equal_the_generic_default(group, radius):
+    graph = CosetGraph(group, radius)
+    for letter in group.s_letters:
+        step, generic = group._left_step(letter), Group._left_step(group, letter)
+        for p in graph.payloads:
+            assert step(p) == generic(p)
+
+
+@given(group=GROUPS, radius=st.integers(0, 4))
+def test_left_ids_read_the_product_with_the_letter(group, radius):
+    graph = CosetGraph(group, radius)
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    for letter in group.s_letters:
+        s = group.letter_element(letter).payload
+        assert graph.left_ids(letter) == [
+            graph.index.get(rep(mul(s, p)), -1) for p in graph.payloads
+        ]
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.sets = []
+
+    def __setitem__(self, key, value):
+        self.sets.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radius",
+    [(ZdGroup(1), "halfline", 12), (ZdGroup(2, (0,)), "halfline", 4),
+     (FreeGroup(2), "aprefix", 4)],
+)
+def test_one_forcing_check_builds_each_left_table_once(group, set_name, radius):
+    # the difference pass, the forced signs, the sign identity and the search
+    # all read the one graph of ball(radius + 1)
+    cache = BallCache(group)
+    graph = cache.at_least(radius + 1)
+    graph._left = _CountingDict()
+    cap = graph.ball_size(radius)
+    region = builtin_set(group, set_name)
+    report = rho_forcing_check(cache, region, radius, seed=1, cap=cap)
+    assert report.ok and cache.at_least(0) is graph
+    assert sorted(graph._left.sets) == sorted(group.s_letters)

@@ -16,6 +16,7 @@ from relend.groups import (
 )
 from relend.obstruction import (
     AlmostInvariantSet,
+    _SignWalk,
     bounded_coboundary_search,
     builtin_set,
     generator_boundaries,
@@ -529,3 +530,106 @@ def test_forcing_check_error_order():
     # unstable at R itself: reported before the cap
     with pytest.raises(NoStabilizationError, match=f"radius {radius + 1}"):
         rho_forcing_check(BallCache(group), moved, radius + 1, cap=1)
+
+
+# -- the sign walk on ids against walks on payloads ---------------------------
+
+SIGN_CASES = [
+    (ZdGroup(1, ()), "halfline", 6),
+    (ZdGroup(2, (0,)), "halfline", 6),
+    (FreeGroup(2), "aprefix", 5),
+]
+SIGN_IDS = ["zd1", "zd2k0", "free2"]
+
+
+def _payload_sign(group, sets, word, cells):
+    """The pointwise parity by group arithmetic alone: each cell is tested
+    against c(l) and moved by l^-1 with a product and a canonical rep."""
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    odd = False
+    for x in cells:
+        for letter in word:
+            odd ^= any(c.rep.payload == x for c in sets[letter])
+            x = rep(mul(group.letter_element(-letter).payload, x))
+    return -1 if odd else 1
+
+
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+def test_id_walk_equals_the_payload_walk_on_cells_that_leave_the_ball(
+    group, set_name, radius
+):
+    # a graph of exactly the cells' norm, so words of length 8 carry most
+    # cells out of it and the walk goes on over payloads
+    max_norm = 3
+    b = generator_boundaries(BallCache(group), builtin_set(group, set_name), radius)
+    graph = BallCache(group).at_least(max_norm)
+    assert graph.radius == max_norm
+    base = coset_of(group.identity())
+    rng = random.Random(13)
+    left = 0
+    for trial in range(150):
+        sets = b if trial % 2 else {**b, 1: b[1] ^ {base}}
+        walk = _SignWalk(group, sets, graph)
+        ids = rng.sample(range(graph.vertex_count()), rng.randrange(0, 7))
+        word = [rng.choice(group.s_letters) for _ in range(8)]
+        cells = [graph.payloads[v] for v in ids]
+        expected = _payload_sign(group, sets, word, cells)
+        assert walk.sign(word, cells) == expected
+        assert _SignWalk(group, sets).sign(word, cells) == expected
+        for v in ids:
+            p = graph.payloads[v]
+            for letter in word:
+                p = group._left_step(-letter)(p)
+                left += p not in graph.index
+    assert left > 100
+
+
+def _pattern_identity_trials(cache, boundaries, trials, rng, max_word=4, max_norm=3):
+    """The sign-identity sampler on patterns: y from random_pattern, then the
+    two words, with every sign by group arithmetic; the reference for the
+    draws verify_sign_identity makes on graph ids."""
+    group = cache.group
+    graph = cache.at_least(max_norm)
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    bad = 0
+    for _ in range(trials):
+        y = random_pattern(graph, sign_alphabet(), max_norm, rng)
+        w1 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
+        w2 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
+        g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
+        cells = [c.rep.payload for c, s in y.items() if s == "-1"]
+        moved = [rep(mul(g2.payload, x)) for x in cells]
+        lhs = _payload_sign(
+            group, boundaries, group.invert(group.multiply(g1, g2)).word, cells
+        )
+        rhs = _payload_sign(group, boundaries, group.invert(g1).word, moved) * (
+            _payload_sign(group, boundaries, group.invert(g2).word, cells)
+        )
+        bad += lhs != rhs
+    return bad
+
+
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+def test_sign_identity_draws_what_the_pattern_sampler_drew(group, set_name, radius):
+    # the broken-set negative control, seed by seed: the same violation
+    # counts and the same rng state afterwards pin the stream of draws; on
+    # the tree a cell meets the broken cell {e} rarely, so not every seed
+    # sees a violation
+    cache = BallCache(group)
+    boundaries = generator_boundaries(cache, builtin_set(group, set_name), radius)
+    broken = {**boundaries, 1: boundaries[1] ^ {coset_of(group.identity())}}
+    counts = []
+    for seed in range(10):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        check = verify_sign_identity(cache, broken, 60, ours)
+        assert check.violations == _pattern_identity_trials(cache, broken, 60, theirs)
+        assert ours.getstate() == theirs.getstate()
+        counts.append(check.violations)
+    assert any(counts)
+
+
+def test_sign_identity_refuses_a_negative_trial_count(line):
+    group, cache, region = line
+    b = generator_boundaries(cache, region, 6)
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        verify_sign_identity(cache, b, -1, random.Random(0))

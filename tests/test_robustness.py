@@ -14,8 +14,11 @@ from hypothesis import given, strategies as st
 
 import relend.coset_graph
 from relend.cli import main
-from relend.groups import BsGroup
-from relend.patterns import Alphabet
+from relend.cocycles import plant_cocycle
+from relend.coset_graph import CosetGraph
+from relend.groups import BsGroup, ZdGroup, ZmodGroup
+from relend.patterns import Alphabet, trivial_alphabet
+from relend.serialize import cocycle_to_json, dump_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -305,3 +308,30 @@ def test_cocycle_tables_fuzz_never_escapes(tmp_path_factory, tables):
     code, err = _verify_cocycle(tmp_path_factory.mktemp("fuzz"), _window0(tables))
     assert code in (0, 1, 2)
     assert "Traceback" not in err and err.count("\n") <= 1
+
+
+def test_negative_samples_are_refused_with_one_line(tmp_path):
+    # a negative count is a config error before any check runs: obstruct
+    # would report "-1 trials, 0 violations" and pass, and trivialize --plant
+    # "PASS cohomology_sweep: -1 samples" and then fail a later check
+    line, plane = tmp_path / "zd1.json", tmp_path / "zd2.json"
+    line.write_text(json.dumps({"family": "zd", "d": 1}))
+    plane.write_text(json.dumps({"family": "zd", "d": 2}))
+    group = ZdGroup(2)
+    graph = CosetGraph(group, 1)
+    spec = plant_cocycle(
+        group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), 0, 1, graph
+    )
+    cocycle = tmp_path / "cocycle.json"
+    dump_json(str(cocycle), cocycle_to_json(spec, graph))
+    report = str(tmp_path / "report.txt")
+    commands = [
+        ["obstruct", "--config", str(line), "--radius", "3", "--cap", "7"],
+        ["trivialize", "--config", str(plane), "--plant"],
+        ["verify", "--config", str(plane), "--cocycle", str(cocycle)],
+    ]
+    for argv in commands:
+        assert _run(argv + ["--samples", "1", "--report", report]) == (0, "")
+        assert _run(argv + ["--samples", "-1", "--report", report]) == (
+            2, "config error: --samples must be nonnegative\n"
+        )
