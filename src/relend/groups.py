@@ -659,14 +659,6 @@ class ProductGroup(Group):
 
         return step
 
-    def _left_step(self, letter):
-        # the letter's factor steps, the other factor stays
-        side, inner = self._split(letter)
-        step = side._left_step(inner)
-        if side is self.left:
-            return lambda vp: (step(vp[0]), vp[1])
-        return lambda vp: (vp[0], step(vp[1]))
-
 
 # ---------------------------------------------------------------------------
 # Module-level operations

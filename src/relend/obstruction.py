@@ -10,8 +10,8 @@ graph's left table of s^-1 (``CosetGraph.left_ids``).  The sign cocycle is
 evaluated pointwise: a cell u lies in c(l_1...l_k) exactly when an odd
 number of the p_i^-1 u lie in c(l_i), p_i = l_1...l_(i-1), so c'(g, y) is a
 parity over y's minus cells and c'(g, hy) one over those cells moved by h.
-The walk steps a cell through the same left tables while it stays in the
-graph, and on coset payloads with the family's left step once it leaves.
+The walk moves a cell on coset payloads with the family's left step
+(``Group._left_step``), inside the built graph and outside it alike.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
 for every generator s.  Over GF(2) these equations are a 2-colouring of the
@@ -89,7 +89,8 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
 
     Membership is evaluated once per vertex, and once per translate s^-1 v
     that leaves the ball, through its coset.  Per letter s: the graph's left
-    table of s^-1, and the ids of A xor sA, ascending.
+    table of s^-1, which spans the whole graph and so may reach past
+    ball(radius), and the ids of A xor sA, ascending.
     """
     graph = cache.at_least(radius)
     group, cosets, payloads = graph.group, graph.cosets, graph.payloads
@@ -134,40 +135,20 @@ def generator_boundaries(
 
 
 class _SignWalk:
-    """The pointwise parity walk over the sets c(l) of one family.  Per
-    letter l: c(l) as a bytearray over a graph's ids and the graph's left
-    table of l^-1 (none without a graph), and c(l) as coset payloads with the
-    left step by l^-1, for cells outside the graph."""
+    """The pointwise parity walk over the sets c(l) of one family: per
+    letter l, c(l) as coset payloads and the left step by l^-1."""
 
-    def __init__(self, group: Group, boundaries: Boundaries, graph=None):
-        self.payloads = graph.payloads if graph else ()
-        self.find = graph.index.get if graph else {}.get
-        self.letters = {}
-        for l, b in boundaries.items():
-            cells = frozenset(c.rep.payload for c in b)
-            mark = bytearray(len(self.payloads))
-            for v in {self.find(p, -1) for p in cells} - {-1}:
-                mark[v] = 1
-            back = graph.left_ids(-l) if graph else None
-            self.letters[l] = (mark, back, cells, group._left_step(-l))
+    def __init__(self, group: Group, boundaries: Boundaries):
+        self.letters = {
+            l: (frozenset(c.rep.payload for c in b), group._left_step(-l))
+            for l, b in boundaries.items()
+        }
 
     def sign(self, word, cells) -> int:
-        """(-1) to the number of the cells (coset payloads) that lie in
-        c(word).  A cell in the graph walks on its ids until it leaves it,
-        and from there on payloads."""
-        walk, payloads, odd = [self.letters[l] for l in word], self.payloads, False
+        """(-1) to the number of the cells (coset payloads) in c(word)."""
+        walk, odd = [self.letters[l] for l in word], False
         for x in cells:
-            v, rest = self.find(x, -1), walk
-            if v >= 0:
-                for i, (mark, back, _, step) in enumerate(walk):
-                    odd ^= mark[v]
-                    if back[v] < 0:
-                        x, rest = step(payloads[v]), walk[i + 1 :]
-                        break
-                    v = back[v]
-                else:
-                    continue
-            for _, _, members, step in rest:
+            for members, step in walk:
                 odd ^= x in members
                 x = step(x)
         return -1 if odd else 1
@@ -232,8 +213,8 @@ def _solve(
     smallest id of each component that never meets it, set to 0, and checks
     every equation once.  The first equation whose ends disagree closes an
     odd cycle with the two tree paths to its ends; that cycle is the
-    certificate.  ``sets`` must hold the translates of every id of
-    ball(radius + 1).
+    certificate.  The equations come from the ids of ball(radius + 1);
+    ``sets`` must hold their translates.
     """
     n = graph.ball_size(radius)
     # Equations as edges (v, letter, w, parity) with v in the ball and the id n
@@ -246,7 +227,8 @@ def _solve(
         if letter < 0:
             continue
         odd = set(odd_ids)
-        for v, w in enumerate(back):
+        for v in range(graph.ball_size(radius + 1)):
+            w = back[v]
             a, b = min(v, n), w if 0 <= w < n else n
             if a == b:
                 continue  # both ends outside, or a loop, whose parity is 0
@@ -349,7 +331,7 @@ def verify_sign_identity(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = cache.group
     graph = cache.at_least(max_norm)
-    walk, n = _SignWalk(group, boundaries, graph), graph.ball_size(max_norm)
+    walk, n = _SignWalk(group, boundaries), graph.ball_size(max_norm)
     mul, rep = group._mul_payload, group._coset_rep_payload
     bad = 0
     for _ in range(trials):

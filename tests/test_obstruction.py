@@ -555,11 +555,11 @@ def _payload_sign(group, sets, word, cells):
 
 
 @pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
-def test_id_walk_equals_the_payload_walk_on_cells_that_leave_the_ball(
+def test_sign_walk_equals_group_arithmetic_on_cells_that_leave_the_ball(
     group, set_name, radius
 ):
-    # a graph of exactly the cells' norm, so words of length 8 carry most
-    # cells out of it and the walk goes on over payloads
+    # cells drawn from a graph of exactly the cells' norm, so words of
+    # length 8 carry most of them out of it
     max_norm = 3
     b = generator_boundaries(BallCache(group), builtin_set(group, set_name), radius)
     graph = BallCache(group).at_least(max_norm)
@@ -569,12 +569,10 @@ def test_id_walk_equals_the_payload_walk_on_cells_that_leave_the_ball(
     left = 0
     for trial in range(150):
         sets = b if trial % 2 else {**b, 1: b[1] ^ {base}}
-        walk = _SignWalk(group, sets, graph)
         ids = rng.sample(range(graph.vertex_count()), rng.randrange(0, 7))
         word = [rng.choice(group.s_letters) for _ in range(8)]
         cells = [graph.payloads[v] for v in ids]
         expected = _payload_sign(group, sets, word, cells)
-        assert walk.sign(word, cells) == expected
         assert _SignWalk(group, sets).sign(word, cells) == expected
         for v in ids:
             p = graph.payloads[v]
