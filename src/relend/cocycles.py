@@ -15,8 +15,11 @@ through a per-cocycle table of letter steps keyed by payload.  A step is
 filled on first use from one product s * rep, so the check that every
 K-correction lies in K runs once per distinct (letter, cell) pair.  Only
 the window pattern handed to ``factor`` is made of cosets, keyed by its
-(coset, symbol) entries as before.  Word-independence is exactly the
-cocycle identity and is guarded by ``verify_relations``.
+(coset, symbol) entries as before, and the value is a target payload until
+the walk ends.  ``walk_word`` takes one more step after the last letter and
+returns g y with c(g, y); the trivializer and the planted rule move
+configurations that way, not with ``act``.  Word-independence is exactly
+the cocycle identity and is guarded by ``verify_relations``.
 ``path_difference`` recomputes a difference of cocycle values along an
 edge path from per-edge subgroup witnesses and the uncached ``act``,
 giving a second, independent route to the same group element.
@@ -172,6 +175,18 @@ class CocycleSpec:
             }
         return key, images
 
+    def _move(self, letter: Letter, z: list) -> list:
+        """The (payload, symbol) pairs z moved by the letter, through the
+        letter-step table."""
+        table = self._letter_steps[letter]
+        moved = []
+        for p, s in z:
+            step = table.get(p)
+            if step is None:
+                step = table[p] = self._new_step(letter, p)
+            moved.append((step[0], step[1][s]))
+        return moved
+
     def corrupted(
         self, letter: Letter, key: frozenset, value: GroupElement
     ) -> "CocycleSpec":
@@ -189,33 +204,55 @@ class CocycleSpec:
         )
 
 
+def _walk(
+    c: CocycleSpec, word, y: Pattern, through: bool
+) -> tuple[GroupElement, list]:
+    """The value along the word and the configuration's (payload, symbol)
+    pairs after the walk: moved by every letter but the first of the word,
+    or, with ``through``, by the whole word."""
+    target, window, alphabet = c.target, c._window.get, y.alphabet
+    acc, mul = target.identity().payload, target._mul_payload
+    z = [(cell.rep.payload, s) for cell, s in y.entries]
+    prev = None
+    for letter in reversed(tuple(word)):
+        if prev is not None:
+            z = c._move(prev, z)
+        key = frozenset([(cell, s) for p, s in z if (cell := window(p)) is not None])
+        acc = mul(c.factor(letter, Pattern(alphabet, key)).payload, acc)
+        prev = letter
+    if through and prev is not None:
+        z = c._move(prev, z)
+    return GroupElement(target, acc), z
+
+
 def evaluate_word(c: CocycleSpec, word, y: Pattern) -> GroupElement:
     """Cocycle value along an explicit letter word (right-to-left expansion).
 
-    The configuration walks as (payload, symbol) pairs; per letter only the
-    window pattern handed to ``factor`` is made of cosets.
+    The configuration walks as (payload, symbol) pairs and the value as a
+    target payload; per letter only the window pattern handed to
+    ``factor`` is made of cosets.
     """
-    acc = c.target.identity()
-    letters = tuple(word)[::-1]
-    if not letters:
-        return acc
-    window, steps = c._window.get, c._letter_steps
-    alphabet, mul = y.alphabet, c.target.multiply
-    z = [(cell.rep.payload, s) for cell, s in y.entries]
-    for i, letter in enumerate(letters):
-        if i:  # moving after the last letter would be wasted work
-            prev = letters[i - 1]
-            table = steps[prev]
-            moved = []
-            for p, s in z:
-                step = table.get(p)
-                if step is None:
-                    step = table[p] = c._new_step(prev, p)
-                moved.append((step[0], step[1][s]))
-            z = moved
-        key = frozenset([(cell, s) for p, s in z if (cell := window(p)) is not None])
-        acc = mul(c.factor(letter, Pattern(alphabet, key)), acc)
-    return acc
+    return _walk(c, word, y, False)[0]
+
+
+def walk_word(
+    c: CocycleSpec, word, y: Pattern, *, cells: CosetGraph
+) -> tuple[GroupElement, Pattern]:
+    """c(g, y) and g y for the element g of the word, in one walk: the
+    configuration takes one more step after the last factor, so g y is
+    ``act(g, y)`` read off the spec's letter steps.  A moved cell inside the
+    ball ``cells`` is that ball's own ``CosetId``, so a caller that keeps
+    g y holds no second copy of it; only a cell outside it is made anew."""
+    value, z = _walk(c, word, y, True)
+    group, find = c.group, cells.index.get
+    entries = []
+    for p, s in z:
+        i = find(p)
+        if i is None:
+            entries.append((CosetId(GroupElement(group, p)), s))
+        else:
+            entries.append((cells.cosets_slice(i, i + 1)[0], s))
+    return value, Pattern(y.alphabet, frozenset(entries))
 
 
 def evaluate(c: CocycleSpec, g: GroupElement, y: Pattern) -> GroupElement:
@@ -451,14 +488,19 @@ def plant_cocycle(
     }
     planted = PlantedData(seed, b0_window, region0, b0, letter_images)
     b0_of = planted.b0_of
+    cells0 = {cell.rep.payload: cell for cell in region0}
 
     def rule(letter: Letter, p: Pattern) -> GroupElement:
-        moved = act(group.letter_element(letter), p)
-        lhs = target.invert(b0_of(moved))
+        # b0 of s p: p moved by the letter on the steps of the spec this
+        # rule belongs to, then cut to region0
+        moved = spec._move(letter, [(cell.rep.payload, s) for cell, s in p.entries])
+        key = frozenset(
+            [(cell, s) for q, s in moved if (cell := cells0.get(q)) is not None]
+        )
         return target.multiply(
-            lhs, target.multiply(letter_images[letter], b0_of(p))
+            target.invert(b0[key]),
+            target.multiply(letter_images[letter], b0_of(p)),
         )
 
-    return CocycleSpec(
-        group, alphabet, target, b0_window + 1, {}, rule, planted
-    )
+    spec = CocycleSpec(group, alphabet, target, b0_window + 1, {}, rule, planted)
+    return spec

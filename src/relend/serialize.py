@@ -7,9 +7,8 @@ Group configs: ``{"family": "bs", "m": 1, "n": 2}``,
 ``{"family": "direct_product", "factors": [cfg, cfg]}``.
 
 Elements travel as whitespace-separated generator tokens with an uppercase
-first letter marking an inverse, e.g. ``"x x t X"``.  Patterns are lists of
-``[word, symbol]`` pairs; cocycle tables map window-pattern keys to target
-words.  A key's text is ``word=symbol`` for each non-default cell, in
+first letter marking an inverse, e.g. ``"x x t X"``.  Cocycle tables map
+window-pattern keys to target words.  A key's text is ``word=symbol`` for each non-default cell, in
 shortlex order of the cells' words and joined by ``|``, with ``e`` for the
 base coset.  That text exists only here: in memory a key is the pattern's
 frozenset of entries, and two patterns whose texts coincide cannot be
@@ -33,9 +32,8 @@ from .groups import (
     ProductGroup,
     ZdGroup,
     ZmodGroup,
-    coset_of,
 )
-from .patterns import Alphabet, Pattern, make_pattern
+from .patterns import Alphabet, Pattern
 
 
 def _int(value, what: str) -> int:
@@ -115,28 +113,6 @@ def alphabet_from_config(cfg: dict) -> Alphabet:
         raise ConfigError("alphabet symbols must be a list and alpha an object")
     perms = tuple((name, _ints(alpha[name], name)) for name in sorted(alpha))
     return Alphabet(tuple(str(s) for s in symbols), x0, perms)
-
-
-def alphabet_to_config(alphabet: Alphabet) -> dict:
-    return {
-        "symbols": list(alphabet.symbols),
-        "x0": alphabet.x0,
-        "alpha": {name: list(perm) for name, perm in alphabet.perms},
-    }
-
-
-def pattern_from_json(group: Group, alphabet: Alphabet, data: list) -> Pattern:
-    out = {}
-    for word, symbol in data:
-        out[coset_of(parse_element(group, word))] = str(symbol)
-    return make_pattern(alphabet, out)
-
-
-def pattern_to_json(p: Pattern) -> list:
-    rows = [
-        (element_str(c.rep), s) for c, s in p.items()
-    ]
-    return [list(r) for r in sorted(rows)]
 
 
 TABLE_LIMIT = 4096  # window patterns per generator a cocycle file may hold

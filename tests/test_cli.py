@@ -103,6 +103,31 @@ def test_trivialize_planted_and_determinism(configs):
     assert set(payload) == {"window", "phi", "b"}
 
 
+def test_trivialize_plant_with_no_samples_passes(configs):
+    # a planted cocycle is trivial; a sweep of no samples sees no offset,
+    # which is at most one, so the offset check passes vacuously
+    tmp, paths = configs
+    rep = tmp / "report.txt"
+    code = main(
+        [
+            "trivialize",
+            "--config",
+            str(paths["z2"]),
+            "--plant",
+            "--seed",
+            "1",
+            "--samples",
+            "0",
+            "--report",
+            str(rep),
+        ]
+    )
+    report = rep.read_text().splitlines()
+    assert code == 0 and report[-1] == "RESULT: ok"
+    assert "PASS cohomology_sweep: 0 samples" in report
+    assert "PASS planted_offset_constant: 0 distinct offsets over sweep" in report
+
+
 def test_trivialize_rejects_many_ends(configs):
     tmp, paths = configs
     rep = tmp / "free_report.txt"

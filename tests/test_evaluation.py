@@ -1,4 +1,5 @@
-"""Cocycle evaluation on coset payloads, checked against ``act``."""
+"""Cocycle evaluation and the moves of configurations on coset payloads,
+checked against ``act``."""
 
 import random
 
@@ -13,6 +14,8 @@ from relend.cocycles import (
     pattern_key,
     plant_cocycle,
     verify_relations,
+    walk_word,
+    window_patterns,
     window_region,
 )
 from relend.errors import InternalError
@@ -100,6 +103,62 @@ def test_evaluate_word_matches_reference_walk(name):
                 permuted += 1
     # the K-twist of the symbols is exercised, not just the moving support
     assert permuted > 0 or not alphabet.perms
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_walk_word_moves_like_act(name):
+    # the walk's g y is act(g, y) and its value is evaluate's; the moved
+    # cells inside the ball are the ball's own CosetIds, and a word of
+    # length 8 also moves cells beyond the ball of radius 3
+    group, alphabet = SETTINGS[name]
+    graph = build_ball(group, 3)
+    c = _random_table_cocycle(group, alphabet, 1, seed=3)
+    own = {v: v for v in graph.cosets}
+    rng = random.Random(12)
+    permuted = outside = 0
+    for _ in range(150):
+        y = random_pattern(graph, alphabet, 3, rng)
+        word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
+        expected = act(group.element_from_word(word), y)
+        value, moved = walk_word(c, word, y, cells=graph)
+        assert moved == expected
+        assert value == evaluate_word(c, word, y)
+        assert all(own.get(v, v) is v for v, _ in moved.entries)
+        outside += sum(v not in graph for v, _ in moved.entries)
+        if {s for _, s in expected.entries} != {s for _, s in y.entries}:
+            permuted += 1
+    assert outside > 0
+    assert permuted > 0 or not alphabet.perms
+
+
+PLANT_SETTINGS = {
+    "zd2": (ZdGroup(2, ()), trivial_alphabet(("0", "1"), "0")),
+    "zd3k0": (ZdGroup(3, (0,)), Alphabet(("0", "1", "2"), "0", (("a", (0, 2, 1)),))),
+    "free2": (FreeGroup(2), trivial_alphabet(("0", "1"), "0")),
+    "bs12": SETTINGS["bs12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANT_SETTINGS))
+def test_planted_rule_is_its_act_form(name):
+    # c(s, p) = b0(s p)^-1 * hom(s) * b0(p), with s p moved by ``act``, on
+    # every window pattern and letter
+    group, alphabet = PLANT_SETTINGS[name]
+    target = ZmodGroup((5,))
+    graph = BallCache(group).at_least(2)
+    c = plant_cocycle(group, alphabet, target, 0, 17, graph)
+    pd = c.derivation
+    checked = 0
+    for p in window_patterns(c.region, alphabet):
+        for letter in group.s_letters:
+            moved = act(group.letter_element(letter), p)
+            expected = target.multiply(
+                target.invert(pd.b0_of(moved)),
+                target.multiply(pd.hom_images[letter], pd.b0_of(p)),
+            )
+            assert c.rule(letter, p) == expected
+            checked += 1
+    assert checked == len(alphabet.symbols) ** len(c.region) * len(group.s_letters)
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))

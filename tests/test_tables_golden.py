@@ -6,8 +6,10 @@ relation and window checks or the trivialize pipeline that moves a byte of a
 report, a transfer table, a message or an exit code shows up here.  The
 cocycle files are window-1 tables planted with ``plant_cocycle`` and written
 with ``cocycle_to_json``, one per pair of the benchmark's tables workload.
-The cases verify each file at two seeds, trivialize each file, verify one
-file with a corrupted entry, and plant-and-trivialize at b0-windows 0 and 1.
+The cases verify each file at two seeds, trivialize each file (and the
+zd(2), zd(3) and zd(3, [0]) files at two seeds with the default 50
+samples), verify one file with a corrupted entry, and plant-and-trivialize
+at b0-windows 0 and 1.
 Two pairs carry an alphabet that K permutes, given as a
 ``{"group": ..., "alphabet": ...}`` config: zd(3, [0]) with a = (0 2 1) is
 planted and trivialized, and a file planted on BS(1, 2) with x = (0 2 3 1)
@@ -58,6 +60,12 @@ PLAIN = ("zd2", "zd3", "zd3k0", "free2", "bs12")  # binary trivial alphabet
 CASES = (
     [("verify", pair, seed, ()) for pair in PLAIN for seed in (1, 2)]
     + [("trivialize", pair, 1, ("--samples", "12")) for pair in PLAIN]
+    # the default 50 cohomology samples
+    + [
+        ("trivialize", pair, seed, ())
+        for pair in ("zd2", "zd3", "zd3k0")
+        for seed in (1, 2)
+    ]
     + [("verify-corrupt", "zd2", 1, ())]
     + [
         ("plant", pair, 1, ("--b0-window", str(w), "--samples", "12"))
@@ -153,6 +161,18 @@ GOLDEN = {
         "c20ad46b5490f5d95e488ccac08ae5e4b396040f1e1a01d8f7f11e83cd1f2577",
     "trivialize-bs12-s1-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
+    "trivialize-zd2-s1":
+        "b9e89b9c215e185581acaf3c7094700a6b5c3ef6603c19322021ed94eb2d4322",
+    "trivialize-zd2-s2":
+        "d3bcad4c3808e840bccf5c16e77db2729b267e225efcaa3d2ddeacec13320287",
+    "trivialize-zd3-s1":
+        "9fc7bb06b89cc658a1ef7750d0ccb3665cde446f99858fe829ed9256975ee127",
+    "trivialize-zd3-s2":
+        "fd080b3be72f46a4fd5a1436d3cf5f7d092037198deb1bfa0d1d49b5111d6095",
+    "trivialize-zd3k0-s1":
+        "a002cd568df24f1c16d9a31b2967eebd5f11fc413c3f96e8167a47b8018b39a7",
+    "trivialize-zd3k0-s2":
+        "c4c7cc857a4ed2a50f18906775c9ef3ca203f8920a2360e52d1e25ae3dddb9a1",
     "verify-corrupt-zd2-s1":
         "c078a646d351e35c2fab2a02a871ba88bbdff89b30d10452f0821f6a9536745e",
     "plant-zd2-s1-b0-window-0-samples-12":

@@ -1,16 +1,19 @@
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relend.coset_graph import BallCache
 from relend.errors import NotFoundError, NotOneEndedError
 from relend.groups import (
+    BsGroup,
     FreeGroup,
+    ProductGroup,
     ZdGroup,
     ZmodGroup,
     ball_elements,
     coset_of,
-    iter_ball,
 )
 from relend import trivialize
 from relend.cocycles import (
@@ -215,30 +218,98 @@ def test_lazy_far_scan_matches_full_ball(group):
         assert worker.far_element(t) == expected[0]
 
 
-def test_far_scan_runs_once_per_threshold(grid_setting, monkeypatch):
-    # far_element and verify_choice_independence share one scan of the word
-    # ball per threshold, resumed when a later call asks for more elements
-    import relend.trivialize as module
-
+def test_each_word_ball_element_is_expanded_at_most_once_per_run(
+    grid_setting, monkeypatch
+):
+    # one scan of the word ball serves every threshold of a run, which asks
+    # for them in mixed order: no element is multiplied by a generator twice
     group, cache, alpha, target, c = grid_setting
-    radii = []
+    scan_code = trivialize._FarScan._scan.__code__
+    products, mul = [], group._mul_payload
 
-    def counting(group, radius, *rest):
-        radii.append(radius)
-        return iter_ball(group, radius, *rest)
+    def recording(a, b):
+        if sys._getframe(1).f_code is scan_code:
+            products.append((a, b))
+        return mul(a, b)
 
-    monkeypatch.setattr(module, "iter_ball", counting)
-    worker = Trivializer(cache, c, seed=1)
-    y = random_pattern(cache.at_least(8), alpha, 2, random.Random(6))
-    threshold = worker.capacity_at(worker._norm(y) + c.window)
-    first = worker.far_element(threshold)
-    for _ in range(3):
-        assert worker.verify_choice_independence(y, trials=5)
-        assert worker.far_element(threshold) is first
-    assert radii == [threshold + worker.far_search_slack]
-    assert worker._far_candidates(threshold, 5) == _old_far_candidates(
-        worker, threshold, 5
-    )
+    monkeypatch.setattr(group, "_mul_payload", recording)
+    worker = Trivializer(cache, c, seed=3)
+    table, report = worker.run(cohomology_samples=25)
+    assert report.ok
+    asked = list(worker._far)  # in the order of the first request
+    assert asked != sorted(asked)
+    assert products and len(products) == len(set(products))
+    for t in asked:
+        first = worker.far_element(t)
+        assert worker.far_element(t) is first  # the memoised object
+        assert worker._far_candidates(t, 5) == _old_far_candidates(worker, t, 5)
+
+
+# (group, largest threshold asked): the oracle builds ball(t + 4) in full
+FAR_GROUPS = {
+    "zd2": (ZdGroup(2, ()), 8),
+    "zd3": (ZdGroup(3, ()), 5),
+    "zd3k0": (ZdGroup(3, (0,)), 5),
+    "free2": (FreeGroup(2), 3),
+    "bs12": (BsGroup(1, 2), 3),
+    "bs12xz": (ProductGroup(BsGroup(1, 2), ZdGroup(1, ())), 2),
+}
+_ORACLE: dict = {}
+
+
+def _oracle(name, worker, threshold):
+    """The first six far elements of the full-ball oracle, computed once."""
+    key = (name, threshold)
+    if key not in _ORACLE:
+        _ORACLE[key] = _old_far_candidates(worker, threshold, 6)
+    return _ORACLE[key]
+
+
+@example("zd2", [(0, 5, 0, False), (1, 5, 0, False)])  # 1 misses the scan
+@given(
+    st.sampled_from(sorted(FAR_GROUPS)),
+    st.lists(
+        st.tuples(
+            st.integers(0, 8),  # threshold, cut to the group's largest
+            st.sampled_from((1, 5, 5, 6)),  # how many far elements
+            st.integers(0, 3),  # the cache grows to the threshold plus this
+            st.booleans(),  # then caps the thresholds at this one
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_grown_scan_matches_full_ball(name, requests):
+    # thresholds in any order, a smaller one after a larger one, a request
+    # after the cache grew, a count above the batch and a capped scan all
+    # give the full-ball answer; far_element returns the memoised object
+    group, largest = FAR_GROUPS[name]
+    cache = BallCache(group)
+    c = constant_cocycle(group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), {})
+    worker = Trivializer(cache, c)
+    for t, count, grow, cap in requests:
+        t = min(t, largest)
+        cache.at_least(t + grow)
+        found = worker._far_candidates(t, count)
+        expected = _oracle(name, worker, t)  # grows the cache to radius 1
+        assert found == expected[:count]
+        first = worker.far_element(t)
+        assert first == expected[0] and worker.far_element(t) is first
+        if cap:
+            worker._limit_far_thresholds(t)
+
+
+@pytest.mark.parametrize("order", [(1, 3, 2), (4, 0, 6, 1), (2, 2, 5)])
+def test_no_far_element_when_k_has_finite_index(order):
+    # zd(1, [0]): K = G, every coset is the base, so no threshold has one
+    group = ZdGroup(1, (0,))
+    c = constant_cocycle(group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), {})
+    worker = Trivializer(BallCache(group), c)
+    for t in order:
+        assert worker._far_candidates(t, 5) == []
+        message = f"no far element for threshold {t} within word radius {t + 4}"
+        with pytest.raises(NotFoundError, match=message):
+            worker.far_element(t)
 
 
 def test_truncation_junk_never_lands_on_the_support(monkeypatch):
