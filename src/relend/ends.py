@@ -99,6 +99,8 @@ def components_outside_ball(
 
 def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsReport:
     """Sphere-touching component counts for r = 1..r_max at probe r+margin."""
+    if r_max < 1:
+        raise ValueError("rmax must be at least 1")
     if margin < 2:
         raise ValueError("margin must be at least 2")
     graph = cache.at_least(r_max + margin)

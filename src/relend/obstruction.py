@@ -4,14 +4,15 @@ Given a set A of cosets whose symmetric difference with every generator
 translate is finite, the map s -> A xor sA generates a subset-valued cocycle
 c, c(uv) = c(u) xor u c(v), and through sign products a two-valued cocycle
 on configurations over the alphabet {+1, -1}: c'(g, y) is y's product over
-c(g^-1).  One pass over graph ids gives the difference sets: v lies in
-A xor sA exactly when member(v) != member(s^-1 v), with s^-1 v read off the
-graph's left table of s^-1 (``CosetGraph.left_ids``).  The sign cocycle is
-evaluated pointwise: a cell u lies in c(l_1...l_k) exactly when an odd
-number of the p_i^-1 u lie in c(l_i), p_i = l_1...l_(i-1), so c'(g, y) is a
-parity over y's minus cells and c'(g, hy) one over those cells moved by h.
-The walk moves a cell on coset payloads with the family's left step
-(``Group._left_step``), inside the built graph and outside it alike.
+c(g^-1).  A is a predicate on coset payloads (``CosetId.rep.payload``).  One
+pass over graph ids gives the difference sets: v lies in A xor sA exactly
+when member(v) != member(s^-1 v), with s^-1 v read off the graph's left
+table of s^-1 (``CosetGraph.left_ids``); it makes no ``CosetId``.  The sign
+cocycle is evaluated pointwise: a cell u lies in c(l_1...l_k) exactly when
+an odd number of the p_i^-1 u lie in c(l_i), p_i = l_1...l_(i-1), so
+c'(g, y) is a parity over y's minus cells and c'(g, hy) one over those cells
+moved by h.  The walk moves a cell on coset payloads with the family's left
+step (``Group._left_step``), inside the built graph and outside it alike.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
 for every generator s.  Over GF(2) these equations are a 2-colouring of the
@@ -44,10 +45,10 @@ def sign_alphabet() -> Alphabet:
 
 @dataclass(frozen=True)
 class AlmostInvariantSet:
-    """A coset predicate expected to have finite generator differences."""
+    """A coset-payload predicate expected to have finite generator differences."""
 
     name: str
-    member: Callable[[CosetId], bool]
+    member: Callable[[object], bool]
 
 
 def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
@@ -66,44 +67,40 @@ def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
         if not free_axes:
             raise ValueError("halfline requires at least one free coordinate")
         axis = free_axes[0]
-        return AlmostInvariantSet(
-            "halfline", lambda c: c.rep.payload[axis] >= 0
-        )
+        return AlmostInvariantSet("halfline", lambda p: p[axis] >= 0)
     if name == "aprefix":
         if group.family != "free":
             raise ValueError("aprefix requires a free group")
-        return AlmostInvariantSet(
-            "aprefix", lambda c: bool(c.rep.payload) and c.rep.payload[-1] == 1
-        )
+        return AlmostInvariantSet("aprefix", lambda p: bool(p) and p[-1] == 1)
     raise ValueError(f"unknown built-in set {name!r}")
 
 
 def planted_finite_set(vertices) -> AlmostInvariantSet:
     """A finite set; its boundary cocycle is a genuine coboundary (control)."""
-    chosen = frozenset(vertices)
-    return AlmostInvariantSet("planted", lambda c: c in chosen)
+    chosen = frozenset(c.rep.payload for c in vertices)
+    return AlmostInvariantSet("planted", lambda p: p in chosen)
 
 
 def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
     """The pass behind every difference set, over the ids of ball(radius).
 
     Membership is evaluated once per vertex, and once per translate s^-1 v
-    that leaves the ball, through its coset.  Per letter s: the graph's left
+    that leaves the ball, on coset payloads.  Per letter s: the graph's left
     table of s^-1, which spans the whole graph and so may reach past
     ball(radius), and the ids of A xor sA, ascending.
     """
     graph = cache.at_least(radius)
-    group, cosets, payloads = graph.group, graph.cosets, graph.payloads
+    group, payloads, member = graph.group, graph.payloads, region.member
     ids = range(graph.ball_size(radius))
-    inside = bytearray(bool(region.member(cosets[v])) for v in ids)
+    inside = bytearray(bool(member(payloads[v])) for v in ids)
     out = {}
     for letter in group.s_letters:
         back, step, odd = graph.left_ids(-letter), group._left_step(-letter), []
         for v in ids:
             w = back[v]
-            if inside[v] != (inside[w] if 0 <= w < len(inside) else bool(
-                region.member(CosetId(GroupElement(group, step(payloads[v]))))
-            )):
+            if inside[v] != (
+                inside[w] if 0 <= w < len(inside) else bool(member(step(payloads[v])))
+            ):
                 odd.append(v)
         out[letter] = (back, odd)
     return graph, out
@@ -112,16 +109,17 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
 def _stable(graph: CosetGraph, sets, radius: int) -> Boundaries:
     """The sets within ball(radius), certified to have no element of norm
     radius: raises for the first letter whose set does, which means the
-    truncation is not yet honest."""
+    truncation is not yet honest.  Past the check every id of the sets
+    inside ball(radius) lies in ball(radius - 1), the only cosets made."""
     lo, hi = graph.ball_size(radius - 1), graph.ball_size(radius)
     for letter, (_, odd) in sets.items():
         if any(lo <= v < hi for v in odd):
             raise NoStabilizationError(
                 f"difference set for letter {letter} still grows at radius {radius}"
             )
-    cosets = graph.cosets
+    cosets = graph.cosets_slice(0, lo)
     return {
-        l: frozenset(cosets[v] for v in odd if v < hi) for l, (_, odd) in sets.items()
+        l: frozenset(cosets[v] for v in odd if v < lo) for l, (_, odd) in sets.items()
     }
 
 
@@ -250,7 +248,7 @@ def _solve(
             path.append(e)
         return path
 
-    decisions = 0
+    decisions, cosets = 0, graph.cosets_slice(0, n)
     for root in (n, *range(n)):
         if colour[root] >= 0:
             continue
@@ -274,11 +272,11 @@ def _solve(
                     while to_a and to_b and to_a[-1] == to_b[-1]:
                         to_a.pop(), to_b.pop()
                     return SearchOutcome(None, decisions, tuple(
-                        (graph.cosets[v], l, graph.cosets[w] if w < n else None, p)
+                        (cosets[v], l, cosets[w] if w < n else None, p)
                         for v, l, w, p in (edges[i] for i in (e, *to_b, *to_a[::-1]))
                     ))
     return SearchOutcome(
-        frozenset(c for c, bit in zip(graph.cosets, colour[:n]) if bit), decisions
+        frozenset(c for c, bit in zip(cosets, colour[:n]) if bit), decisions
     )
 
 

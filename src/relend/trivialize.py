@@ -33,7 +33,6 @@ from .groups import Group, GroupElement, Letter, coset_of
 from .patterns import (
     Pattern,
     empty_pattern,
-    pattern_norm,
     random_pattern,
     restrict,
     scatter_junk,
@@ -285,13 +284,15 @@ class Trivializer:
             scan._release()
 
     def _norm(self, y: Pattern) -> int:
-        """y's support norm; the cache grows one radius at a time until the
-        support fits, and the vertex budget bounds the growth."""
-        support = y.support()
-        graph = self.cache.at_least(0)
-        while not all(c in graph for c in support):
-            graph = self.cache.at_least(graph.radius + 1)
-        return pattern_norm(graph, y)
+        """y's support norm, in one pass over its entries; the cache grows one
+        radius at a time while a cell is missing, and the vertex budget bounds
+        the growth."""
+        graph, best = self.cache.at_least(0), 0
+        for c, _ in y.entries:
+            while (v := graph.index.get(c.rep.payload)) is None:
+                graph = self.cache.at_least(graph.radius + 1)
+            best = max(best, graph.norm_of[v])
+        return best
 
     def _pull_back(self, g: GroupElement, y: Pattern) -> GroupElement:
         """c(g, y)^-1 * hom(g), the transfer value when g is far enough."""
@@ -313,12 +314,8 @@ class Trivializer:
         graph = self.cache.at_least(3 * self.cocycle.window)
         region = window_region(graph, 3 * self.cocycle.window)
         truncated = restrict(y, region)
-        key = pattern_key(truncated)
-        hit = self.table.entries.get(key)
-        if hit is None:
-            hit = self.transfer(truncated)
-            self.table.entries[key] = hit
-        return hit
+        value = self.table.entries[pattern_key(truncated)] = self.transfer(truncated)
+        return value
 
     # -- verifications ---------------------------------------------------------
 

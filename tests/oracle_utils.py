@@ -155,7 +155,8 @@ def direct_boundary(cache, region, g, radius):
     return frozenset(
         v
         for v in graph.cosets[: graph.ball_size(radius)]
-        if region.member(v) != region.member(coset_of(group.multiply(g_inv, v.rep)))
+        if region.member(v.rep.payload)
+        != region.member(coset_of(group.multiply(g_inv, v.rep)).rep.payload)
     )
 
 

@@ -8,7 +8,9 @@ from relend.coset_graph import BallCache
 from relend.errors import NoStabilizationError, SearchSpaceTooLargeError
 from relend.groups import (
     BsGroup,
+    CosetId,
     FreeGroup,
+    GroupElement,
     ProductGroup,
     ZdGroup,
     ZmodGroup,
@@ -57,9 +59,7 @@ def test_boundary_requires_stability():
     group = FreeGroup(2)
     cache = BallCache(group)
     # words whose first letter is the generator a: differences keep growing
-    prefix = AlmostInvariantSet(
-        "prefix", lambda c: bool(c.rep.payload) and c.rep.payload[0] == 1
-    )
+    prefix = AlmostInvariantSet("prefix", lambda p: bool(p) and p[0] == 1)
     with pytest.raises(NoStabilizationError):
         generator_boundaries(cache, prefix, 5)
 
@@ -250,7 +250,7 @@ def _brute_force_witness(group, region, ordered):
         for u in ordered:
             for v in (u, coset_of(group.multiply(s, u.rep))):
                 w = coset_of(group.multiply(s_inv, v.rep))
-                parity = region.member(v) != region.member(w)
+                parity = region.member(v.rep.payload) != region.member(w.rep.payload)
                 equations.append((bit.get(v, 0), bit.get(w, 0), parity))
     for mask in range(2**n):
         if all(
@@ -285,7 +285,9 @@ def assert_certificate(cache, region, radius, outcome):
             assert moved not in inside
         else:
             assert w == moved and w in inside
-        assert parity == (region.member(v) != region.member(moved))
+        assert parity == (
+            region.member(v.rep.payload) != region.member(moved.rep.payload)
+        )
         ends.append((v, w))
     assert sum(p for *_, p in outcome.cycle) % 2 == 1
     # a closed walk, every outside end (None) being one vertex
@@ -293,7 +295,8 @@ def assert_certificate(cache, region, radius, outcome):
 
 
 def _xor_set(base, planted):
-    return AlmostInvariantSet("xor", lambda c: base.member(c) != (c in planted))
+    payloads = {c.rep.payload for c in planted}
+    return AlmostInvariantSet("xor", lambda p: base.member(p) != (p in payloads))
 
 
 @pytest.mark.parametrize(
@@ -388,9 +391,9 @@ def test_one_forcing_check_evaluates_each_membership_once(
     group, _, region = request.getfixturevalue(fixture)
     seen = []
 
-    def counting(c):
-        seen.append(c)
-        return region.member(c)
+    def counting(p):
+        seen.append(p)
+        return region.member(p)
 
     cache = BallCache(group)
     report = rho_forcing_check(
@@ -405,7 +408,55 @@ def test_one_forcing_check_evaluates_each_membership_once(
         if (moved := coset_of(group.multiply(group.letter_element(-letter), v.rep)))
         not in inside
     ]
-    assert leaving and Counter(seen) == Counter(inside) + Counter(leaving)
+    assert leaving and Counter(seen) == Counter(
+        c.rep.payload for c in [*inside, *leaving]
+    )
+
+
+@pytest.mark.parametrize(
+    "group,builtin,radius",
+    [
+        (ZdGroup(1, ()), "halfline", 6),
+        (ZdGroup(2, (0,)), "halfline", 3),
+        (FreeGroup(2), "aprefix", 3),
+        (BsGroup(1, 2), None, 3),
+    ],
+    ids=["zd1", "zd2k0", "free2", "bs12"],
+)
+def test_membership_sees_only_payloads_of_the_ball_and_its_translates(
+    group, builtin, radius
+):
+    # bs12 has no built-in set: a finite one, planted in ball(1)
+    cache = BallCache(group)
+    if builtin:
+        region = builtin_set(group, builtin)
+    else:
+        region = planted_finite_set(cache.at_least(1).cosets[1:3])
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return region.member(p)
+
+    cap = cache.at_least(radius + 1).ball_size(radius)
+    rho_forcing_check(cache, AlmostInvariantSet(region.name, recording), radius, cap=cap)
+    graph = cache.at_least(radius + 1)
+    ball = graph.payloads[: graph.ball_size(radius + 1)]
+    translates = {
+        group._left_step(letter)(p) for p in ball for letter in group.s_letters
+    }
+    assert seen and not any(isinstance(p, CosetId) for p in seen)
+    assert all(p in graph.index or p in translates for p in seen)
+
+
+def test_forcing_check_makes_cosets_only_for_the_ball_it_searches(tree):
+    # the pass reads ball(5) on payloads; the sets it returns lie in ball(4)
+    group, _, region = tree
+    cache = BallCache(group)
+    report = rho_forcing_check(cache, region, 4, cap=161)
+    graph = cache.at_least(0)
+    assert report.search is not None and graph.radius == 5
+    assert len(graph._made) <= graph.ball_size(4) == 161
 
 
 # -- the id-level pass against the coset-level oracle ------------------------
@@ -516,8 +567,8 @@ def test_forcing_check_error_order():
     radius = 3
     shift = group.invert(group.element_from_word([2] * (radius + 1)))
 
-    def member(c):
-        payload = group.multiply(c.rep, shift).payload
+    def member(p):
+        payload = group.multiply(GroupElement(group, p), shift).payload
         return bool(payload) and payload[-1] == 1
 
     moved = AlmostInvariantSet("moved", member)

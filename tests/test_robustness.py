@@ -335,3 +335,14 @@ def test_negative_samples_are_refused_with_one_line(tmp_path):
         assert _run(argv + ["--samples", "-1", "--report", report]) == (
             2, "config error: --samples must be nonnegative\n"
         )
+
+
+@pytest.mark.parametrize("rmax", ["0", "-3"])
+def test_ends_refuses_an_rmax_below_one_with_one_line(tmp_path, monkeypatch, rmax):
+    # an empty range of radii has no count to read the verdict from
+    pair = tmp_path / "zd2.json"
+    pair.write_text(json.dumps({"family": "zd", "d": 2}))
+    radii = _spy_on_balls(monkeypatch)
+    argv = ["ends", "--config", str(pair), "--rmax", rmax]
+    assert _run(argv) == (2, "config error: rmax must be at least 1\n")
+    assert radii == []  # refused before any ball is built
