@@ -24,7 +24,7 @@ from .errors import (
     RelendError,
     SearchSpaceTooLargeError,
 )
-from .groups import Group, ZmodGroup
+from .groups import Group, GroupElement, ZmodGroup
 from .obstruction import builtin_set, rho_forcing_check
 from .patterns import Alphabet, random_pattern, scatter_junk, trivial_alphabet
 from .serialize import (
@@ -34,6 +34,7 @@ from .serialize import (
     group_from_config,
     load_json,
     transfer_to_json,
+    write_file,
 )
 from .trivialize import Trivializer
 
@@ -54,8 +55,7 @@ def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
 def _write_text(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -64,12 +64,15 @@ def _cmd_graph(
     args: argparse.Namespace, group: Group, alphabet: Alphabet | None
 ) -> int:
     graph = build_ball(group, args.radius)
-    labels = [group.word_str(v.rep) or "1" for v in graph.cosets]
+    labels = [group.word_str(GroupElement(group, p)) or "1" for p in graph.payloads]
     lines = ["digraph coset_ball {"]
     lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
-    for i, edges in enumerate(graph.adj):
-        for letter, j in edges:
-            lines.append(f'  v{i} -> v{j} [label="{group.letter_name(letter)}"];')
+    tails = {l: f' [label="{name}"];' for l, name in group.letter_names.items()}
+    lines += [
+        f"  v{i} -> v{j}{tails[letter]}"
+        for i, edges in enumerate(graph.adj)
+        for letter, j in edges
+    ]
     lines.append("}")
     _write_text(args.out, lines)
     if args.csv:

@@ -13,8 +13,11 @@ search: the ids equal a fresh build's.  Graphs are not changed after
 construction; the ``cosets`` and ``degree`` lists, the ``ball_set`` sets and
 the left tables (``left_ids``: the id of sv for every id v, from the family's
 ``Group._left_step``) are derived from them on first use, so a caller that
-reads only ids, norms and edges (``ends``) never makes a ``CosetId``, and one
-that reads an id range (``cosets_slice``) makes them only up to its end.
+reads only ids, payloads, norms and edges (``ends``, ``relend graph``) never
+makes a ``CosetId``, and one that reads an id range (``cosets_slice``) makes
+them only up to its end.  ``degree`` reads the build's own edges below the
+last sphere, whose every neighbour is interned, and steps only the last
+sphere again.
 """
 
 from __future__ import annotations
@@ -161,9 +164,13 @@ class CosetGraph:
     @cached_property
     def degree(self) -> list[int]:
         """Degree in the infinite graph of every vertex in id order: its
-        distinct non-loop neighbours, counted by a second step."""
+        distinct non-loop neighbours.  The build interned every neighbour of
+        a vertex below the last sphere, so those count their own edges' ids;
+        only the last sphere is stepped again."""
+        last = self.sphere_start[self.radius]
         step = self.group._coset_steps()
-        return [len({key for _, key in step(p)}) for p in self.payloads]
+        inner = [len({w for _, w in edges}) for edges in self.adj[:last]]
+        return inner + [len({k for _, k in step(p)}) for p in self.payloads[last:]]
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index
@@ -205,11 +212,6 @@ class CosetGraph:
     def full_degree(self, v: CosetId) -> int:
         """Degree in the infinite graph (neighbours outside the ball count)."""
         return self.degree[self._id(v)]
-
-    def has_cycle(self) -> bool:
-        """Whether the built ball, viewed as an undirected graph, has a cycle."""
-        und = {frozenset((v, w)) for v, nbrs in enumerate(self.adj) for _, w in nbrs}
-        return len(und) != self.vertex_count() - 1
 
 
 def build_ball(group: Group, radius: int) -> CosetGraph:

@@ -92,11 +92,17 @@ class Group:
             l for l in self.s_letters if abs(l) in kset
         )
         self._identity = GroupElement(self, self._identity_payload())
-        # the payload of every letter, made once and read by every product
+        # the payload and the printed name of every letter, made once; an
+        # inverse's name capitalises its generator's first character
         one, self._letter_payloads = self._identity_payload(), {}
+        self.letter_names: dict[Letter, str] = {}
         for letter in self.s_letters:
             g = self._mul_payload(one, self._gen_payload(abs(letter)))
             self._letter_payloads[letter] = g if letter > 0 else self._inv_payload(g)
+            name = self.gen_names[abs(letter) - 1]
+            if letter < 0:
+                name = name[0].upper() + name[1:]
+            self.letter_names[letter] = name
 
     # -- family hooks -------------------------------------------------------
 
@@ -196,13 +202,10 @@ class Group:
         return GroupElement(self, out)
 
     def letter_name(self, letter: Letter) -> str:
-        name = self.gen_names[abs(letter) - 1]
-        if letter < 0:
-            return name[0].upper() + name[1:]
-        return name
+        return self.letter_names[letter]
 
     def word_str(self, a: GroupElement) -> str:
-        return " ".join(self.letter_name(l) for l in self.word_of(a))
+        return " ".join(map(self.letter_names.__getitem__, self.word_of(a)))
 
     def parse_token(self, token: str) -> Letter:
         sign = -1 if token[:1].isupper() else +1

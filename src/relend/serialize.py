@@ -259,10 +259,17 @@ def transfer_to_json(group: Group, table) -> dict:
     }
 
 
+def write_file(path: str, text: str) -> None:
+    """Write an artifact; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
+
+
 def dump_json(path: str, payload: Any) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path: str) -> Any:
@@ -271,5 +278,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed JSON in {path}: {err}") from None

@@ -112,6 +112,13 @@ def free_sphere_size(rank: int, length: int) -> int:
 # -- affine model of bs(1, n) -------------------------------------------------
 
 
+def is_tree(graph) -> bool:
+    """Whether a built ball, as an undirected graph, is a tree: the BFS
+    build connects it, so it is one when it has one edge fewer than vertices."""
+    edges = {frozenset((v, w)) for v, nbrs in enumerate(graph.adj) for _, w in nbrs}
+    return len(edges) == graph.vertex_count() - 1
+
+
 def bs1n_affine(word, n: int) -> tuple:
     """x -> z+1, t -> z/n; the image determines the element for m = 1."""
     scale, shift = Fraction(1), Fraction(0)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_utils import is_tree
 from relend import coset_graph
 from relend.coset_graph import (
     BallCache,
@@ -14,6 +15,8 @@ from relend.coset_graph import (
 )
 from relend.errors import BallTooLargeError
 from relend.groups import BsGroup, FreeGroup, ProductGroup, ZdGroup
+from relend.serialize import group_from_config
+from test_geometry_golden import CONFIGS
 
 GROWTH_GROUPS = {
     "zd3": ZdGroup(3, ()),
@@ -69,7 +72,7 @@ def test_bs_coset_graph_is_regular_tree(m, n):
     radius, k = 4, m + n
     g = build_ball(BsGroup(m, n), radius)
     assert all(g.full_degree(v) == k for v in g.cosets)
-    assert not g.has_cycle()
+    assert is_tree(g)
     for r in range(1, radius + 1):
         assert sum(1 for d in g.norm_of if d == r) == k * (k - 1) ** (r - 1)
 
@@ -87,3 +90,30 @@ def test_vertex_budget_raises_typed_error(monkeypatch):
     with pytest.raises(BallTooLargeError):
         cache.at_least(3)
     assert cache.at_least(2) is small
+
+
+def _stepped_degrees(graph):
+    """The degree of every vertex by a fresh step of its payload."""
+    step = graph.group._coset_steps()
+    return [len({k for _, k in step(p)}) for p in graph.payloads]
+
+
+@pytest.mark.parametrize("pair", sorted(CONFIGS))
+def test_degree_matches_a_restep_of_every_payload(pair):
+    # below the last sphere the degree is read off the build's edges
+    group = group_from_config(CONFIGS[pair])
+    cache = BallCache(group)
+    for radius in range(4):
+        fresh = CosetGraph(group, radius)
+        assert fresh.degree == _stepped_degrees(fresh)
+        grown = cache.at_least(radius)
+        assert grown.degree == fresh.degree
+
+
+def test_degree_of_a_last_sphere_with_an_inner_edge():
+    # zmod(5) at radius 2: the last sphere {2, 3} has the edge 2 -> 3, so its
+    # edges hold every neighbour, yet it is stepped again like any last sphere
+    g = CosetGraph(group_from_config(CONFIGS["zmod5"]), 2)
+    last = range(g.sphere_start[2], g.vertex_count())
+    assert any(w in last for v in last for _, w in g.adj[v])
+    assert g.degree == _stepped_degrees(g) == [2] * 5

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle_utils import free_sphere_size, lattice_ball
+from oracle_utils import free_sphere_size, is_tree, lattice_ball
 from relend.coset_graph import (
     BallCache,
     ball_around,
@@ -47,7 +47,7 @@ def test_free_sphere_sizes_match_word_enumeration():
 def test_bs_ball_is_three_regular_tree():
     g = build_ball(BsGroup(1, 2), 3)
     assert all(g.full_degree(v) == 3 for v in g.cosets)
-    assert not g.has_cycle()
+    assert is_tree(g)
     names = {g.group.word_str(w.rep) for _, w in g.neighbors(g.base)}
     assert names == {"t", "T", "x T"}
 

@@ -6,7 +6,9 @@ that moves a byte of a DOT file, a CSV row, a verdict or an exit code shows
 up here.  The cases cover every pair of the benchmark's geometry workload at
 its own parameters, plus bs(2, 3), BS(1, 2) x Z relative to <x> x 0 (a
 commensurated, non-normal subgroup), the finite group zmod(5) and zd(2) with
-K the whole lattice (one vertex).
+K the whole lattice (one vertex).  ``graph`` on zmod(5) at radius 2 has an
+edge inside its last sphere, and on bs(2, 3) at radius 0 the whole ball is
+its last sphere.
 
 To re-record after an intended change, run this file as a script; it prints
 the table below.
@@ -48,7 +50,8 @@ CASES = [
     ("graph", "free2", 6), ("graph", "zd3", 8), ("graph", "zd1", 5),
     ("graph", "zd2", 4), ("graph", "zd3k0", 4), ("graph", "bs12", 4),
     ("graph", "bs13", 3), ("graph", "bs23", 3), ("graph", "bs12xz", 4),
-    ("graph", "zmod5", 3), ("graph", "zd2k01", 2),
+    ("graph", "zmod5", 3), ("graph", "zd2k01", 2), ("graph", "zmod5", 2),
+    ("graph", "bs23", 0),
 ]
 
 
@@ -128,6 +131,10 @@ GOLDEN = {
         "96e30c273a39ebfb7165f358bf11c68b8734c0831463d0c40084b278bf334747",
     "graph-zd2k01-2":
         "d5a0ab9e609efbf10268d009ff85a3eba78625bd4af93b1ac9d5402944be5ae8",
+    "graph-zmod5-2":
+        "96e30c273a39ebfb7165f358bf11c68b8734c0831463d0c40084b278bf334747",
+    "graph-bs23-0":
+        "530815c49011827a65f43f5edcce95f4730bc29bae21d6b1fe63a4e37f4b3d5b",
 }
 
 

@@ -246,3 +246,30 @@ def test_zmod_words_are_shortest_and_parse_back(mods):
         assert len(g.word) == sum(min(c, m - c) for c, m in zip(payload, mods))
     if mods == (2,):  # order two: the tie keeps the positive spelling
         assert group.letter_element(-1).word == (1,)
+
+
+def _old_letter_name(group, letter):
+    """The name of a letter computed from its generator, the reference
+    for the letter-name table."""
+    name = group.gen_names[abs(letter) - 1]
+    return name[0].upper() + name[1:] if letter < 0 else name
+
+
+@pytest.mark.parametrize(
+    "group",
+    ALL_GROUPS + [ZmodGroup((2, 3)), ProductGroup(BsGroup(1, 2), FreeGroup(2))],
+    ids=repr,
+)
+def test_letter_names_match_the_per_letter_formula(group):
+    names = [group.letter_name(l) for l in group.s_letters]
+    assert names == [_old_letter_name(group, l) for l in group.s_letters]
+    assert group.letter_names == dict(zip(group.s_letters, names))
+    for g in ball_elements(group, 3):
+        old = " ".join(_old_letter_name(group, l) for l in group.word_of(g))
+        assert group.word_str(g) == old
+
+
+def test_product_letter_names_carry_the_factor_index():
+    group = ProductGroup(ZdGroup(1, (0,)), ZdGroup(1, ()))
+    assert group.letter_names == {1: "a1", -1: "A1", 2: "a2", -2: "A2"}
+    assert group.word_str(group.parse_element("A1 A1 a2")) == "A1 A1 a2"

@@ -310,6 +310,18 @@ def test_cocycle_tables_fuzz_never_escapes(tmp_path_factory, tables):
     assert "Traceback" not in err and err.count("\n") <= 1
 
 
+def _zd2_cocycle_file(tmp: Path) -> Path:
+    """A cocycle planted on zd(2) with b0-window 0, written as a file."""
+    group = ZdGroup(2)
+    graph = CosetGraph(group, 1)
+    spec = plant_cocycle(
+        group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), 0, 1, graph
+    )
+    cocycle = tmp / "cocycle.json"
+    dump_json(str(cocycle), cocycle_to_json(spec, graph))
+    return cocycle
+
+
 def test_negative_samples_are_refused_with_one_line(tmp_path):
     # a negative count is a config error before any check runs: obstruct
     # would report "-1 trials, 0 violations" and pass, and trivialize --plant
@@ -317,13 +329,7 @@ def test_negative_samples_are_refused_with_one_line(tmp_path):
     line, plane = tmp_path / "zd1.json", tmp_path / "zd2.json"
     line.write_text(json.dumps({"family": "zd", "d": 1}))
     plane.write_text(json.dumps({"family": "zd", "d": 2}))
-    group = ZdGroup(2)
-    graph = CosetGraph(group, 1)
-    spec = plant_cocycle(
-        group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), 0, 1, graph
-    )
-    cocycle = tmp_path / "cocycle.json"
-    dump_json(str(cocycle), cocycle_to_json(spec, graph))
+    cocycle = _zd2_cocycle_file(tmp_path)
     report = str(tmp_path / "report.txt")
     commands = [
         ["obstruct", "--config", str(line), "--radius", "3", "--cap", "7"],
@@ -346,3 +352,45 @@ def test_ends_refuses_an_rmax_below_one_with_one_line(tmp_path, monkeypatch, rma
     argv = ["ends", "--config", str(pair), "--rmax", rmax]
     assert _run(argv) == (2, "config error: rmax must be at least 1\n")
     assert radii == []  # refused before any ball is built
+
+
+def _unwritable_argv(tmp: Path, case: str, bad: str) -> list[str]:
+    """A run of ``case`` that writes one of its outputs to ``bad``."""
+    pair = tmp / "zd2.json"
+    pair.write_text(json.dumps({"family": "zd", "d": 2}))
+    config = ["--config", str(pair)]
+    if case == "verify-report":
+        return ["verify", *config, "--cocycle", str(_zd2_cocycle_file(tmp)),
+                "--samples", "1", "--report", bad]
+    return {
+        "graph-out": ["graph", *config, "--radius", "1", "--out", bad],
+        "graph-csv": ["graph", *config, "--radius", "1", "--out", str(tmp / "g.dot"),
+                      "--csv", bad],
+        "ends-csv": ["ends", *config, "--rmax", "2", "--margin", "2", "--csv", bad],
+        "trivialize-out": ["trivialize", *config, "--plant", "--samples", "1",
+                           "--out", bad, "--report", str(tmp / "t.txt")],
+        "graph-out-directory": ["graph", *config, "--radius", "1", "--out", bad],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["graph-out", "graph-csv", "ends-csv", "trivialize-out", "verify-report",
+     "graph-out-directory"],
+)
+def test_unwritable_output_path_exits_two_with_one_line(tmp_path, case):
+    if case.endswith("directory"):
+        bad = str(tmp_path)
+    else:
+        bad = str(tmp_path / "missing" / "out.txt")
+    code, err = _run(_unwritable_argv(tmp_path, case, bad))
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {bad}: ")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_config_path_exits_two_with_one_line(tmp_path):
+    code, err = _run(["graph", "--config", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"config error: cannot read {tmp_path}: ")
+    assert err.count("\n") == 1
