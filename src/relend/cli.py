@@ -11,6 +11,8 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import random
 import sys
 
@@ -50,6 +52,18 @@ def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
         )
         return group, alphabet
     return group_from_config(cfg), None
+
+
+def _check_output(path: str) -> None:
+    """Refuse an output path before any work, so that a run which cannot
+    write all of its outputs writes none; ``write_file`` stays the backstop."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_text(path: str | None, lines: list[str]) -> None:
@@ -248,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "samples", 0) < 0:
             raise ConfigError("--samples must be nonnegative")
+        for name in ("out", "csv", "report"):
+            path = getattr(args, name, None)
+            if path:
+                _check_output(path)
         return args.handler(args, *_load_pair(args.config))
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

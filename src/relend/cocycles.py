@@ -13,10 +13,17 @@ Evaluation on a general element walks its canonical word on coset
 payloads: the configuration, a list of (payload, symbol) pairs, moves
 through a per-cocycle table of letter steps keyed by payload.  A step is
 filled on first use from one product s * rep, so the check that every
-K-correction lies in K runs once per distinct (letter, cell) pair.  Only
-the window pattern handed to ``factor`` is made of cosets, keyed by its
-(coset, symbol) entries as before, and the value is a target payload until
-the walk ends.  ``walk_word`` takes one more step after the last letter and
+K-correction lies in K runs once per distinct (letter, cell) pair; when the
+representative of the moved coset is the moved payload itself, the
+correction is the identity, which lies in K, and the step takes the
+identity symbol map with no inverse, product or test.  Per letter the walk
+codes the window part of the configuration as an integer, one bit per
+(cell, symbol) pair, and looks the code up in a per-cocycle, per-letter
+memo of target payloads.  Only a code the memo has not seen builds the
+window pattern of cosets, keyed by its (coset, symbol) entries as before,
+and asks ``factor``, so ``factor`` stays the one source of values for
+tables and rules alike.  The value is a target payload until the walk
+ends.  ``walk_word`` takes one more step after the last letter and
 returns g y with c(g, y); the trivializer and the planted rule move
 configurations that way, not with ``act``.  Word-independence is exactly
 the cocycle identity and is guarded by ``verify_relations``.
@@ -111,10 +118,17 @@ class CocycleSpec:
     ball, and ``_window`` maps the coset payload of each of them to its
     ``CosetId``.  ``_letter_steps`` maps a letter and a cell's payload to the
     payload of the moved cell and the symbol map of its K-correction, one
-    map per distinct correction in ``_images``.  Payloads stay inside the
-    spec: the keys of ``tables`` hold cosets, as they always have.  These
-    caches depend only on the group, the alphabet and the window, are
-    filled idempotently, and take no part in equality.
+    map per distinct correction in ``_images``; a step whose correction is
+    the identity shares ``_identity_images``.  ``_digits`` maps each window
+    cell's payload and symbol to its own bit, and ``_codes`` maps a letter
+    and the sum of a window pattern's bits to the target payload ``factor``
+    gave for it, at most |symbols|^|window cells| codes per letter.
+    Payloads and codes stay inside the spec: the keys of ``tables`` hold
+    cosets, as they always have.  These caches are filled idempotently,
+    take no part in equality and start empty in ``corrupted`` copies; all
+    but ``_codes`` depend only on the group, the alphabet and the window,
+    and ``_codes`` holds values already read through ``factor``, so a table
+    is not to be edited after the spec has evaluated.
     """
 
     group: Group
@@ -128,12 +142,30 @@ class CocycleSpec:
         default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
     )
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _codes: dict = field(
+        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
+    )
 
     @cached_property
     def _window(self) -> dict[object, CosetId]:
         graph = CosetGraph(self.group, self.window)
         cells = graph.cosets_slice(0, graph.ball_size(self.window))
         return {v.rep.payload: v for v in cells}
+
+    @cached_property
+    def _digits(self) -> dict[object, dict[str, int]]:
+        """Window-cell payload -> symbol -> digit: one bit per (cell, symbol)
+        pair, so the sum over a set of such pairs codes the set, x0 included."""
+        symbols = self.alphabet.symbols
+        n = len(symbols)
+        return {
+            p: {s: 1 << (i * n + j) for j, s in enumerate(symbols)}
+            for i, p in enumerate(self._window)
+        }
+
+    @cached_property
+    def _identity_images(self) -> dict[str, str]:
+        return {s: s for s in self.alphabet.symbols}
 
     @cached_property
     def region(self) -> frozenset[CosetId]:
@@ -161,6 +193,8 @@ class CocycleSpec:
         mul = group._mul_payload
         moved = mul(group._letter_payloads[letter], cell)
         key = group._coset_rep_payload(moved)
+        if key == moved:  # the correction is the identity, which lies in K
+            return key, self._identity_images
         correction = GroupElement(group, mul(group._inv_payload(key), moved))
         if not group.is_in_k(correction):
             raise InternalError(
@@ -204,21 +238,38 @@ class CocycleSpec:
         )
 
 
+def _window_code(digits: dict, z: list) -> int:
+    """The code of the window part of the (payload, symbol) pairs z: the sum
+    of their digits, distinct for distinct window patterns."""
+    code = 0
+    for p, s in z:
+        d = digits.get(p)
+        if d is not None:
+            code += d[s]
+    return code
+
+
 def _walk(
     c: CocycleSpec, word, y: Pattern, through: bool
 ) -> tuple[GroupElement, list]:
     """The value along the word and the configuration's (payload, symbol)
     pairs after the walk: moved by every letter but the first of the word,
     or, with ``through``, by the whole word."""
-    target, window, alphabet = c.target, c._window.get, y.alphabet
+    target, window, digits = c.target, c._window, c._digits
     acc, mul = target.identity().payload, target._mul_payload
     z = [(cell.rep.payload, s) for cell, s in y.entries]
     prev = None
     for letter in reversed(tuple(word)):
         if prev is not None:
             z = c._move(prev, z)
-        key = frozenset([(cell, s) for p, s in z if (cell := window(p)) is not None])
-        acc = mul(c.factor(letter, Pattern(alphabet, key)).payload, acc)
+        code = _window_code(digits, z)
+        values = c._codes[letter]
+        value = values.get(code)
+        if value is None:  # a window pattern this letter has not seen
+            key = frozenset([(window[p], s) for p, s in z if p in window])
+            pattern = Pattern(y.alphabet, key)
+            value = values[code] = c.factor(letter, pattern).payload
+        acc = mul(value, acc)
         prev = letter
     if through and prev is not None:
         z = c._move(prev, z)

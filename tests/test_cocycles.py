@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from test_evaluation import SETTINGS
 
 from relend.coset_graph import BallCache, Path, build_ball, neighborhood
 from relend.errors import InternalError
-from relend.groups import ZdGroup, ZmodGroup, coset_of
+from relend.groups import ZdGroup, ZmodGroup, coset_cocycle, coset_of
 from relend.cocycles import (
+    CocycleSpec,
     constant_cocycle,
     edge_witness,
     evaluate,
@@ -209,3 +211,39 @@ def test_explicit_table_must_be_total(setting):
     spec = CocycleSpec(group, alpha, target, 1, {1: {}}, None, None)
     with pytest.raises(InternalError):
         spec.factor(1, empty_pattern(alpha))
+
+
+# -- letter steps --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_letter_step_is_the_generic_coset_step(name):
+    # the step of a letter s from a cell c is the payload of the coset s c and
+    # the symbol map of the K-correction rep(s c)^-1 * s * rep(c), on every
+    # letter and cell of ball(2); both the identity shortcut and a real
+    # correction are taken wherever K is nontrivial
+    group, alphabet = SETTINGS[name]
+    spec = CocycleSpec(group, alphabet, ZmodGroup((2,)), 1)
+    corrected = 0
+    for cell in build_ball(group, 2).cosets:
+        for letter in group.s_letters:
+            s = group.letter_element(letter)
+            key, images = spec._new_step(letter, cell.rep.payload)
+            assert key == coset_of(group.multiply(s, cell.rep)).rep.payload
+            k = coset_cocycle(s, cell)
+            assert images == {x: alphabet.apply(group, k, x) for x in alphabet.symbols}
+            corrected += not k.is_identity()
+    assert corrected > 0 or not group.t_letters
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_letter_step_refuses_a_correction_outside_k(name, monkeypatch):
+    # every coset canonicalised to the base coset: a step off the base cell
+    # by a letter outside K then has that letter as its correction
+    group, alphabet = SETTINGS[name]
+    spec = CocycleSpec(group, alphabet, ZmodGroup((2,)), 1)
+    one = group.identity().payload
+    monkeypatch.setattr(group, "_coset_rep_payload", lambda a: one)
+    letter = next(l for l in group.s_letters if l not in group.t_letters)
+    with pytest.raises(InternalError):
+        spec._new_step(letter, one)

@@ -1,6 +1,7 @@
 """Cocycle evaluation and the moves of configurations on coset payloads,
 checked against ``act``."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from relend.coset_graph import BallCache, Path, build_ball
 from relend.cocycles import (
     CocycleSpec,
+    _window_code,
     constant_cocycle,
     evaluate_word,
     path_difference,
@@ -93,9 +95,12 @@ def test_evaluate_word_matches_reference_walk(name):
         random_word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
         for word in (random_word, there_and_back[i % len(there_and_back)]):
             received.clear()
+            c._codes.clear()
             value = evaluate_word(c, word, y)
             expected = _reference_patterns(c, word, y, region)
-            assert received == expected
+            # the spec's code memo answers a repeated (letter, pattern) pair,
+            # so only its first occurrence reaches ``factor``
+            assert received == list(dict.fromkeys(expected))
             assert value == _reference_walk(c, word, y, region)
         for letter in group.s_letters:
             moved = act(group.letter_element(letter), y)
@@ -129,6 +134,76 @@ def test_walk_word_moves_like_act(name):
             permuted += 1
     assert outside > 0
     assert permuted > 0 or not alphabet.perms
+
+
+# -- the window-code memo ------------------------------------------------------
+
+TARGET = ZmodGroup((7,))
+
+
+def _memo_spec(name, kind):
+    """A window-1 spec on a SETTINGS pair: an explicit table with a seeded
+    value per window pattern, as a cocycle file loads, or a planted rule."""
+    group, alphabet = SETTINGS[name]
+    if kind == "planted":
+        return plant_cocycle(
+            group, alphabet, TARGET, 0, 17, BallCache(group).at_least(1)
+        )
+    spec = CocycleSpec(group, alphabet, TARGET, 1)
+    rng = random.Random(7)
+    patterns = list(window_patterns(spec.region, alphabet))
+    for letter in group.s_letters:
+        spec.tables[letter] = {
+            pattern_key(p): TARGET.element_from_word([1] * rng.randrange(7))
+            for p in patterns
+        }
+    return spec
+
+
+@pytest.mark.parametrize("kind", ["table", "planted"])
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_window_code_memo_gives_the_factor_value(name, kind):
+    # a warm spec answers every window pattern of every letter, in shuffled
+    # order and then again from its memo, with ``factor`` on a fresh spec
+    group, alphabet = SETTINGS[name]
+    warm, fresh = _memo_spec(name, kind), _memo_spec(name, kind)
+    graph = build_ball(group, 3)
+    rng = random.Random(21)
+    for _ in range(30):
+        y = random_pattern(graph, alphabet, 3, rng)
+        evaluate_word(warm, [rng.choice(group.s_letters) for _ in range(5)], y)
+    patterns = list(window_patterns(warm.region, alphabet))
+    for letter in group.s_letters:
+        for _ in range(2):
+            rng.shuffle(patterns)
+            for p in patterns:
+                assert evaluate_word(warm, (letter,), p) == fresh.factor(letter, p)
+    # one memo entry per letter and window pattern
+    assert sorted(map(len, warm._codes.values())) == [len(patterns)] * len(
+        group.s_letters
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_distinct_window_keys_never_share_a_code(name):
+    # every cell/symbol set with at most one symbol per window cell, x0
+    # written out or left out, has its own code; cells outside the window
+    # add nothing to it
+    group, alphabet = SETTINGS[name]
+    spec = CocycleSpec(group, alphabet, TARGET, 1)
+    cells = [v.rep.payload for v in spec.region]
+    outside = [
+        v.rep.payload for v in build_ball(group, 2).cosets if v not in spec.region
+    ]
+    codes = set()
+    choices = (None, *alphabet.symbols)
+    for i, combo in enumerate(itertools.product(choices, repeat=len(cells))):
+        z = [(p, s) for p, s in zip(cells, combo) if s is not None]
+        code = _window_code(spec._digits, z)
+        far = (outside[i % len(outside)], alphabet.symbols[i % len(alphabet.symbols)])
+        assert _window_code(spec._digits, z + [far]) == code
+        codes.add(code)
+    assert len(codes) == len(choices) ** len(cells)
 
 
 PLANT_SETTINGS = {

@@ -369,24 +369,31 @@ def _unwritable_argv(tmp: Path, case: str, bad: str) -> list[str]:
         "ends-csv": ["ends", *config, "--rmax", "2", "--margin", "2", "--csv", bad],
         "trivialize-out": ["trivialize", *config, "--plant", "--samples", "1",
                            "--out", bad, "--report", str(tmp / "t.txt")],
+        "trivialize-report": ["trivialize", *config, "--plant", "--samples", "1",
+                              "--out", str(tmp / "T.json"), "--report", bad],
         "graph-out-directory": ["graph", *config, "--radius", "1", "--out", bad],
     }[case]
 
 
 @pytest.mark.parametrize(
     "case",
-    ["graph-out", "graph-csv", "ends-csv", "trivialize-out", "verify-report",
-     "graph-out-directory"],
+    ["graph-out", "graph-csv", "ends-csv", "trivialize-out", "trivialize-report",
+     "verify-report", "graph-out-directory"],
 )
 def test_unwritable_output_path_exits_two_with_one_line(tmp_path, case):
     if case.endswith("directory"):
         bad = str(tmp_path)
     else:
         bad = str(tmp_path / "missing" / "out.txt")
-    code, err = _run(_unwritable_argv(tmp_path, case, bad))
+    argv = _unwritable_argv(tmp_path, case, bad)
+    inputs = set(tmp_path.iterdir())
+    code, err = _run(argv)
     assert code == 2
     assert err.startswith(f"config error: cannot write {bad}: ")
     assert err.count("\n") == 1
+    # every output path is checked before any work, so a run that cannot
+    # write one of its outputs writes none of them
+    assert set(tmp_path.iterdir()) == inputs
 
 
 def test_unreadable_config_path_exits_two_with_one_line(tmp_path):

@@ -14,6 +14,9 @@ Two pairs carry an alphabet that K permutes, given as a
 ``{"group": ..., "alphabet": ...}`` config: zd(3, [0]) with a = (0 2 1) is
 planted and trivialized, and a file planted on BS(1, 2) with x = (0 2 3 1)
 is verified (BS(1, 2) is many-ended, so trivialize stops at one_ended).
+The product BS(1, 2) x Z relative to <x> x 0, whose letter steps correct
+by K-elements on flat product payloads, is planted and trivialized at
+b0-window 0, and its planted file is verified.
 
 To re-record after an intended change, run this file as a script; it prints
 the table below.
@@ -46,6 +49,8 @@ CONFIGS = {
         "group": {"family": "zd", "d": 3, "k_coords": [0]},
         "alphabet": {"symbols": ["0", "1", "2"], "x0": "0", "alpha": {"a": [0, 2, 1]}},
     },
+    "bs12z": {"family": "direct_product", "factors": [
+        {"family": "bs", "m": 1, "n": 2}, {"family": "zd", "d": 1}]},
     "bs12x": {
         "group": {"family": "bs", "m": 1, "n": 2},
         "alphabet": {
@@ -79,6 +84,9 @@ CASES = (
         ("plant", "zd3k0a", 1, ("--b0-window", str(w), "--samples", "12"))
         for w in (0, 1)
     ]
+    # a product pair: K-corrections on flat product payloads
+    + [("plant", "bs12z", 1, ("--b0-window", "0", "--samples", "12"))]
+    + [("verify", "bs12z", 1, ())]
 )
 
 
@@ -197,6 +205,10 @@ GOLDEN = {
         "3f9d9d0ccf3e1329ec6fefe23ebeb3a1d1a9e8e70ac879900564cc1b91e09d26",
     "plant-zd3k0a-s1-b0-window-1-samples-12":
         "201e885dd5c3c7df7d46bc69d78682ee143551f106e489656c493f25cde914cf",
+    "plant-bs12z-s1-b0-window-0-samples-12":
+        "2729fd26b9fedc60dc38a460439d393148800dcf8a1ddf30520021183abd4e00",
+    "verify-bs12z-s1":
+        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
 }
 
 
