@@ -33,10 +33,8 @@ from .cocycles import (
     window_region,
 )
 from .ends import (
-    CapacityTable,
     EndsReport,
     capacity,
-    capacity_table,
     components_outside_ball,
     cross_check_quotient,
     estimate_ends,

@@ -45,13 +45,15 @@ def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path} must hold a JSON object")
-    if "group" in cfg:
-        group = group_from_config(cfg["group"])
-        alphabet = (
-            alphabet_from_config(cfg["alphabet"]) if "alphabet" in cfg else None
-        )
-        return group, alphabet
-    return group_from_config(cfg), None
+    if "group" not in cfg:
+        return group_from_config(cfg), None
+    group = group_from_config(cfg["group"])
+    alphabet = alphabet_from_config(cfg["alphabet"]) if "alphabet" in cfg else None
+    k_names = {group.gen_names[i - 1] for i in group.k_primaries}
+    for name, _ in alphabet.perms if alphabet else ():
+        if name not in k_names:
+            raise ConfigError(f"alphabet alpha names {name!r}, not a generator of K")
+    return group, alphabet
 
 
 def _check_output(path: str) -> None:

@@ -1,11 +1,12 @@
 """Continuous cocycles as per-generator block codes with a finite window.
 
 A cocycle into a target group H is stored as one lookup table per generator,
-keyed by the restriction of the configuration to the ball of the window
-radius around the base coset.  The key is that restriction's ``entries``,
-the frozenset of (coset, symbol) pairs: keys have no text form here, and the
-``word=symbol|...`` strings of the JSON format exist only in ``serialize``.
-``window_patterns`` is the one enumerator of the patterns of a window.
+keyed by the window code of the configuration's restriction to the ball of
+the window radius around the base coset: an integer with one bit per (cell,
+symbol) pair of the window.  Keys have no text form here; the
+``word=symbol|...`` strings of the JSON format exist only in ``serialize``,
+which reads them off the rows that ``window_patterns``, the one enumerator
+of a window's patterns, is built on.
 
 A cocycle carries its window: ``CocycleSpec.region`` holds the cells of the
 window ball, so evaluation takes no ball or region from its caller.
@@ -17,16 +18,14 @@ K-correction lies in K runs once per distinct (letter, cell) pair; when the
 representative of the moved coset is the moved payload itself, the
 correction is the identity, which lies in K, and the step takes the
 identity symbol map with no inverse, product or test.  Per letter the walk
-codes the window part of the configuration as an integer, one bit per
-(cell, symbol) pair, and looks the code up in a per-cocycle, per-letter
-memo of target payloads.  Only a code the memo has not seen builds the
-window pattern of cosets, keyed by its (coset, symbol) entries as before,
-and asks ``factor``, so ``factor`` stays the one source of values for
-tables and rules alike.  The value is a target payload until the walk
-ends.  ``walk_word`` takes one more step after the last letter and
-returns g y with c(g, y); the trivializer and the planted rule move
-configurations that way, not with ``act``.  Word-independence is exactly
-the cocycle identity and is guarded by ``verify_relations``.
+codes the window part of the configuration and reads the table.  Only a
+code the table has not seen builds its window pattern of cosets, once, and
+asks the rule; ``factor`` reads and fills the same table from a pattern.
+The product is a target payload until the walk ends.  ``walk_word`` takes
+one more step after the last letter and returns g y with c(g, y); the
+trivializer and the planted rule move configurations that way, not with
+``act``.  Word-independence is exactly the cocycle identity and is guarded
+by ``verify_relations``.
 ``path_difference`` recomputes a difference of cocycle values along an
 edge path from per-edge subgroup witnesses and the uncached ``act``,
 giving a second, independent route to the same group element.
@@ -37,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -68,20 +67,24 @@ def window_region(graph: CosetGraph, window: int) -> frozenset[CosetId]:
     return graph.ball_set(window)
 
 
-def window_patterns(
-    region: frozenset[CosetId], alphabet: Alphabet
-) -> Iterator[Pattern]:
-    """Every pattern supported in the region.
+def _window_rows(region: frozenset[CosetId], alphabet: Alphabet, item) -> Iterator:
+    """``item(cell, symbol)`` for the non-default cells of each pattern
+    supported in the region, one list per pattern.
 
     Symbols run over the cells in shortlex order of their representatives,
     the last cell fastest; planting draws its random values in this order.
     """
+    x0, symbols = alphabet.x0, alphabet.symbols
     cells = sorted(region, key=lambda v: v.rep.group.word_key(v.rep))
-    x0 = alphabet.x0
-    for combo in itertools.product(alphabet.symbols, repeat=len(cells)):
-        yield Pattern(
-            alphabet, frozenset((c, s) for c, s in zip(cells, combo) if s != x0)
-        )
+    options = [[None if s == x0 else item(c, s) for s in symbols] for c in cells]
+    for combo in itertools.product(*options):
+        yield [x for x in combo if x is not None]
+
+
+def window_patterns(region: frozenset[CosetId], alphabet: Alphabet) -> Iterator:
+    """Every pattern supported in the region, in the order of ``_window_rows``."""
+    for row in _window_rows(region, alphabet, lambda c, s: (c, s)):
+        yield Pattern(alphabet, frozenset(row))
 
 
 def pattern_key(p: Pattern) -> frozenset:
@@ -111,40 +114,31 @@ class PlantedData:
 class CocycleSpec:
     """A block-coded cocycle G x Y -> H of window radius ``window``.
 
-    ``tables`` memoises generator values per window-pattern key, the
-    frozenset of (coset, symbol) entries; when a ``rule`` is present, missing
-    entries are computed on demand, so tables over large windows never need
-    to be materialised in full.  ``region`` holds the cells of the window
-    ball, and ``_window`` maps the coset payload of each of them to its
-    ``CosetId``.  ``_letter_steps`` maps a letter and a cell's payload to the
-    payload of the moved cell and the symbol map of its K-correction, one
-    map per distinct correction in ``_images``; a step whose correction is
-    the identity shares ``_identity_images``.  ``_digits`` maps each window
-    cell's payload and symbol to its own bit, and ``_codes`` maps a letter
-    and the sum of a window pattern's bits to the target payload ``factor``
-    gave for it, at most |symbols|^|window cells| codes per letter.
-    Payloads and codes stay inside the spec: the keys of ``tables`` hold
-    cosets, as they always have.  These caches are filled idempotently,
-    take no part in equality and start empty in ``corrupted`` copies; all
-    but ``_codes`` depend only on the group, the alphabet and the window,
-    and ``_codes`` holds values already read through ``factor``, so a table
-    is not to be edited after the spec has evaluated.
+    ``tables`` maps a letter and the code of a window pattern to the value;
+    when a ``rule`` is present, missing entries are computed on demand, so
+    tables over large windows never need to be materialised in full.  A
+    code sums the bits ``_digits`` gives the pattern's entries, one bit per
+    (cell, symbol) pair.  ``region`` holds the cells of the window ball, and
+    ``_window`` maps each one's coset payload to it in the ball's own order,
+    so specs of one group, alphabet and window share their codes.
+    ``_letter_steps`` maps a letter and a cell's payload to the payload of
+    the moved cell and the symbol map of its K-correction, one map per
+    distinct correction in ``_images``, or ``_identity_images``.  These
+    caches depend only on the group, the alphabet and the window, take no
+    part in equality and start empty in ``corrupted`` copies.
     """
 
     group: Group
     alphabet: Alphabet
     target: Group
     window: int
-    tables: dict[Letter, dict[frozenset, GroupElement]] = field(default_factory=dict)
+    tables: dict[Letter, dict[int, GroupElement]] = field(default_factory=dict)
     rule: Callable[[Letter, Pattern], GroupElement] | None = None
     derivation: object | None = None
     _letter_steps: dict = field(
         default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
     )
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _codes: dict = field(
-        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
-    )
 
     @cached_property
     def _window(self) -> dict[object, CosetId]:
@@ -169,22 +163,34 @@ class CocycleSpec:
 
     @cached_property
     def region(self) -> frozenset[CosetId]:
-        """The cells of the window ball; patterns restricted to it key ``tables``."""
+        """The cells of the window ball; the codes of patterns on it key ``tables``."""
         return frozenset(self._window.values())
 
-    def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
+    def _code(self, entries) -> int:
+        """The code of the window part of (coset, symbol) entries."""
+        return _window_code(self._digits, [(c.rep.payload, s) for c, s in entries])
+
+    def _value(self, letter: Letter, code: int) -> GroupElement:
+        """The table value of a window code; a code the table lacks is filled
+        by asking the rule once, on the code's window pattern."""
         table = self.tables.setdefault(letter, {})
-        hit = table.get(window_pattern.entries)
-        if hit is not None:
-            return hit
-        if self.rule is None:
-            raise InternalError(
-                f"table for letter {letter} has no entry for {window_pattern!r}; "
-                "an explicit cocycle table must be total"
-            )
-        value = self.rule(letter, window_pattern)
-        table[window_pattern.entries] = value
+        value = table.get(code)
+        if value is None:
+            cells = self._window
+            pattern = Pattern(self.alphabet, frozenset(
+                (cells[p], s) for p, d in self._digits.items()
+                for s, bit in d.items() if code & bit
+            ))
+            if self.rule is None:
+                raise InternalError(
+                    f"table for letter {letter} has no entry for {pattern!r}; "
+                    "an explicit cocycle table must be total"
+                )
+            value = table[code] = self.rule(letter, pattern)
         return value
+
+    def factor(self, letter: Letter, window_pattern: Pattern) -> GroupElement:
+        return self._value(letter, self._code(window_pattern.entries))
 
     def _new_step(self, letter: Letter, cell) -> tuple[object, dict]:
         """The coset payload of s * cell and the symbol map of the K-correction
@@ -224,18 +230,11 @@ class CocycleSpec:
     def corrupted(
         self, letter: Letter, key: frozenset, value: GroupElement
     ) -> "CocycleSpec":
-        """A copy with one table entry overwritten; for negative controls."""
+        """A copy with one ``pattern_key``'s entry overwritten; a negative control."""
         tables = {l: dict(t) for l, t in self.tables.items()}
-        tables.setdefault(letter, {})[key] = value
-        return CocycleSpec(
-            self.group,
-            self.alphabet,
-            self.target,
-            self.window,
-            tables,
-            self.rule,  # ``factor`` reads the overwritten entry before the rule
-            self.derivation,
-        )
+        tables.setdefault(letter, {})[self._code(key)] = value
+        # the rule, kept, is asked only for entries the tables lack
+        return replace(self, tables=tables)
 
 
 def _window_code(digits: dict, z: list) -> int:
@@ -255,21 +254,14 @@ def _walk(
     """The value along the word and the configuration's (payload, symbol)
     pairs after the walk: moved by every letter but the first of the word,
     or, with ``through``, by the whole word."""
-    target, window, digits = c.target, c._window, c._digits
+    target, digits = c.target, c._digits
     acc, mul = target.identity().payload, target._mul_payload
     z = [(cell.rep.payload, s) for cell, s in y.entries]
     prev = None
     for letter in reversed(tuple(word)):
         if prev is not None:
             z = c._move(prev, z)
-        code = _window_code(digits, z)
-        values = c._codes[letter]
-        value = values.get(code)
-        if value is None:  # a window pattern this letter has not seen
-            key = frozenset([(window[p], s) for p, s in z if p in window])
-            pattern = Pattern(y.alphabet, key)
-            value = values[code] = c.factor(letter, pattern).payload
-        acc = mul(value, acc)
+        acc = mul(c._value(letter, _window_code(digits, z)).payload, acc)
         prev = letter
     if through and prev is not None:
         z = c._move(prev, z)

@@ -55,14 +55,6 @@ class CapacityEntry:
     probe_radius: int
 
 
-@dataclass(frozen=True)
-class CapacityTable:
-    entries: dict[int, CapacityEntry]
-
-    def value(self, r: int) -> int:
-        return self.entries[r].value
-
-
 def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
     """components_outside_ball as (id list, touches sphere) pairs."""
     if inner > outer or outer > graph.radius:
@@ -156,10 +148,6 @@ def capacity(cache: BallCache, r: int, probe_cap: int | None = None) -> Capacity
     raise NoStabilizationError(
         f"capacity({r}) did not settle by probe radius {probe_cap}"
     )
-
-
-def capacity_table(cache: BallCache, r_max: int) -> CapacityTable:
-    return CapacityTable({r: capacity(cache, r) for r in range(0, r_max + 1)})
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ Group configs: ``{"family": "bs", "m": 1, "n": 2}``,
 
 Elements travel as whitespace-separated generator tokens with an uppercase
 first letter marking an inverse, e.g. ``"x x t X"``.  Cocycle tables map
-window-pattern keys to target words.  A key's text is ``word=symbol`` for each non-default cell, in
-shortlex order of the cells' words and joined by ``|``, with ``e`` for the
-base coset.  That text exists only here: in memory a key is the pattern's
-frozenset of entries, and two patterns whose texts coincide cannot be
-written or read.
+window-pattern keys to target words.  A key's text is ``word=symbol`` for
+each non-default cell, in shortlex order of the cells' words and joined by
+``|``, with ``e`` for the base coset.  That text exists only here: in memory
+a cocycle table is keyed by window codes, and a transfer table by the
+pattern's frozenset of entries.  A cocycle file's texts map to codes through
+one pass over the window's rows, which builds no pattern, and two patterns
+whose texts coincide cannot be written or read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .cocycles import CocycleSpec, pattern_key, window_patterns
+from .cocycles import CocycleSpec, _window_rows
+from .cocycles import pattern_key  # noqa: F401  (perfbench's tracer test reads it)
 from .coset_graph import BallCache, CosetGraph
 from .errors import ConfigError
 from .groups import (
@@ -33,7 +36,7 @@ from .groups import (
     ZdGroup,
     ZmodGroup,
 )
-from .patterns import Alphabet, Pattern
+from .patterns import Alphabet
 
 
 def _int(value, what: str) -> int:
@@ -118,23 +121,42 @@ def alphabet_from_config(cfg: dict) -> Alphabet:
 TABLE_LIMIT = 4096  # window patterns per generator a cocycle file may hold
 
 
+def _cell_label(c: CosetId) -> tuple:
+    """A cell's shortlex key and its word text, ``e`` for the base coset."""
+    g = c.rep
+    return g.group.word_key(g), g.group.word_str(g) or "e"
+
+
+def _add_text(out: dict, text: str, key) -> None:
+    """File a key under its JSON text; two keys with one text are refused."""
+    if out.setdefault(text, key) != key:
+        raise ConfigError(f"two distinct window patterns share the JSON key {text!r}")
+
+
 def _key_texts(keys: Iterable[frozenset]) -> dict[str, frozenset]:
-    """Map each key's JSON text to the key; two keys with one text are refused."""
-    labels: dict[CosetId, tuple] = {}  # cell -> (shortlex key, word text)
+    """Map each pattern key's JSON text to the key."""
+    labels: dict[CosetId, tuple] = {}
     out: dict[str, frozenset] = {}
     for key in keys:
-        items = []
-        for c, s in key:
-            label = labels.get(c)
-            if label is None:
-                g = c.rep
-                label = labels[c] = (g.group.word_key(g), g.group.word_str(g) or "e")
-            items.append((label[0], f"{label[1]}={s}"))
-        text = "|".join(t for _, t in sorted(items))
-        if out.setdefault(text, key) is not key:
-            raise ConfigError(
-                f"two distinct window patterns share the JSON key {text!r}"
-            )
+        for c, _ in key:
+            if c not in labels:
+                labels[c] = _cell_label(c)
+        items = sorted((labels[c], s) for c, s in key)
+        _add_text(out, "|".join(f"{label[1]}={s}" for label, s in items), key)
+    return out
+
+
+def _window_texts(spec: CocycleSpec) -> dict[str, int]:
+    """Map the JSON text of each pattern on the spec's window to its code,
+    from the rows ``window_patterns`` enumerates, with no pattern built."""
+    digits = spec._digits
+
+    def item(c: CosetId, s: str) -> tuple[str, int]:
+        return f"{_cell_label(c)[1]}={s}", digits[c.rep.payload][s]
+
+    out: dict[str, int] = {}
+    for row in _window_rows(spec.region, spec.alphabet, item):
+        _add_text(out, "|".join([t for t, _ in row]), sum([d for _, d in row]))
     return out
 
 
@@ -150,13 +172,6 @@ def _refuse_over_limit(
             f"generator ({cells} cells within radius {radius}); over the limit "
             f"of {limit}"
         )
-
-
-def _window_keys(
-    alphabet: Alphabet, region: frozenset[CosetId]
-) -> dict[str, frozenset]:
-    """Text and key of every pattern on the window cells."""
-    return _key_texts(pattern_key(p) for p in window_patterns(region, alphabet))
 
 
 def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSpec:
@@ -186,7 +201,7 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
         _refuse_over_limit(alphabet, window, r, cells, TABLE_LIMIT)
     spec = CocycleSpec(group, alphabet, target, window)
     _refuse_over_limit(alphabet, window, window, len(spec.region), TABLE_LIMIT)
-    keys = _window_keys(alphabet, spec.region)
+    codes = _window_texts(spec)
     values: dict[str, GroupElement] = {}  # each distinct target word parsed once
     tables = spec.tables
     for token, rows in raw_tables.items():
@@ -200,8 +215,8 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
                     "[key, word] pairs of strings"
                 )
             text, word = row
-            key = keys.get(text)
-            if key is None or key in table:
+            code = codes.get(text)
+            if code is None or code in table:
                 raise ConfigError(
                     f"cocycle table for {token} has an unknown or repeated "
                     f"window pattern {text!r}"
@@ -209,11 +224,11 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
             value = values.get(word)
             if value is None:
                 value = values[word] = target.parse_element(word)
-            table[key] = value
+            table[code] = value
     for letter in group.s_letters:
         table = tables.get(letter, {})
-        for text, key in keys.items():
-            if key not in table:
+        for text, code in codes.items():
+            if code not in table:
                 raise ConfigError(
                     f"cocycle table for {group.letter_name(letter)} is "
                     f"missing window pattern {text!r}"
@@ -230,12 +245,12 @@ def cocycle_to_json(
     """
     window = spec.window
     _refuse_over_limit(spec.alphabet, window, window, len(spec.region), limit)
-    keys = _window_keys(spec.alphabet, spec.region)
+    codes = _window_texts(spec)
     tables: dict[str, list] = {}
     for letter in spec.group.s_letters:
         rows = [
-            [text, element_str(spec.factor(letter, Pattern(spec.alphabet, key)))]
-            for text, key in keys.items()
+            [text, element_str(spec._value(letter, code))]
+            for text, code in codes.items()
         ]
         tables[spec.group.letter_name(letter)] = sorted(rows)
     return {

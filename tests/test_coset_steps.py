@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from relend import coset_graph
 from relend.coset_graph import BallCache, CosetGraph
-from relend.ends import capacity_table, estimate_ends
+from relend.ends import capacity, estimate_ends
 from relend.errors import BallTooLargeError
 from relend.obstruction import builtin_set, rho_forcing_check
 from relend.groups import (
@@ -70,7 +70,8 @@ def test_ends_never_creates_the_cosets(group):
     cache = BallCache(group)
     report = estimate_ends(cache, 3, 3)
     if report.is_exactly(1):
-        capacity_table(cache, 3)
+        for r in range(0, 4):
+            capacity(cache, r)
     assert "cosets" not in vars(cache.at_least(0))
 
 

@@ -8,7 +8,6 @@ from oracle_utils import (
 from relend.coset_graph import BallCache, build_ball
 from relend.ends import (
     capacity,
-    capacity_table,
     components_outside_ball,
     cross_check_quotient,
     estimate_ends,
@@ -68,8 +67,7 @@ def test_capacity_matches_flood_fill():
 
 def test_capacity_quotient_grid():
     cache = BallCache(ZdGroup(3, (0,)))
-    table = capacity_table(cache, 5)
-    assert all(table.value(r) == r for r in range(0, 6))
+    assert all(capacity(cache, r).value == r for r in range(0, 6))
 
 
 def test_capacity_rejects_two_ended():

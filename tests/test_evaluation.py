@@ -82,9 +82,9 @@ def test_evaluate_word_matches_reference_walk(name):
     graph = build_ball(group, 4)
     c = _random_table_cocycle(group, alphabet, 1, seed=3)
     region = window_region(graph, c.window)
-    # a recording factor: every window pattern the walk hands to the table
-    received, factor = [], c.factor
-    c.factor = lambda letter, p: received.append((letter, p)) or factor(letter, p)
+    # a recording rule: every window pattern the walk asks the rule for
+    received, rule = [], c.rule
+    c.rule = lambda letter, p: received.append((letter, p)) or rule(letter, p)
     there_and_back = [
         (s,) * k + (-s,) * k for s in group.s_letters for k in range(1, 5)
     ]
@@ -95,11 +95,11 @@ def test_evaluate_word_matches_reference_walk(name):
         random_word = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 9))]
         for word in (random_word, there_and_back[i % len(there_and_back)]):
             received.clear()
-            c._codes.clear()
+            c.tables.clear()
             value = evaluate_word(c, word, y)
             expected = _reference_patterns(c, word, y, region)
-            # the spec's code memo answers a repeated (letter, pattern) pair,
-            # so only its first occurrence reaches ``factor``
+            # the table answers a repeated (letter, pattern) pair, so only
+            # its first occurrence reaches the rule
             assert received == list(dict.fromkeys(expected))
             assert value == _reference_walk(c, word, y, region)
         for letter in group.s_letters:
@@ -136,7 +136,7 @@ def test_walk_word_moves_like_act(name):
     assert permuted > 0 or not alphabet.perms
 
 
-# -- the window-code memo ------------------------------------------------------
+# -- the code-keyed tables ------------------------------------------------------
 
 TARGET = ZmodGroup((7,))
 
@@ -154,7 +154,7 @@ def _memo_spec(name, kind):
     patterns = list(window_patterns(spec.region, alphabet))
     for letter in group.s_letters:
         spec.tables[letter] = {
-            pattern_key(p): TARGET.element_from_word([1] * rng.randrange(7))
+            spec._code(p.entries): TARGET.element_from_word([1] * rng.randrange(7))
             for p in patterns
         }
     return spec
@@ -164,7 +164,7 @@ def _memo_spec(name, kind):
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 def test_window_code_memo_gives_the_factor_value(name, kind):
     # a warm spec answers every window pattern of every letter, in shuffled
-    # order and then again from its memo, with ``factor`` on a fresh spec
+    # order and then again from its table, with ``factor`` on a fresh spec
     group, alphabet = SETTINGS[name]
     warm, fresh = _memo_spec(name, kind), _memo_spec(name, kind)
     graph = build_ball(group, 3)
@@ -178,10 +178,33 @@ def test_window_code_memo_gives_the_factor_value(name, kind):
             rng.shuffle(patterns)
             for p in patterns:
                 assert evaluate_word(warm, (letter,), p) == fresh.factor(letter, p)
-    # one memo entry per letter and window pattern
-    assert sorted(map(len, warm._codes.values())) == [len(patterns)] * len(
+    # one table entry per letter and window pattern, under the pattern's code
+    codes = sorted(warm._code(p.entries) for p in patterns)
+    assert [sorted(warm.tables[l]) for l in group.s_letters] == [codes] * len(
         group.s_letters
     )
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_a_table_edited_after_evaluation_is_read(name):
+    # the table is its own memo: an entry overwritten after the spec has
+    # evaluated is what the next evaluation returns, for a planted spec and
+    # for one loaded from its file
+    group, alphabet = SETTINGS[name]
+    graph = BallCache(group).at_least(3)
+    planted = plant_cocycle(group, alphabet, TARGET, 0, 17, graph)
+    loaded = cocycle_from_json(group, alphabet, cocycle_to_json(planted, graph))
+    fresh = plant_cocycle(group, alphabet, TARGET, 0, 17, graph)
+    rng = random.Random(4)
+    for spec in (fresh, loaded):
+        for _ in range(10):
+            y = random_pattern(graph, alphabet, 2, rng)
+            letter = rng.choice(group.s_letters)
+            before = evaluate_word(spec, (letter,), y)
+            edited = spec.target.multiply(before, spec.target.letter_element(1))
+            key = spec._code(pattern_key(restrict(y, spec.region)))
+            spec.tables[letter][key] = edited
+            assert evaluate_word(spec, (letter,), y) == edited
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))

@@ -47,6 +47,15 @@ def _run(argv):
             "group": {"family": "zd", "d": 1, "k_coords": [0]},
             "alphabet": {"symbols": ["0", "1"], "x0": "0", "alpha": {"a": "10"}},
         },
+        # permutations for a generator outside K, and for no generator of G
+        {
+            "group": {"family": "zd", "d": 3, "k_coords": [0]},
+            "alphabet": {"symbols": ["0", "1", "2"], "x0": "0", "alpha": {"b": [0, 2, 1]}},
+        },
+        {
+            "group": {"family": "zd", "d": 3, "k_coords": [0]},
+            "alphabet": {"symbols": ["0", "1", "2"], "x0": "0", "alpha": {"zz": [0, 2, 1]}},
+        },
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from relend.cocycles import (
 )
 from relend.errors import ConfigError
 from relend.groups import ZdGroup, ZmodGroup, coset_of
-from relend.patterns import make_pattern, trivial_alphabet
+from relend.patterns import Pattern, make_pattern, trivial_alphabet
 from relend.serialize import cocycle_from_json, cocycle_to_json, transfer_to_json
 from relend.trivialize import TransferTable
 
@@ -80,13 +81,33 @@ def test_loader_refuses_unknown_repeated_and_oversized_rows():
     repeated["tables"]["a"].append(list(repeated["tables"]["a"][0]))
     with pytest.raises(ConfigError, match="repeated"):
         cocycle_from_json(group, ALPHA, repeated)
-    unknown = json.loads(json.dumps(data))
-    unknown["tables"]["a"][0][0] = "a a a=1"
-    with pytest.raises(ConfigError, match="unknown"):
-        cocycle_from_json(group, ALPHA, unknown)
+    # a cell outside the window, an explicit default symbol, two cells out of
+    # shortlex order, one cell twice, and a symbol outside the alphabet
+    for text in ("a a a=1", "e=0", "A=1|a=1", "a=1|a=1", "e=2"):
+        unknown = json.loads(json.dumps(data))
+        unknown["tables"]["a"][0][0] = text
+        refused = f"unknown or repeated window pattern '{text}'"
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            cocycle_from_json(group, ALPHA, unknown)
     # 13 cells at window 2: 8192 rows per generator, over the limit
     with pytest.raises(ConfigError, match="over the limit"):
         cocycle_from_json(group, ALPHA, dict(data, window=2))
+
+
+def test_loader_builds_no_pattern(monkeypatch):
+    group = ZdGroup(3, ())
+    graph = build_ball(group, 2)
+    spec = plant_cocycle(group, ALPHA, ZmodGroup((2,)), 0, 5, graph)
+    data = cocycle_to_json(spec, graph)
+    assert spec.window == 1 and len(data["tables"]["a"]) == 2**7
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the loader built a Pattern")
+
+    monkeypatch.setattr(Pattern, "__init__", refused)
+    loaded = cocycle_from_json(group, ALPHA, data)
+    monkeypatch.undo()
+    assert cocycle_to_json(loaded, graph) == data
 
 
 def test_loader_and_emitter_refuse_oversized_tables_alike():
