@@ -10,7 +10,6 @@ from .coset_graph import (
     BallCache,
     CosetGraph,
     Path,
-    ball_around,
     build_ball,
     distance,
     geodesic_to,
@@ -73,7 +72,6 @@ from .patterns import (
     act,
     empty_pattern,
     make_pattern,
-    pattern_norm,
     random_pattern,
     restrict,
     trivial_alphabet,

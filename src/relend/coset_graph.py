@@ -245,15 +245,6 @@ def distance(graph: CosetGraph, u: CosetId, v: CosetId) -> int | None:
     return None
 
 
-def ball_around(graph: CosetGraph, r: int, v: CosetId) -> frozenset[CosetId]:
-    """The closed r-ball around v, exact only while it fits in the built ball."""
-    if graph.norm(v) + r > graph.radius:
-        raise InsufficientRadiusError(
-            f"ball({r}) around {v!r} may leave the built radius {graph.radius}"
-        )
-    return neighborhood(graph, r, (v,))
-
-
 def neighborhood(graph: CosetGraph, depth: int, targets) -> frozenset[CosetId]:
     """Closed depth-neighbourhood of a vertex set, multi-source BFS."""
     targets = list(targets)

@@ -156,18 +156,6 @@ def act(g: GroupElement, y: Pattern) -> Pattern:
     return make_pattern(y.alphabet, out)
 
 
-def pattern_norm(graph: CosetGraph, y: Pattern) -> int:
-    """Largest coset norm in the support; the empty pattern has norm 0."""
-    best = 0
-    for c in y.support():
-        if c not in graph:
-            raise InsufficientRadiusError(
-                f"support coset {c!r} is outside the built radius {graph.radius}"
-            )
-        best = max(best, graph.norm(c))
-    return best
-
-
 def restrict(y: Pattern, region: frozenset[CosetId] | set[CosetId]) -> Pattern:
     """Keep entries inside the region, reset everything else to the default."""
     return Pattern(

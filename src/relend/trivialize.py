@@ -6,9 +6,9 @@ then recover the transfer map by pulling each configuration far away with a
 group element whose coset norm (both ways) beats the capacity threshold.
 Every step is an exact group-element identity; there are no tolerances.
 A ``Trivializer`` computes each pure value once per run: hom(g) per element
-and b(y) per configuration are memoised on the instance, and one scan of
-the word ball, grown as larger thresholds are asked, finds the far
-elements of every threshold.
+and b(y) per configuration are memoised on the instance, and one lazy
+scan of the word ball, started for every threshold the run can ask and
+advanced only as far as each request needs, finds the far elements.
 """
 
 from __future__ import annotations
@@ -43,104 +43,60 @@ from .patterns import (
 # Far elements the scan files per threshold: enough for ``run``'s default
 # choice-independence trials, so those reuse what ``far_element`` found.
 FAR_BATCH = 5
+# The search for a threshold t's far elements stops at word length t + slack.
+FAR_SLACK = 4
 
 
-class _FarScan:
-    """One breadth-first scan of the word ball that answers every threshold.
-
-    Elements are discovered in ``iter_ball`` order: sphere by sphere, the
-    neighbours of each element in ``s_letters`` order.  An element g of word
-    length d is far for a threshold t when both |gK| and |g^-1 K| exceed t,
-    and the search for t stops at word length t + slack; as |gK| <= |g|, g
-    is tested only for the open thresholds t in [d - slack, d - 1].  A
-    threshold joins once the coset graph reaches its radius, and only while
-    the scan has discovered nothing it could use (t >= d); it stays open
-    until ``batch`` elements are filed under it or its word radius is
-    passed.  A neighbour of sphere d lies in sphere d - 1, d or d + 1, so
-    the scan keeps only its last three spheres; ``_release`` drops them.
-    The methods are module-private, so that perfbench's per-layer trace
-    charges the scan to ``far_element``, as it did the per-threshold scans.
+def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: int):
+    """Breadth-first scan of the word ball, in shortlex order, that files each
+    element g under every threshold t of ``found`` it is far for: neither gK
+    nor g^-1 K has a graph id below ball_size(t) (``graph`` reaches every t).
+    As |gK| <= |g|, an element of word length d is tested only for the t in
+    [d - slack, d - 1] whose list is shorter than ``batch``.  A neighbour of
+    sphere d lies in sphere d - 1, d or d + 1, so only three spheres are
+    kept.  Yields the largest word length fully scanned: d - 1 after each
+    element filed, d after each sphere.  Returns once every list is full or
+    past its word radius t + slack, or a finite group's ball is exhausted.
     """
+    mul, inv, rep = group._mul_payload, group._inv_payload, group._coset_rep_payload
+    gens = [group._letter_payloads[l] for l in group.s_letters]
+    find, top = graph.index.get, graph.vertex_count()
 
-    def __init__(self, group: Group, slack: int, batch: int):
-        self.group, self.slack, self.batch = group, slack, batch
-        self.found: dict[int, list[GroupElement]] = {}  # threshold -> far elements
-        self.sphere = 0  # word length of the elements being discovered
-        self.passed = 0  # every sphere up to this one is fully discovered
-        self._graph = None  # the coset graph, while ``_answer`` runs
-        self._steps = self._scan()
+    def done(scanned: int) -> bool:
+        return all(len(out) >= batch or scanned >= t + slack for t, out in found.items())
 
-    def _complete(self, t: int) -> bool:
-        return len(self.found[t]) >= self.batch or self.passed >= t + self.slack
-
-    def _answer(self, t: int, graph: CosetGraph) -> list[GroupElement] | None:
-        """The far elements for t, scanning on as far as t needs; None when t
-        missed this scan, or the scan was released before t was complete."""
-        for u in range(self.sphere, graph.radius + 1):
-            self.found.setdefault(u, [])
-        if t not in self.found or not (self._steps or self._complete(t)):
-            return None
-        self._graph = graph
-        try:
-            while not self._complete(t):
-                next(self._steps)
-        finally:
-            self._graph = None
-        return self.found[t]
-
-    def _covers(self, ceiling: int) -> bool:
-        """Whether every threshold up to the ceiling is answered."""
-        return all(u in self.found and self._complete(u) for u in range(ceiling + 1))
-
-    def _release(self) -> None:
-        self._steps = None
-
-    def _open(self, d: int) -> list[int]:
-        """The thresholds an element of word length d is tested for."""
-        found, batch = self.found, self.batch
+    def tests(d: int) -> list[tuple[int, list]]:
         return [
-            t for t in range(max(d - self.slack, 0), d)
+            (graph.ball_size(t), found[t]) for t in range(max(d - slack, 0), d)
             if t in found and len(found[t]) < batch
         ]
 
-    def _far_lists(self, h, tests: list[int]) -> list[list[GroupElement]]:
-        """The lists of the thresholds in ``tests`` that the element with
-        payload h is far for.  A coset is near t when its graph id is below
-        ball_size(t); a coset outside the built graph counts as far."""
-        group, graph = self.group, self._graph
-        find, top = graph.index.get, graph.vertex_count()
-        rep = group._coset_rep_payload
-        near = min(find(rep(h), top), find(rep(group._inv_payload(h)), top))
-        return [self.found[t] for t in tests if near >= graph.ball_size(t)]
-
-    def _scan(self):
-        """Yields after each element it files and after each sphere."""
-        group, mul = self.group, self.group._mul_payload
-        gens = [group._letter_payloads[l] for l in group.s_letters]
-        one = group.identity().payload
-        older, last, sphere = set(), {one}, [one]
-        while sphere:
-            d = self.sphere = self.sphere + 1
-            seen, nxt, tests = set(), [], self._open(d)
-            for g in sphere:
-                for s in gens:
-                    h = mul(g, s)
-                    if h in seen or h in last or h in older:
-                        continue
-                    seen.add(h)
-                    nxt.append(h)
-                    lists = self._far_lists(h, tests) if tests else None
-                    if lists:
-                        e = GroupElement(group, h)
-                        for out in lists:
-                            out.append(e)
-                        yield
-                        tests = self._open(d)
-            self.passed = d
-            yield
-            older, last, sphere = last, seen, nxt
-        self.passed = float("inf")  # a finite group: the whole ball is scanned
-        yield
+    one = group.identity().payload
+    older, last, sphere, d = set(), {one}, [one], 0
+    while sphere and not done(d):
+        d += 1
+        seen, nxt, open_lists = set(), [], tests(d)
+        for g in sphere:
+            for s in gens:
+                h = mul(g, s)
+                if h in seen or h in last or h in older:
+                    continue
+                seen.add(h)
+                nxt.append(h)
+                if not open_lists:
+                    continue
+                near = min(find(rep(h), top), find(rep(inv(h)), top))
+                lists = [out for size, out in open_lists if near >= size]
+                if lists:
+                    e = GroupElement(group, h)
+                    for out in lists:
+                        out.append(e)
+                    if done(d - 1):
+                        return
+                    yield d - 1
+                    open_lists = tests(d)
+        yield d
+        older, last, sphere = last, seen, nxt
 
 
 @dataclass
@@ -186,10 +142,11 @@ class Trivializer:
     ``homomorphism`` memoises hom(g) per element and ``transfer`` memoises
     b(y) per configuration; c(g, y) on the empty configuration is read from
     the hom memo.  ``transfer_evaluations`` counts the transfers computed.
-    Far elements come from one ``_FarScan`` of the word ball, grown as
-    larger thresholds are asked and memoised per threshold; ``run`` caps
-    the thresholds it can still ask, so the scan's spheres are dropped once
-    every threshold up to the cap is answered.
+    Far elements are memoised per threshold.  ``run`` starts one lazy
+    ``_far_scan`` for every threshold it can ask and advances it only as far
+    as each request needs; it drops the scan after the sweep if every
+    threshold the later checks can ask is answered.  A threshold outside
+    that scan, or a count above FAR_BATCH, gets a one-threshold scan.
     """
 
     def __init__(
@@ -199,7 +156,6 @@ class Trivializer:
         seed: int = 0,
         ends_rmax: int = 4,
         ends_margin: int = 4,
-        far_search_slack: int = 4,
     ):
         self.cache = cache
         self.cocycle = cocycle
@@ -208,14 +164,11 @@ class Trivializer:
         self.seed = seed
         self.ends_rmax = ends_rmax
         self.ends_margin = ends_margin
-        self.far_search_slack = far_search_slack
         self.table = TransferTable(cocycle.window)
         self._capacity: dict[int, int] = {}
-        # threshold -> (far elements found, how many the scan looked for)
-        self._far: dict[int, tuple[list[GroupElement], int]] = {}
-        self._scan: _FarScan | None = None
-        # the largest threshold the run will ask for, once known
-        self._far_ceiling: int | None = None
+        self._far: dict[int, list[GroupElement]] = {}  # threshold -> far elements
+        self._scan = None  # the run's ``_far_scan``, filing into ``_far``
+        self._scanned: float = 0  # the word length it has fully scanned
         self._zero = empty_pattern(cocycle.alphabet)
         self._hom: dict[object, GroupElement] = {}  # element payload -> hom
         self._transfers: dict[frozenset, GroupElement] = {}  # y.entries -> b(y)
@@ -247,41 +200,33 @@ class Trivializer:
         if not found:
             raise NotFoundError(
                 f"no far element for threshold {threshold} within word radius "
-                f"{threshold + self.far_search_slack}"
+                f"{threshold + FAR_SLACK}"
             )
         return found[0]
 
+    def _far_complete(self, t: int) -> bool:
+        """Whether t's list is full or the run's scan passed its word radius."""
+        found = self._far.get(t)
+        return found is not None and (
+            len(found) >= FAR_BATCH or self._scanned >= t + FAR_SLACK
+        )
+
     def _far_candidates(self, threshold: int, count: int) -> list[GroupElement]:
         """The first ``count`` far elements in shortlex order, memoised per
-        threshold.  One scan answers every threshold; a threshold that
-        missed it, or a count above its batch, starts a new scan."""
-        memo = self._far.get(threshold)
-        # a scan that filed fewer than it looked for exhausted the word ball
-        if memo is None or (count > memo[1] and len(memo[0]) == memo[1]):
-            graph = self.cache.at_least(threshold)
-            scan = self._scan
-            found = None
-            if scan is not None and count <= scan.batch:
-                found = scan._answer(threshold, graph)
-            if found is None:
-                batch = max(count, FAR_BATCH)
-                scan = self._scan = _FarScan(self.group, self.far_search_slack, batch)
-                found = scan._answer(threshold, graph)
-            memo = self._far[threshold] = (found, scan.batch)
-            self._release_far_scan()
-        return memo[0][:count]
-
-    def _limit_far_thresholds(self, ceiling: int) -> None:
-        """Note that the run asks for no threshold above the ceiling from
-        here on: once every threshold up to it is answered, the scan's
-        spheres are dropped, and a larger threshold would start a new scan."""
-        self._far_ceiling = ceiling
-        self._release_far_scan()
-
-    def _release_far_scan(self) -> None:
-        ceiling, scan = self._far_ceiling, self._scan
-        if ceiling is not None and scan is not None and scan._covers(ceiling):
-            scan._release()
+        threshold.  The run's scan is advanced only as far as the threshold
+        needs; a threshold outside it, or a count above FAR_BATCH, is
+        answered by a scan of its own."""
+        found = self._far.get(threshold)
+        if found is not None and self._scan is not None:
+            while not self._far_complete(threshold):
+                self._scanned = next(self._scan, float("inf"))
+        # a list shorter than FAR_BATCH is final: its word ball is exhausted
+        if found is None or FAR_BATCH <= len(found) < count:
+            found = self._far[threshold] = []
+            graph, batch = self.cache.at_least(threshold), max(count, FAR_BATCH)
+            for _ in _far_scan(self.group, graph, {threshold: found}, FAR_SLACK, batch):
+                pass
+        return found[:count]
 
     def _norm(self, y: Pattern) -> int:
         """y's support norm, in one pass over its entries; the cache grows one
@@ -415,17 +360,20 @@ class Trivializer:
         )
         report.add("homomorphism_on_relators", hom_ok)
 
+        # every pattern handed to `transfer` from here on has norm <= max_norm
+        # + max_word (a translate g y) or <= 3 * window + 2 (locality); growing
+        # the balls for the largest one here makes the largest ball, and so
+        # the run's memory, independent of which patterns the seed draws
+        reach = max(max_norm + max_word, 3 * cocycle.window + 2)
+        ceiling = self.capacity_at(reach + cocycle.window)
+        self._far, self._scanned = {t: [] for t in range(ceiling + 1)}, 0
+        graph = self.cache.at_least(ceiling)
+        self._scan = _far_scan(group, graph, self._far, FAR_SLACK, FAR_BATCH)
         report.add(
             "transfer_at_fixed_point",
             self.transfer(self._zero).is_identity(),
         )
 
-        # every pattern handed to `transfer` below has norm <= max_norm +
-        # max_word (a translate g y) or <= 3 * window + 2 (locality); growing
-        # the balls for the largest one here makes the largest ball, and so
-        # the run's memory, independent of which patterns the seed draws
-        reach = max(max_norm + max_word, 3 * cocycle.window + 2)
-        self._limit_far_thresholds(self.capacity_at(reach + cocycle.window))
         # the sweep reads patterns of norm <= max_norm and truncation junk of
         # norm <= cut + 2 <= max_word + 3 * window + 2
         big = self.cache.at_least(max(3 * cocycle.window + max_word + 2, max_norm))
@@ -464,10 +412,12 @@ class Trivializer:
         report.add("extension_consistency", consistency_ok)
         report.add("truncation_agreement", tilde_ok)
 
-        # the checks left read patterns of norm <= max_norm or 3 * window + 2
-        self._limit_far_thresholds(
-            self.capacity_at(max(max_norm, 3 * cocycle.window + 2) + cocycle.window)
-        )
+        # the checks left read patterns of norm <= max_norm or 3 * window + 2;
+        # once their thresholds are answered, the scan's spheres go
+        last = self.capacity_at(max(max_norm, 3 * cocycle.window + 2) + cocycle.window)
+        if all(map(self._far_complete, range(last + 1))):
+            self._far = {t: f for t, f in self._far.items() if self._far_complete(t)}
+            self._scan = None
         ind_ok = True
         for _ in range(3):
             y = random_pattern(big, cocycle.alphabet, max_norm, rng)

@@ -5,7 +5,6 @@ import pytest
 from oracle_utils import free_sphere_size, is_tree, lattice_ball
 from relend.coset_graph import (
     BallCache,
-    ball_around,
     build_ball,
     distance,
     geodesic_to,
@@ -90,14 +89,15 @@ def test_distance_outside_ball_raises():
 def test_ball_and_neighborhood():
     z = ZdGroup(2, ())
     g = build_ball(z, 6)
-    assert len(ball_around(g, 1, g.base)) == 5
-    b2 = ball_around(g, 2, g.base)
-    b3 = ball_around(g, 3, g.base)
+    assert len(neighborhood(g, 1, (g.base,))) == 5
+    b2 = neighborhood(g, 2, (g.base,))
+    b3 = neighborhood(g, 3, (g.base,))
     assert b2 <= b3
+    assert b3 == g.ball_set(3)
     vset = {g.base}
     assert neighborhood(g, 0, vset) == frozenset(vset)
     with pytest.raises(InsufficientRadiusError):
-        ball_around(g, 7, g.base)
+        neighborhood(g, 7, (g.base,))
 
 
 def test_geodesic_prefixes_are_geodesic():
@@ -144,7 +144,7 @@ def test_split_neighbourhoods_meet_near_base():
             pos = neighborhood(g, depth, p.vertices[5:])
             neg = neighborhood(g, depth, p.vertices[: 5 + 1])
             meet = pos & neg
-            allowed = ball_around(g, 3 * depth, g.base) if depth else {g.base}
+            allowed = neighborhood(g, 3 * depth, (g.base,))
             assert meet <= set(allowed)
 
 

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relend.coset_graph import build_ball
-from relend.errors import ConfigError, InsufficientRadiusError
+from relend.errors import ConfigError, InsufficientRadiusError, VertexOutsideBallError
 from relend.groups import BsGroup, ZdGroup, coset_of
 from relend.patterns import (
     Alphabet,
     act,
     empty_pattern,
     make_pattern,
-    pattern_norm,
     random_pattern,
     restrict,
     trivial_alphabet,
@@ -108,14 +107,19 @@ def test_generator_moves_norm_by_at_most_one(setup):
         y = random_pattern(graph, alpha, 3, rng)
         for letter in group.s_letters:
             moved = act(group.letter_element(letter), y)
-            assert pattern_norm(graph, moved) <= pattern_norm(graph, y) + 1
+            assert _support_norm(graph, moved) <= _support_norm(graph, y) + 1
+
+
+def _support_norm(graph, y):
+    """The largest coset norm in y's support; the empty pattern has norm 0."""
+    return max((graph.norm(c) for c in y.support()), default=0)
 
 
 def test_pattern_norm(setup):
     group, graph, alpha = setup
-    assert pattern_norm(graph, empty_pattern(alpha)) == 0
+    assert _support_norm(graph, empty_pattern(alpha)) == 0
     single = make_pattern(alpha, {coset_of(group.identity()): "1"})
-    assert pattern_norm(graph, single) == 0
+    assert _support_norm(graph, single) == 0
     y = make_pattern(
         alpha,
         {
@@ -123,10 +127,10 @@ def test_pattern_norm(setup):
             coset_of(group.parse_element("b b b")): "1",
         },
     )
-    assert pattern_norm(graph, y) == 3
+    assert _support_norm(graph, y) == 3
     far = make_pattern(alpha, {coset_of(group.parse_element(" ".join(["b"] * 12))): "1"})
-    with pytest.raises(InsufficientRadiusError):
-        pattern_norm(graph, far)
+    with pytest.raises(VertexOutsideBallError):
+        _support_norm(graph, far)
 
 
 def test_restrict(setup):

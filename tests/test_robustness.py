@@ -56,6 +56,15 @@ def _run(argv):
             "group": {"family": "zd", "d": 3, "k_coords": [0]},
             "alphabet": {"symbols": ["0", "1", "2"], "x0": "0", "alpha": {"zz": [0, 2, 1]}},
         },
+        # permutations of two K generators that do not commute
+        {
+            "group": {"family": "zd", "d": 4, "k_coords": [0, 1]},
+            "alphabet": {
+                "symbols": ["0", "1", "2", "3"],
+                "x0": "0",
+                "alpha": {"a": [0, 2, 1, 3], "b": [0, 1, 3, 2]},
+            },
+        },
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):

@@ -194,7 +194,7 @@ def test_not_one_ended_rejected_before_transfer():
 def _old_far_candidates(worker, threshold, count):
     """The far-element scan over a fully built word ball, as an oracle."""
     group, graph = worker.group, worker.cache.at_least(max(threshold, 1))
-    ball = ball_elements(group, threshold + worker.far_search_slack)
+    ball = ball_elements(group, threshold + trivialize.FAR_SLACK)
     out = []
     for g in ball:
         if g.is_identity():
@@ -218,13 +218,9 @@ def test_lazy_far_scan_matches_full_ball(group):
         assert worker.far_element(t) == expected[0]
 
 
-def test_each_word_ball_element_is_expanded_at_most_once_per_run(
-    grid_setting, monkeypatch
-):
-    # one scan of the word ball serves every threshold of a run, which asks
-    # for them in mixed order: no element is multiplied by a generator twice
-    group, cache, alpha, target, c = grid_setting
-    scan_code = trivialize._FarScan._scan.__code__
+def _record_scan_products(group, monkeypatch):
+    """The (element, generator) payload pairs ``_far_scan`` multiplies."""
+    scan_code = trivialize._far_scan.__code__
     products, mul = [], group._mul_payload
 
     def recording(a, b):
@@ -233,16 +229,62 @@ def test_each_word_ball_element_is_expanded_at_most_once_per_run(
         return mul(a, b)
 
     monkeypatch.setattr(group, "_mul_payload", recording)
+    return products
+
+
+def _record_requests(monkeypatch):
+    """The thresholds asked of ``_far_candidates``, in order."""
+    asked, answer = [], Trivializer._far_candidates
+
+    def recording(self, threshold, count):
+        asked.append(threshold)
+        return answer(self, threshold, count)
+
+    monkeypatch.setattr(Trivializer, "_far_candidates", recording)
+    return asked
+
+
+def test_each_word_ball_element_is_expanded_at_most_once_per_run(
+    grid_setting, monkeypatch
+):
+    # one scan of the word ball serves every threshold of a run, which asks
+    # for them in mixed order: no element is multiplied by a generator twice
+    group, cache, alpha, target, c = grid_setting
+    products = _record_scan_products(group, monkeypatch)
+    asked = _record_requests(monkeypatch)
     worker = Trivializer(cache, c, seed=3)
     table, report = worker.run(cohomology_samples=25)
     assert report.ok
-    asked = list(worker._far)  # in the order of the first request
+    asked = list(dict.fromkeys(asked))  # in the order of the first request
     assert asked != sorted(asked)
     assert products and len(products) == len(set(products))
     for t in asked:
         first = worker.far_element(t)
         assert worker.far_element(t) is first  # the memoised object
         assert worker._far_candidates(t, 5) == _old_far_candidates(worker, t, 5)
+
+
+def test_run_scans_only_as_far_as_its_largest_threshold_needs(monkeypatch):
+    # the run's scan covers every threshold up to its ceiling but is advanced
+    # only as far as each request needs: on zd(3, [0]) the first far elements
+    # for t have word length t + 1, so no discovered word is longer than the
+    # largest asked threshold plus one, while an eager scan reaches ceiling + 1
+    group = ZdGroup(3, (0,))
+    cache = BallCache(group)
+    alpha = trivial_alphabet(("0", "1"), "0")
+    c = plant_cocycle(group, alpha, ZmodGroup((2,)), 0, 3, cache.at_least(0))
+    assert c.window == 1
+    products = _record_scan_products(group, monkeypatch)
+    asked = _record_requests(monkeypatch)
+    worker = Trivializer(cache, c, seed=3)
+    table, report = worker.run()
+    assert report.ok
+    # run's defaults: max_norm 3, max_word 4
+    ceiling = worker.capacity_at(max(3 + 4, 3 * c.window + 2) + c.window)
+    t_max = max(asked)
+    assert t_max < ceiling
+    words = {group._mul_payload(a, b) for a, b in products}
+    assert max(sum(map(abs, h)) for h in words) == t_max + 1
 
 
 # (group, largest threshold asked): the oracle builds ball(t + 4) in full
@@ -265,29 +307,38 @@ def _oracle(name, worker, threshold):
     return _ORACLE[key]
 
 
-@example("zd2", [(0, 5, 0, False), (1, 5, 0, False)])  # 1 misses the scan
+@example("zd2", -1, [(0, 5, 0), (1, 5, 0)])
+@example("zd2", 8, [(5, 1, 0), (1, 5, 2), (5, 6, 0), (5, 1, 0)])
 @given(
     st.sampled_from(sorted(FAR_GROUPS)),
+    st.integers(-1, 8),  # a run's scan for the thresholds up to this, if any
     st.lists(
         st.tuples(
             st.integers(0, 8),  # threshold, cut to the group's largest
             st.sampled_from((1, 5, 5, 6)),  # how many far elements
             st.integers(0, 3),  # the cache grows to the threshold plus this
-            st.booleans(),  # then caps the thresholds at this one
         ),
         min_size=1,
         max_size=8,
     ),
 )
-def test_grown_scan_matches_full_ball(name, requests):
+def test_grown_scan_matches_full_ball(name, ceiling, requests):
     # thresholds in any order, a smaller one after a larger one, a request
-    # after the cache grew, a count above the batch and a capped scan all
-    # give the full-ball answer; far_element returns the memoised object
+    # after the cache grew, a count above the batch and a threshold outside
+    # the run's scan all give the full-ball answer; far_element returns the
+    # memoised object
     group, largest = FAR_GROUPS[name]
     cache = BallCache(group)
     c = constant_cocycle(group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), {})
     worker = Trivializer(cache, c)
-    for t, count, grow, cap in requests:
+    ceiling = min(ceiling, largest)
+    if ceiling >= 0:  # started as ``run`` starts it
+        worker._far = {t: [] for t in range(ceiling + 1)}
+        worker._scan = trivialize._far_scan(
+            group, cache.at_least(ceiling), worker._far,
+            trivialize.FAR_SLACK, trivialize.FAR_BATCH,
+        )
+    for t, count, grow in requests:
         t = min(t, largest)
         cache.at_least(t + grow)
         found = worker._far_candidates(t, count)
@@ -295,8 +346,6 @@ def test_grown_scan_matches_full_ball(name, requests):
         assert found == expected[:count]
         first = worker.far_element(t)
         assert first == expected[0] and worker.far_element(t) is first
-        if cap:
-            worker._limit_far_thresholds(t)
 
 
 @pytest.mark.parametrize("order", [(1, 3, 2), (4, 0, 6, 1), (2, 2, 5)])
