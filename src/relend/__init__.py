@@ -51,7 +51,6 @@ from .groups import (
     ball_elements,
     coset_cocycle,
     coset_of,
-    iter_ball,
     k_ball,
     verify_witness,
     witness,

@@ -139,6 +139,8 @@ def _default_alphabet() -> Alphabet:
 def _cmd_trivialize(
     args: argparse.Namespace, group: Group, alphabet: Alphabet | None
 ) -> int:
+    if args.plant and args.cocycle_path:
+        raise ConfigError("trivialize takes --cocycle FILE or --plant, not both")
     alphabet = alphabet or _default_alphabet()
     cache = BallCache(group)
     if args.plant:

@@ -325,19 +325,18 @@ def verify_relations(
     cache: BallCache,
     samples: int = 20,
     rng: random.Random | None = None,
-    max_norm: int = 3,
 ) -> RelationReport:
     """Evaluate every family relator on sampled patterns; all must vanish.
 
-    The patterns are drawn from ball(max_norm), which the cache grows to;
+    The patterns are drawn from ball(3), which the cache grows to;
     the empty configuration is always included in the sample.  A violation
     means the tables do not define a cocycle (word-independence fails).
     """
     rng = rng or random.Random(0)
     region = c.region
-    graph = cache.at_least(max_norm)
+    graph = cache.at_least(3)
     pats = [empty_pattern(c.alphabet)] + [
-        random_pattern(graph, c.alphabet, max_norm, rng) for _ in range(samples)
+        random_pattern(graph, c.alphabet, 3, rng) for _ in range(samples)
     ]
     identity = c.target.identity()
     violations = []

@@ -131,14 +131,13 @@ def _capacity_probe(graph: CosetGraph, r: int, probe: int) -> int:
     )
 
 
-def capacity(cache: BallCache, r: int, probe_cap: int | None = None) -> CapacityEntry:
-    """N(r) with a stabilisation certificate, growing the probe as needed."""
-    if probe_cap is None:
-        probe_cap = r + 10
+def capacity(cache: BallCache, r: int) -> CapacityEntry:
+    """N(r) with a stabilisation certificate, growing the probe as needed up
+    to radius r + 10."""
     probe = r + 2
     graph = cache.at_least(probe + 1)
     value = _capacity_probe(graph, r, probe)
-    while probe < probe_cap:
+    while probe < r + 10:
         graph = cache.at_least(probe + 1)
         nxt = _capacity_probe(graph, r, probe + 1)
         if nxt == value:
@@ -146,7 +145,7 @@ def capacity(cache: BallCache, r: int, probe_cap: int | None = None) -> Capacity
         value = nxt
         probe += 1
     raise NoStabilizationError(
-        f"capacity({r}) did not settle by probe radius {probe_cap}"
+        f"capacity({r}) did not settle by probe radius {r + 10}"
     )
 
 

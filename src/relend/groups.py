@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
 
@@ -35,12 +35,6 @@ class GroupElement:
 
     group: "Group"
     payload: object
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.group.invert(self)
 
     @property
     def word(self) -> Word:
@@ -177,10 +171,6 @@ class Group:
     def identity(self) -> GroupElement:
         return self._identity
 
-    def coset_rep_element(self, a: GroupElement) -> GroupElement:
-        """The canonical representative of the left coset aK."""
-        return GroupElement(self, self._coset_rep_payload(a.payload))
-
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         if a.group is not self or b.group is not self:
             raise InternalError("mixing elements from different group instances")
@@ -201,9 +191,6 @@ class Group:
             out = mul(out, self._letter_payloads[letter])
         return GroupElement(self, out)
 
-    def letter_name(self, letter: Letter) -> str:
-        return self.letter_names[letter]
-
     def word_str(self, a: GroupElement) -> str:
         return " ".join(map(self.letter_names.__getitem__, self.word_of(a)))
 
@@ -218,13 +205,10 @@ class Group:
     def parse_element(self, text: str) -> GroupElement:
         return self.element_from_word(self.parse_token(t) for t in text.split())
 
-    def letter_rank(self, letter: Letter) -> int:
-        return self.s_letters.index(letter)
-
     def word_key(self, a: GroupElement):
         """Shortlex sort key for deterministic element ordering."""
         w = self.word_of(a)
-        return (len(w), tuple(self.letter_rank(l) for l in w))
+        return (len(w), tuple(self.s_letters.index(l) for l in w))
 
     def __repr__(self) -> str:
         return f"{self.family}({', '.join(self.gen_names)})"
@@ -669,7 +653,7 @@ class ProductGroup(Group):
 
 def coset_of(a: GroupElement) -> CosetId:
     """Canonical coset aK; equal cosets yield equal CosetIds."""
-    return CosetId(a.group.coset_rep_element(a))
+    return CosetId(GroupElement(a.group, a.group._coset_rep_payload(a.payload)))
 
 
 def coset_cocycle(g: GroupElement, c: CosetId) -> GroupElement:
@@ -680,7 +664,7 @@ def coset_cocycle(g: GroupElement, c: CosetId) -> GroupElement:
     """
     group = g.group
     moved = group.multiply(g, c.rep)
-    target_rep = group.coset_rep_element(moved)
+    target_rep = GroupElement(group, group._coset_rep_payload(moved.payload))
     out = group.multiply(group.invert(target_rep), moved)
     if not group.is_in_k(out):
         raise InternalError(
@@ -700,14 +684,11 @@ def k_ball(group: Group, radius: int) -> list[GroupElement]:
     return ball_elements(group, radius, group.t_letters)
 
 
-def iter_ball(
+def ball_elements(
     group: Group, radius: int, letters: Sequence[Letter] | None = None
-) -> Iterator[GroupElement]:
-    """Shortlex enumeration of the word ball, yielding each element on discovery.
-
-    Callers that stop at the first few hits never build the rest of the ball.
-    The search runs on payloads, which hash faster than elements.
-    """
+) -> list[GroupElement]:
+    """Shortlex enumeration of the word ball of the given radius, run on
+    payloads, which hash faster than elements."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if letters is None:
@@ -715,7 +696,6 @@ def iter_ball(
     mul = group._mul_payload
     gens = [group._letter_payloads[l] for l in letters]
     start = group.identity().payload
-    yield group.identity()
     queue = [start]
     dist = {start: 0}
     for g in queue:
@@ -727,14 +707,7 @@ def iter_ball(
             if h not in dist:
                 dist[h] = d + 1
                 queue.append(h)
-                yield GroupElement(group, h)
-
-
-def ball_elements(
-    group: Group, radius: int, letters: Sequence[Letter] | None = None
-) -> list[GroupElement]:
-    """Shortlex enumeration of the word ball of the given radius."""
-    return list(iter_ball(group, radius, letters))
+    return [GroupElement(group, h) for h in queue]
 
 
 def verify_witness(group: Group, w: Witness, radius: int) -> bool:

@@ -24,14 +24,14 @@ cycle of odd parity, the certificate that no such B exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
 from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup
-from .patterns import Alphabet, Pattern, make_pattern, trivial_alphabet
+from .patterns import Alphabet, Pattern, _draw_cells, trivial_alphabet
 
 PLUS = "+1"
 MINUS = "-1"
@@ -132,35 +132,32 @@ def generator_boundaries(
     return _stable(*_differences(cache, region, radius), radius)
 
 
-class _SignWalk:
-    """The pointwise parity walk over the sets c(l) of one family: per
-    letter l, c(l) as coset payloads and the left step by l^-1."""
+def _sign_table(group: Group, boundaries: Boundaries):
+    """The pointwise parity walk's table: per letter l, c(l) as coset
+    payloads and the left step by l^-1."""
+    return {
+        l: (frozenset(c.rep.payload for c in b), group._left_step(-l))
+        for l, b in boundaries.items()
+    }
 
-    def __init__(self, group: Group, boundaries: Boundaries):
-        self.letters = {
-            l: (frozenset(c.rep.payload for c in b), group._left_step(-l))
-            for l, b in boundaries.items()
-        }
 
-    def sign(self, word, cells) -> int:
-        """(-1) to the number of the cells (coset payloads) in c(word)."""
-        walk, odd = [self.letters[l] for l in word], False
-        for x in cells:
-            for members, step in walk:
-                odd ^= x in members
-                x = step(x)
-        return -1 if odd else 1
-
-    def on_pattern(self, word, y: Pattern) -> int:
-        """The sign over the minus cells of a configuration."""
-        return self.sign(word, [c.rep.payload for c, s in y.items() if s == MINUS])
+def _sign(table, word, cells) -> int:
+    """(-1) to the number of the cells (coset payloads) in c(word)."""
+    walk, odd = [table[l] for l in word], False
+    for x in cells:
+        for members, step in walk:
+            odd ^= x in members
+            x = step(x)
+    return -1 if odd else 1
 
 
 def sign_cocycle(
     group: Group, boundaries: Boundaries, g: GroupElement, y: Pattern
 ) -> int:
-    """The two-valued cocycle: the configuration evaluated on c(g^-1)."""
-    return _SignWalk(group, boundaries).on_pattern(group.invert(g).word, y)
+    """The two-valued cocycle: the configuration evaluated on c(g^-1), a
+    sign over its minus cells."""
+    minus = [c.rep.payload for c, s in y.items() if s == MINUS]
+    return _sign(_sign_table(group, boundaries), group.invert(g).word, minus)
 
 
 @dataclass(frozen=True)
@@ -294,12 +291,13 @@ def sign_cocycle_spec(
     boundaries = generator_boundaries(cache, region, radius)
     graph = cache.at_least(radius)
     window = max([1, *(graph.norm(c) for cells in boundaries.values() for c in cells)])
-    walk = _SignWalk(group, boundaries)
+    table = _sign_table(group, boundaries)
     target = ZmodGroup((2,))
     minus_one = target.letter_element(1)
 
     def rule(letter: Letter, p: Pattern):
-        if walk.on_pattern((-letter,), p) == 1:
+        minus = [c.rep.payload for c, s in p.items() if s == MINUS]
+        if _sign(table, (-letter,), minus) == 1:
             return target.identity()
         return minus_one
 
@@ -323,27 +321,24 @@ def verify_sign_identity(
     """Sample the two-variable identity c'(gh, y) = c'(g, hy) c'(h, y) of the
     sign cocycle built on the given difference sets.  The minus cells of hy
     are y's moved by h, so c'(g, hy) is the parity over those.  y is drawn
-    on the ids of ball(max_norm) with the draws of ``random_pattern`` (a
-    count, the cells, a symbol per cell), so a seed gives the same trials."""
+    on the ids of ball(max_norm) with the draws of ``random_pattern``, so a
+    seed gives the same trials."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = cache.group
     graph = cache.at_least(max_norm)
-    walk, n = _SignWalk(group, boundaries), graph.ball_size(max_norm)
+    table, n = _sign_table(group, boundaries), graph.ball_size(max_norm)
     mul, rep = group._mul_payload, group._coset_rep_payload
     bad = 0
     for _ in range(trials):
-        count = rng.randrange(0, min(6, n) + 1)
-        cells = [graph.payloads[v] for v in rng.sample(range(n), count)]
-        for _ in cells:
-            rng.choice((MINUS,))
+        cells = [graph.payloads[v] for v, _ in _draw_cells(n, (MINUS,), rng)]
         w1 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         w2 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
         g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
         moved = [rep(mul(g2.payload, x)) for x in cells]
-        lhs = walk.sign(group.invert(group.multiply(g1, g2)).word, cells)
-        rhs = walk.sign(group.invert(g1).word, moved) * walk.sign(
-            group.invert(g2).word, cells
+        lhs = _sign(table, group.invert(group.multiply(g1, g2)).word, cells)
+        rhs = _sign(table, group.invert(g1).word, moved) * _sign(
+            table, group.invert(g2).word, cells
         )
         if lhs != rhs:
             bad += 1
@@ -355,22 +350,18 @@ class ObstructionReport:
     set_name: str
     radius: int
     seed: int
-    boundaries: Boundaries = field(default_factory=dict)
-    identity: IdentityCheck | None = None
-    forced_signs: dict[Letter, int] = field(default_factory=dict)
-    search: SearchOutcome | None = None
+    boundaries: Boundaries
+    identity: IdentityCheck
+    forced_signs: dict[Letter, int]
+    search: SearchOutcome
 
     @property
     def ok(self) -> bool:
-        return (
-            self.identity is not None
-            and self.identity.violations == 0
-            and all(v == 1 for v in self.forced_signs.values())
+        return self.identity.violations == 0 and all(
+            v == 1 for v in self.forced_signs.values()
         )
 
     def verdict(self) -> str:
-        if self.search is None:
-            return "search not run"
         if self.search.found:
             return "trivial (witness B found)"
         return f"non-coboundary up to radius {self.radius}"
@@ -386,13 +377,12 @@ class ObstructionReport:
                 (group.word_str(c.rep) or "e") for c in self.boundaries[letter]
             )
             out.append(
-                f"boundary[{group.letter_name(letter)}] = {{{', '.join(cells)}}}"
+                f"boundary[{group.letter_names[letter]}] = {{{', '.join(cells)}}}"
             )
-        if self.identity:
-            out.append(
-                f"identity check: {self.identity.trials} trials, "
-                f"{self.identity.violations} violations"
-            )
+        out.append(
+            f"identity check: {self.identity.trials} trials, "
+            f"{self.identity.violations} violations"
+        )
         forced = all(v == 1 for v in self.forced_signs.values())
         out.append(
             "fixed-point forcing: homomorphism part pinned to +1 on all "
@@ -424,17 +414,16 @@ def rho_forcing_check(
         raise ValueError("radius must be nonnegative")
     group = cache.group
     graph, sets = _differences(cache, region, radius + 1)
-    report = ObstructionReport(region.name, radius, seed)
-    report.boundaries = _stable(graph, sets, radius)
-    plus = make_pattern(sign_alphabet(), {})
-    report.forced_signs = {
-        l: sign_cocycle(group, report.boundaries, group.letter_element(l), plus)
-        for l in group.s_letters
-    }
-    report.identity = verify_sign_identity(
-        cache, report.boundaries, identity_trials, random.Random(seed)
+    boundaries = _stable(graph, sets, radius)
+    # the all-plus configuration has no minus cells
+    table = _sign_table(group, boundaries)
+    forced = {l: _sign(table, (-l,), []) for l in group.s_letters}
+    identity = verify_sign_identity(
+        cache, boundaries, identity_trials, random.Random(seed)
     )
     _cap_check(cache, radius, cap)
     _stable(graph, sets, radius + 1)
-    report.search = _solve(graph, radius, sets)
-    return report
+    return ObstructionReport(
+        region.name, radius, seed, boundaries, identity, forced,
+        _solve(graph, radius, sets),
+    )

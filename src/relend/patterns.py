@@ -164,17 +164,17 @@ def restrict(y: Pattern, region: frozenset[CosetId] | set[CosetId]) -> Pattern:
 
 
 def verify_coinduced_fixed_point(
-    group: Group, alphabet: Alphabet, symbol: str, radius: int = 3
+    group: Group, alphabet: Alphabet, symbol: str
 ) -> bool:
     """Bounded check that ``symbol`` spawns a fixed configuration.
 
-    Scans the word ball: whenever two words land in the base coset's orbit
-    position (sK = tK), their alphabet corrections must agree on the symbol.
-    Always true for the default symbol.
+    Scans the word ball of radius 3: whenever two words land in the base
+    coset's orbit position (sK = tK), their alphabet corrections must agree
+    on the symbol.  Always true for the default symbol.
     """
     base = coset_of(group.identity())
     seen: dict[CosetId, str] = {}
-    for s in ball_elements(group, radius):
+    for s in ball_elements(group, 3):
         image = alphabet.apply(group, coset_cocycle(s, base), symbol)
         v = coset_of(s)
         if v in seen:
@@ -183,6 +183,15 @@ def verify_coinduced_fixed_point(
         else:
             seen[v] = image
     return True
+
+
+def _draw_cells(
+    n: int, symbols, rng: random.Random, max_entries: int = 6
+) -> list[tuple[int, str]]:
+    """Random ``(id, symbol)`` pairs on distinct ids below n: a count, the
+    ids, then one symbol per id, in that order of draws."""
+    count = rng.randrange(0, min(max_entries, n) + 1)
+    return [(v, rng.choice(symbols)) for v in rng.sample(range(n), count)]
 
 
 def random_pattern(
@@ -198,13 +207,11 @@ def random_pattern(
             f"patterns of norm {max_norm} need a ball of that radius; "
             f"built radius {graph.radius}"
         )
-    region = graph.cosets_slice(0, graph.ball_size(max_norm))
+    n = graph.ball_size(max_norm)
+    cosets = graph.cosets_slice(0, n)
     non_default = [s for s in alphabet.symbols if s != alphabet.x0]
-    count = rng.randrange(0, min(max_entries, len(region)) + 1)
-    chosen = rng.sample(region, count) if count else []
-    return make_pattern(
-        alphabet, {c: rng.choice(non_default) for c in chosen}
-    )
+    draws = _draw_cells(n, non_default, rng, max_entries)
+    return make_pattern(alphabet, {cosets[v]: s for v, s in draws})
 
 
 def scatter_junk(y: Pattern, cells: list[CosetId], rng: random.Random) -> Pattern:

@@ -100,10 +100,6 @@ def element_str(g: GroupElement) -> str:
     return g.group.word_str(g)
 
 
-def parse_element(group: Group, text: str) -> GroupElement:
-    return group.parse_element(text)
-
-
 def alphabet_from_config(cfg: dict) -> Alphabet:
     if not isinstance(cfg, dict):
         raise ConfigError("alphabet config needs to be an object")
@@ -230,7 +226,7 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
         for text, code in codes.items():
             if code not in table:
                 raise ConfigError(
-                    f"cocycle table for {group.letter_name(letter)} is "
+                    f"cocycle table for {group.letter_names[letter]} is "
                     f"missing window pattern {text!r}"
                 )
     return spec
@@ -252,7 +248,7 @@ def cocycle_to_json(
             [text, element_str(spec._value(letter, code))]
             for text, code in codes.items()
         ]
-        tables[spec.group.letter_name(letter)] = sorted(rows)
+        tables[spec.group.letter_names[letter]] = sorted(rows)
     return {
         "window": spec.window,
         "H": group_to_config(spec.target),
@@ -264,7 +260,7 @@ def transfer_to_json(group: Group, table) -> dict:
     return {
         "window": table.window,
         "phi": {
-            group.letter_name(l): element_str(h)
+            group.letter_names[l]: element_str(h)
             for l, h in sorted(table.hom.items(), key=lambda kv: abs(kv[0]) * 2 - (kv[0] > 0))
         },
         "b": {

@@ -45,6 +45,8 @@ from .patterns import (
 FAR_BATCH = 5
 # The search for a threshold t's far elements stops at word length t + slack.
 FAR_SLACK = 4
+# Sampled configurations on which ``run`` checks every relator.
+RELATION_SAMPLES = 10
 
 
 def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: int):
@@ -313,7 +315,6 @@ class Trivializer:
     def run(
         self,
         cohomology_samples: int = 50,
-        relation_samples: int = 10,
         independence_trials: int = 5,
         locality_trials: int = 10,
         max_word: int = 4,
@@ -333,13 +334,13 @@ class Trivializer:
         report.add("one_ended", True, ends.describe())
 
         fixed = verify_coinduced_fixed_point(
-            group, cocycle.alphabet, cocycle.alphabet.x0, radius=3
+            group, cocycle.alphabet, cocycle.alphabet.x0
         )
         report.add("fixed_point", fixed)
         if not fixed:
             return self.table, report
 
-        relations = verify_relations(cocycle, self.cache, relation_samples, rng)
+        relations = verify_relations(cocycle, self.cache, RELATION_SAMPLES, rng)
         report.add(
             "relations",
             relations.ok,

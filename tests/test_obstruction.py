@@ -18,7 +18,8 @@ from relend.groups import (
 )
 from relend.obstruction import (
     AlmostInvariantSet,
-    _SignWalk,
+    _sign,
+    _sign_table,
     bounded_coboundary_search,
     builtin_set,
     generator_boundaries,
@@ -624,7 +625,7 @@ def test_sign_walk_equals_group_arithmetic_on_cells_that_leave_the_ball(
         word = [rng.choice(group.s_letters) for _ in range(8)]
         cells = [graph.payloads[v] for v in ids]
         expected = _payload_sign(group, sets, word, cells)
-        assert _SignWalk(group, sets).sign(word, cells) == expected
+        assert _sign(_sign_table(group, sets), word, cells) == expected
         for v in ids:
             p = graph.payloads[v]
             for letter in word:

@@ -156,7 +156,7 @@ def test_random_pattern_refuses_a_ball_below_its_norm(setup):
 def test_fixed_point_checks():
     group = BsGroup(1, 2)
     alpha = Alphabet(("p", "0", "1", "2"), "p", (("x", (0, 2, 3, 1)),))
-    assert verify_coinduced_fixed_point(group, alpha, "p", 3)
-    assert not verify_coinduced_fixed_point(group, alpha, "0", 3)
+    assert verify_coinduced_fixed_point(group, alpha, "p")
+    assert not verify_coinduced_fixed_point(group, alpha, "0")
     trivial = trivial_alphabet(("0", "1"), "0")
-    assert verify_coinduced_fixed_point(group, trivial, "1", 3)
+    assert verify_coinduced_fixed_point(group, trivial, "1")

@@ -65,6 +65,16 @@ def _run(argv):
                 "alpha": {"a": [0, 2, 1, 3], "b": [0, 1, 3, 2]},
             },
         },
+        # parameters out of range, and repeated alphabet symbols
+        {"family": "zd", "d": 27},
+        {"family": "zd", "d": -1},
+        {"family": "zd", "d": 2, "k_coords": [2]},
+        {"family": "zmod", "mods": [0]},
+        {"family": "free", "rank": 0},
+        {
+            "group": {"family": "zd", "d": 1},
+            "alphabet": {"symbols": ["0", "0"], "x0": "0"},
+        },
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
@@ -419,3 +429,52 @@ def test_unreadable_config_path_exits_two_with_one_line(tmp_path):
     assert code == 2
     assert err.startswith(f"config error: cannot read {tmp_path}: ")
     assert err.count("\n") == 1
+
+
+# argv after the command's --config, the config's name, and the one line
+MISUSED_COMMANDS = {
+    "missing-config": (["graph"], "missing.json", "no such file: {config}"),
+    "trivialize-no-cocycle": (
+        ["trivialize"], "zd2", "trivialize needs --cocycle FILE or --plant"
+    ),
+    "trivialize-plant-and-cocycle": (
+        ["trivialize", "--plant", "--cocycle", "/nonexistent.json", "--samples", "2"],
+        "zd2",
+        "trivialize takes --cocycle FILE or --plant, not both",
+    ),
+    "plant-b0-over-limit": (
+        ["trivialize", "--plant", "--b0-window", "4"],
+        "zd2",
+        "b0 table over 41 cells and 2 symbols is too large to materialise",
+    ),
+    "obstruct-unknown-set": (
+        ["obstruct", "--set", "nope"], "zd2", "unknown built-in set 'nope'"
+    ),
+    "halfline-on-free": (
+        ["obstruct", "--set", "halfline"], "free2", "halfline requires a lattice group"
+    ),
+    "halfline-without-free-axis": (
+        ["obstruct", "--set", "halfline"],
+        "zd1k0",
+        "halfline requires at least one free coordinate",
+    ),
+    "aprefix-on-lattice": (
+        ["obstruct", "--set", "aprefix"], "zd2", "aprefix requires a free group"
+    ),
+    "ends-margin-one": (["ends", "--margin", "1"], "zd2", "margin must be at least 2"),
+}
+PAIRS = {
+    "zd2": {"family": "zd", "d": 2},
+    "free2": {"family": "free", "rank": 2},
+    "zd1k0": {"family": "zd", "d": 1, "k_coords": [0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSED_COMMANDS))
+def test_misused_command_exits_two_with_one_line(tmp_path, case):
+    command, pair, message = MISUSED_COMMANDS[case]
+    config = tmp_path / f"{pair}.json"
+    if pair in PAIRS:
+        config.write_text(json.dumps(PAIRS[pair]))
+    code, err = _run([command[0], "--config", str(config), *command[1:]])
+    assert (code, err) == (2, f"config error: {message.format(config=config)}\n")

@@ -10,7 +10,6 @@ from relend.serialize import (
     cocycle_to_json,
     group_from_config,
     group_to_config,
-    parse_element,
 )
 
 GROUP_CONFIGS = [
@@ -45,10 +44,10 @@ def test_bad_group_configs():
 
 def test_element_strings():
     b = group_from_config({"family": "bs", "m": 1, "n": 2})
-    g = parse_element(b, "x x t X")
+    g = b.parse_element("x x t X")
     assert b.word_str(g) == "t x x x"  # normal form rewrites through t
-    assert parse_element(b, b.word_str(g)) == g
-    assert parse_element(b, "").is_identity()
+    assert b.parse_element(b.word_str(g)) == g
+    assert b.parse_element("").is_identity()
 
 
 def test_alphabet_from_config():
