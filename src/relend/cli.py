@@ -5,13 +5,15 @@ artifacts, and exit 0 when every mathematical check passed, 1 when one
 failed, 2 on configuration errors and on sizes over a budget (the vertex
 and witness-work budgets of a ball, and the ``--cap`` of ``obstruct``).
 Outputs are deterministic functions of the config and the seed, so repeated
-runs are byte-identical.
+runs are byte-identical.  ``main(argv)`` may be called repeatedly in one
+process; its argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import random
 import sys
@@ -222,7 +224,11 @@ def _window_soundness(cocycle, cache, rng, trials: int) -> bool:
     return True
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  It holds each
+    command's ``_cmd_*`` handler as bound when it was built; parsing makes a
+    fresh namespace and leaves the parser unchanged."""
     top = argparse.ArgumentParser(prog="relend")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -271,6 +277,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Callable repeatedly in one
+    process: the parser is built once, on the first call."""
     args = _parser().parse_args(argv)
     try:
         if getattr(args, "samples", 0) < 0:

@@ -407,21 +407,21 @@ def rho_forcing_check(
     coboundary search this is the non-triviality evidence.  One pass over
     ball(radius + 1) gives the difference sets.  Their part in ball(radius),
     certified to have no element of norm radius, is what the report, the sign
-    identity and the search read; after the cap check, sphere radius + 1 is
-    certified empty too.
+    identity and the search read.  The cap is checked before the identity
+    trials, and sphere radius + 1 is certified empty after them.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     group = cache.group
     graph, sets = _differences(cache, region, radius + 1)
     boundaries = _stable(graph, sets, radius)
+    _cap_check(cache, radius, cap)
     # the all-plus configuration has no minus cells
     table = _sign_table(group, boundaries)
     forced = {l: _sign(table, (-l,), []) for l in group.s_letters}
     identity = verify_sign_identity(
         cache, boundaries, identity_trials, random.Random(seed)
     )
-    _cap_check(cache, radius, cap)
     _stable(graph, sets, radius + 1)
     return ObstructionReport(
         region.name, radius, seed, boundaries, identity, forced,

@@ -176,9 +176,8 @@ def test_obstruct_report(configs):
     assert "seed: 2" in text
 
 
-def test_verify_command(configs, tmp_path):
-    tmp, paths = configs
-    # build a small explicit cocycle file through the library, then verify it
+def _planted_cocycle_file(tmp):
+    """A small explicit zd(2) cocycle file, built through the library."""
     from relend.coset_graph import build_ball
     from relend.cocycles import plant_cocycle
     from relend.groups import ZdGroup, ZmodGroup
@@ -190,8 +189,14 @@ def test_verify_command(configs, tmp_path):
     spec = plant_cocycle(
         group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), 0, 3, graph
     )
-    cpath = tmp / "c.json"
-    dump_json(str(cpath), cocycle_to_json(spec, graph))
+    path = tmp / "c.json"
+    dump_json(str(path), cocycle_to_json(spec, graph))
+    return path
+
+
+def test_verify_command(configs, tmp_path):
+    tmp, paths = configs
+    cpath = _planted_cocycle_file(tmp)
     code = main(
         ["verify", "--config", str(paths["z2"]), "--cocycle", str(cpath)]
     )
@@ -317,3 +322,78 @@ def test_verify_has_no_radius_option(configs, capsys):
               "--radius", "4"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --radius 4" in capsys.readouterr().err
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_one_process_keeps_each_commands_defaults(configs, capsys):
+    tmp, paths = configs
+    cocycle = _planted_cocycle_file(tmp)
+    verify = ["verify", "--config", str(paths["z2"]), "--cocycle", str(cocycle)]
+    reports = {}
+    for tag, extra in (("default", []), ("twenty", ["--samples", "20"])):
+        reports[tag] = tmp / f"verify_{tag}.txt"
+        assert main(verify + extra + ["--report", str(reports[tag])]) == 0
+    assert reports["default"].read_bytes() == reports["twenty"].read_bytes()
+
+    obstruct = ["obstruct", "--config", str(paths["z1"]), "--radius", "6",
+                "--cap", "13"]
+    assert main(obstruct + ["--report", str(tmp / "before.txt")]) == 0
+    assert "identity check: 100 trials, 0 violations" in (
+        (tmp / "before.txt").read_text().splitlines()
+    )
+
+    plant = tmp / "plant.txt"
+    assert main(["trivialize", "--config", str(paths["z2"]), "--plant",
+                 "--report", str(plant)]) == 0
+    assert "PASS cohomology_sweep: 50 samples" in plant.read_text().splitlines()
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--cocycle", str(cocycle)])
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --config" in (
+        capsys.readouterr().err
+    )
+    assert main(obstruct + ["--report", str(tmp / "after.txt")]) == 0
+    assert (tmp / "after.txt").read_bytes() == (tmp / "before.txt").read_bytes()
+
+
+def test_later_calls_build_no_parser(configs, capsys, monkeypatch):
+    import argparse
+
+    import relend.cli
+
+    tmp, paths = configs
+    cocycle = _planted_cocycle_file(tmp)
+    z2 = ["--config", str(paths["z2"])]
+    commands = [
+        ["graph", *z2, "--radius", "2", "--out", str(tmp / "g.dot")],
+        ["ends", *z2, "--rmax", "2", "--margin", "2"],
+        ["trivialize", *z2, "--plant", "--samples", "5"],
+        ["obstruct", "--config", str(paths["z1"]), "--radius", "6", "--cap", "13"],
+        ["verify", *z2, "--cocycle", str(cocycle)],
+    ]
+    assert main(commands[0]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert [main(argv) for argv in commands] == [0] * len(commands)
+    assert built == []
+    monkeypatch.undo()
+
+    relend.cli._parser.cache_clear()
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obstruct", "--help"])
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: relend obstruct [-h] --config CONFIG")

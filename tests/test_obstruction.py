@@ -584,6 +584,21 @@ def test_forcing_check_error_order():
         rho_forcing_check(BallCache(group), moved, radius + 1, cap=1)
 
 
+def test_forcing_check_refuses_the_cap_before_any_identity_trial(monkeypatch):
+    import relend.obstruction
+
+    def trials(*args, **kwargs):
+        raise AssertionError("sign-identity trials ran before the cap check")
+
+    monkeypatch.setattr(relend.obstruction, "verify_sign_identity", trials)
+    group, radius = FreeGroup(2), 4
+    cache = BallCache(group)
+    cap = cache.at_least(radius).ball_size(radius) - 1
+    region = builtin_set(group, "aprefix")
+    with pytest.raises(SearchSpaceTooLargeError, match=f"cap {cap}$"):
+        rho_forcing_check(cache, region, radius, identity_trials=20000, cap=cap)
+
+
 # -- the sign walk on ids against walks on payloads ---------------------------
 
 SIGN_CASES = [
