@@ -173,7 +173,9 @@ class CocycleSpec:
     def _value(self, letter: Letter, code: int) -> GroupElement:
         """The table value of a window code; a code the table lacks is filled
         by asking the rule once, on the code's window pattern."""
-        table = self.tables.setdefault(letter, {})
+        table = self.tables.get(letter)
+        if table is None:
+            table = self.tables[letter] = {}
         value = table.get(code)
         if value is None:
             cells = self._window

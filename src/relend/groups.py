@@ -12,6 +12,11 @@ Families:
   * ``zmod(mods)``           -- a finite product of cyclic groups (target use)
   * ``direct_product(a, b)`` -- componentwise product, K = K_a x K_b
 
+Lattice and cyclic arithmetic maps the ``operator`` functions over
+per-group constants (a 0/1 mask of the coordinates outside K, the moduli).
+Elements and cosets hash by their payload alone; equality still compares the
+group, so equal payloads in two groups stay distinct keys.
+
 All values are immutable and every operation is a pure function, so elements
 and cosets are safe to share across threads.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from operator import add, mod, mul, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
@@ -43,6 +49,9 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.payload == self.group.identity().payload
 
+    def __hash__(self) -> int:
+        return hash(self.payload)
+
     def __repr__(self) -> str:
         return f"<{self.group.word_str(self) or 'e'}>"
 
@@ -52,6 +61,9 @@ class CosetId:
     """A left coset gK, identified by its canonical representative."""
 
     rep: GroupElement
+
+    def __hash__(self) -> int:
+        return hash(self.rep.payload)
 
     def __repr__(self) -> str:
         return f"[{self.rep.group.word_str(self.rep) or 'e'}]"
@@ -229,6 +241,8 @@ class ZdGroup(Group):
         self.k_coords = tuple(sorted(set(k_coords)))
         if any(c < 0 or c >= d for c in self.k_coords):
             raise ConfigError(f"k_coords {k_coords} out of range for zd({d})")
+        # 1 on each coordinate outside K, 0 on K's: a product with it zeroes K
+        self._free_mask = tuple(0 if i in self.k_coords else 1 for i in range(d))
         names = tuple(string.ascii_lowercase[:d])
         super().__init__(names, tuple(c + 1 for c in self.k_coords))
 
@@ -239,10 +253,10 @@ class ZdGroup(Group):
         return tuple(1 if i == index - 1 else 0 for i in range(self.d))
 
     def _mul_payload(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def _inv_payload(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def word_of(self, a):
         out = []
@@ -252,13 +266,12 @@ class ZdGroup(Group):
         return tuple(out)
 
     def is_in_k(self, a):
-        kset = set(self.k_coords)
-        return all(c == 0 for i, c in enumerate(a.payload) if i not in kset)
+        return not any(map(mul, a.payload, self._free_mask))
 
     def _coset_rep_payload(self, a):
         if not self.k_coords:
             return a
-        return tuple(0 if i in self.k_coords else c for i, c in enumerate(a))
+        return tuple(map(mul, a, self._free_mask))
 
     def k_exponents(self, a):
         return tuple(a.payload[c] for c in self.k_coords)
@@ -321,10 +334,10 @@ class ZmodGroup(Group):
         )
 
     def _mul_payload(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.mods))
+        return tuple(map(mod, map(add, a, b), self.mods))
 
     def _inv_payload(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.mods))
+        return tuple(map(mod, map(neg, a), self.mods))
 
     def word_of(self, a):
         """Each coordinate by its shortest signed exponent; at a tie, m/2,

@@ -190,6 +190,8 @@ def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
          "--csv", "e.csv"],
         ["trivialize", "--config", "zd2.json", "--plant", "--b0-window", "1",
          "--seed", "5", "--samples", "10", "--out", "t.json", "--report", "t.txt"],
+        ["trivialize", "--config", "zd3k0.json", "--plant", "--b0-window", "1",
+         "--seed", "3", "--samples", "10", "--out", "k.json", "--report", "k.txt"],
         ["obstruct", "--config", "zd1.json", "--set", "halfline", "--radius", "12",
          "--cap", "25", "--seed", "3", "--report", "o1.txt"],
         ["obstruct", "--config", "free2.json", "--set", "aprefix", "--radius", "4",
@@ -212,7 +214,8 @@ def _outputs(tmp: Path, hashseed: str) -> dict[str, bytes]:
 def test_outputs_identical_across_hash_seeds(tmp_path):
     first = _outputs(tmp_path, "0")
     assert set(first) == {
-        "g.dot", "g.csv", "e.csv", "t.json", "t.txt", "o1.txt", "o2.txt", "stdout"
+        "g.dot", "g.csv", "e.csv", "t.json", "t.txt", "k.json", "k.txt", "o1.txt",
+        "o2.txt", "stdout",
     }
     assert first == _outputs(tmp_path, "12345")
 
