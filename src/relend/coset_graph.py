@@ -7,17 +7,20 @@ reads these neighbours off ``Group._coset_steps()``, which maps a coset
 payload to the ``(letter, key)`` pairs of its non-loop neighbours in
 generator and witness order.  Vertices are interned as dense ids in BFS
 discovery order, so ids sort by norm and the closed r-ball is the id prefix
-below sphere_start[r + 1].  A larger ball grows from a smaller one by copying
-the prefix, re-expanding the old boundary sphere and going on with the
-search: the ids equal a fresh build's.  Graphs are not changed after
-construction; the ``cosets`` and ``degree`` lists, the ``ball_set`` sets and
-the left tables (``left_ids``: the id of sv for every id v, from the family's
+below sphere_start[r + 1].  The build steps the spheres below the last one;
+that interns the last sphere, whose rows (its edges back into the ball) are
+made by stepping it on the first read of ``adj``.  A larger ball grows from
+a smaller one by copying the prefix and its rows, stepping the old boundary
+sphere once and going on with the search: the ids equal a fresh build's.
+Graphs are not changed after construction; the ``cosets`` and ``degree``
+lists, the last sphere's rows, the ``ball_set`` sets and the left tables
+(``left_ids``: the id of sv for every id v, from the family's
 ``Group._left_step``) are derived from them on first use, so a caller that
 reads only ids, payloads, norms and edges (``ends``, ``relend graph``) never
 makes a ``CosetId``, and one that reads an id range (``cosets_slice``) makes
 them only up to its end.  ``degree`` reads the build's own edges below the
-last sphere, whose every neighbour is interned, and steps only the last
-sphere again.
+last sphere, whose every neighbour is interned, and the neighbour counts
+that the stepping of the last sphere records.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ class CosetGraph:
     """The ball of radius ``radius`` around the base coset K.
 
     Lists indexed by vertex id hold the coset payload (``payloads``), norm,
-    BFS parent and in-ball ``(letter, id)`` edges; ``index`` maps a payload
-    to its id.  ``cosets_slice`` makes the ``CosetId`` of each vertex on its
+    BFS parent and in-ball ``(letter, id)`` edges (``adj``, whose last
+    sphere's rows are made on its first read); ``index`` maps a payload to
+    its id.  ``cosets_slice`` makes the ``CosetId`` of each vertex on its
     first read, and ``cosets`` is the slice of every vertex; a grown ball
     starts from the ``CosetId`` objects that its smaller ball had made.
     ``grow_from`` is a smaller ball of the same group to grow from.  A ball
@@ -84,16 +88,15 @@ class CosetGraph:
         if old is None:
             self.base = coset_of(group.identity())
             self.payloads, self.norm_of = [self.base.rep.payload], [0]
-            self.parent_of, self.adj, self.sphere_start = [-1], [], [0, 1]
+            self.parent_of, self._rows, self.sphere_start = [-1], [], [0, 1]
             self.index = {self.base.rep.payload: 0}
             self._made = [self.base]  # the CosetIds made so far, by id
         elif old.group is not group or old.radius > radius:
             raise InternalError("can only grow a smaller ball of the same group")
         else:
-            keep = old.sphere_start[old.radius]
             self.base, self.payloads = old.base, old.payloads[:]
             self.norm_of = old.norm_of[:]
-            self.parent_of, self.adj = old.parent_of[:], old.adj[:keep]
+            self.parent_of, self._rows = old.parent_of[:], old._rows[:]
             self.sphere_start, self.index = old.sphere_start[:], dict(old.index)
             self._made = old._made
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
@@ -101,39 +104,78 @@ class CosetGraph:
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
-        """Expand the spheres first..radius, interning targets by payload."""
+        """Expand the spheres first..radius-1, interning targets by payload;
+        that interns the last sphere, whose rows ``adj`` makes."""
         group, limit = self.group, MAX_VERTICES
         step = group._coset_steps()
         products = sum(len(group.witness_elements(l)) for l in group.s_letters)
-        payloads, index, adj = self.payloads, self.index, self.adj
+        payloads, index, rows = self.payloads, self.index, self._rows
         find, parent_of, starts = index.get, self.parent_of, self.sphere_start
         for r in range(first, self.radius + 1):
-            # every vertex of norm <= r gets expanded; refuse before the work
+            # every vertex of norm <= r gets expanded, the last sphere's when
+            # ``adj`` is read; refuse before the work
             if starts[r + 1] * products > WITNESS_WORK * limit:
                 raise BallTooLargeError(
                     f"ball({self.radius}) takes over "
                     f"{WITNESS_WORK * limit} witness products"
                 )
-            last = r == self.radius
+            if r == self.radius:
+                return
             for v in range(starts[r], starts[r + 1]):
                 edges = []
                 for letter, key in step(payloads[v]):
                     w = find(key)
                     if w is None:
-                        if last:
-                            continue
                         w = index[key] = len(payloads)
                         payloads.append(key)
                         parent_of.append(v)
                     edges.append((letter, w))
-                adj.append(tuple(edges))
+                rows.append(tuple(edges))
                 if len(payloads) > limit:
                     raise BallTooLargeError(
                         f"ball({self.radius}) has over {limit} vertices"
                     )
-            if not last:
-                self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
-                starts.append(len(payloads))
+            self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
+            starts.append(len(payloads))
+
+    @cached_property
+    def adj(self) -> list[tuple[tuple[Letter, int], ...]]:
+        """The in-ball ``(letter, id)`` edges of every vertex, in id order.
+        The build made the rows below the last sphere; this steps each
+        last-sphere vertex once, keeps the targets inside the ball and
+        records its distinct-neighbour count for ``degree``."""
+        rows, find = self._rows, self.index.get
+        step = self.group._coset_steps()
+        last_rows, counts = [], []
+        for p in self.payloads[len(rows) :]:
+            pairs = step(p)
+            counts.append(len({k for _, k in pairs}))
+            last_rows.append(
+                tuple((l, w) for l, k in pairs if (w := find(k)) is not None)
+            )
+        self._last_degree = counts
+        return rows + last_rows
+
+    @cached_property
+    def _last_ids(self) -> list:
+        """The in-ball neighbour ids of each last-sphere vertex.  When the
+        group certifies its coset graph bipartite (``Group._bipartite``), no
+        edge joins two vertices of one sphere, so they are read back from the
+        edges v -> w of the sphere below, v once per edge: the edge relation
+        is symmetric, since the out-neighbours of gK are the cosets in gKsK
+        and S is symmetric.  Otherwise they are read off ``adj``."""
+        last, rows = self.sphere_start[self.radius], self._rows
+        if not self.group._bipartite:
+            return [[w for _, w in row] for row in self.adj[last:]]
+        out: list = [()] * (len(self.payloads) - last)  # () until a first edge
+        for v in range(self.sphere_start[max(self.radius - 1, 0)], last):
+            for _, w in rows[v]:
+                if w >= last:
+                    if out[w - last]:
+                        out[w - last].append(v)
+                    else:
+                        out[w - last] = [v]
+        return out
 
     def _id(self, v: CosetId) -> int:
         i = self.index.get(v.rep.payload) if v.rep.group is self.group else None
@@ -166,11 +208,9 @@ class CosetGraph:
         """Degree in the infinite graph of every vertex in id order: its
         distinct non-loop neighbours.  The build interned every neighbour of
         a vertex below the last sphere, so those count their own edges' ids;
-        only the last sphere is stepped again."""
-        last = self.sphere_start[self.radius]
-        step = self.group._coset_steps()
-        inner = [len({w for _, w in edges}) for edges in self.adj[:last]]
-        return inner + [len({k for _, k in step(p)}) for p in self.payloads[last:]]
+        the last sphere's counts are recorded when ``adj`` steps it."""
+        adj, last = self.adj, self.sphere_start[self.radius]
+        return [len({w for _, w in edges}) for edges in adj[:last]] + self._last_degree
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index
@@ -220,12 +260,12 @@ def build_ball(group: Group, radius: int) -> CosetGraph:
 
 def _bfs(graph: CosetGraph, sources, depth: int):
     """Yield (id, distance) for the ids within ``depth`` of the sources."""
-    dist = {s: 0 for s in sources}
+    adj, dist = graph.adj, {s: 0 for s in sources}
     queue = list(dist)
     for w in queue:
         yield w, dist[w]
         if dist[w] < depth:
-            for _, z in graph.adj[w]:
+            for _, z in adj[w]:
                 if z not in dist:
                     dist[z] = dist[w] + 1
                     queue.append(z)
@@ -259,11 +299,12 @@ def neighborhood(graph: CosetGraph, depth: int, targets) -> frozenset[CosetId]:
 
 def geodesic_to(graph: CosetGraph, v: CosetId) -> Path:
     """The BFS-tree path from the base to v; its length equals |v|."""
-    ids, labels = [graph._id(v)], []
+    ids, labels, rows = [graph._id(v)], [], graph._rows
     while ids[-1]:
         child, parent = ids[-1], graph.parent_of[ids[-1]]
-        # the first edge to the child is the one that discovered it
-        labels.append(next(l for l, w in graph.adj[parent] if w == child))
+        # the first edge to the child is the one that discovered it; a
+        # parent lies below the last sphere, so the build made its row
+        labels.append(next(l for l, w in rows[parent] if w == child))
         ids.append(parent)
     return Path(tuple(graph.cosets[i] for i in reversed(ids)), tuple(reversed(labels)))
 

@@ -56,10 +56,17 @@ class CapacityEntry:
 
 
 def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
-    """components_outside_ball as (id list, touches sphere) pairs."""
+    """components_outside_ball as (id list, touches sphere) pairs.
+
+    Rows below the graph's last sphere are the build's own.  A shell that
+    reaches the last sphere reads its vertices' in-ball neighbour ids from
+    ``CosetGraph._last_ids``: the reversed rows of the sphere below when the
+    pair is certified bipartite, else the rows that ``adj`` steps."""
     if inner > outer or outer > graph.radius:
         raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
     lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
+    rows, last = graph._rows, graph.sphere_start[graph.radius]
+    last_ids = graph._last_ids if hi > last else ()
     seen = bytearray(hi)
     out = []
     for start in range(lo, hi):
@@ -67,10 +74,16 @@ def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
             seen[start] = 1
             comp = [start]
             for v in comp:
-                for _, w in graph.adj[v]:
-                    if lo <= w < hi and not seen[w]:
-                        seen[w] = 1
-                        comp.append(w)
+                if v < last:
+                    for _, w in rows[v]:
+                        if lo <= w < hi and not seen[w]:
+                            seen[w] = 1
+                            comp.append(w)
+                else:
+                    for w in last_ids[v - last]:
+                        if lo <= w < hi and not seen[w]:
+                            seen[w] = 1
+                            comp.append(w)
             out.append((comp, max(comp) >= top))
     return out
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mod, mul, neg
 from typing import Callable, Iterable, Sequence
 
@@ -177,6 +178,54 @@ class Group:
         raise UnsupportedFamilyError(
             f"no quotient construction for family {self.family}"
         )
+
+    @cached_property
+    def _bipartite(self) -> bool:
+        """Whether a parity homomorphism chi: G -> Z/2 exists with chi(K) = 0
+        and chi(f) = 1 for every witness f outside K; it certifies the coset
+        graph bipartite.  chi is constant on cosets, and a non-loop edge
+        gK -> gfK has f outside K, so every edge flips chi and chi(gK) is the
+        parity of the norm of gK: no edge joins two vertices of one sphere.
+
+        chi is its vector of generator values over GF(2), found by
+        elimination from chi(t) = 0 for K's generators and for a generator
+        equal to the identity, chi(relator) = 0 and chi(f) = 1 for the words
+        of the witnesses outside K.  The relators present the group, so a
+        solution is a homomorphism; computed on first use."""
+        one = self._identity_payload()
+
+        def parity(word) -> int:
+            mask = 0
+            for letter in word:
+                mask ^= 1 << abs(letter)
+            return mask
+
+        equations = [(1 << i, 0) for i in self.k_primaries]
+        equations += [
+            (1 << i, 0)
+            for i in range(1, len(self.gen_names) + 1)
+            if self._letter_payloads[i] == one
+        ]
+        equations += [(parity(w), 0) for w in self.relator_words()]
+        equations += [
+            (parity(f.word), 1)
+            for letter in self.s_letters
+            for f in self.witness_elements(letter)
+            if not self.is_in_k(f)
+        ]
+        pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (mask, value)
+        for mask, value in equations:
+            while mask:
+                low = mask & -mask
+                if low not in pivots:
+                    pivots[low] = (mask, value)
+                    break
+                pivot_mask, pivot_value = pivots[low]
+                mask, value = mask ^ pivot_mask, value ^ pivot_value
+            else:
+                if value:  # 0 = 1: no such chi
+                    return False
+        return True
 
     # -- shared machinery ----------------------------------------------------
 

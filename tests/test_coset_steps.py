@@ -1,14 +1,22 @@
 """Per-family coset steps and left steps, the budgets they leave unchanged,
-the lazy ``cosets`` list and the left tables of a coset graph."""
+the lazy ``cosets`` list, the left tables of a coset graph and how often
+each payload is stepped."""
+
+import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from relend import coset_graph
+from relend.cli import main
+from relend.cocycles import plant_cocycle
 from relend.coset_graph import BallCache, CosetGraph
 from relend.ends import capacity, estimate_ends
 from relend.errors import BallTooLargeError
 from relend.obstruction import builtin_set, rho_forcing_check
+from relend.patterns import trivial_alphabet
+from relend.trivialize import Trivializer
 from relend.groups import (
     BsGroup,
     CosetId,
@@ -141,3 +149,66 @@ def test_one_forcing_check_builds_each_left_table_once(group, set_name, radius):
     report = rho_forcing_check(cache, region, radius, seed=1, cap=cap)
     assert report.ok and cache.at_least(0) is graph
     assert sorted(graph._left.sets) == sorted(group.s_letters)
+
+
+# -- how often each payload is stepped ----------------------------------------
+
+
+def _count_steps(monkeypatch, family) -> Counter:
+    """Count, per payload, the calls of the family's coset step."""
+    stepped: Counter = Counter()
+    make = family._coset_steps
+
+    def counted(self):
+        step = make(self)
+
+        def counting(p):
+            stepped[p] += 1
+            return step(p)
+
+        return counting
+
+    monkeypatch.setattr(family, "_coset_steps", counted)
+    return stepped
+
+
+@pytest.mark.parametrize("group", [FreeGroup(2), ZdGroup(3, (0,))])
+def test_a_ball_grown_radius_by_radius_steps_each_inner_vertex_once(
+    monkeypatch, group
+):
+    stepped = _count_steps(monkeypatch, type(group))
+    cache = BallCache(group)
+    for radius in range(1, 7):
+        graph = cache.at_least(radius)
+    assert stepped == Counter(graph.payloads[: graph.sphere_start[6]])
+
+
+def test_library_passes_never_make_the_last_sphere_rows():
+    free = BallCache(FreeGroup(2))
+    report = rho_forcing_check(
+        free, builtin_set(free.group, "aprefix"), 4, seed=1,
+        cap=free.at_least(4).ball_size(4),
+    )
+    assert report.ok
+    grid = BallCache(ZdGroup(2))
+    cocycle = plant_cocycle(
+        grid.group, trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,)), 0, 21,
+        grid.at_least(8),
+    )
+    assert Trivializer(grid, cocycle, seed=3).run(cohomology_samples=5)[1].ok
+    capacity(grid, 3)
+    for cache in (free, grid):
+        assert "adj" not in vars(cache.at_least(0))
+
+
+def test_graph_command_steps_each_payload_once(monkeypatch, tmp_path):
+    config = tmp_path / "free2.json"
+    config.write_text(json.dumps({"family": "free", "rank": 2}))
+    stepped = _count_steps(monkeypatch, FreeGroup)
+    argv = ["graph", "--config", str(config), "--radius", "4",
+            "--out", str(tmp_path / "g.dot"), "--csv", str(tmp_path / "g.csv")]
+    assert main(argv) == 0
+    # ball(4) of free(2) has 161 vertices: the build steps the 53 of norm
+    # <= 3, and the first read of ``adj`` steps the 108 of the last sphere
+    # and records the degrees that the CSV reads
+    assert len(stepped) == 161 and set(stepped.values()) == {1}

@@ -5,8 +5,9 @@ from oracle_utils import (
     lattice_capacity,
     lattice_shell_components,
 )
-from relend.coset_graph import BallCache, build_ball
+from relend.coset_graph import BallCache, CosetGraph, build_ball
 from relend.ends import (
+    _shell_components,
     capacity,
     components_outside_ball,
     cross_check_quotient,
@@ -14,6 +15,8 @@ from relend.ends import (
 )
 from relend.errors import NotOneEndedError, UnsupportedFamilyError
 from relend.groups import BsGroup, FreeGroup, ProductGroup, ZdGroup
+from relend.serialize import group_from_config
+from test_geometry_golden import CONFIGS
 
 
 def test_line_has_two_ends():
@@ -105,3 +108,28 @@ def test_cross_check_product_pair():
     pair = ProductGroup(ZdGroup(1, (0,)), ZdGroup(1, ()))
     result = cross_check_quotient(pair, 4, 4)
     assert result.agrees and result.pair_report.is_exactly(2)
+
+
+# -- the last sphere's edges: reversed on certified pairs ---------------------
+
+CERTIFIED = sorted(p for p, c in CONFIGS.items() if group_from_config(c)._bipartite)
+
+
+@pytest.mark.parametrize("pair", CERTIFIED)
+def test_reversed_last_sphere_rows_equal_the_stepped_rows(pair):
+    group = group_from_config(CONFIGS[pair])
+    for radius in range(7):
+        graph = CosetGraph(group, radius)
+        reversed_ids = graph._last_ids
+        assert "adj" not in vars(graph)  # read back, not stepped
+        last = graph.sphere_start[radius]
+        assert [sorted(ids) for ids in reversed_ids] == [
+            sorted(w for _, w in row) for row in graph.adj[last:]
+        ]
+
+
+def test_a_last_sphere_with_an_inner_edge_is_read_from_adj():
+    # zmod(5) at radius 2: the edge 2 -> 3 joins the two last-sphere vertices,
+    # which no reversed row of sphere 1 holds
+    graph = CosetGraph(group_from_config(CONFIGS["zmod5"]), 2)
+    assert _shell_components(graph, 2, 2) == [([3, 4], True)]

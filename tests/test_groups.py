@@ -11,6 +11,7 @@ from relend.errors import InternalError
 from relend.groups import (
     BsGroup,
     FreeGroup,
+    Group,
     GroupElement,
     ProductGroup,
     Witness,
@@ -24,6 +25,8 @@ from relend.groups import (
     witness,
 )
 from relend.patterns import Alphabet
+from relend.serialize import group_from_config
+from test_geometry_golden import CONFIGS as GOLDEN_CONFIGS
 
 ALL_GROUPS = [
     ZdGroup(2, ()),
@@ -333,3 +336,33 @@ def test_equal_payloads_in_two_groups_stay_two_keys():
     assert a != b and coset_of(a) != coset_of(b)
     assert len({a: 0, b: 1}) == 2
     assert len({coset_of(a): 0, coset_of(b): 1}) == 2
+
+
+# -- the parity certificate of a bipartite coset graph ------------------------
+
+GOLDEN_GROUPS = {pair: group_from_config(c) for pair, c in GOLDEN_CONFIGS.items()}
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN_GROUPS))
+def test_bipartite_certificate_of_every_golden_pair(pair):
+    assert GOLDEN_GROUPS[pair]._bipartite == (pair != "zmod5")
+
+
+def test_bipartite_certificate_of_cyclic_groups_and_products():
+    # a cyclic factor of odd order has no parity that its generator flips
+    assert ZmodGroup((2, 4))._bipartite
+    assert not ZmodGroup((3,))._bipartite
+    assert not ProductGroup(ZdGroup(2), ZmodGroup((3,)))._bipartite
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN_GROUPS))
+def test_no_edge_of_a_certified_pair_stays_in_its_sphere(pair):
+    # the certificate's premise, checked apart from it: step every payload
+    # of ball(6) by the generic witness products and compare norms; zmod(5),
+    # the one pair without a certificate, has such edges
+    group = GOLDEN_GROUPS[pair]
+    graph = CosetGraph(group, 6)
+    norm = dict(zip(graph.payloads, graph.norm_of))
+    step = Group._coset_steps(group)
+    flat = [norm[p] == norm.get(key) for p in graph.payloads for _, key in step(p)]
+    assert any(flat) == (pair == "zmod5")
