@@ -108,7 +108,7 @@ class CosetGraph:
         that interns the last sphere, whose rows ``adj`` makes."""
         group, limit = self.group, MAX_VERTICES
         step = group._coset_steps()
-        products = sum(len(group.witness_elements(l)) for l in group.s_letters)
+        products = sum(map(len, group.witnesses.values()))
         payloads, index, rows = self.payloads, self.index, self._rows
         find, parent_of, starts = index.get, self.parent_of, self.sphere_start
         for r in range(first, self.radius + 1):

@@ -137,8 +137,12 @@ class Group:
         """Exponent vector of a K-element over the primary K generators."""
         raise NotImplementedError
 
-    def witness_elements(self, letter: Letter) -> tuple:
-        raise NotImplementedError
+    def _witness_elements(self, letter: Letter) -> tuple:
+        """F_s, made afresh; ``witnesses`` keeps it.  This default holds when
+        Ks = sK: F = {e} for s in T, else F = {s}."""
+        if letter in self.t_letters:
+            return (self.identity(),)
+        return (self.letter_element(letter),)
 
     def relator_words(self) -> tuple[Word, ...]:
         raise NotImplementedError
@@ -154,8 +158,8 @@ class Group:
         one = self._identity_payload()
         steps = [
             (letter, f.payload)
-            for letter in self.s_letters
-            for f in self.witness_elements(letter)
+            for letter, fs in self.witnesses.items()
+            for f in fs
             if f.payload != one
         ]
 
@@ -180,52 +184,41 @@ class Group:
         )
 
     @cached_property
+    def witnesses(self) -> dict[Letter, tuple]:
+        """The witness set F_s of every letter, in ``s_letters`` order, made
+        once per group on first use."""
+        return {letter: self._witness_elements(letter) for letter in self.s_letters}
+
+    @cached_property
     def _bipartite(self) -> bool:
-        """Whether a parity homomorphism chi: G -> Z/2 exists with chi(K) = 0
-        and chi(f) = 1 for every witness f outside K; it certifies the coset
-        graph bipartite.  chi is constant on cosets, and a non-loop edge
-        gK -> gfK has f outside K, so every edge flips chi and chi(gK) is the
-        parity of the norm of gK: no edge joins two vertices of one sphere.
+        """Whether the parity map chi: G -> Z/2 that is 0 on the generators in
+        K and 1 on the others sends every relator to 0 and every witness
+        outside K to 1; that certifies the coset graph bipartite.  The
+        relators present the group, so chi is then a homomorphism, and it is
+        0 on K.  chi is constant on cosets, and a non-loop edge gK -> gfK has
+        f outside K, so every edge flips chi and chi(gK) is the parity of the
+        norm of gK: no edge joins two vertices of one sphere.
 
-        chi is its vector of generator values over GF(2), found by
-        elimination from chi(t) = 0 for K's generators and for a generator
-        equal to the identity, chi(relator) = 0 and chi(f) = 1 for the words
-        of the witnesses outside K.  The relators present the group, so a
-        solution is a homomorphism; computed on first use."""
-        one = self._identity_payload()
-
-        def parity(word) -> int:
-            mask = 0
-            for letter in word:
-                mask ^= 1 << abs(letter)
-            return mask
-
-        equations = [(1 << i, 0) for i in self.k_primaries]
-        equations += [
-            (1 << i, 0)
+        No other parity homomorphism psi can serve.  psi is 0 on K, so on
+        the generators in K, and psi(f) = psi(s) for every witness f of s,
+        since each built-in witness of s lies in KsK; a generator s outside K
+        has a witness outside K, where psi must be 1, so psi(s) = 1.
+        Computed on first use."""
+        odd = {
+            i
             for i in range(1, len(self.gen_names) + 1)
-            if self._letter_payloads[i] == one
-        ]
-        equations += [(parity(w), 0) for w in self.relator_words()]
-        equations += [
-            (parity(f.word), 1)
-            for letter in self.s_letters
-            for f in self.witness_elements(letter)
+            if not self.is_in_k(self.letter_element(i))
+        }
+
+        def chi(word) -> int:
+            return sum(abs(letter) in odd for letter in word) % 2
+
+        return not any(map(chi, self.relator_words())) and all(
+            chi(f.word)
+            for fs in self.witnesses.values()
+            for f in fs
             if not self.is_in_k(f)
-        ]
-        pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (mask, value)
-        for mask, value in equations:
-            while mask:
-                low = mask & -mask
-                if low not in pivots:
-                    pivots[low] = (mask, value)
-                    break
-                pivot_mask, pivot_value = pivots[low]
-                mask, value = mask ^ pivot_mask, value ^ pivot_value
-            else:
-                if value:  # 0 = 1: no such chi
-                    return False
-        return True
+        )
 
     # -- shared machinery ----------------------------------------------------
 
@@ -325,12 +318,6 @@ class ZdGroup(Group):
     def k_exponents(self, a):
         return tuple(a.payload[c] for c in self.k_coords)
 
-    def witness_elements(self, letter):
-        # K is normal, so Ks = sK; for s in T even F = {e} works.
-        if letter in self.t_letters:
-            return (self.identity(),)
-        return (self.letter_element(letter),)
-
     def relator_words(self):
         rels = []
         for i in range(1, self.d + 1):
@@ -406,9 +393,6 @@ class ZmodGroup(Group):
     def k_exponents(self, a):
         return ()
 
-    def witness_elements(self, letter):
-        return (self.letter_element(letter),)
-
     def relator_words(self):
         rels = [tuple([i + 1] * m) for i, m in enumerate(self.mods) if m > 1]
         for i in range(1, len(self.mods) + 1):
@@ -462,9 +446,6 @@ class FreeGroup(Group):
 
     def k_exponents(self, a):
         return ()
-
-    def witness_elements(self, letter):
-        return (self.letter_element(letter),)
 
     def relator_words(self):
         return ()
@@ -565,7 +546,7 @@ class BsGroup(Group):
             raise InternalError("k_exponents called on an element outside <x>")
         return (a.payload[1],)
 
-    def witness_elements(self, letter):
+    def _witness_elements(self, letter):
         if abs(letter) == 1:
             return (self.identity(),)
         count = self.m if letter > 0 else self.n
@@ -667,17 +648,17 @@ class ProductGroup(Group):
         left, right = self._factors(a)
         return self.left.k_exponents(left) + self.right.k_exponents(right)
 
-    def witness_elements(self, letter):
+    def _witness_elements(self, letter):
         side, inner = self._split(letter)
         left, right = self.left.identity().payload, self.right.identity().payload
         if side is self.left:
             return tuple(
                 GroupElement(self, (f.payload, right))
-                for f in self.left.witness_elements(inner)
+                for f in self.left.witnesses[inner]
             )
         return tuple(
             GroupElement(self, (left, f.payload))
-            for f in self.right.witness_elements(inner)
+            for f in self.right.witnesses[inner]
         )
 
     def relator_words(self):
@@ -738,7 +719,7 @@ def coset_cocycle(g: GroupElement, c: CosetId) -> GroupElement:
 def witness(group: Group, letter: Letter) -> Witness:
     if letter not in group.s_letters:
         raise ConfigError(f"letter {letter} is not a generator of {group!r}")
-    return Witness(letter, group.witness_elements(letter))
+    return Witness(letter, group.witnesses[letter])
 
 
 def k_ball(group: Group, radius: int) -> list[GroupElement]:

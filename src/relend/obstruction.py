@@ -106,17 +106,23 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
     return graph, out
 
 
-def _stable(graph: CosetGraph, sets, radius: int) -> Boundaries:
-    """The sets within ball(radius), certified to have no element of norm
-    radius: raises for the first letter whose set does, which means the
-    truncation is not yet honest.  Past the check every id of the sets
-    inside ball(radius) lies in ball(radius - 1), the only cosets made."""
+def _check_stable(graph: CosetGraph, sets, radius: int) -> None:
+    """Raises for the first letter whose set has an element of norm radius,
+    which means the truncation is not yet honest."""
     lo, hi = graph.ball_size(radius - 1), graph.ball_size(radius)
     for letter, (_, odd) in sets.items():
         if any(lo <= v < hi for v in odd):
             raise NoStabilizationError(
                 f"difference set for letter {letter} still grows at radius {radius}"
             )
+
+
+def _stable(graph: CosetGraph, sets, radius: int) -> Boundaries:
+    """The sets within ball(radius), certified by ``_check_stable``.  Past
+    the check every id of the sets inside ball(radius) lies in
+    ball(radius - 1), the only cosets made."""
+    _check_stable(graph, sets, radius)
+    lo = graph.ball_size(radius - 1)
     cosets = graph.cosets_slice(0, lo)
     return {
         l: frozenset(cosets[v] for v in odd if v < lo) for l, (_, odd) in sets.items()
@@ -186,7 +192,7 @@ def bounded_coboundary_search(
     """
     _cap_check(cache, radius, cap)
     graph, sets = _differences(cache, region, radius + 1)
-    _stable(graph, sets, radius + 1)
+    _check_stable(graph, sets, radius + 1)
     return _solve(graph, radius, sets)
 
 
@@ -422,7 +428,7 @@ def rho_forcing_check(
     identity = verify_sign_identity(
         cache, boundaries, identity_trials, random.Random(seed)
     )
-    _stable(graph, sets, radius + 1)
+    _check_stable(graph, sets, radius + 1)
     return ObstructionReport(
         region.name, radius, seed, boundaries, identity, forced,
         _solve(graph, radius, sets),

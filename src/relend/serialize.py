@@ -51,7 +51,14 @@ def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(_int(v, f"each entry of {what}") for v in value)
 
 
-def group_from_config(cfg: dict) -> Group:
+# direct_product levels a group config may nest; the group's arithmetic
+# recurses through every level
+PRODUCT_DEPTH = 32
+
+
+def group_from_config(cfg: dict, depth: int = 0) -> Group:
+    """The group of a config; ``depth`` counts the direct_product levels
+    around it."""
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ConfigError("group config needs to be an object with a 'family' key")
     family = cfg["family"]
@@ -72,8 +79,10 @@ def group_from_config(cfg: dict) -> Group:
             factors = cfg["factors"]
             if not isinstance(factors, list) or len(factors) != 2:
                 raise ConfigError("direct_product needs a list of two factors")
-            left, right = factors
-            return ProductGroup(group_from_config(left), group_from_config(right))
+            if depth == PRODUCT_DEPTH:
+                raise ConfigError(f"direct_product nests over {PRODUCT_DEPTH} levels")
+            left, right = (group_from_config(f, depth + 1) for f in factors)
+            return ProductGroup(left, right)
     except KeyError as missing:
         raise ConfigError(f"{family} config is missing {missing}") from None
     raise ConfigError(f"unknown group family {family!r}")
@@ -291,5 +300,6 @@ def load_json(path: str) -> Any:
         raise ConfigError(f"no such file: {path}") from None
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: nesting too deep for the decoder
         raise ConfigError(f"malformed JSON in {path}: {err}") from None

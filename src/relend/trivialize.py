@@ -146,9 +146,8 @@ class Trivializer:
     the hom memo.  ``transfer_evaluations`` counts the transfers computed.
     Far elements are memoised per threshold.  ``run`` starts one lazy
     ``_far_scan`` for every threshold it can ask and advances it only as far
-    as each request needs; it drops the scan after the sweep if every
-    threshold the later checks can ask is answered.  A threshold outside
-    that scan, or a count above FAR_BATCH, gets a one-threshold scan.
+    as each request needs.  A threshold outside that scan, or a count above
+    FAR_BATCH, gets a one-threshold scan.
     """
 
     def __init__(
@@ -413,12 +412,6 @@ class Trivializer:
         report.add("extension_consistency", consistency_ok)
         report.add("truncation_agreement", tilde_ok)
 
-        # the checks left read patterns of norm <= max_norm or 3 * window + 2;
-        # once their thresholds are answered, the scan's spheres go
-        last = self.capacity_at(max(max_norm, 3 * cocycle.window + 2) + cocycle.window)
-        if all(map(self._far_complete, range(last + 1))):
-            self._far = {t: f for t, f in self._far.items() if self._far_complete(t)}
-            self._scan = None
         ind_ok = True
         for _ in range(3):
             y = random_pattern(big, cocycle.alphabet, max_norm, rng)

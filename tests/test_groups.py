@@ -355,6 +355,56 @@ def test_bipartite_certificate_of_cyclic_groups_and_products():
     assert not ProductGroup(ZdGroup(2), ZmodGroup((3,)))._bipartite
 
 
+ORACLE_GROUPS = {
+    **GOLDEN_GROUPS,
+    "zmod24": ZmodGroup((2, 4)),
+    "zmod3": ZmodGroup((3,)),
+    "zd2xzmod3": ProductGroup(ZdGroup(2), ZmodGroup((3,))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ORACLE_GROUPS))
+def test_bipartite_certificate_matches_every_parity_map(pair):
+    # the reference: try all 2^n maps from the generators to Z/2 against
+    # every condition on a parity homomorphism that certifies the pair
+    group = ORACLE_GROUPS[pair]
+    n = len(group.gen_names)
+    zero = set(group.k_primaries)
+    zero |= {i for i in range(1, n + 1) if group.letter_element(i).is_identity()}
+    outside = [
+        f.word
+        for letter in group.s_letters
+        for f in witness(group, letter).elements
+        if not group.is_in_k(f)
+    ]
+
+    def meets_all(bits):
+        def chi(word):
+            return sum(bits[abs(l) - 1] for l in word) % 2
+
+        return (
+            not any(bits[i - 1] for i in zero)
+            and not any(map(chi, group.relator_words()))
+            and all(chi(w) == 1 for w in outside)
+        )
+
+    maps = itertools.product((0, 1), repeat=n)
+    assert group._bipartite == any(map(meets_all, maps))
+
+
+def test_witness_sets_are_made_once_per_group(monkeypatch):
+    # growing ball(1) to ball(6) and reading the certificate makes the
+    # witness products of BS(1, 2) once: 2 for t and 4 for t^-1
+    group, calls = BsGroup(1, 2), []
+    product = group.multiply
+    monkeypatch.setattr(group, "multiply", lambda a, b: calls.append(1) or product(a, b))
+    graph = CosetGraph(group, 1)
+    for radius in range(2, 7):
+        graph = CosetGraph(group, radius, grow_from=graph)
+    assert group._bipartite
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("pair", sorted(GOLDEN_GROUPS))
 def test_no_edge_of_a_certified_pair_stays_in_its_sphere(pair):
     # the certificate's premise, checked apart from it: step every payload

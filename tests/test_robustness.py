@@ -18,7 +18,7 @@ from relend.cocycles import plant_cocycle
 from relend.coset_graph import CosetGraph
 from relend.groups import BsGroup, ZdGroup, ZmodGroup
 from relend.patterns import Alphabet, trivial_alphabet
-from relend.serialize import cocycle_to_json, dump_json
+from relend.serialize import PRODUCT_DEPTH, cocycle_to_json, dump_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,6 +29,14 @@ def _run(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def _nested_product(levels):
+    """zd(1) inside ``levels`` direct_product levels, each with a zd(0) factor."""
+    cfg = {"family": "zd", "d": 1}
+    for _ in range(levels):
+        cfg = {"family": "direct_product", "factors": [cfg, {"family": "zd", "d": 0}]}
+    return cfg
 
 
 @pytest.mark.parametrize(
@@ -75,6 +83,8 @@ def _run(argv):
             "group": {"family": "zd", "d": 1},
             "alphabet": {"symbols": ["0", "0"], "x0": "0"},
         },
+        # one direct_product level over the nesting budget
+        _nested_product(PRODUCT_DEPTH + 1),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
@@ -425,6 +435,33 @@ def test_unwritable_output_path_exits_two_with_one_line(tmp_path, case):
     # every output path is checked before any work, so a run that cannot
     # write one of its outputs writes none of them
     assert set(tmp_path.iterdir()) == inputs
+
+
+def _config_run(command, path, tmp_path):
+    """``graph`` (DOT into tmp_path) or ``ends`` on the config at path."""
+    out = ["--out", str(tmp_path / "o.dot")] if command == "graph" else []
+    return _run([command, "--config", str(path), *out])
+
+
+@pytest.mark.parametrize("command", ["graph", "ends"])
+def test_deeply_nested_json_exits_two_with_one_line(tmp_path, command):
+    # json.dumps cannot encode this nesting, so the file is written as text
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, err = _config_run(command, path, tmp_path)
+    assert code == 2
+    assert err.startswith(f"config error: malformed JSON in {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["graph", "ends"])
+def test_product_nesting_budget_itself_is_accepted(tmp_path, capsys, command):
+    # one level more is a case of test_malformed_config_exits_two_with_one_line
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_nested_product(PRODUCT_DEPTH)))
+    assert _config_run(command, path, tmp_path) == (0, "")
+    if command == "ends":
+        assert capsys.readouterr().out == "ends estimate: exact 2\n"
 
 
 def test_unreadable_config_path_exits_two_with_one_line(tmp_path):
