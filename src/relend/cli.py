@@ -56,14 +56,6 @@ def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
     for name, _ in perms:
         if name not in k_names:
             raise ConfigError(f"alphabet alpha names {name!r}, not a generator of K")
-    # K acts through powers of the generator permutations taken in any order,
-    # which is an action only when the permutations commute
-    for i, (a, p) in enumerate(perms):
-        for b, q in perms[i + 1 :]:
-            if any(p[q[j]] != q[p[j]] for j in range(len(p))):
-                raise ConfigError(
-                    f"alphabet alpha permutations of {a!r} and {b!r} do not commute"
-                )
     return group, alphabet
 
 

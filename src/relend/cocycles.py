@@ -51,6 +51,7 @@ from .groups import CosetId, Group, GroupElement, Letter, k_ball
 from .patterns import (
     Alphabet,
     Pattern,
+    _draw_word,
     act,
     empty_pattern,
     random_pattern,
@@ -203,16 +204,16 @@ class CocycleSpec:
         key = group._coset_rep_payload(moved)
         if key == moved:  # the correction is the identity, which lies in K
             return key, self._identity_images
-        correction = GroupElement(group, mul(group._inv_payload(key), moved))
-        if not group.is_in_k(correction):
+        correction = mul(group._inv_payload(key), moved)
+        if not group._in_k(correction):
             raise InternalError(
-                f"coset correction {correction!r} is outside K; "
+                f"coset correction {GroupElement(group, correction)!r} is outside K; "
                 "coset_rep is inconsistent"
             )
-        images = self._images.get(correction.payload)
+        images = self._images.get(correction)
         if images is None:
-            perm = self.alphabet.permutation_of(group, correction)
-            images = self._images[correction.payload] = {
+            perm = self.alphabet.permutation_of(group, GroupElement(group, correction))
+            images = self._images[correction] = {
                 s: symbols[perm[i]] for i, s in enumerate(symbols)
             }
         return key, images
@@ -458,8 +459,7 @@ def _random_target_element(target: Group, rng: random.Random) -> GroupElement:
         return GroupElement(
             target, tuple(rng.randrange(-2, 3) for _ in range(target.d))
         )
-    word = [rng.choice(target.s_letters) for _ in range(rng.randrange(0, 3))]
-    return target.element_from_word(word)
+    return target.element_from_word(_draw_word(target.s_letters, 2, rng))
 
 
 def plant_cocycle(

@@ -12,6 +12,10 @@ Families:
   * ``zmod(mods)``           -- a finite product of cyclic groups (target use)
   * ``direct_product(a, b)`` -- componentwise product, K = K_a x K_b
 
+A family implements payload hooks only (``_mul_payload``, ``_word``,
+``_in_k``, ``_k_exponents``, ``_witness_elements``, ...); ``Group`` defines
+the element methods once over them, and ``witness`` wraps witness payloads.
+
 Lattice and cyclic arithmetic maps the ``operator`` functions over
 per-group constants (a 0/1 mask of the coordinates outside K, the moduli).
 Elements and cosets hash by their payload alone; equality still compares the
@@ -26,6 +30,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import add, mod, mul, neg
 from typing import Callable, Iterable, Sequence
 
@@ -122,27 +127,27 @@ class Group:
     def _inv_payload(self, a: object) -> object:
         raise NotImplementedError
 
-    def word_of(self, a: GroupElement) -> Word:
-        """Canonical word of ``a`` over the generating letters."""
+    def _word(self, p: object) -> Word:
+        """Canonical word of the element with payload p over the letters."""
         raise NotImplementedError
 
-    def is_in_k(self, a: GroupElement) -> bool:
+    def _in_k(self, p: object) -> bool:
         raise NotImplementedError
 
     def _coset_rep_payload(self, a: object) -> object:
         """Payload of the canonical representative of the coset with payload a."""
         raise NotImplementedError
 
-    def k_exponents(self, a: GroupElement) -> tuple[int, ...]:
-        """Exponent vector of a K-element over the primary K generators."""
+    def _k_exponents(self, p: object) -> tuple[int, ...]:
+        """Exponents of the K-element p over the primary K generators."""
         raise NotImplementedError
 
     def _witness_elements(self, letter: Letter) -> tuple:
-        """F_s, made afresh; ``witnesses`` keeps it.  This default holds when
-        Ks = sK: F = {e} for s in T, else F = {s}."""
+        """The payloads of F_s, made afresh; ``witnesses`` keeps them.  This
+        default holds when Ks = sK: F = {e} for s in T, else F = {s}."""
         if letter in self.t_letters:
-            return (self.identity(),)
-        return (self.letter_element(letter),)
+            return (self._identity_payload(),)
+        return (self._letter_payloads[letter],)
 
     def relator_words(self) -> tuple[Word, ...]:
         raise NotImplementedError
@@ -157,10 +162,7 @@ class Group:
         mul, rep = self._mul_payload, self._coset_rep_payload
         one = self._identity_payload()
         steps = [
-            (letter, f.payload)
-            for letter, fs in self.witnesses.items()
-            for f in fs
-            if f.payload != one
+            (letter, f) for letter, fs in self.witnesses.items() for f in fs if f != one
         ]
 
         def step(vp):
@@ -185,8 +187,8 @@ class Group:
 
     @cached_property
     def witnesses(self) -> dict[Letter, tuple]:
-        """The witness set F_s of every letter, in ``s_letters`` order, made
-        once per group on first use."""
+        """The payloads of the witness set F_s of every letter, in
+        ``s_letters`` order, made once per group on first use."""
         return {letter: self._witness_elements(letter) for letter in self.s_letters}
 
     @cached_property
@@ -207,17 +209,17 @@ class Group:
         odd = {
             i
             for i in range(1, len(self.gen_names) + 1)
-            if not self.is_in_k(self.letter_element(i))
+            if not self._in_k(self._letter_payloads[i])
         }
 
         def chi(word) -> int:
             return sum(abs(letter) in odd for letter in word) % 2
 
         return not any(map(chi, self.relator_words())) and all(
-            chi(f.word)
+            chi(self._word(f))
             for fs in self.witnesses.values()
             for f in fs
-            if not self.is_in_k(f)
+            if not self._in_k(f)
         )
 
     # -- shared machinery ----------------------------------------------------
@@ -235,6 +237,16 @@ class Group:
 
     def letter_element(self, letter: Letter) -> GroupElement:
         return GroupElement(self, self._letter_payloads[letter])
+
+    def word_of(self, a: GroupElement) -> Word:
+        """Canonical word of ``a`` over the generating letters."""
+        return self._word(a.payload)
+
+    def is_in_k(self, a: GroupElement) -> bool:
+        return self._in_k(a.payload)
+
+    def k_exponents(self, a: GroupElement) -> tuple[int, ...]:
+        return self._k_exponents(a.payload)
 
     def _gen_payload(self, index: int) -> object:
         raise NotImplementedError
@@ -300,30 +312,26 @@ class ZdGroup(Group):
     def _inv_payload(self, a):
         return tuple(map(neg, a))
 
-    def word_of(self, a):
+    def _word(self, p):
         out = []
-        for i, c in enumerate(a.payload):
+        for i, c in enumerate(p):
             letter = (i + 1) if c > 0 else -(i + 1)
             out.extend([letter] * abs(c))
         return tuple(out)
 
-    def is_in_k(self, a):
-        return not any(map(mul, a.payload, self._free_mask))
+    def _in_k(self, p):
+        return not any(map(mul, p, self._free_mask))
 
     def _coset_rep_payload(self, a):
         if not self.k_coords:
             return a
         return tuple(map(mul, a, self._free_mask))
 
-    def k_exponents(self, a):
-        return tuple(a.payload[c] for c in self.k_coords)
+    def _k_exponents(self, p):
+        return tuple(p[c] for c in self.k_coords)
 
     def relator_words(self):
-        rels = []
-        for i in range(1, self.d + 1):
-            for j in range(i + 1, self.d + 1):
-                rels.append((i, j, -i, -j))
-        return tuple(rels)
+        return tuple((i, j, -i, -j) for i, j in combinations(range(1, self.d + 1), 2))
 
     def quotient_by_k(self):
         return ZdGroup(self.d - len(self.k_coords), ())
@@ -375,30 +383,28 @@ class ZmodGroup(Group):
     def _inv_payload(self, a):
         return tuple(map(mod, map(neg, a), self.mods))
 
-    def word_of(self, a):
+    def _word(self, p):
         """Each coordinate by its shortest signed exponent; at a tie, m/2,
         the positive one."""
         out = []
-        for i, (c, m) in enumerate(zip(a.payload, self.mods)):
+        for i, (c, m) in enumerate(zip(p, self.mods)):
             e = c - m if 2 * c > m else c
             out.extend([i + 1 if e > 0 else -(i + 1)] * abs(e))
         return tuple(out)
 
-    def is_in_k(self, a):
-        return a.is_identity()
+    def _in_k(self, p):
+        return not any(p)
 
     def _coset_rep_payload(self, a):
         return a
 
-    def k_exponents(self, a):
+    def _k_exponents(self, p):
         return ()
 
     def relator_words(self):
         rels = [tuple([i + 1] * m) for i, m in enumerate(self.mods) if m > 1]
-        for i in range(1, len(self.mods) + 1):
-            for j in range(i + 1, len(self.mods) + 1):
-                rels.append((i, j, -i, -j))
-        return tuple(rels)
+        pairs = combinations(range(1, len(self.mods) + 1), 2)
+        return tuple(rels + [(i, j, -i, -j) for i, j in pairs])
 
     def quotient_by_k(self):
         return self
@@ -435,16 +441,16 @@ class FreeGroup(Group):
     def _inv_payload(self, a):
         return tuple(-l for l in reversed(a))
 
-    def word_of(self, a):
-        return a.payload
+    def _word(self, p):
+        return p
 
-    def is_in_k(self, a):
-        return a.payload == ()
+    def _in_k(self, p):
+        return p == ()
 
     def _coset_rep_payload(self, a):
         return a
 
-    def k_exponents(self, a):
+    def _k_exponents(self, p):
         return ()
 
     def relator_words(self):
@@ -526,38 +532,33 @@ class BsGroup(Group):
             tail += -pre
         return (tuple(pairs), tail)
 
-    def word_of(self, a):
+    def _word(self, p):
         out = []
-        for pre, eps in a.payload[0]:
+        for pre, eps in p[0]:
             out.extend([1] * pre)
             out.append(2 if eps > 0 else -2)
-        tail = a.payload[1]
+        tail = p[1]
         out.extend([1 if tail > 0 else -1] * abs(tail))
         return tuple(out)
 
-    def is_in_k(self, a):
-        return a.payload[0] == ()
+    def _in_k(self, p):
+        return p[0] == ()
 
     def _coset_rep_payload(self, a):
         return (a[0], 0)
 
-    def k_exponents(self, a):
-        if a.payload[0] != ():
+    def _k_exponents(self, p):
+        if p[0] != ():
             raise InternalError("k_exponents called on an element outside <x>")
-        return (a.payload[1],)
+        return (p[1],)
 
     def _witness_elements(self, letter):
+        # x^i t^eps for i below m (eps = +1) or n (eps = -1)
         if abs(letter) == 1:
-            return (self.identity(),)
+            return (self._identity_payload(),)
+        t = self._letter_payloads[letter]
         count = self.m if letter > 0 else self.n
-        x = self.letter_element(1)
-        t = self.letter_element(letter)
-        out = []
-        acc = self.identity()
-        for _ in range(count):
-            out.append(self.multiply(acc, t))
-            acc = self.multiply(acc, x)
-        return tuple(out)
+        return tuple(self._mul_payload(((), i), t) for i in range(count))
 
     def relator_words(self):
         return ((-2,) + (1,) * self.m + (2,) + (-1,) * self.n,)
@@ -625,18 +626,14 @@ class ProductGroup(Group):
     def _inv_payload(self, a):
         return (self.left._inv_payload(a[0]), self.right._inv_payload(a[1]))
 
-    def _factors(self, a: GroupElement) -> tuple[GroupElement, GroupElement]:
-        left, right = a.payload
-        return GroupElement(self.left, left), GroupElement(self.right, right)
-
-    def word_of(self, a):
-        lw, rw = (f.word for f in self._factors(a))
+    def _word(self, p):
         shift = self._offset
-        return lw + tuple((abs(l) + shift) * (1 if l > 0 else -1) for l in rw)
+        return self.left._word(p[0]) + tuple(
+            (abs(l) + shift) * (1 if l > 0 else -1) for l in self.right._word(p[1])
+        )
 
-    def is_in_k(self, a):
-        left, right = self._factors(a)
-        return self.left.is_in_k(left) and self.right.is_in_k(right)
+    def _in_k(self, p):
+        return self.left._in_k(p[0]) and self.right._in_k(p[1])
 
     def _coset_rep_payload(self, a):
         return (
@@ -644,22 +641,15 @@ class ProductGroup(Group):
             self.right._coset_rep_payload(a[1]),
         )
 
-    def k_exponents(self, a):
-        left, right = self._factors(a)
-        return self.left.k_exponents(left) + self.right.k_exponents(right)
+    def _k_exponents(self, p):
+        return self.left._k_exponents(p[0]) + self.right._k_exponents(p[1])
 
     def _witness_elements(self, letter):
         side, inner = self._split(letter)
         left, right = self.left.identity().payload, self.right.identity().payload
         if side is self.left:
-            return tuple(
-                GroupElement(self, (f.payload, right))
-                for f in self.left.witnesses[inner]
-            )
-        return tuple(
-            GroupElement(self, (left, f.payload))
-            for f in self.right.witnesses[inner]
-        )
+            return tuple((f, right) for f in self.left.witnesses[inner])
+        return tuple((left, f) for f in self.right.witnesses[inner])
 
     def relator_words(self):
         shift = self._offset
@@ -719,7 +709,9 @@ def coset_cocycle(g: GroupElement, c: CosetId) -> GroupElement:
 def witness(group: Group, letter: Letter) -> Witness:
     if letter not in group.s_letters:
         raise ConfigError(f"letter {letter} is not a generator of {group!r}")
-    return Witness(letter, group.witnesses[letter])
+    return Witness(
+        letter, tuple(GroupElement(group, f) for f in group.witnesses[letter])
+    )
 
 
 def k_ball(group: Group, radius: int) -> list[GroupElement]:

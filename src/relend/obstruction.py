@@ -31,7 +31,7 @@ from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
 from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup
-from .patterns import Alphabet, Pattern, _draw_cells, trivial_alphabet
+from .patterns import Alphabet, Pattern, _draw_cells, _draw_word, trivial_alphabet
 
 PLUS = "+1"
 MINUS = "-1"
@@ -338,8 +338,8 @@ def verify_sign_identity(
     bad = 0
     for _ in range(trials):
         cells = [graph.payloads[v] for v, _ in _draw_cells(n, (MINUS,), rng)]
-        w1 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
-        w2 = [rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))]
+        w1 = _draw_word(group.s_letters, max_word, rng)
+        w2 = _draw_word(group.s_letters, max_word, rng)
         g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
         moved = [rep(mul(g2.payload, x)) for x in cells]
         lhs = _sign(table, group.invert(group.multiply(g1, g2)).word, cells)

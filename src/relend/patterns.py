@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .coset_graph import CosetGraph
@@ -34,7 +35,8 @@ class Alphabet:
     ``perms`` maps primary K-generator names to permutations of symbol
     indices.  The default symbol x0 must be fixed by every generator, which
     makes it fixed by all of K and keeps finite supports finite under the
-    action.
+    action.  K acts by powers of the permutations in any order, an action
+    only when they commute; random patterns need a symbol besides x0.
     """
 
     symbols: tuple[str, ...]
@@ -47,12 +49,19 @@ class Alphabet:
         if self.x0 not in self.symbols:
             raise ConfigError(f"default symbol {self.x0!r} not in {self.symbols}")
         n = len(self.symbols)
+        if n < 2:
+            raise ConfigError(f"alphabet {self.symbols} has no symbol besides {self.x0!r}")
         x0i = self.symbols.index(self.x0)
         for name, perm in self.perms:
             if sorted(perm) != list(range(n)):
                 raise ConfigError(f"{name}: {perm} is not a permutation")
             if perm[x0i] != x0i:
                 raise ConfigError(f"{name}: permutation moves the default symbol")
+        for (a, p), (b, q) in combinations(self.perms, 2):
+            if any(p[q[j]] != q[p[j]] for j in range(n)):
+                raise ConfigError(
+                    f"alphabet alpha permutations of {a!r} and {b!r} do not commute"
+                )
 
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
@@ -192,6 +201,11 @@ def _draw_cells(
     ids, then one symbol per id, in that order of draws."""
     count = rng.randrange(0, min(max_entries, n) + 1)
     return [(v, rng.choice(symbols)) for v in rng.sample(range(n), count)]
+
+
+def _draw_word(letters, n: int, rng: random.Random) -> list:
+    """A random word of at most n letters; its length is drawn first."""
+    return [rng.choice(letters) for _ in range(rng.randrange(0, n + 1))]
 
 
 def random_pattern(

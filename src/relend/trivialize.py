@@ -32,6 +32,7 @@ from .errors import NotFoundError, NotOneEndedError
 from .groups import Group, GroupElement, Letter, coset_of
 from .patterns import (
     Pattern,
+    _draw_word,
     empty_pattern,
     random_pattern,
     restrict,
@@ -384,9 +385,7 @@ class Trivializer:
         pd = cocycle.derivation if isinstance(cocycle.derivation, PlantedData) else None
         for _ in range(cohomology_samples):
             y = random_pattern(big, cocycle.alphabet, max_norm, rng)
-            g = group.element_from_word(
-                rng.choice(group.s_letters) for _ in range(rng.randrange(0, max_word + 1))
-            )
+            g = group.element_from_word(_draw_word(group.s_letters, max_word, rng))
             if not self.verify_cohomology(g, y):
                 sweep_ok = False
             ext = self.transfer_extended(y)

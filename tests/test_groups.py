@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle_utils import bs1n_affine
+from relend import groups
 from relend.cocycles import CocycleSpec
 from relend.coset_graph import CosetGraph
 from relend.errors import InternalError
@@ -394,15 +395,81 @@ def test_bipartite_certificate_matches_every_parity_map(pair):
 
 def test_witness_sets_are_made_once_per_group(monkeypatch):
     # growing ball(1) to ball(6) and reading the certificate makes the
-    # witness products of BS(1, 2) once: 2 for t and 4 for t^-1
+    # witness set of each of the four letters of BS(1, 2) once
     group, calls = BsGroup(1, 2), []
-    product = group.multiply
-    monkeypatch.setattr(group, "multiply", lambda a, b: calls.append(1) or product(a, b))
+    make = group._witness_elements
+    monkeypatch.setattr(
+        group, "_witness_elements", lambda letter: calls.append(letter) or make(letter)
+    )
     graph = CosetGraph(group, 1)
     for radius in range(2, 7):
         graph = CosetGraph(group, radius, grow_from=graph)
     assert group._bipartite
-    assert len(calls) == 6
+    assert len(calls) == 4
+
+
+def _element_witnesses(group, letter):
+    """F_s made from elements by ``Group.multiply``: x^i t^eps in BS(m, n), a
+    factor's witnesses beside the other factor's identity in a product, and
+    {e} for s in T or {s} otherwise."""
+    if isinstance(group, ProductGroup):
+        side, inner = group._split(letter)
+        left, right = group.left.identity().payload, group.right.identity().payload
+        pairs = [
+            (f.payload, right) if side is group.left else (left, f.payload)
+            for f in _element_witnesses(side, inner)
+        ]
+        return tuple(GroupElement(group, p) for p in pairs)
+    if letter in group.t_letters:
+        return (group.identity(),)
+    if isinstance(group, BsGroup):
+        x, t = group.letter_element(1), group.letter_element(letter)
+        acc, out = group.identity(), []
+        for _ in range(group.m if letter > 0 else group.n):
+            out.append(group.multiply(acc, t))
+            acc = group.multiply(acc, x)
+        return tuple(out)
+    return (group.letter_element(letter),)
+
+
+BS_WITNESS_GROUPS = {
+    **{f"bs{m}{n}": BsGroup(m, n) for m in range(1, 5) for n in range(1, 5)},
+    "bs12xzd1": ProductGroup(BsGroup(1, 2), ZdGroup(1)),
+    "zd2k0xbs32": ProductGroup(ZdGroup(2, (0,)), BsGroup(3, 2)),
+    "bs24xbs41": ProductGroup(BsGroup(2, 4), BsGroup(4, 1)),
+    "free1xbs23xzmod3": ProductGroup(
+        ProductGroup(FreeGroup(1), BsGroup(2, 3)), ZmodGroup((3,))
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(BS_WITNESS_GROUPS))
+def test_payload_witnesses_match_element_products(pair):
+    group = BS_WITNESS_GROUPS[pair]
+    for letter in group.s_letters:
+        reference = _element_witnesses(group, letter)
+        assert group.witnesses[letter] == tuple(f.payload for f in reference)
+        assert witness(group, letter).elements == reference
+
+
+def test_families_implement_payload_hooks_only():
+    # the element methods are defined once, on Group, over the payload hooks,
+    # and witness sets hold payloads, which only ``witness`` wraps
+    overrides = [
+        f"{cls.__name__}.{attr}"
+        for cls in vars(groups).values()
+        if isinstance(cls, type) and issubclass(cls, Group) and cls is not Group
+        for attr in ("word_of", "is_in_k", "k_exponents")
+        if attr in vars(cls)
+    ]
+    assert overrides == []
+    held = [
+        (group, letter)
+        for group in [*ALL_GROUPS, *ORACLE_GROUPS.values(), *BS_WITNESS_GROUPS.values()]
+        for letter, fs in group.witnesses.items()
+        if type(fs) is not tuple or any(isinstance(f, GroupElement) for f in fs)
+    ]
+    assert held == []
 
 
 @pytest.mark.parametrize("pair", sorted(GOLDEN_GROUPS))

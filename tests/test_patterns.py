@@ -34,6 +34,22 @@ def test_alphabet_validation():
         Alphabet(("0", "1"), "0", (("x", (1, 0)),))
 
 
+def test_alphabet_needs_a_symbol_besides_the_default():
+    # random patterns draw their symbols from those besides x0
+    with pytest.raises(ConfigError, match="no symbol besides '0'"):
+        Alphabet(("0",), "0")
+
+
+def test_alphabet_refuses_permutations_that_do_not_commute():
+    # K = <a, b> of zd(3) would act by a^i b^j, whose product is not an action
+    # when alpha(a) and alpha(b) do not commute
+    perms = (("a", (0, 2, 3, 1)), ("b", (0, 2, 1, 3)))
+    with pytest.raises(
+        ConfigError, match="^alphabet alpha permutations of 'a' and 'b' do not commute$"
+    ):
+        Alphabet(("0", "1", "2", "3"), "0", perms)
+
+
 def test_alphabet_homomorphism_property():
     from relend.groups import k_ball
 

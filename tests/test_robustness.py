@@ -85,6 +85,8 @@ def _nested_product(levels):
         },
         # one direct_product level over the nesting budget
         _nested_product(PRODUCT_DEPTH + 1),
+        # no symbol besides the default one
+        {"group": {"family": "zd", "d": 2}, "alphabet": {"symbols": ["0"], "x0": "0"}},
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
@@ -93,6 +95,20 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
     code, err = _run(["graph", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_one_symbol_alphabet_exits_two_before_planting(tmp_path):
+    # random patterns draw their symbols from those besides x0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"group": {"family": "zd", "d": 2}, "alphabet": {"symbols": ["0"], "x0": "0"}}
+    ))
+    argv = ["trivialize", "--config", str(path), "--plant", "--samples", "1",
+            "--out", str(tmp_path / "T.json"), "--report", str(tmp_path / "t.txt")]
+    code, err = _run(argv)
+    assert code == 2
+    assert err == "config error: alphabet ('0',) has no symbol besides '0'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 FAMILIES = ["zd", "free", "bs", "zmod", "direct_product", "trivial"]
