@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the obstruction evidence pipeline on the built-in many-ended pairs.
 
-    python3 scripts/obstruction_demo.py [--radius 12] [--seed 0]
+    python3 scripts/obstruction_demo.py [--seed 0] [--trials 200]
 """
 
 import argparse

@@ -3,7 +3,8 @@
 All commands are batch-style: read JSON configs, write DOT/CSV/JSON/text
 artifacts, and exit 0 when every mathematical check passed, 1 when one
 failed, 2 on configuration errors and on sizes over a budget (the vertex
-and witness-work budgets of a ball, and the ``--cap`` of ``obstruct``).
+and witness-work budgets of a ball, the ``--cap`` of ``obstruct``, and
+``MAX_SAMPLES`` for ``--samples``).
 Outputs are deterministic functions of the config and the seed, so repeated
 runs are byte-identical.  ``main(argv)`` may be called repeatedly in one
 process; its argument parser is built on the first call and reused.
@@ -41,6 +42,9 @@ from .serialize import (
     write_file,
 )
 from .trivialize import Trivializer
+
+# the --samples budget of trivialize, obstruct and verify, checked before any work
+MAX_SAMPLES = 100_000
 
 
 def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
@@ -273,8 +277,11 @@ def main(argv: list[str] | None = None) -> int:
     process: the parser is built once, on the first call."""
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "samples", 0) < 0:
+        samples = getattr(args, "samples", 0)
+        if samples < 0:
             raise ConfigError("--samples must be nonnegative")
+        if samples > MAX_SAMPLES:
+            raise ConfigError(f"--samples {samples} is over the budget {MAX_SAMPLES}")
         for name in ("out", "csv", "report"):
             path = getattr(args, name, None)
             if path:

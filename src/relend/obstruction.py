@@ -8,11 +8,11 @@ c(g^-1).  A is a predicate on coset payloads (``CosetId.rep.payload``).  One
 pass over graph ids gives the difference sets: v lies in A xor sA exactly
 when member(v) != member(s^-1 v), with s^-1 v read off the graph's left
 table of s^-1 (``CosetGraph.left_ids``); it makes no ``CosetId``.  The sign
-cocycle is evaluated pointwise: a cell u lies in c(l_1...l_k) exactly when
-an odd number of the p_i^-1 u lie in c(l_i), p_i = l_1...l_(i-1), so
-c'(g, y) is a parity over y's minus cells and c'(g, hy) one over those cells
-moved by h.  The walk moves a cell on coset payloads with the family's left
-step (``Group._left_step``), inside the built graph and outside it alike.
+cocycle reads c(w) as a set of coset payloads, made once per word by the
+twisted sum c(l_1...l_k) = xor of p_i c(l_i), p_i = l_1...l_(i-1), with the
+family's payload product and canonical representative, inside the built
+graph and outside it alike.  c'(g, y) is the parity of y's minus cells that
+fall in c(g^-1), and c'(g, hy) that of those cells moved by h.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
 for every generator s.  Over GF(2) these equations are a 2-colouring of the
@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
 from .errors import NoStabilizationError, SearchSpaceTooLargeError
-from .groups import CosetId, Group, GroupElement, Letter, ZmodGroup
+from .groups import CosetId, Group, GroupElement, Letter, Word, ZmodGroup
 from .patterns import Alphabet, Pattern, _draw_cells, _draw_word, trivial_alphabet
 
 PLUS = "+1"
@@ -138,23 +139,38 @@ def generator_boundaries(
     return _stable(*_differences(cache, region, radius), radius)
 
 
-def _sign_table(group: Group, boundaries: Boundaries):
-    """The pointwise parity walk's table: per letter l, c(l) as coset
-    payloads and the left step by l^-1."""
-    return {
-        l: (frozenset(c.rep.payload for c in b), group._left_step(-l))
-        for l, b in boundaries.items()
-    }
+def _sign_table(group: Group, boundaries: Boundaries) -> Callable[[Word], frozenset]:
+    """The function from a word w to c(w) as coset payloads, memoised per
+    word for the life of the table.  c(l_1...l_k) is built left to right as
+    the xor of rep(p_i m) over m in c(l_i): one product per member of c(l_i)
+    and one per prefix step p_(i+1) = p_i l_i."""
+    sets = {l: frozenset(c.rep.payload for c in b) for l, b in boundaries.items()}
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    letters, one, memo = group._letter_payloads, group._identity_payload(), {}
+
+    def word_set(word: Word) -> frozenset:
+        key = tuple(word)
+        out = memo.get(key)
+        if out is None:
+            p, acc = one, set()
+            for l in key:
+                acc ^= {rep(mul(p, m)) for m in sets[l]}
+                p = mul(p, letters[l])
+            out = memo[key] = frozenset(acc)
+        return out
+
+    return word_set
+
+
+def _parity(members: frozenset, cells) -> int:
+    """(-1) to the number of the cells in members, a repeated cell counted
+    as often as it occurs."""
+    return -1 if sum(map(members.__contains__, cells)) & 1 else 1
 
 
 def _sign(table, word, cells) -> int:
     """(-1) to the number of the cells (coset payloads) in c(word)."""
-    walk, odd = [table[l] for l in word], False
-    for x in cells:
-        for members, step in walk:
-            odd ^= x in members
-            x = step(x)
-    return -1 if odd else 1
+    return _parity(table(word), cells)
 
 
 def sign_cocycle(
@@ -328,24 +344,35 @@ def verify_sign_identity(
     sign cocycle built on the given difference sets.  The minus cells of hy
     are y's moved by h, so c'(g, hy) is the parity over those.  y is drawn
     on the ids of ball(max_norm) with the draws of ``random_pattern``, so a
-    seed gives the same trials."""
+    seed gives the same trials.  g, h and gh are payloads, and the set
+    c(k^-1) of each is read from a memo keyed by the payload of k, so the
+    memo holds at most the elements of word length <= 2 max_word."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = cache.group
     graph = cache.at_least(max_norm)
     table, n = _sign_table(group, boundaries), graph.ball_size(max_norm)
-    mul, rep = group._mul_payload, group._coset_rep_payload
+    mul, rep, inv, word = (
+        group._mul_payload, group._coset_rep_payload, group._inv_payload, group._word
+    )
+    letters, one, inverse_sets = group._letter_payloads, group._identity_payload(), {}
+
+    def c_inv(p) -> frozenset:
+        out = inverse_sets.get(p)
+        if out is None:
+            out = inverse_sets[p] = table(word(inv(p)))
+        return out
+
     bad = 0
     for _ in range(trials):
         cells = [graph.payloads[v] for v, _ in _draw_cells(n, (MINUS,), rng)]
         w1 = _draw_word(group.s_letters, max_word, rng)
         w2 = _draw_word(group.s_letters, max_word, rng)
-        g1, g2 = group.element_from_word(w1), group.element_from_word(w2)
-        moved = [rep(mul(g2.payload, x)) for x in cells]
-        lhs = _sign(table, group.invert(group.multiply(g1, g2)).word, cells)
-        rhs = _sign(table, group.invert(g1).word, moved) * _sign(
-            table, group.invert(g2).word, cells
-        )
+        g1 = reduce(mul, map(letters.__getitem__, w1), one)
+        g2 = reduce(mul, map(letters.__getitem__, w2), one)
+        moved = [rep(mul(g2, x)) for x in cells]
+        lhs = _parity(c_inv(mul(g1, g2)), cells)
+        rhs = _parity(c_inv(g1), moved) * _parity(c_inv(g2), cells)
         if lhs != rhs:
             bad += 1
     return IdentityCheck(trials, bad)

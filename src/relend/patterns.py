@@ -36,7 +36,8 @@ class Alphabet:
     indices.  The default symbol x0 must be fixed by every generator, which
     makes it fixed by all of K and keeps finite supports finite under the
     action.  K acts by powers of the permutations in any order, an action
-    only when they commute; random patterns need a symbol besides x0.
+    only when they commute; a generator has at most one permutation, and
+    random patterns need a symbol besides x0.
     """
 
     symbols: tuple[str, ...]
@@ -52,7 +53,11 @@ class Alphabet:
         if n < 2:
             raise ConfigError(f"alphabet {self.symbols} has no symbol besides {self.x0!r}")
         x0i = self.symbols.index(self.x0)
+        seen = set()
         for name, perm in self.perms:
+            if name in seen:
+                raise ConfigError(f"alphabet alpha names {name!r} twice")
+            seen.add(name)
             if sorted(perm) != list(range(n)):
                 raise ConfigError(f"{name}: {perm} is not a permutation")
             if perm[x0i] != x0i:

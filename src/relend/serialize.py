@@ -292,14 +292,25 @@ def dump_json(path: str, payload: Any) -> None:
     write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that occurs twice, whose
+    earlier values ``json`` would drop."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (json.JSONDecodeError, RecursionError, ConfigError) as err:
         # RecursionError: nesting too deep for the decoder
         raise ConfigError(f"malformed JSON in {path}: {err}") from None

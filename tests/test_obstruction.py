@@ -698,3 +698,64 @@ def test_sign_identity_refuses_a_negative_trial_count(line):
     b = generator_boundaries(cache, region, 6)
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         verify_sign_identity(cache, b, -1, random.Random(0))
+
+
+# -- c(w) as a memoised set of payloads ----------------------------------------
+
+
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+def test_a_shared_sign_table_answers_as_fresh_tables_do(group, set_name, radius):
+    # one table serves words in any order, repeats among them, on the sets
+    # of one A and on a broken set; each answer must be what a table made
+    # for that call alone gives
+    b = generator_boundaries(BallCache(group), builtin_set(group, set_name), radius)
+    graph = BallCache(group).at_least(3)
+    broken = {**b, 1: b[1] ^ {coset_of(group.identity())}}
+    rng = random.Random(14)
+    for sets in (b, broken):
+        shared = _sign_table(group, sets)
+        words = [
+            tuple(rng.choice(group.s_letters) for _ in range(rng.randrange(0, 7)))
+            for _ in range(40)
+        ]
+        for word in words + words[::-1]:
+            ids = rng.sample(range(graph.vertex_count()), rng.randrange(0, 7))
+            cells = [graph.payloads[v] for v in ids]
+            assert _sign(shared, word, cells) == _sign(_sign_table(group, sets), word, cells)
+            assert shared(list(word)) is shared(word)
+
+
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+def test_a_repeated_cell_counts_twice(group, set_name, radius):
+    sets = generator_boundaries(BallCache(group), builtin_set(group, set_name), radius)
+    table = _sign_table(group, sets)
+    hits = 0
+    for letter in group.s_letters:
+        for c in sets[-letter]:
+            # the cell lies in c(letter^-1): once flips the sign, twice does not
+            x, word = c.rep.payload, (-letter,)
+            for cells in ([x], [x, x], [x, x, x]):
+                expected = _payload_sign(group, sets, word, cells)
+                assert _sign(table, word, cells) == expected
+            assert _sign(table, word, [x]) == -_sign(table, word, [x, x]) == -1
+            hits += 1
+    assert hits
+
+
+def test_a_long_free_word_agrees_with_group_arithmetic(tree):
+    # c(w) of an unreduced word of 1,000 letters, cell by cell: cells of
+    # the ball, which mostly miss it, and cells the table puts in it
+    group, cache, region = tree
+    sets = generator_boundaries(cache, region, 5)
+    graph = cache.at_least(3)
+    rng = random.Random(15)
+    word = [rng.choice(group.s_letters) for _ in range(1000)]
+    table = _sign_table(group, sets)
+    inside = sorted(table(word))
+    assert len(inside) > 100
+    cells = [graph.payloads[v] for v in rng.sample(range(graph.vertex_count()), 16)]
+    cells += rng.sample(inside, 8)
+    signs = [_sign(table, word, [x]) for x in cells]
+    assert signs == [_payload_sign(group, sets, word, [x]) for x in cells]
+    assert {-1, 1} <= set(signs)
+    assert _sign(table, word, cells) == _payload_sign(group, sets, word, cells)

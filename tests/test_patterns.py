@@ -50,6 +50,14 @@ def test_alphabet_refuses_permutations_that_do_not_commute():
         Alphabet(("0", "1", "2", "3"), "0", perms)
 
 
+@pytest.mark.parametrize("second", [(0, 1, 2), (0, 2, 1)], ids=["other", "same"])
+def test_alphabet_refuses_a_generator_named_twice(second):
+    # a dict of the pairs would keep the last permutation and drop the first
+    perms = (("a", (0, 2, 1)), ("a", second))
+    with pytest.raises(ConfigError, match="^alphabet alpha names 'a' twice$"):
+        Alphabet(("0", "1", "2"), "0", perms)
+
+
 def test_alphabet_homomorphism_property():
     from relend.groups import k_ball
 

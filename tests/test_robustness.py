@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import relend.cli
 import relend.coset_graph
-from relend.cli import main
+from relend.cli import MAX_SAMPLES, main
 from relend.cocycles import plant_cocycle
 from relend.coset_graph import CosetGraph
 from relend.groups import BsGroup, ZdGroup, ZmodGroup
@@ -95,6 +96,27 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, cfg):
     code, err = _run(["graph", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # json keeps the last value of a repeated key, here the identity
+        ('{"group": {"family": "zd", "d": 3, "k_coords": [0]}, "alphabet": '
+         '{"symbols": ["0", "1", "2"], "x0": "0", '
+         '"alpha": {"a": [0, 2, 1], "a": [0, 1, 2]}}}', "a"),
+        ('{"family": "zd", "d": 1, "d": 2}', "d"),
+    ],
+    ids=["alpha", "group"],
+)
+def test_repeated_json_key_exits_two_with_one_line(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, err = _run(["graph", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert (code, err) == (
+        2, f"config error: malformed JSON in {path}: repeated key {key!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_one_symbol_alphabet_exits_two_before_planting(tmp_path):
@@ -398,6 +420,34 @@ def test_negative_samples_are_refused_with_one_line(tmp_path):
         assert _run(argv + ["--samples", "-1", "--report", report]) == (
             2, "config error: --samples must be nonnegative\n"
         )
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+def test_samples_over_the_budget_are_refused_before_any_work(
+    tmp_path, monkeypatch, samples
+):
+    # only counts over the budget run here, so no trial or sample is drawn;
+    # the refusal comes before the config is even read
+    line, plane = tmp_path / "zd1.json", tmp_path / "zd2.json"
+    line.write_text(json.dumps({"family": "zd", "d": 1}))
+    plane.write_text(json.dumps({"family": "zd", "d": 2}))
+    cocycle = _zd2_cocycle_file(tmp_path)
+
+    def load(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(relend.cli, "_load_pair", load)
+    report = tmp_path / "report.txt"
+    commands = [
+        ["obstruct", "--config", str(line), "--radius", "3", "--cap", "7"],
+        ["trivialize", "--config", str(plane), "--plant"],
+        ["verify", "--config", str(plane), "--cocycle", str(cocycle)],
+    ]
+    for argv in commands:
+        assert _run(argv + ["--samples", str(samples), "--report", str(report)]) == (
+            2, f"config error: --samples {samples} is over the budget {MAX_SAMPLES}\n"
+        )
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("rmax", ["0", "-3"])
