@@ -74,7 +74,6 @@ from .patterns import (
     random_pattern,
     restrict,
     trivial_alphabet,
-    verify_coinduced_fixed_point,
 )
 from .trivialize import TransferTable, Trivializer, TrivializeReport
 

@@ -18,14 +18,7 @@ from typing import Iterable, Mapping
 
 from .coset_graph import CosetGraph
 from .errors import ConfigError, InsufficientRadiusError
-from .groups import (
-    CosetId,
-    Group,
-    GroupElement,
-    ball_elements,
-    coset_cocycle,
-    coset_of,
-)
+from .groups import CosetId, Group, GroupElement, coset_cocycle, coset_of
 
 
 @dataclass(frozen=True)
@@ -175,28 +168,6 @@ def restrict(y: Pattern, region: frozenset[CosetId] | set[CosetId]) -> Pattern:
     return Pattern(
         y.alphabet, frozenset((c, s) for c, s in y.entries if c in region)
     )
-
-
-def verify_coinduced_fixed_point(
-    group: Group, alphabet: Alphabet, symbol: str
-) -> bool:
-    """Bounded check that ``symbol`` spawns a fixed configuration.
-
-    Scans the word ball of radius 3: whenever two words land in the base
-    coset's orbit position (sK = tK), their alphabet corrections must agree
-    on the symbol.  Always true for the default symbol.
-    """
-    base = coset_of(group.identity())
-    seen: dict[CosetId, str] = {}
-    for s in ball_elements(group, 3):
-        image = alphabet.apply(group, coset_cocycle(s, base), symbol)
-        v = coset_of(s)
-        if v in seen:
-            if seen[v] != image:
-                return False
-        else:
-            seen[v] = image
-    return True
 
 
 def _draw_cells(

@@ -1,10 +1,23 @@
 """Constructive trivialization of block-coded cocycles over one-ended pairs.
 
-The pipeline: certify the pair is one-ended, check the empty configuration
-is fixed, extract the homomorphism part by evaluating at that fixed point,
-then recover the transfer map by pulling each configuration far away with a
-group element whose coset norm (both ways) beats the capacity threshold.
-Every step is an exact group-element identity; there are no tolerances.
+The pipeline: certify the pair is one-ended, check the relators on sampled
+configurations, extract the homomorphism part by evaluating at the empty
+configuration, then recover the transfer map by pulling each configuration
+far away with a group element whose coset norm (both ways) beats the
+capacity threshold.  Every step is an exact group-element identity; there
+are no tolerances.  Three report lines state facts fixed by construction
+and compute nothing; a test guards each fact:
+
+* ``fixed_point``: K fixes the empty configuration, since ``Alphabet``
+  refuses a permutation that moves x0 (``test_alphabet_validation``);
+* ``homomorphism_on_relators``: every relator word is the identity on the
+  empty configuration, which is the first sample of the ``relations``
+  check, and ``run`` stops when that check fails
+  (``test_verify_relations_flags_corruption``);
+* ``transfer_at_fixed_point``: b(empty) = hom(g)^-1 hom(g), as ``_value``
+  reads c(g, empty) from the hom memo
+  (``test_transfer_at_fixed_point_is_identity``).
+
 A ``Trivializer`` computes each pure value once per run: hom(g) per element
 and b(y) per configuration are memoised on the instance, and one lazy
 scan of the word ball, started for every threshold the run can ask and
@@ -21,7 +34,6 @@ from .cocycles import (
     CocycleSpec,
     PlantedData,
     evaluate,
-    evaluate_word,
     pattern_key,
     verify_relations,
     walk_word,
@@ -37,7 +49,6 @@ from .patterns import (
     random_pattern,
     restrict,
     scatter_junk,
-    verify_coinduced_fixed_point,
 )
 
 
@@ -333,12 +344,9 @@ class Trivializer:
             )
         report.add("one_ended", True, ends.describe())
 
-        fixed = verify_coinduced_fixed_point(
-            group, cocycle.alphabet, cocycle.alphabet.x0
-        )
-        report.add("fixed_point", fixed)
-        if not fixed:
-            return self.table, report
+        # this line and the later two added as True state facts fixed by
+        # construction; the module docstring names them and their tests
+        report.add("fixed_point", True)
 
         relations = verify_relations(cocycle, self.cache, RELATION_SAMPLES, rng)
         report.add(
@@ -353,13 +361,7 @@ class Trivializer:
             self.table.hom[letter] = self.homomorphism(
                 group.letter_element(letter)
             )
-        # along each relator's own word: a relator's element is the identity,
-        # whose canonical word is empty
-        hom_ok = all(
-            evaluate_word(cocycle, rel, self._zero).is_identity()
-            for rel in group.relator_words()
-        )
-        report.add("homomorphism_on_relators", hom_ok)
+        report.add("homomorphism_on_relators", True)
 
         # every pattern handed to `transfer` from here on has norm <= max_norm
         # + max_word (a translate g y) or <= 3 * window + 2 (locality); growing
@@ -370,10 +372,7 @@ class Trivializer:
         self._far, self._scanned = {t: [] for t in range(ceiling + 1)}, 0
         graph = self.cache.at_least(ceiling)
         self._scan = _far_scan(group, graph, self._far, FAR_SLACK, FAR_BATCH)
-        report.add(
-            "transfer_at_fixed_point",
-            self.transfer(self._zero).is_identity(),
-        )
+        report.add("transfer_at_fixed_point", True)
 
         # the sweep reads patterns of norm <= max_norm and truncation junk of
         # norm <= cut + 2 <= max_word + 3 * window + 2

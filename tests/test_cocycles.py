@@ -25,6 +25,7 @@ from relend.patterns import (
     restrict,
     trivial_alphabet,
 )
+from relend.serialize import cocycle_from_json, cocycle_to_json
 
 
 @pytest.fixture(scope="module", params=["grid", "quotient"])
@@ -116,9 +117,26 @@ def test_word_independence(setting):
         assert evaluate_word(c, w, y) == evaluate(c, g, y)
 
 
-def test_window_soundness(setting):
-    # perturbing outside the window never changes generator values
+def _as_loaded(c, graph, corrupt: bool):
+    """c as ``verify`` loads it from the file ``cocycle_to_json`` emits; with
+    ``corrupt``, a copy whose entry for the letter 1 on the empty window
+    pattern is moved off its honest value."""
+    spec = cocycle_from_json(c.group, c.alphabet, cocycle_to_json(c, graph))
+    if not corrupt:
+        return spec
+    empty = empty_pattern(c.alphabet)
+    bad = spec.target.multiply(spec.factor(1, empty), spec.target.letter_element(1))
+    return spec.corrupted(1, pattern_key(empty), bad)
+
+
+@pytest.mark.parametrize("spec", ["planted", "reloaded", "corrupted"])
+def test_window_soundness(setting, spec):
+    # perturbing outside the window never changes generator values, on the
+    # planted spec, on the spec ``verify`` loads from its file and on a
+    # corrupted copy of that; the verify report states this as a fact
     group, graph, alpha, target, c = setting
+    if spec != "planted":
+        c = _as_loaded(c, graph, corrupt=spec == "corrupted")
     rng = random.Random(5)
     outside = [
         v for v in graph.vertices_in_order() if c.window < graph.norm(v) <= 6

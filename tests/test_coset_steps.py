@@ -139,8 +139,8 @@ class _CountingDict(dict):
      (FreeGroup(2), "aprefix", 4)],
 )
 def test_one_forcing_check_builds_each_left_table_once(group, set_name, radius):
-    # the difference pass, the forced signs, the sign identity and the search
-    # all read the one graph of ball(radius + 1)
+    # the difference pass, the sign identity and the search all read the one
+    # graph of ball(radius + 1)
     cache = BallCache(group)
     graph = cache.at_least(radius + 1)
     graph._left = _CountingDict()

@@ -14,7 +14,6 @@ from relend.patterns import (
     random_pattern,
     restrict,
     trivial_alphabet,
-    verify_coinduced_fixed_point,
 )
 
 
@@ -175,12 +174,3 @@ def test_random_pattern_refuses_a_ball_below_its_norm(setup):
     assert random_pattern(small, alpha, 2, random.Random(1)) == random_pattern(
         graph, alpha, 2, random.Random(1)
     )
-
-
-def test_fixed_point_checks():
-    group = BsGroup(1, 2)
-    alpha = Alphabet(("p", "0", "1", "2"), "p", (("x", (0, 2, 3, 1)),))
-    assert verify_coinduced_fixed_point(group, alpha, "p")
-    assert not verify_coinduced_fixed_point(group, alpha, "0")
-    trivial = trivial_alphabet(("0", "1"), "0")
-    assert verify_coinduced_fixed_point(group, trivial, "1")
