@@ -92,9 +92,10 @@ def _cmd_graph(
     lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
     tails = {l: f' [label="{name}"];' for l, name in group.letter_names.items()}
     lines += [
-        f"  v{i} -> v{j}{tails[letter]}"
-        for i, edges in enumerate(graph.adj)
-        for letter, j in edges
+        f"{head}{j}{tails[letter]}"
+        for i, (ids, letters) in enumerate(graph.labelled_rows())
+        for head in (f"  v{i} -> v",)  # formatted once per vertex
+        for j, letter in zip(ids, letters)
     ]
     lines.append("}")
     _write_text(args.out, lines)

@@ -7,20 +7,25 @@ reads these neighbours off ``Group._coset_steps()``, which maps a coset
 payload to the ``(letter, key)`` pairs of its non-loop neighbours in
 generator and witness order.  Vertices are interned as dense ids in BFS
 discovery order, so ids sort by norm and the closed r-ball is the id prefix
-below sphere_start[r + 1].  The build steps the spheres below the last one;
-that interns the last sphere, whose rows (its edges back into the ball) are
-made by stepping it on the first read of ``adj``.  A larger ball grows from
-a smaller one by copying the prefix and its rows, stepping the old boundary
-sphere once and going on with the search: the ids equal a fresh build's.
+below sphere_start[r + 1].  A ball is stored as integers: the build steps
+the spheres below the last one, and each of their vertices keeps the tuple
+of its neighbour ids (``_rows``) and a pointer to its letter tuple
+(``_letters``), one tuple per distinct letter sequence of the ball.  That
+interns the last sphere, which is not stepped: a last-sphere vertex was
+reached from its BFS parent, so only its other in-ball neighbours are kept
+(``_last_ids``), and on a pair certified bipartite they are read back from
+the rows of the sphere below.  A larger ball grows from a smaller one by
+copying the prefix and its rows, stepping the old boundary sphere once and
+going on with the search: the ids equal a fresh build's.
+
 Graphs are not changed after construction; the ``cosets`` and ``degree``
-lists, the last sphere's rows, the ``ball_set`` sets and the left tables
-(``left_ids``: the id of sv for every id v, from the family's
+lists, the ``(letter, id)`` view ``adj``, the ``ball_set`` sets and the left
+tables (``left_ids``: the id of sv for every id v, from the family's
 ``Group._left_step``) are derived from them on first use, so a caller that
 reads only ids, payloads, norms and edges (``ends``, ``relend graph``) never
 makes a ``CosetId``, and one that reads an id range (``cosets_slice``) makes
-them only up to its end.  ``degree`` reads the build's own edges below the
-last sphere, whose every neighbour is interned, and the neighbour counts
-that the stepping of the last sphere records.
+them only up to its end.  ``adj``, ``degree`` and ``labelled_rows`` step
+the last sphere once (``_last_steps``); no pass of ``ends`` reads them.
 """
 
 from __future__ import annotations
@@ -67,16 +72,19 @@ class Path:
 class CosetGraph:
     """The ball of radius ``radius`` around the base coset K.
 
-    Lists indexed by vertex id hold the coset payload (``payloads``), norm,
-    BFS parent and in-ball ``(letter, id)`` edges (``adj``, whose last
-    sphere's rows are made on its first read); ``index`` maps a payload to
-    its id.  ``cosets_slice`` makes the ``CosetId`` of each vertex on its
-    first read, and ``cosets`` is the slice of every vertex; a grown ball
-    starts from the ``CosetId`` objects that its smaller ball had made.
-    ``grow_from`` is a smaller ball of the same group to grow from.  A ball
-    that would hold more than MAX_VERTICES vertices, or take more than
-    WITNESS_WORK * MAX_VERTICES witness products to expand, raises
-    BallTooLargeError.
+    Lists indexed by vertex id hold the coset payload (``payloads``), norm
+    and BFS parent; ``index`` maps a payload to its id.  Below the last
+    sphere, ``_rows[v]`` is the tuple of v's neighbour ids in step order and
+    ``_letters[v]`` the matching letter tuple, shared by every vertex with
+    the same letter sequence; ``_last_ids`` holds what the last sphere adds
+    to its parents.  ``adj`` is the public ``(letter, id)`` view of every
+    vertex, made on its first read.  ``cosets_slice`` makes the ``CosetId``
+    of each vertex on its first read, and ``cosets`` is the slice of every
+    vertex; a grown ball starts from the ``CosetId`` objects that its
+    smaller ball had made.  ``grow_from`` is a smaller ball of the same
+    group to grow from.  A ball that would hold more than MAX_VERTICES
+    vertices, or take more than WITNESS_WORK * MAX_VERTICES witness
+    products to expand, raises BallTooLargeError.
     """
 
     def __init__(self, group: Group, radius: int, grow_from: CosetGraph | None = None):
@@ -88,7 +96,9 @@ class CosetGraph:
         if old is None:
             self.base = coset_of(group.identity())
             self.payloads, self.norm_of = [self.base.rep.payload], [0]
-            self.parent_of, self._rows, self.sphere_start = [-1], [], [0, 1]
+            self.parent_of, self.sphere_start = [-1], [0, 1]
+            self._rows, self._letters = [], []
+            self._letter_tuples: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
             self.index = {self.base.rep.payload: 0}
             self._made = [self.base]  # the CosetIds made so far, by id
         elif old.group is not group or old.radius > radius:
@@ -96,8 +106,10 @@ class CosetGraph:
         else:
             self.base, self.payloads = old.base, old.payloads[:]
             self.norm_of = old.norm_of[:]
-            self.parent_of, self._rows = old.parent_of[:], old._rows[:]
-            self.sphere_start, self.index = old.sphere_start[:], dict(old.index)
+            self.parent_of, self.sphere_start = old.parent_of[:], old.sphere_start[:]
+            self._rows, self._letters = old._rows[:], old._letters[:]
+            self._letter_tuples = dict(old._letter_tuples)
+            self.index = dict(old.index)
             self._made = old._made
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._left: dict[Letter, list[int]] = {}
@@ -105,15 +117,16 @@ class CosetGraph:
 
     def _build(self, first: int) -> None:
         """Expand the spheres first..radius-1, interning targets by payload;
-        that interns the last sphere, whose rows ``adj`` makes."""
+        that interns the last sphere, which is not stepped."""
         group, limit = self.group, MAX_VERTICES
         step = group._coset_steps()
         products = sum(map(len, group.witnesses.values()))
         payloads, index, rows = self.payloads, self.index, self._rows
+        letter_rows, shared = self._letters, self._letter_tuples.setdefault
         find, parent_of, starts = index.get, self.parent_of, self.sphere_start
         for r in range(first, self.radius + 1):
             # every vertex of norm <= r gets expanded, the last sphere's when
-            # ``adj`` is read; refuse before the work
+            # ``_last_steps`` is read; refuse before the work
             if starts[r + 1] * products > WITNESS_WORK * limit:
                 raise BallTooLargeError(
                     f"ball({self.radius}) takes over "
@@ -122,15 +135,18 @@ class CosetGraph:
             if r == self.radius:
                 return
             for v in range(starts[r], starts[r + 1]):
-                edges = []
+                ids, letters = [], []
                 for letter, key in step(payloads[v]):
                     w = find(key)
                     if w is None:
                         w = index[key] = len(payloads)
                         payloads.append(key)
                         parent_of.append(v)
-                    edges.append((letter, w))
-                rows.append(tuple(edges))
+                    ids.append(w)
+                    letters.append(letter)
+                rows.append(tuple(ids))
+                letters = tuple(letters)
+                letter_rows.append(shared(letters, letters))
                 if len(payloads) > limit:
                     raise BallTooLargeError(
                         f"ball({self.radius}) has over {limit} vertices"
@@ -138,44 +154,86 @@ class CosetGraph:
             self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
             starts.append(len(payloads))
 
-    @cached_property
-    def adj(self) -> list[tuple[tuple[Letter, int], ...]]:
-        """The in-ball ``(letter, id)`` edges of every vertex, in id order.
-        The build made the rows below the last sphere; this steps each
-        last-sphere vertex once, keeps the targets inside the ball and
-        records its distinct-neighbour count for ``degree``."""
-        rows, find = self._rows, self.index.get
+    def _step_last(self):
+        """Step each last-sphere vertex once, in id order: yield its in-ball
+        neighbour ids, their letters and its distinct-neighbour count."""
+        find, shared = self.index.get, self._letter_tuples.setdefault
         step = self.group._coset_steps()
-        last_rows, counts = [], []
-        for p in self.payloads[len(rows) :]:
+        for p in self.payloads[len(self._rows) :]:
             pairs = step(p)
-            counts.append(len({k for _, k in pairs}))
-            last_rows.append(
-                tuple((l, w) for l, k in pairs if (w := find(k)) is not None)
-            )
-        self._last_degree = counts
-        return rows + last_rows
+            ids, letters = [], []
+            for letter, key in pairs:
+                w = find(key)
+                if w is not None:
+                    ids.append(w)
+                    letters.append(letter)
+            letters = tuple(letters)
+            yield tuple(ids), shared(letters, letters), len({k for _, k in pairs})
 
     @cached_property
-    def _last_ids(self) -> list:
-        """The in-ball neighbour ids of each last-sphere vertex.  When the
-        group certifies its coset graph bipartite (``Group._bipartite``), no
-        edge joins two vertices of one sphere, so they are read back from the
-        edges v -> w of the sphere below, v once per edge: the edge relation
-        is symmetric, since the out-neighbours of gK are the cosets in gKsK
-        and S is symmetric.  Otherwise they are read off ``adj``."""
-        last, rows = self.sphere_start[self.radius], self._rows
+    def _last_steps(self) -> list:
+        """The ``(ids, letters, degree)`` of every last-sphere vertex, by one
+        step of each; made for ``adj``, ``degree`` and ``labelled_rows``."""
+        return list(self._step_last())
+
+    def labelled_rows(self):
+        """The ``(ids, letters)`` row of every vertex in id order: the
+        build's rows, then the last sphere's, stepped on first use."""
+        yield from zip(self._rows, self._letters)
+        for ids, letters, _ in self._last_steps:
+            yield ids, letters
+
+    @cached_property
+    def adj(self) -> list[tuple[tuple[Letter, int], ...]]:
+        """The in-ball ``(letter, id)`` edges of every vertex, in id order,
+        paired from the id and letter rows on first read; the last sphere's
+        rows are made by stepping it (``_last_steps``)."""
+        return [tuple(zip(letters, ids)) for ids, letters in self.labelled_rows()]
+
+    @cached_property
+    def _last_ids(self) -> dict[int, list[int]]:
+        """What each last-sphere vertex w adds to its BFS parent: the ids of
+        its in-ball neighbours, one edge to ``parent_of[w]`` left out, for
+        the w that have more than that one edge.  The parent's first edge
+        to w discovered it, so a vertex missing here has that edge alone.
+
+        When the group certifies its coset graph bipartite
+        (``Group._bipartite``), no edge joins two vertices of one sphere, so
+        the others are read back from the edges v -> w of the sphere below,
+        v once per edge: the edge relation is symmetric, since the
+        out-neighbours of gK are the cosets in gKsK and S is symmetric.
+        Those edges meet the last sphere in the build's order, so the edge
+        that discovers w is the one that meets the next id.  On the tree
+        pairs (free groups, BS(1, n)) the table is empty.  Otherwise the
+        last sphere is stepped, and the steps are not kept."""
+        last, rows, parent_of = len(self._rows), self._rows, self.parent_of
+        out: dict[int, list[int]] = {}
         if not self.group._bipartite:
-            return [[w for _, w in row] for row in self.adj[last:]]
-        out: list = [()] * (len(self.payloads) - last)  # () until a first edge
+            for w, (ids, _, _) in enumerate(self._step_last(), last):
+                if len(ids) > 1:  # the parent and more
+                    out[w] = others = list(ids)
+                    others.remove(parent_of[w])
+            return out
+        fresh = last  # the next last-sphere id to be discovered
         for v in range(self.sphere_start[max(self.radius - 1, 0)], last):
-            for _, w in rows[v]:
-                if w >= last:
-                    if out[w - last]:
-                        out[w - last].append(v)
+            for w in rows[v]:
+                if w == fresh:
+                    fresh += 1
+                elif w >= last:
+                    others = out.get(w)
+                    if others is None:
+                        out[w] = [v]
                     else:
-                        out[w - last] = [v]
+                        others.append(v)
         return out
+
+    def _neighbour_ids(self, v: int) -> tuple[int, ...]:
+        """The in-ball neighbour ids of v: its row below the last sphere,
+        else its BFS parent (the base of a radius-0 ball has none) and its
+        entry of ``_last_ids``."""
+        if v < len(self._rows):
+            return self._rows[v]
+        return (self.parent_of[v], *self._last_ids.get(v, ())) if v else ()
 
     def _id(self, v: CosetId) -> int:
         i = self.index.get(v.rep.payload) if v.rep.group is self.group else None
@@ -207,10 +265,11 @@ class CosetGraph:
     def degree(self) -> list[int]:
         """Degree in the infinite graph of every vertex in id order: its
         distinct non-loop neighbours.  The build interned every neighbour of
-        a vertex below the last sphere, so those count their own edges' ids;
-        the last sphere's counts are recorded when ``adj`` steps it."""
-        adj, last = self.adj, self.sphere_start[self.radius]
-        return [len({w for _, w in edges}) for edges in adj[:last]] + self._last_degree
+        a vertex below the last sphere, so those count their own rows' ids;
+        the last sphere's counts are recorded when ``_last_steps`` steps it."""
+        return [len(set(ids)) for ids in self._rows] + [
+            d for _, _, d in self._last_steps
+        ]
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index
@@ -260,12 +319,12 @@ def build_ball(group: Group, radius: int) -> CosetGraph:
 
 def _bfs(graph: CosetGraph, sources, depth: int):
     """Yield (id, distance) for the ids within ``depth`` of the sources."""
-    adj, dist = graph.adj, {s: 0 for s in sources}
+    dist = {s: 0 for s in sources}
     queue = list(dist)
     for w in queue:
         yield w, dist[w]
         if dist[w] < depth:
-            for _, z in adj[w]:
+            for z in graph._neighbour_ids(w):
                 if z not in dist:
                     dist[z] = dist[w] + 1
                     queue.append(z)
@@ -304,7 +363,7 @@ def geodesic_to(graph: CosetGraph, v: CosetId) -> Path:
         child, parent = ids[-1], graph.parent_of[ids[-1]]
         # the first edge to the child is the one that discovered it; a
         # parent lies below the last sphere, so the build made its row
-        labels.append(next(l for l, w in rows[parent] if w == child))
+        labels.append(graph._letters[parent][rows[parent].index(child)])
         ids.append(parent)
     return Path(tuple(graph.cosets[i] for i in reversed(ids)), tuple(reversed(labels)))
 

@@ -58,15 +58,14 @@ class CapacityEntry:
 def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
     """components_outside_ball as (id list, touches sphere) pairs.
 
-    Rows below the graph's last sphere are the build's own.  A shell that
-    reaches the last sphere reads its vertices' in-ball neighbour ids from
-    ``CosetGraph._last_ids``: the reversed rows of the sphere below when the
-    pair is certified bipartite, else the rows that ``adj`` steps."""
+    Rows below the graph's last sphere are the build's own.  A last-sphere
+    vertex reached by the shell steps to its BFS parent and to its entry of
+    ``CosetGraph._last_ids``, which holds its other in-ball neighbours."""
     if inner > outer or outer > graph.radius:
         raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
     lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
-    rows, last = graph._rows, graph.sphere_start[graph.radius]
-    last_ids = graph._last_ids if hi > last else ()
+    rows, last, parent_of = graph._rows, len(graph._rows), graph.parent_of
+    more = graph._last_ids if hi > last else {}
     seen = bytearray(hi)
     out = []
     for start in range(lo, hi):
@@ -75,12 +74,16 @@ def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
             comp = [start]
             for v in comp:
                 if v < last:
-                    for _, w in rows[v]:
+                    for w in rows[v]:
                         if lo <= w < hi and not seen[w]:
                             seen[w] = 1
                             comp.append(w)
                 else:
-                    for w in last_ids[v - last]:
+                    w = parent_of[v]  # below hi; -1 for the base of ball(0)
+                    if lo <= w and not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+                    for w in more.get(v, ()):
                         if lo <= w < hi and not seen[w]:
                             seen[w] = 1
                             comp.append(w)
@@ -130,18 +133,19 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
 
 
 def _capacity_probe(graph: CosetGraph, r: int, probe: int) -> int:
-    """Max norm of a ball(probe) vertex cut off from the sphere component."""
+    """Max norm of a ball(probe) vertex cut off from the sphere component:
+    r, which ball(r) reaches since the sphere component reaches norm probe,
+    or that of a shell component that misses the sphere.  Ids sort by norm,
+    so a component's last id has its largest norm."""
     comps = _shell_components(graph, r + 1, probe)
-    touching = [comp for comp, touches in comps if touches]
-    if len(touching) != 1:
+    touching = sum(touches for _, touches in comps)
+    if touching != 1:
         raise NotOneEndedError(
-            f"{len(touching)} sphere-touching components after removing "
+            f"{touching} sphere-touching components after removing "
             f"ball({r}) at probe radius {probe}"
         )
-    unbounded = set(touching[0])
-    return max(
-        graph.norm_of[i] for i in range(graph.ball_size(probe)) if i not in unbounded
-    )
+    norm_of = graph.norm_of
+    return max([r] + [norm_of[max(comp)] for comp, touches in comps if not touches])
 
 
 def capacity(cache: BallCache, r: int) -> CapacityEntry:

@@ -5,6 +5,7 @@ import pytest
 from oracle_utils import free_sphere_size, is_tree, lattice_ball
 from relend.coset_graph import (
     BallCache,
+    _bfs,
     build_ball,
     distance,
     geodesic_to,
@@ -12,7 +13,7 @@ from relend.coset_graph import (
     two_sided_geodesic,
 )
 from relend.errors import InsufficientRadiusError, VertexOutsideBallError
-from relend.groups import BsGroup, FreeGroup, ZdGroup, coset_of
+from relend.groups import BsGroup, FreeGroup, ProductGroup, ZdGroup, ZmodGroup, coset_of
 
 
 def test_radius_zero():
@@ -119,6 +120,40 @@ def test_two_sided_geodesic_pairwise_distances():
             for j in range(i, 7):
                 assert distance(g, p.vertices[i], p.vertices[j]) == j - i
         assert p.vertices[3] == g.base
+
+
+def _pair_view_distances(adj, source, depth):
+    dist, queue = {source: 0}, [source]
+    for w in queue:
+        if dist[w] < depth:
+            for _, z in adj[w]:
+                if z not in dist:
+                    dist[z] = dist[w] + 1
+                    queue.append(z)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        ZdGroup(2, ()),
+        BsGroup(1, 2),
+        ZmodGroup((5,)),
+        ProductGroup(ZdGroup(2), ZmodGroup((3,))),
+    ],
+    ids=["zd2", "bs12", "zmod5", "zd2xzmod3"],
+)
+def test_bfs_walks_the_id_rows_and_the_last_sphere_table(group):
+    # the walk behind distance and neighborhood makes no (letter, id) pair
+    # and no step of the last sphere, and agrees with a walk of ``adj``
+    for radius in range(5):
+        g = build_ball(group, radius)
+        depth = 2 * radius
+        walked = [dict(_bfs(g, (s,), depth)) for s in range(g.vertex_count())]
+        assert "adj" not in vars(g) and "_last_steps" not in vars(g)
+        assert walked == [
+            _pair_view_distances(g.adj, s, depth) for s in range(g.vertex_count())
+        ]
 
 
 def test_two_sided_geodesic_zero():

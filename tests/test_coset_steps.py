@@ -198,7 +198,8 @@ def test_library_passes_never_make_the_last_sphere_rows():
     assert Trivializer(grid, cocycle, seed=3).run(cohomology_samples=5)[1].ok
     capacity(grid, 3)
     for cache in (free, grid):
-        assert "adj" not in vars(cache.at_least(0))
+        graph = cache.at_least(0)
+        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
 
 
 def test_graph_command_steps_each_payload_once(monkeypatch, tmp_path):
@@ -209,6 +210,6 @@ def test_graph_command_steps_each_payload_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "g.dot"), "--csv", str(tmp_path / "g.csv")]
     assert main(argv) == 0
     # ball(4) of free(2) has 161 vertices: the build steps the 53 of norm
-    # <= 3, and the first read of ``adj`` steps the 108 of the last sphere
-    # and records the degrees that the CSV reads
+    # <= 3, and ``_last_steps`` steps the 108 of the last sphere once for
+    # the DOT edges and the degrees that the CSV reads
     assert len(stepped) == 161 and set(stepped.values()) == {1}

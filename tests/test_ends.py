@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from oracle_utils import (
@@ -7,6 +9,7 @@ from oracle_utils import (
 )
 from relend.coset_graph import BallCache, CosetGraph, build_ball
 from relend.ends import (
+    _capacity_probe,
     _shell_components,
     capacity,
     components_outside_ball,
@@ -14,7 +17,7 @@ from relend.ends import (
     estimate_ends,
 )
 from relend.errors import NotOneEndedError, UnsupportedFamilyError
-from relend.groups import BsGroup, FreeGroup, ProductGroup, ZdGroup
+from relend.groups import BsGroup, FreeGroup, ProductGroup, ZdGroup, ZmodGroup
 from relend.serialize import group_from_config
 from test_geometry_golden import CONFIGS
 
@@ -115,17 +118,134 @@ def test_cross_check_product_pair():
 CERTIFIED = sorted(p for p, c in CONFIGS.items() if group_from_config(c)._bipartite)
 
 
+def _parent_and_table(graph, w):
+    """The in-ball neighbour ids of a last-sphere vertex by the parent rule:
+    its BFS parent (the base of a radius-0 ball has none) and its entry of
+    ``_last_ids``."""
+    parent = [graph.parent_of[w]] if w else []
+    return sorted(parent + list(graph._last_ids.get(w, ())))
+
+
 @pytest.mark.parametrize("pair", CERTIFIED)
 def test_reversed_last_sphere_rows_equal_the_stepped_rows(pair):
     group = group_from_config(CONFIGS[pair])
     for radius in range(7):
         graph = CosetGraph(group, radius)
-        reversed_ids = graph._last_ids
-        assert "adj" not in vars(graph)  # read back, not stepped
         last = graph.sphere_start[radius]
-        assert [sorted(ids) for ids in reversed_ids] == [
-            sorted(w for _, w in row) for row in graph.adj[last:]
+        by_parent = [
+            _parent_and_table(graph, w) for w in range(last, graph.vertex_count())
         ]
+        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
+        assert set(graph._last_ids) <= set(range(last, graph.vertex_count()))
+        assert by_parent == [sorted(w for _, w in row) for row in graph.adj[last:]]
+
+
+UNCERTIFIED = [
+    group_from_config(CONFIGS["zmod5"]),
+    ProductGroup(ZdGroup(2), ZmodGroup((3,))),
+]
+
+
+@pytest.mark.parametrize("group", UNCERTIFIED)
+def test_uncertified_last_sphere_tables_equal_the_stepped_rows(group):
+    # the table steps the last sphere to find its same-sphere edges, and
+    # keeps none of the steps
+    for radius in range(7):
+        graph = CosetGraph(group, radius)
+        last = graph.sphere_start[radius]
+        by_parent = [
+            _parent_and_table(graph, w) for w in range(last, graph.vertex_count())
+        ]
+        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
+        assert by_parent == [sorted(w for _, w in row) for row in graph.adj[last:]]
+
+
+@pytest.mark.parametrize("group", [FreeGroup(2), BsGroup(1, 2), BsGroup(1, 3)])
+def test_tree_pairs_keep_no_last_sphere_table(group):
+    # on a tree a last-sphere vertex's one in-ball neighbour is its parent
+    cache = BallCache(group)
+    for radius in range(7):
+        assert CosetGraph(group, radius)._last_ids == {}
+        assert cache.at_least(radius)._last_ids == {}
+
+
+def _stepped_adj(graph):
+    """``(letter, id)`` rows by the build's rows below the last sphere and
+    a fresh step of each last-sphere payload, kept inside the ball."""
+    step, find = graph.group._coset_steps(), graph.index.get
+    last = graph.sphere_start[graph.radius]
+    inner = [tuple(zip(graph._letters[v], graph._rows[v])) for v in range(last)]
+    return inner + [
+        tuple((l, w) for l, k in step(p) if (w := find(k)) is not None)
+        for p in graph.payloads[last:]
+    ]
+
+
+ADJ_GROUPS = {
+    **{pair: group_from_config(config) for pair, config in CONFIGS.items()},
+    "zd2xzmod3": ProductGroup(ZdGroup(2), ZmodGroup((3,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJ_GROUPS))
+def test_adj_pairs_the_letter_and_id_rows(name):
+    group = ADJ_GROUPS[name]
+    cache = BallCache(group)
+    for radius in range(7):
+        for graph in (CosetGraph(group, radius), cache.at_least(radius)):
+            last = graph.sphere_start[radius]
+            assert len(graph._rows) == len(graph._letters) == last
+            assert graph.adj == _stepped_adj(graph)
+            assert list(graph.labelled_rows()) == [
+                (tuple(w for _, w in row), tuple(l for l, _ in row))
+                for row in graph.adj
+            ]
+            # one letter tuple per distinct letter sequence
+            assert len({id(t) for t in graph._letters}) == len(set(graph._letters))
+
+
+# one-ended golden pairs: lattices of rank 2 and 3, and BS(1, 2) x Z relative
+# to <x> x 0
+ONE_ENDED = ("zd2", "zd3", "zd3k0", "bs12xz")
+
+
+def _capacity_by_unbounded_set(graph, r, probe):
+    """The capacity probe as a scan of ball(probe) for the vertices outside
+    the one sphere-touching component."""
+    comps = _shell_components(graph, r + 1, probe)
+    (unbounded,) = [set(comp) for comp, touches in comps if touches]
+    return max(
+        graph.norm_of[i] for i in range(graph.ball_size(probe)) if i not in unbounded
+    )
+
+
+@pytest.mark.parametrize("pair", ONE_ENDED)
+def test_capacity_probe_equals_the_unbounded_set_scan(pair):
+    cache = BallCache(group_from_config(CONFIGS[pair]))
+    assert estimate_ends(cache, 3, 3).is_exactly(1)
+    for r in range(7):
+        entry = capacity(cache, r)
+        for probe in range(r + 2, entry.probe_radius + 1):
+            # the cache's ball, and one whose last sphere is the probe's
+            for graph in (cache.at_least(probe), CosetGraph(cache.group, probe)):
+                assert _capacity_probe(graph, r, probe) == _capacity_by_unbounded_set(
+                    graph, r, probe
+                )
+        assert entry.value == _capacity_probe(graph, r, entry.probe_radius)
+
+
+def test_ends_on_bs13_peaks_below_360_bytes_per_ball_vertex():
+    # ball(8) of BS(1, 3) has 13,121 vertices, two thirds of them on the
+    # last sphere; the id rows, the shared letter tuples and the empty
+    # last-sphere table keep the whole pass under this bound
+    tracemalloc.start()
+    try:
+        cache = BallCache(BsGroup(1, 3))
+        estimate_ends(cache, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 360 * cache.at_least(8).vertex_count()
 
 
 def test_a_last_sphere_with_an_inner_edge_is_read_from_adj():
