@@ -5,12 +5,14 @@ gK are {g f K : f in F_s} where F_s is the family witness set, so adjacency
 within the built radius is complete and BFS distances are exact.  The build
 reads these neighbours off ``Group._coset_steps()``, which maps a coset
 payload to the ``(letter, key)`` pairs of its non-loop neighbours in
-generator and witness order.  Vertices are interned as dense ids in BFS
-discovery order, so ids sort by norm and the closed r-ball is the id prefix
-below sphere_start[r + 1].  A ball is stored as integers: the build steps
-the spheres below the last one, and each of their vertices keeps the tuple
-of its neighbour ids (``_rows``) and a pointer to its letter tuple
-(``_letters``), one tuple per distinct letter sequence of the ball.  That
+generator and witness order.  G acts on the graph by left multiplication,
+transitively, so every vertex's steps carry the base's letters in order
+(vfK = vK iff f is in K, vfK = vgK iff fK = gK): a ball keeps one letter
+tuple and every vertex has the base's degree.  Vertices are interned as
+dense ids in BFS discovery order, so ids sort by norm and the closed
+r-ball is the id prefix below sphere_start[r + 1].  A ball is stored as
+integers: the build steps the spheres below the last one, and each of
+their vertices keeps the tuple of its neighbour ids (``_rows``).  That
 interns the last sphere, which is not stepped: a last-sphere vertex was
 reached from its BFS parent, so only its other in-ball neighbours are kept
 (``_last_ids``), and on a pair certified bipartite they are read back from
@@ -24,8 +26,9 @@ tables (``left_ids``: the id of sv for every id v, from the family's
 ``Group._left_step``) are derived from them on first use, so a caller that
 reads only ids, payloads, norms and edges (``ends``, ``relend graph``) never
 makes a ``CosetId``, and one that reads an id range (``cosets_slice``) makes
-them only up to its end.  ``adj``, ``degree`` and ``labelled_rows`` step
-the last sphere once (``_last_steps``); no pass of ``ends`` reads them.
+them only up to its end.  ``adj`` and ``labelled_rows`` step the last sphere
+once (``_last_steps``).  No other module reads this layout, so the shell
+passes of ``ends`` live here (``_shell_components``).
 """
 
 from __future__ import annotations
@@ -74,11 +77,11 @@ class CosetGraph:
 
     Lists indexed by vertex id hold the coset payload (``payloads``), norm
     and BFS parent; ``index`` maps a payload to its id.  Below the last
-    sphere, ``_rows[v]`` is the tuple of v's neighbour ids in step order and
-    ``_letters[v]`` the matching letter tuple, shared by every vertex with
-    the same letter sequence; ``_last_ids`` holds what the last sphere adds
-    to its parents.  ``adj`` is the public ``(letter, id)`` view of every
-    vertex, made on its first read.  ``cosets_slice`` makes the ``CosetId``
+    sphere, ``_rows[v]`` is the tuple of v's neighbour ids in step order,
+    aligned with ``_step_letters``: G acts transitively, so every vertex's
+    steps carry the same letters.  ``_last_ids`` holds what the last sphere
+    adds to its parents.  ``adj`` is the public ``(letter, id)`` view of
+    every vertex, made on its first read.  ``cosets_slice`` makes the ``CosetId``
     of each vertex on its first read, and ``cosets`` is the slice of every
     vertex; a grown ball starts from the ``CosetId`` objects that its
     smaller ball had made.  ``grow_from`` is a smaller ball of the same
@@ -97,8 +100,7 @@ class CosetGraph:
             self.base = coset_of(group.identity())
             self.payloads, self.norm_of = [self.base.rep.payload], [0]
             self.parent_of, self.sphere_start = [-1], [0, 1]
-            self._rows, self._letters = [], []
-            self._letter_tuples: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
+            self._rows = []
             self.index = {self.base.rep.payload: 0}
             self._made = [self.base]  # the CosetIds made so far, by id
         elif old.group is not group or old.radius > radius:
@@ -107,22 +109,23 @@ class CosetGraph:
             self.base, self.payloads = old.base, old.payloads[:]
             self.norm_of = old.norm_of[:]
             self.parent_of, self.sphere_start = old.parent_of[:], old.sphere_start[:]
-            self._rows, self._letters = old._rows[:], old._letters[:]
-            self._letter_tuples = dict(old._letter_tuples)
+            self._rows = old._rows[:]
             self.index = dict(old.index)
             self._made = old._made
+            if old.radius:  # its build stepped the base
+                self._step_letters = old._step_letters
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._left: dict[Letter, list[int]] = {}
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
         """Expand the spheres first..radius-1, interning targets by payload;
-        that interns the last sphere, which is not stepped."""
+        that interns the last sphere, which is not stepped.  Expanding
+        sphere 0, the base alone, records the step letters."""
         group, limit = self.group, MAX_VERTICES
         step = group._coset_steps()
         products = sum(map(len, group.witnesses.values()))
         payloads, index, rows = self.payloads, self.index, self._rows
-        letter_rows, shared = self._letters, self._letter_tuples.setdefault
         find, parent_of, starts = index.get, self.parent_of, self.sphere_start
         for r in range(first, self.radius + 1):
             # every vertex of norm <= r gets expanded, the last sphere's when
@@ -135,53 +138,58 @@ class CosetGraph:
             if r == self.radius:
                 return
             for v in range(starts[r], starts[r + 1]):
-                ids, letters = [], []
-                for letter, key in step(payloads[v]):
+                ids, pairs = [], step(payloads[v])
+                for _, key in pairs:
                     w = find(key)
                     if w is None:
                         w = index[key] = len(payloads)
                         payloads.append(key)
                         parent_of.append(v)
                     ids.append(w)
-                    letters.append(letter)
                 rows.append(tuple(ids))
-                letters = tuple(letters)
-                letter_rows.append(shared(letters, letters))
                 if len(payloads) > limit:
                     raise BallTooLargeError(
                         f"ball({self.radius}) has over {limit} vertices"
                     )
+            if r == 0:  # the pairs are the base's
+                self._step_letters = tuple(letter for letter, _ in pairs)
             self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
             starts.append(len(payloads))
 
+    @cached_property
+    def _step_letters(self) -> tuple[Letter, ...]:
+        """The letters of every vertex's steps, in order: the build records
+        them from its step of the base, else a radius-0 ball steps it."""
+        base_steps = self.group._coset_steps()(self.payloads[0])
+        return tuple(letter for letter, _ in base_steps)
+
     def _step_last(self):
         """Step each last-sphere vertex once, in id order: yield its in-ball
-        neighbour ids, their letters and its distinct-neighbour count."""
-        find, shared = self.index.get, self._letter_tuples.setdefault
-        step = self.group._coset_steps()
+        neighbour ids and their letters."""
+        find, step = self.index.get, self.group._coset_steps()
         for p in self.payloads[len(self._rows) :]:
-            pairs = step(p)
             ids, letters = [], []
-            for letter, key in pairs:
+            for letter, key in step(p):
                 w = find(key)
                 if w is not None:
                     ids.append(w)
                     letters.append(letter)
-            letters = tuple(letters)
-            yield tuple(ids), shared(letters, letters), len({k for _, k in pairs})
+            yield tuple(ids), tuple(letters)
 
     @cached_property
     def _last_steps(self) -> list:
-        """The ``(ids, letters, degree)`` of every last-sphere vertex, by one
-        step of each; made for ``adj``, ``degree`` and ``labelled_rows``."""
+        """The ``(ids, letters)`` of every last-sphere vertex, by one step of
+        each; made for ``adj`` and ``labelled_rows``."""
         return list(self._step_last())
 
     def labelled_rows(self):
         """The ``(ids, letters)`` row of every vertex in id order: the
-        build's rows, then the last sphere's, stepped on first use."""
-        yield from zip(self._rows, self._letters)
-        for ids, letters, _ in self._last_steps:
-            yield ids, letters
+        build's rows, each with the one step-letter tuple, since G's
+        transitive action gives every vertex the same step letters, then
+        the last sphere's, stepped on first use and kept to the ball."""
+        for ids in self._rows:
+            yield ids, self._step_letters
+        yield from self._last_steps
 
     @cached_property
     def adj(self) -> list[tuple[tuple[Letter, int], ...]]:
@@ -209,7 +217,7 @@ class CosetGraph:
         last, rows, parent_of = len(self._rows), self._rows, self.parent_of
         out: dict[int, list[int]] = {}
         if not self.group._bipartite:
-            for w, (ids, _, _) in enumerate(self._step_last(), last):
+            for w, (ids, _) in enumerate(self._step_last(), last):
                 if len(ids) > 1:  # the parent and more
                     out[w] = others = list(ids)
                     others.remove(parent_of[w])
@@ -263,13 +271,15 @@ class CosetGraph:
 
     @cached_property
     def degree(self) -> list[int]:
-        """Degree in the infinite graph of every vertex in id order: its
-        distinct non-loop neighbours.  The build interned every neighbour of
-        a vertex below the last sphere, so those count their own rows' ids;
-        the last sphere's counts are recorded when ``_last_steps`` steps it."""
-        return [len(set(ids)) for ids in self._rows] + [
-            d for _, _, d in self._last_steps
-        ]
+        """Degree in the infinite graph of every vertex in id order: one
+        count, the base's distinct non-loop neighbours, since G's transitive
+        action gives every vertex as many.  The build interned those in the
+        base's row; a radius-0 ball steps its base."""
+        if self._rows:
+            keys = self._rows[0]
+        else:
+            keys = [key for _, key in self.group._coset_steps()(self.payloads[0])]
+        return [len(set(keys))] * len(self.payloads)
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index
@@ -330,6 +340,29 @@ def _bfs(graph: CosetGraph, sources, depth: int):
                     queue.append(z)
 
 
+def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
+    """``ends.components_outside_ball`` as (id list, touches sphere) pairs.
+    Rows below the last sphere are read inline; a last-sphere vertex steps
+    by ``_neighbour_ids``, the rule of ``_bfs``."""
+    if inner > outer or outer > graph.radius:
+        raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
+    lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
+    rows, last, others = graph._rows, len(graph._rows), graph._neighbour_ids
+    seen = bytearray(hi)
+    out = []
+    for start in range(lo, hi):
+        if not seen[start]:
+            seen[start] = 1
+            comp = [start]
+            for v in comp:
+                for w in rows[v] if v < last else others(v):
+                    if lo <= w < hi and not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+            out.append((comp, max(comp) >= top))
+    return out
+
+
 def distance(graph: CosetGraph, u: CosetId, v: CosetId) -> int | None:
     """Exact edge-path distance, or None when the ball cannot certify it.
 
@@ -363,7 +396,7 @@ def geodesic_to(graph: CosetGraph, v: CosetId) -> Path:
         child, parent = ids[-1], graph.parent_of[ids[-1]]
         # the first edge to the child is the one that discovered it; a
         # parent lies below the last sphere, so the build made its row
-        labels.append(graph._letters[parent][rows[parent].index(child)])
+        labels.append(graph._step_letters[rows[parent].index(child)])
         ids.append(parent)
     return Path(tuple(graph.cosets[i] for i in reversed(ids)), tuple(reversed(labels)))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset_graph import BallCache, CosetGraph
+from .coset_graph import BallCache, CosetGraph, _shell_components
 from .errors import NoStabilizationError, NotOneEndedError
 from .groups import CosetId, Group
 
@@ -53,42 +53,6 @@ class EndsReport:
 class CapacityEntry:
     value: int
     probe_radius: int
-
-
-def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
-    """components_outside_ball as (id list, touches sphere) pairs.
-
-    Rows below the graph's last sphere are the build's own.  A last-sphere
-    vertex reached by the shell steps to its BFS parent and to its entry of
-    ``CosetGraph._last_ids``, which holds its other in-ball neighbours."""
-    if inner > outer or outer > graph.radius:
-        raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
-    lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
-    rows, last, parent_of = graph._rows, len(graph._rows), graph.parent_of
-    more = graph._last_ids if hi > last else {}
-    seen = bytearray(hi)
-    out = []
-    for start in range(lo, hi):
-        if not seen[start]:
-            seen[start] = 1
-            comp = [start]
-            for v in comp:
-                if v < last:
-                    for w in rows[v]:
-                        if lo <= w < hi and not seen[w]:
-                            seen[w] = 1
-                            comp.append(w)
-                else:
-                    w = parent_of[v]  # below hi; -1 for the base of ball(0)
-                    if lo <= w and not seen[w]:
-                        seen[w] = 1
-                        comp.append(w)
-                    for w in more.get(v, ()):
-                        if lo <= w < hi and not seen[w]:
-                            seen[w] = 1
-                            comp.append(w)
-            out.append((comp, max(comp) >= top))
-    return out
 
 
 def components_outside_ball(

@@ -156,19 +156,18 @@ class Group:
         """The coset graph's step: a function from a coset payload to the
         ``(letter, key)`` pairs of its non-loop neighbours, letters in
         ``s_letters`` order and each letter's witnesses in order, a repeated
-        pair kept once.  This default multiplies by every witness but the
-        identity, whose product with a canonical representative is a loop;
-        families override it with a direct step."""
+        pair kept once.  G acts on its cosets by left multiplication, so
+        vfK = vK exactly when f is in K and vfK = vgK exactly when fK = gK:
+        a step that loops or repeats at one vertex does so at every vertex.
+        This default drops those steps once, at the base, and multiplies by
+        the other witnesses; families override it with a direct step."""
         mul, rep = self._mul_payload, self._coset_rep_payload
-        one = self._identity_payload()
-        steps = [
-            (letter, f) for letter, fs in self.witnesses.items() for f in fs if f != one
-        ]
+        base = rep(self._identity_payload())
+        kept = {(l, rep(f)): (l, f) for l, fs in self.witnesses.items() for f in fs}
+        steps = [pair for (_, key), pair in kept.items() if key != base]
 
         def step(vp):
-            return list(dict.fromkeys(
-                (letter, key) for letter, fp in steps if (key := rep(mul(vp, fp))) != vp
-            ))
+            return [(letter, rep(mul(vp, fp))) for letter, fp in steps]
 
         return step
 

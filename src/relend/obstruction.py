@@ -232,6 +232,10 @@ def _solve(
     odd cycle with the two tree paths to its ends; that cycle is the
     certificate.  The equations come from the ids of ball(radius + 1);
     ``sets`` must hold their translates.
+
+    The tree paths meet only at their root, the outside: an equation with
+    both ends in the ball has parity [v in A] xor [s^-1 v in A], so every
+    cycle inside the ball is even, and the cycle they close is odd.
     """
     n = graph.ball_size(radius)
     # Equations as edges (v, letter, w, parity) with v in the ball and the id n
@@ -288,8 +292,6 @@ def _solve(
                     # a -> b along e, up from b to where the tree paths meet,
                     # then down to a
                     to_a, to_b = tree_path(a), tree_path(b)
-                    while to_a and to_b and to_a[-1] == to_b[-1]:
-                        to_a.pop(), to_b.pop()
                     return SearchOutcome(None, decisions, tuple(
                         (cosets[v], l, cosets[w] if w < n else None, p)
                         for v, l, w, p in (edges[i] for i in (e, *to_b, *to_a[::-1]))

@@ -311,6 +311,7 @@ def load_json(path: str) -> Any:
         raise ConfigError(f"no such file: {path}") from None
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
-    except (json.JSONDecodeError, RecursionError, ConfigError) as err:
-        # RecursionError: nesting too deep for the decoder
+    except (ValueError, RecursionError, ConfigError) as err:
+        # ValueError: bad JSON, bytes that are not UTF-8 or an integer over
+        # the digit limit; RecursionError: nesting too deep for the decoder
         raise ConfigError(f"malformed JSON in {path}: {err}") from None

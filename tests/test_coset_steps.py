@@ -210,6 +210,6 @@ def test_graph_command_steps_each_payload_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "g.dot"), "--csv", str(tmp_path / "g.csv")]
     assert main(argv) == 0
     # ball(4) of free(2) has 161 vertices: the build steps the 53 of norm
-    # <= 3, and ``_last_steps`` steps the 108 of the last sphere once for
-    # the DOT edges and the degrees that the CSV reads
+    # <= 3, the base's row gives the degree that the CSV reads, and
+    # ``_last_steps`` steps the 108 of the last sphere once for the DOT edges
     assert len(stepped) == 161 and set(stepped.values()) == {1}

@@ -7,10 +7,9 @@ from oracle_utils import (
     lattice_capacity,
     lattice_shell_components,
 )
-from relend.coset_graph import BallCache, CosetGraph, build_ball
+from relend.coset_graph import BallCache, CosetGraph, _shell_components, build_ball
 from relend.ends import (
     _capacity_probe,
-    _shell_components,
     capacity,
     components_outside_ball,
     cross_check_quotient,
@@ -170,14 +169,12 @@ def test_tree_pairs_keep_no_last_sphere_table(group):
 
 
 def _stepped_adj(graph):
-    """``(letter, id)`` rows by the build's rows below the last sphere and
-    a fresh step of each last-sphere payload, kept inside the ball."""
+    """``(letter, id)`` rows by a fresh step of every payload, kept inside
+    the ball."""
     step, find = graph.group._coset_steps(), graph.index.get
-    last = graph.sphere_start[graph.radius]
-    inner = [tuple(zip(graph._letters[v], graph._rows[v])) for v in range(last)]
-    return inner + [
+    return [
         tuple((l, w) for l, k in step(p) if (w := find(k)) is not None)
-        for p in graph.payloads[last:]
+        for p in graph.payloads
     ]
 
 
@@ -190,18 +187,41 @@ ADJ_GROUPS = {
 @pytest.mark.parametrize("name", sorted(ADJ_GROUPS))
 def test_adj_pairs_the_letter_and_id_rows(name):
     group = ADJ_GROUPS[name]
-    cache = BallCache(group)
+    step, cache = group._coset_steps(), BallCache(group)
     for radius in range(7):
         for graph in (CosetGraph(group, radius), cache.at_least(radius)):
             last = graph.sphere_start[radius]
-            assert len(graph._rows) == len(graph._letters) == last
+            assert len(graph._rows) == last
             assert graph.adj == _stepped_adj(graph)
             assert list(graph.labelled_rows()) == [
                 (tuple(w for _, w in row), tuple(l for l, _ in row))
                 for row in graph.adj
             ]
-            # one letter tuple per distinct letter sequence
-            assert len({id(t) for t in graph._letters}) == len(set(graph._letters))
+            # every row below the last sphere aligns with the one letter
+            # tuple, and a fresh step of its payload yields those letters
+            letters = graph._step_letters
+            for ids, p in zip(graph._rows, graph.payloads):
+                assert len(ids) == len(letters)
+                assert tuple(l for l, _ in step(p)) == letters
+
+
+# zmod(2): a and A reach one coset; zmod(1): the trivial group, degree 0
+DEGREE_GROUPS = {
+    **ADJ_GROUPS, "zmod1": ZmodGroup((1,)), "zmod2": ZmodGroup((2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_GROUPS))
+def test_degree_is_one_count_of_the_stepped_neighbours(name):
+    group = DEGREE_GROUPS[name]
+    step, cache = group._coset_steps(), BallCache(group)
+    for radius in range(7):
+        for graph in (CosetGraph(group, radius), cache.at_least(radius)):
+            (d,) = set(graph.degree)
+            assert len(graph.degree) == graph.vertex_count()
+            assert all(
+                len({k for _, k in step(p) if k != p}) == d for p in graph.payloads
+            )
 
 
 # one-ended golden pairs: lattices of rank 2 and 3, and BS(1, 2) x Z relative
@@ -236,7 +256,7 @@ def test_capacity_probe_equals_the_unbounded_set_scan(pair):
 
 def test_ends_on_bs13_peaks_below_360_bytes_per_ball_vertex():
     # ball(8) of BS(1, 3) has 13,121 vertices, two thirds of them on the
-    # last sphere; the id rows, the shared letter tuples and the empty
+    # last sphere; the id rows, the one letter tuple and the empty
     # last-sphere table keep the whole pass under this bound
     tracemalloc.start()
     try:

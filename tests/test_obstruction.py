@@ -291,6 +291,8 @@ def assert_certificate(cache, region, radius, outcome):
         )
         ends.append((v, w))
     assert sum(p for *_, p in outcome.cycle) % 2 == 1
+    # a cycle inside the ball has even parity, so an odd one leaves it
+    assert any(w is None for _, _, w, _ in outcome.cycle)
     # a closed walk, every outside end (None) being one vertex
     assert any(_walk_closes(ends, start) for start in ends[0])
 

@@ -520,6 +520,28 @@ def test_deeply_nested_json_exits_two_with_one_line(tmp_path, command):
     assert err.count("\n") == 1
 
 
+UNDECODABLE = {
+    # a UTF-16 byte-order mark and text: not UTF-8
+    "not_utf8": b"\xff\xfe{\x00}\x00",
+    # an integer over the interpreter's 4,300-digit conversion limit
+    "long_int": b'{"family": "zd", "d": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("bad", ["config", "cocycle"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_json_names_its_file(tmp_path, bad, name):
+    files = {"config": tmp_path / "zd2.json", "cocycle": _zd2_cocycle_file(tmp_path)}
+    files["config"].write_text(json.dumps({"family": "zd", "d": 2}))
+    files[bad].write_bytes(UNDECODABLE[name])
+    code, err = _run(["verify", "--config", str(files["config"]),
+                      "--cocycle", str(files["cocycle"]), "--samples", "1",
+                      "--report", str(tmp_path / "report.txt")])
+    assert code == 2
+    assert err.startswith(f"config error: malformed JSON in {files[bad]}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["graph", "ends"])
 def test_product_nesting_budget_itself_is_accepted(tmp_path, capsys, command):
     # one level more is a case of test_malformed_config_exits_two_with_one_line

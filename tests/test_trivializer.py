@@ -177,6 +177,40 @@ def test_roundtrip_on_quotient_pair():
     assert report.ok
 
 
+# free(2) targets take the non-abelian branch of ``plant_cocycle``, which
+# draws one word and sends each generator to a power of it; about half of
+# all seeds draw the trivial homomorphism, these three do not.  A zd(1)
+# target draws lattice points.
+PLANTS = [
+    (ZdGroup(2), FreeGroup(2), 0),
+    (ZdGroup(2), FreeGroup(2), 3),
+    (ZdGroup(2), FreeGroup(2), 4),
+    (ProductGroup(BsGroup(1, 2), ZdGroup(1)), FreeGroup(2), 0),
+    (ProductGroup(BsGroup(1, 2), ZdGroup(1)), FreeGroup(2), 3),
+    (ProductGroup(BsGroup(1, 2), ZdGroup(1)), FreeGroup(2), 4),
+    (ZdGroup(2), ZdGroup(1), 0),
+]
+
+
+@pytest.mark.parametrize("group,target,seed", PLANTS)
+def test_roundtrip_recovers_a_nontrivial_planted_homomorphism(group, target, seed):
+    cache = BallCache(group)
+    alpha = trivial_alphabet(("0", "1"), "0")
+    c = plant_cocycle(group, alpha, target, 0, seed, cache.at_least(8))
+    planted = c.derivation
+    assert not all(img.is_identity() for img in planted.hom_images.values())
+    table, report = Trivializer(cache, c, seed=seed).run(cohomology_samples=10)
+    assert report.ok and "relations" in {chk.name for chk in report.checks}
+    # the transfer is b0 up to the constant b0(empty), so the recovered
+    # homomorphism is the planted one conjugated by it
+    b0 = planted.b0_of(empty_pattern(alpha))
+    conjugate = target.invert(b0)
+    assert table.hom == {
+        l: target.multiply(conjugate, target.multiply(img, b0))
+        for l, img in planted.hom_images.items()
+    }
+
+
 def test_not_one_ended_rejected_before_transfer():
     group = FreeGroup(2)
     cache = BallCache(group)
