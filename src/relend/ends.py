@@ -29,7 +29,6 @@ class EndsRow:
     probe_radius: int
     components: int
     sphere_touching: int
-    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,11 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
     if margin < 2:
         raise ValueError("margin must be at least 2")
     graph = cache.at_least(r_max + margin)
-    counts, rows = [], []
+    rows = []
     for r in range(1, r_max + 1):
         comps = _shell_components(graph, r, r + margin)
-        touching = sum(touches for _, touches in comps)
-        counts.append(touching)
-        rows.append((r, r + margin, len(comps), touching))
+        rows.append(EndsRow(r, r + margin, len(comps), sum(t for _, t in comps)))
+    counts = [row.sphere_touching for row in rows]
     window = counts[r_max // 2 :]
     if all(c == window[-1] for c in window):
         kind, count = "exact", window[-1]
@@ -89,11 +87,7 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
         kind, count = "at_least", counts[-1]
     else:
         kind, count = "inconclusive", None
-    final = tuple(
-        EndsRow(r, pr, total, touch, kind == "exact" and touch == count)
-        for (r, pr, total, touch) in rows
-    )
-    return EndsReport(final, kind, count)
+    return EndsReport(tuple(rows), kind, count)
 
 
 def _capacity_probe(graph: CosetGraph, r: int, probe: int) -> int:

@@ -15,10 +15,14 @@ graph and outside it alike.  c'(g, y) is the parity of y's minus cells that
 fall in c(g^-1), and c'(g, hy) that of those cells moved by h.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
-for every generator s.  Over GF(2) these equations are a 2-colouring of the
-ball with parities, B pinned to 0 outside it: one breadth-first pass over
-graph ids either colours every coset or meets an equation that closes a
-cycle of odd parity, the certificate that no such B exists.
+for every generator s.  The equation between v and s^-1 v has parity
+[v in A] xor [s^-1 v in A], so it telescopes: on each component of ball(R)
+under left translation by the generators, B = A xor one bit k_C, and an
+equation from v to a coset x outside the ball, where B is 0, pins k_C to
+[x in A].  One breadth-first pass per component over the graph's left
+tables either finds every pin of a component equal, or meets two that
+disagree; the closed walk of equations from the one outside coset to the
+other through the component is odd, the certificate that no such B exists.
 """
 
 from __future__ import annotations
@@ -86,9 +90,10 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
     """The pass behind every difference set, over the ids of ball(radius).
 
     Membership is evaluated once per vertex, and once per translate s^-1 v
-    that leaves the ball, on coset payloads.  Per letter s: the graph's left
-    table of s^-1, which spans the whole graph and so may reach past
-    ball(radius), and the ids of A xor sA, ascending.
+    that leaves the ball, on coset payloads.  Returns the graph, the
+    membership bytes of the ids of ball(radius) and, per letter s, the ids
+    of A xor sA, ascending; s^-1 v is read off the graph's left table of
+    s^-1, which spans the whole graph and so may reach past ball(radius).
     """
     graph = cache.at_least(radius)
     group, payloads, member = graph.group, graph.payloads, region.member
@@ -103,15 +108,15 @@ def _differences(cache: BallCache, region: AlmostInvariantSet, radius: int):
                 inside[w] if 0 <= w < len(inside) else bool(member(step(payloads[v])))
             ):
                 odd.append(v)
-        out[letter] = (back, odd)
-    return graph, out
+        out[letter] = odd
+    return graph, inside, out
 
 
 def _check_stable(graph: CosetGraph, sets, radius: int) -> None:
     """Raises for the first letter whose set has an element of norm radius,
     which means the truncation is not yet honest."""
     lo, hi = graph.ball_size(radius - 1), graph.ball_size(radius)
-    for letter, (_, odd) in sets.items():
+    for letter, odd in sets.items():
         if any(lo <= v < hi for v in odd):
             raise NoStabilizationError(
                 f"difference set for letter {letter} still grows at radius {radius}"
@@ -125,9 +130,7 @@ def _stable(graph: CosetGraph, sets, radius: int) -> Boundaries:
     _check_stable(graph, sets, radius)
     lo = graph.ball_size(radius - 1)
     cosets = graph.cosets_slice(0, lo)
-    return {
-        l: frozenset(cosets[v] for v in odd if v < lo) for l, (_, odd) in sets.items()
-    }
+    return {l: frozenset(cosets[v] for v in odd if v < lo) for l, odd in sets.items()}
 
 
 def generator_boundaries(
@@ -136,7 +139,8 @@ def generator_boundaries(
     """A xor sA within ball(radius) for every letter s, certified stable at
     the boundary; raises for the first letter, in generator order, whose set
     has an element of norm radius."""
-    return _stable(*_differences(cache, region, radius), radius)
+    graph, _, sets = _differences(cache, region, radius)
+    return _stable(graph, sets, radius)
 
 
 def _sign_table(group: Group, boundaries: Boundaries) -> Callable[[Word], frozenset]:
@@ -184,10 +188,11 @@ def sign_cocycle(
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """A witness B, or an odd cycle of equations B(v) xor B(w) = parity that
-    rules every B out: entries ``(v, letter, w, parity)`` with w = s^-1 v, or
-    None outside the ball, where B is 0.  ``decisions`` counts the
-    components coloured from a free choice."""
+    """A witness B, or an odd closed walk of equations B(v) xor B(w) =
+    parity that rules every B out: entries ``(v, letter, w, parity)`` with
+    w = s^-1 v, or None outside the ball, where B is 0.  ``decisions``
+    counts the components searched that meet no outside coset, each given
+    B = 0 at its smallest id."""
 
     witness: frozenset[CosetId] | None
     decisions: int
@@ -207,9 +212,9 @@ def bounded_coboundary_search(
     at norm radius + 1; the cap bounds |ball(radius)|.
     """
     _cap_check(cache, radius, cap)
-    graph, sets = _differences(cache, region, radius + 1)
+    graph, inside, sets = _differences(cache, region, radius + 1)
     _check_stable(graph, sets, radius + 1)
-    return _solve(graph, radius, sets)
+    return _solve(graph, radius, inside)
 
 
 def _cap_check(cache: BallCache, radius: int, cap: int) -> None:
@@ -219,86 +224,64 @@ def _cap_check(cache: BallCache, radius: int, cap: int) -> None:
         )
 
 
-def _solve(
-    graph: CosetGraph, radius: int, sets: dict[Letter, tuple[list[int], list[int]]]
-) -> SearchOutcome:
-    """The parity 2-colouring, from the pass's translates and difference ids.
+def _solve(graph: CosetGraph, radius: int, inside: bytearray) -> SearchOutcome:
+    """B = A xor k_C on each component C of ball(radius) under left
+    translation, from the membership bytes of ball(radius + 1).
 
-    Each generator s and coset v give B(v) xor B(s^-1 v) = [v in A xor sA],
-    and every coset outside the ball is one vertex pinned to 0.  A
-    breadth-first pass colours from the outside first, then from the
-    smallest id of each component that never meets it, set to 0, and checks
-    every equation once.  The first equation whose ends disagree closes an
-    odd cycle with the two tree paths to its ends; that cycle is the
-    certificate.  The equations come from the ids of ball(radius + 1);
-    ``sets`` must hold their translates.
-
-    The tree paths meet only at their root, the outside: an equation with
-    both ends in the ball has parity [v in A] xor [s^-1 v in A], so every
-    cycle inside the ball is even, and the cycle they close is odd.
+    One breadth-first pass per component, from its smallest id, steps by
+    the left table of every letter.  On a graph that reaches radius + 1,
+    l v of any v in ball(radius) lies in ball(radius + 1), as l g is at
+    most one letter longer than a shortest representative g of v; so a
+    step never reads -1 and every step out of the ball lands on a known
+    membership.
+    The first step out, from u to x = l u, pins k_C to [x in A]; a
+    component with no step out takes B = 0 at its root, one decision.  A
+    later step out to a coset of the other membership gives the
+    certificate: the equations out to the first coset, along the tree path
+    from its u to the root, back down the tree path to the second u and out
+    to the second coset.  Their parities telescope to the two outside
+    memberships, which differ.
     """
     n = graph.ball_size(radius)
-    # Equations as edges (v, letter, w, parity) with v in the ball and the id n
-    # for the outside.  A letter moves a coset by at most one sphere, so every
-    # equation with an end in the ball has both ends in ball(radius + 1); the
-    # letter s^-1 gives the equations of s again, so positive letters suffice.
-    edges: list[tuple[int, Letter, int, int]] = []
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for letter, (back, odd_ids) in sets.items():
-        if letter < 0:
+    steps = [(l, graph.left_ids(l)) for l in graph.group.s_letters]
+    cosets = graph.cosets_slice(0, n)
+    seen = bytearray(n)
+    up: list[tuple[int, Letter] | None] = [None] * n  # (u, l) with v = l u
+    witness, decisions = [], 0
+    for root in range(n):
+        if seen[root]:
             continue
-        odd = set(odd_ids)
-        for v in range(graph.ball_size(radius + 1)):
-            w = back[v]
-            a, b = min(v, n), w if 0 <= w < n else n
-            if a == b:
-                continue  # both ends outside, or a loop, whose parity is 0
-            # the end in the ball goes first; seen from w, the letter is s^-1
-            parity = int(v in odd)
-            edge = (a, letter, b, parity) if a < n else (b, -letter, a, parity)
-            incident[a].append(len(edges))
-            incident[b].append(len(edges))
-            edges.append(edge)
+        seen[root], queue, pin = 1, [root], None
+        for u in queue:
+            for l, table in steps:
+                x = table[u]
+                if x < n:
+                    if not seen[x]:
+                        seen[x], up[x] = 1, (u, l)
+                        queue.append(x)
+                elif pin is None:
+                    pin = (u, l, x)
+                elif inside[x] != inside[pin[2]]:
+                    walk = _odd_walk(cosets, inside, up, (pin, (u, l, x)))
+                    return SearchOutcome(None, decisions, walk)
+        decisions += pin is None
+        k = inside[root if pin is None else pin[2]]
+        witness += [cosets[v] for v in queue if inside[v] != k]
+    return SearchOutcome(frozenset(witness), decisions)
 
-    colour = [-1] * (n + 1)
-    up: list[tuple[int, int] | None] = [None] * (n + 1)  # (tree edge, parent)
-    checked = bytearray(len(edges))
 
-    def tree_path(x: int) -> list[int]:
-        path = []
-        while up[x]:
-            e, x = up[x]
-            path.append(e)
-        return path
-
-    decisions, cosets = 0, graph.cosets_slice(0, n)
-    for root in (n, *range(n)):
-        if colour[root] >= 0:
-            continue
-        decisions += root < n
-        colour[root] = 0
-        queue = [root]
-        for x in queue:
-            for e in incident[x]:
-                if checked[e]:
-                    continue
-                checked[e] = 1
-                a, _, b, parity = edges[e]
-                y = b if x == a else a
-                if colour[y] < 0:
-                    colour[y], up[y] = colour[x] ^ parity, (e, x)
-                    queue.append(y)
-                elif colour[x] ^ colour[y] != parity:
-                    # a -> b along e, up from b to where the tree paths meet,
-                    # then down to a
-                    to_a, to_b = tree_path(a), tree_path(b)
-                    return SearchOutcome(None, decisions, tuple(
-                        (cosets[v], l, cosets[w] if w < n else None, p)
-                        for v, l, w, p in (edges[i] for i in (e, *to_b, *to_a[::-1]))
-                    ))
-    return SearchOutcome(
-        frozenset(c for c, bit in zip(cosets, colour[:n]) if bit), decisions
-    )
+def _odd_walk(cosets, inside, up, pins):
+    """Out to the first pin's x, up the tree from its u to the root, down
+    to the second pin's u and out to its x; a pin (u, l, x) has x = l u."""
+    halves = []
+    for v, l, x in pins:
+        half = [(cosets[v], -l, None, inside[v] ^ inside[x])]
+        while up[v]:
+            w, l = up[v]
+            half.append((cosets[v], l, cosets[w], inside[v] ^ inside[w]))
+            v = w
+        halves.append(half)
+    return (*halves[0], *halves[1][::-1])
 
 
 def sign_cocycle_spec(
@@ -450,7 +433,7 @@ def rho_forcing_check(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    graph, sets = _differences(cache, region, radius + 1)
+    graph, inside, sets = _differences(cache, region, radius + 1)
     boundaries = _stable(graph, sets, radius)
     _cap_check(cache, radius, cap)
     identity = verify_sign_identity(
@@ -458,5 +441,5 @@ def rho_forcing_check(
     )
     _check_stable(graph, sets, radius + 1)
     return ObstructionReport(
-        region.name, radius, seed, boundaries, identity, _solve(graph, radius, sets)
+        region.name, radius, seed, boundaries, identity, _solve(graph, radius, inside)
     )

@@ -308,8 +308,10 @@ def _xor_set(base, planted):
         (ZdGroup(1, ()), "halfline", (1, 2, 3, 4)),
         (FreeGroup(2), "aprefix", (1,)),
         (ZmodGroup((5,)), None, (1, 2)),
+        # infinite and not bipartite: the Z/3 factor closes triangles
+        (ProductGroup(ZdGroup(1, ()), ZmodGroup((3,))), None, (1, 2)),
     ],
-    ids=["zd1", "free2", "zmod5"],
+    ids=["zd1", "free2", "zmod5", "zd1xzmod3"],
 )
 def test_search_matches_brute_force(group, builtin, radii):
     rng = random.Random(9)
