@@ -100,11 +100,9 @@ def _cmd_graph(
     lines.append("}")
     _write_text(args.out, lines)
     if args.csv:
+        degree = graph.degree
         rows = ["vertex,norm,degree"]
-        rows += [
-            f"{label},{n},{d}"
-            for label, n, d in zip(labels, graph.norm_of, graph.degree)
-        ]
+        rows += [f"{label},{n},{degree}" for label, n in zip(labels, graph.norm_of)]
         _write_text(args.csv, rows)
     return 0
 

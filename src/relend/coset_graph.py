@@ -8,7 +8,7 @@ payload to the ``(letter, key)`` pairs of its non-loop neighbours in
 generator and witness order.  G acts on the graph by left multiplication,
 transitively, so every vertex's steps carry the base's letters in order
 (vfK = vK iff f is in K, vfK = vgK iff fK = gK): a ball keeps one letter
-tuple and every vertex has the base's degree.  Vertices are interned as
+tuple and one degree, the base's, for all vertices.  Vertices are interned as
 dense ids in BFS discovery order, so ids sort by norm and the closed
 r-ball is the id prefix below sphere_start[r + 1].  A ball is stored as
 integers: the build steps the spheres below the last one, and each of
@@ -20,15 +20,16 @@ the rows of the sphere below.  A larger ball grows from a smaller one by
 copying the prefix and its rows, stepping the old boundary sphere once and
 going on with the search: the ids equal a fresh build's.
 
-Graphs are not changed after construction; the ``cosets`` and ``degree``
-lists, the ``(letter, id)`` view ``adj``, the ``ball_set`` sets and the left
-tables (``left_ids``: the id of sv for every id v, from the family's
-``Group._left_step``) are derived from them on first use, so a caller that
-reads only ids, payloads, norms and edges (``ends``, ``relend graph``) never
-makes a ``CosetId``, and one that reads an id range (``cosets_slice``) makes
-them only up to its end.  ``adj`` and ``labelled_rows`` step the last sphere
-once (``_last_steps``).  No other module reads this layout, so the shell
-passes of ``ends`` live here (``_shell_components``).
+Graphs are not changed after construction; the ``cosets`` list, the
+``degree`` count, the ``ball_set`` sets and the left tables (``left_ids``:
+the id of sv for every id v, from the family's ``Group._left_step``) are
+derived from them on first use, so a caller that reads only ids, payloads,
+norms and edges (``ends``, ``relend graph``) never makes a ``CosetId``, and
+one that reads an id range (``cosets_slice``) makes them only up to its
+end.  ``labelled_rows``, the one ``(ids, letters)`` view of every vertex,
+and ``neighbors`` step the last sphere once (``_last_steps``).  No other
+module reads this layout, so the shell passes of ``ends`` live here
+(``_shell_components``).
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ class CosetGraph:
     sphere, ``_rows[v]`` is the tuple of v's neighbour ids in step order,
     aligned with ``_step_letters``: G acts transitively, so every vertex's
     steps carry the same letters.  ``_last_ids`` holds what the last sphere
-    adds to its parents.  ``adj`` is the public ``(letter, id)`` view of
-    every vertex, made on its first read.  ``cosets_slice`` makes the ``CosetId``
-    of each vertex on its first read, and ``cosets`` is the slice of every
-    vertex; a grown ball starts from the ``CosetId`` objects that its
+    adds to its parents.  ``labelled_rows`` is the public ``(ids, letters)``
+    view of every vertex, and ``degree`` the one count of neighbours in the
+    infinite graph that every vertex has.  ``cosets_slice`` makes the
+    ``CosetId`` of each vertex on its first read, and ``cosets`` is the slice
+    of every vertex; a grown ball starts from the ``CosetId`` objects that its
     smaller ball had made.  ``grow_from`` is a smaller ball of the same
     group to grow from.  A ball that would hold more than MAX_VERTICES
     vertices, or take more than WITNESS_WORK * MAX_VERTICES witness
@@ -179,7 +181,7 @@ class CosetGraph:
     @cached_property
     def _last_steps(self) -> list:
         """The ``(ids, letters)`` of every last-sphere vertex, by one step of
-        each; made for ``adj`` and ``labelled_rows``."""
+        each; made for ``labelled_rows`` and ``neighbors``."""
         return list(self._step_last())
 
     def labelled_rows(self):
@@ -190,13 +192,6 @@ class CosetGraph:
         for ids in self._rows:
             yield ids, self._step_letters
         yield from self._last_steps
-
-    @cached_property
-    def adj(self) -> list[tuple[tuple[Letter, int], ...]]:
-        """The in-ball ``(letter, id)`` edges of every vertex, in id order,
-        paired from the id and letter rows on first read; the last sphere's
-        rows are made by stepping it (``_last_steps``)."""
-        return [tuple(zip(letters, ids)) for ids, letters in self.labelled_rows()]
 
     @cached_property
     def _last_ids(self) -> dict[int, list[int]]:
@@ -270,16 +265,16 @@ class CosetGraph:
         return self._made_up_to(len(self.payloads))
 
     @cached_property
-    def degree(self) -> list[int]:
-        """Degree in the infinite graph of every vertex in id order: one
-        count, the base's distinct non-loop neighbours, since G's transitive
-        action gives every vertex as many.  The build interned those in the
-        base's row; a radius-0 ball steps its base."""
+    def degree(self) -> int:
+        """Degree in the infinite graph of every vertex: the base's distinct
+        non-loop neighbours, since G's transitive action gives every vertex
+        as many.  The build interned those in the base's row; a radius-0
+        ball steps its base."""
         if self._rows:
             keys = self._rows[0]
         else:
             keys = [key for _, key in self.group._coset_steps()(self.payloads[0])]
-        return [len(set(keys))] * len(self.payloads)
+        return len(set(keys))
 
     def __contains__(self, v: CosetId) -> bool:
         return v.rep.group is self.group and v.rep.payload in self.index
@@ -315,12 +310,19 @@ class CosetGraph:
         return list(self.cosets)
 
     def neighbors(self, v: CosetId) -> tuple[tuple[Letter, CosetId], ...]:
-        """In-ball labeled neighbours of v."""
-        return tuple((l, self.cosets[w]) for l, w in self.adj[self._id(v)])
+        """In-ball labeled neighbours of v: its row of ``labelled_rows``."""
+        i, last = self._id(v), len(self._rows)
+        if i < last:
+            ids, letters = self._rows[i], self._step_letters
+        else:
+            ids, letters = self._last_steps[i - last]
+        return tuple(zip(letters, (self.cosets[w] for w in ids)))
 
     def full_degree(self, v: CosetId) -> int:
-        """Degree in the infinite graph (neighbours outside the ball count)."""
-        return self.degree[self._id(v)]
+        """Degree in the infinite graph (neighbours outside the ball count)
+        of v, a vertex of the ball."""
+        self._id(v)
+        return self.degree
 
 
 def build_ball(group: Group, radius: int) -> CosetGraph:

@@ -3,9 +3,10 @@
 Ends are a limit notion; a finite tool can only report evidence.  We remove
 shells from built balls, count the connected components that reach the probe
 sphere, and declare an exact value only after the count stabilises over the
-top half of the probed range.  The capacity N(r) is the largest norm of a
-vertex cut off from the sphere-reaching component once the closed r-ball is
-removed; its value is accepted once two successive probe radii agree.
+top half of the probed range, two radii at least.  The capacity N(r) is the
+largest norm of a vertex cut off from the sphere-reaching component once the
+closed r-ball is removed; its value is accepted once two successive probe
+radii agree.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
         comps = _shell_components(graph, r, r + margin)
         rows.append(EndsRow(r, r + margin, len(comps), sum(t for _, t in comps)))
     counts = [row.sphere_touching for row in rows]
-    window = counts[r_max // 2 :]
-    if all(c == window[-1] for c in window):
+    # the top half of the counts, two of them at rmax 2; one is never exact
+    window = counts[min(r_max // 2, max(r_max - 2, 0)) :]
+    if len(window) > 1 and all(c == window[-1] for c in window):
         kind, count = "exact", window[-1]
     elif all(a <= b for a, b in zip(counts, counts[1:])) and counts[-1] > counts[0]:
         kind, count = "at_least", counts[-1]

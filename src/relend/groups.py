@@ -160,7 +160,8 @@ class Group:
         vfK = vK exactly when f is in K and vfK = vgK exactly when fK = gK:
         a step that loops or repeats at one vertex does so at every vertex.
         This default drops those steps once, at the base, and multiplies by
-        the other witnesses; families override it with a direct step."""
+        the other witnesses (zmod and direct products use it); zd, free
+        and bs override it with a direct step."""
         mul, rep = self._mul_payload, self._coset_rep_payload
         base = rep(self._identity_payload())
         kept = {(l, rep(f)): (l, f) for l, fs in self.witnesses.items() for f in fs}
@@ -662,21 +663,6 @@ class ProductGroup(Group):
 
     def quotient_by_k(self):
         return ProductGroup(self.left.quotient_by_k(), self.right.quotient_by_k())
-
-    def _coset_steps(self):
-        # the left factor's steps, then the right factor's, letters shifted
-        shift = self._offset
-        left_step, right_step = self.left._coset_steps(), self.right._coset_steps()
-
-        def step(vp):
-            a, b = vp
-            out = [(l, (k, b)) for l, k in left_step(a)]
-            out += [
-                (l + shift if l > 0 else l - shift, (a, k)) for l, k in right_step(b)
-            ]
-            return out
-
-        return step
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ def free_sphere_size(rank: int, length: int) -> int:
 def is_tree(graph) -> bool:
     """Whether a built ball, as an undirected graph, is a tree: the BFS
     build connects it, so it is one when it has one edge fewer than vertices."""
-    edges = {frozenset((v, w)) for v, nbrs in enumerate(graph.adj) for _, w in nbrs}
+    rows = enumerate(graph.labelled_rows())
+    edges = {frozenset((v, w)) for v, (ids, _) in rows for w in ids}
     return len(edges) == graph.vertex_count() - 1
 
 

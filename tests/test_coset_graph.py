@@ -122,11 +122,11 @@ def test_two_sided_geodesic_pairwise_distances():
         assert p.vertices[3] == g.base
 
 
-def _pair_view_distances(adj, source, depth):
+def _row_view_distances(rows, source, depth):
     dist, queue = {source: 0}, [source]
     for w in queue:
         if dist[w] < depth:
-            for _, z in adj[w]:
+            for z in rows[w]:
                 if z not in dist:
                     dist[z] = dist[w] + 1
                     queue.append(z)
@@ -144,15 +144,16 @@ def _pair_view_distances(adj, source, depth):
     ids=["zd2", "bs12", "zmod5", "zd2xzmod3"],
 )
 def test_bfs_walks_the_id_rows_and_the_last_sphere_table(group):
-    # the walk behind distance and neighborhood makes no (letter, id) pair
-    # and no step of the last sphere, and agrees with a walk of ``adj``
+    # the walk behind distance and neighborhood makes no step of the last
+    # sphere, and agrees with a walk of the id rows of ``labelled_rows``
     for radius in range(5):
         g = build_ball(group, radius)
         depth = 2 * radius
         walked = [dict(_bfs(g, (s,), depth)) for s in range(g.vertex_count())]
-        assert "adj" not in vars(g) and "_last_steps" not in vars(g)
+        assert "_last_steps" not in vars(g)
+        rows = [ids for ids, _ in g.labelled_rows()]
         assert walked == [
-            _pair_view_distances(g.adj, s, depth) for s in range(g.vertex_count())
+            _row_view_distances(rows, s, depth) for s in range(g.vertex_count())
         ]
 
 

@@ -199,7 +199,7 @@ def test_library_passes_never_make_the_last_sphere_rows():
     capacity(grid, 3)
     for cache in (free, grid):
         graph = cache.at_least(0)
-        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
+        assert "_last_steps" not in vars(graph)
 
 
 def test_graph_command_steps_each_payload_once(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from oracle_utils import (
     lattice_capacity,
     lattice_shell_components,
 )
+from relend.cli import main
 from relend.coset_graph import BallCache, CosetGraph, _shell_components, build_ball
 from relend.ends import (
     _capacity_probe,
@@ -134,9 +136,10 @@ def test_reversed_last_sphere_rows_equal_the_stepped_rows(pair):
         by_parent = [
             _parent_and_table(graph, w) for w in range(last, graph.vertex_count())
         ]
-        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
+        assert "_last_steps" not in vars(graph)
         assert set(graph._last_ids) <= set(range(last, graph.vertex_count()))
-        assert by_parent == [sorted(w for _, w in row) for row in graph.adj[last:]]
+        stepped = _stepped_adj(graph)[last:]
+        assert by_parent == [sorted(w for _, w in row) for row in stepped]
 
 
 UNCERTIFIED = [
@@ -155,8 +158,9 @@ def test_uncertified_last_sphere_tables_equal_the_stepped_rows(group):
         by_parent = [
             _parent_and_table(graph, w) for w in range(last, graph.vertex_count())
         ]
-        assert "adj" not in vars(graph) and "_last_steps" not in vars(graph)
-        assert by_parent == [sorted(w for _, w in row) for row in graph.adj[last:]]
+        assert "_last_steps" not in vars(graph)
+        stepped = _stepped_adj(graph)[last:]
+        assert by_parent == [sorted(w for _, w in row) for row in stepped]
 
 
 @pytest.mark.parametrize("group", [FreeGroup(2), BsGroup(1, 2), BsGroup(1, 3)])
@@ -192,10 +196,14 @@ def test_adj_pairs_the_letter_and_id_rows(name):
         for graph in (CosetGraph(group, radius), cache.at_least(radius)):
             last = graph.sphere_start[radius]
             assert len(graph._rows) == last
-            assert graph.adj == _stepped_adj(graph)
+            stepped = _stepped_adj(graph)
             assert list(graph.labelled_rows()) == [
                 (tuple(w for _, w in row), tuple(l for l, _ in row))
-                for row in graph.adj
+                for row in stepped
+            ]
+            cosets = graph.cosets
+            assert [graph.neighbors(v) for v in cosets] == [
+                tuple((l, cosets[w]) for l, w in row) for row in stepped
             ]
             # every row below the last sphere aligns with the one letter
             # tuple, and a fresh step of its payload yields those letters
@@ -217,11 +225,12 @@ def test_degree_is_one_count_of_the_stepped_neighbours(name):
     step, cache = group._coset_steps(), BallCache(group)
     for radius in range(7):
         for graph in (CosetGraph(group, radius), cache.at_least(radius)):
-            (d,) = set(graph.degree)
-            assert len(graph.degree) == graph.vertex_count()
-            assert all(
-                len({k for _, k in step(p) if k != p}) == d for p in graph.payloads
-            )
+            d = graph.degree
+            assert type(d) is int
+            assert {
+                len({k for _, k in step(p) if k != p}) for p in graph.payloads
+            } == {d}
+            assert all(graph.full_degree(v) == d for v in graph.cosets)
 
 
 # one-ended golden pairs: lattices of rank 2 and 3, and BS(1, 2) x Z relative
@@ -268,8 +277,29 @@ def test_ends_on_bs13_peaks_below_360_bytes_per_ball_vertex():
     assert peak < 360 * cache.at_least(8).vertex_count()
 
 
-def test_a_last_sphere_with_an_inner_edge_is_read_from_adj():
+def test_a_last_sphere_with_an_inner_edge_is_one_shell_component():
     # zmod(5) at radius 2: the edge 2 -> 3 joins the two last-sphere vertices,
     # which no reversed row of sphere 1 holds
     graph = CosetGraph(group_from_config(CONFIGS["zmod5"]), 2)
     assert _shell_components(graph, 2, 2) == [([3, 4], True)]
+
+
+@pytest.mark.parametrize(
+    "config,rmax,margin,verdict,code",
+    [
+        ({"family": "bs", "m": 2, "n": 3}, 2, 2, ">= 20 (growing with radius)", 0),
+        ({"family": "free", "rank": 2}, 2, 3, ">= 12 (growing with radius)", 0),
+        ({"family": "free", "rank": 2}, 1, 3, "inconclusive", 1),
+    ],
+    ids=["bs23-rmax2", "free2-rmax2", "free2-rmax1"],
+)
+def test_one_count_is_never_exact(
+    tmp_path, capsys, config, rmax, margin, verdict, code
+):
+    # at rmax 2 the window holds both counts; at rmax 1 its one count decides
+    # nothing
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(config))
+    argv = ["ends", "--config", str(path), "--rmax", str(rmax)]
+    assert main(argv + ["--margin", str(margin)]) == code
+    assert capsys.readouterr().out == f"ends estimate: {verdict}\n"
