@@ -29,7 +29,7 @@ from .errors import (
     RelendError,
     SearchSpaceTooLargeError,
 )
-from .groups import Group, GroupElement, ZmodGroup
+from .groups import Group, ZmodGroup
 from .obstruction import builtin_set, rho_forcing_check
 from .patterns import Alphabet, trivial_alphabet
 from .serialize import (
@@ -87,7 +87,7 @@ def _cmd_graph(
     args: argparse.Namespace, group: Group, alphabet: Alphabet | None
 ) -> int:
     graph = build_ball(group, args.radius)
-    labels = [group.word_str(GroupElement(group, p)) or "1" for p in graph.payloads]
+    labels = [group.payload_str(p) or "1" for p in graph.payloads]
     lines = ["digraph coset_ball {"]
     lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
     tails = {l: f' [label="{name}"];' for l, name in group.letter_names.items()}

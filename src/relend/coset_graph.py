@@ -3,22 +3,24 @@
 Vertices are canonical cosets gK; for each generator s the out-neighbours of
 gK are {g f K : f in F_s} where F_s is the family witness set, so adjacency
 within the built radius is complete and BFS distances are exact.  The build
-reads these neighbours off ``Group._coset_steps()``, which maps a coset
-payload to the ``(letter, key)`` pairs of its non-loop neighbours in
-generator and witness order.  G acts on the graph by left multiplication,
-transitively, so every vertex's steps carry the base's letters in order
-(vfK = vK iff f is in K, vfK = vgK iff fK = gK): a ball keeps one letter
-tuple and one degree, the base's, for all vertices.  Vertices are interned as
-dense ids in BFS discovery order, so ids sort by norm and the closed
-r-ball is the id prefix below sphere_start[r + 1].  A ball is stored as
-integers: the build steps the spheres below the last one, and each of
-their vertices keeps the tuple of its neighbour ids (``_rows``).  That
-interns the last sphere, which is not stepped: a last-sphere vertex was
-reached from its BFS parent, so only its other in-ball neighbours are kept
-(``_last_ids``), and on a pair certified bipartite they are read back from
-the rows of the sphere below.  A larger ball grows from a smaller one by
-copying the prefix and its rows, stepping the old boundary sphere once and
-going on with the search: the ids equal a fresh build's.
+reads these neighbours off ``Group._coset_steps()``, which hands over the
+letters of the steps once and a step that maps a coset payload to the keys
+of its non-loop neighbours, in generator and witness order.  G acts on the
+graph by left multiplication, transitively, so every vertex steps by the
+same letters (vfK = vK iff f is in K, vfK = vgK iff fK = gK): a ball keeps
+one letter tuple and one degree for all vertices.  Vertices are interned as
+dense ids in BFS discovery order, one dict probe per key, so ids sort by
+norm and the closed r-ball is the id prefix below sphere_start[r + 1].  A
+ball is stored as integers: the build steps the spheres below the last one,
+and each of their vertices keeps the tuple of its neighbour ids
+(``_rows``).  That interns the last sphere, which is not stepped: a
+last-sphere vertex was reached from its BFS parent, so only its other
+in-ball neighbours are kept (``_last_ids``), and on a pair certified
+bipartite they are read back from the rows of the sphere below.  A
+last-sphere vertex without such neighbours is a leaf of the ball, and the
+shell pass skips it.  A larger ball grows from a smaller one by copying the
+prefix and its rows, stepping the old boundary sphere once and going on
+with the search: the ids equal a fresh build's.
 
 Graphs are not changed after construction; the ``cosets`` list, the
 ``degree`` count, the ``ball_set`` sets and the left tables (``left_ids``:
@@ -114,21 +116,22 @@ class CosetGraph:
             self._rows = old._rows[:]
             self.index = dict(old.index)
             self._made = old._made
-            if old.radius:  # its build stepped the base
-                self._step_letters = old._step_letters
         self._ball_sets: dict[int, frozenset[CosetId]] = {}
         self._left: dict[Letter, list[int]] = {}
         self._build(0 if old is None else old.radius)
 
     def _build(self, first: int) -> None:
         """Expand the spheres first..radius-1, interning targets by payload;
-        that interns the last sphere, which is not stepped.  Expanding
-        sphere 0, the base alone, records the step letters."""
+        that interns the last sphere, which is not stepped.  The step hook
+        hands over the letters once, and each step yields keys alone.  A key
+        is interned by one probe, ``setdefault`` with the next id: the id
+        comes back unchanged for a known key, and for a new one the key is
+        appended to ``payloads``."""
         group, limit = self.group, MAX_VERTICES
-        step = group._coset_steps()
+        self._step_letters, step = group._coset_steps()
         products = sum(map(len, group.witnesses.values()))
-        payloads, index, rows = self.payloads, self.index, self._rows
-        find, parent_of, starts = index.get, self.parent_of, self.sphere_start
+        payloads, rows, intern = self.payloads, self._rows, self.index.setdefault
+        parent_of, starts, n = self.parent_of, self.sphere_start, len(payloads)
         for r in range(first, self.radius + 1):
             # every vertex of norm <= r gets expanded, the last sphere's when
             # ``_last_steps`` is read; refuse before the work
@@ -140,38 +143,32 @@ class CosetGraph:
             if r == self.radius:
                 return
             for v in range(starts[r], starts[r + 1]):
-                ids, pairs = [], step(payloads[v])
-                for _, key in pairs:
-                    w = find(key)
-                    if w is None:
-                        w = index[key] = len(payloads)
+                ids = []
+                for key in step(payloads[v]):
+                    w = intern(key, n)
+                    if w == n:
                         payloads.append(key)
                         parent_of.append(v)
+                        # len(), not n + 1: CPython 3.11 allocates the sum's
+                        # int 4 bytes larger, and the peak of estimate_ends
+                        # on BS(1, 3) at rmax 4, margin 4 rose 51 KB with it
+                        n = len(payloads)
                     ids.append(w)
                 rows.append(tuple(ids))
-                if len(payloads) > limit:
+                if n > limit:
                     raise BallTooLargeError(
                         f"ball({self.radius}) has over {limit} vertices"
                     )
-            if r == 0:  # the pairs are the base's
-                self._step_letters = tuple(letter for letter, _ in pairs)
-            self.norm_of += [r + 1] * (len(payloads) - starts[r + 1])
-            starts.append(len(payloads))
-
-    @cached_property
-    def _step_letters(self) -> tuple[Letter, ...]:
-        """The letters of every vertex's steps, in order: the build records
-        them from its step of the base, else a radius-0 ball steps it."""
-        base_steps = self.group._coset_steps()(self.payloads[0])
-        return tuple(letter for letter, _ in base_steps)
+            self.norm_of += [r + 1] * (n - starts[r + 1])
+            starts.append(n)
 
     def _step_last(self):
         """Step each last-sphere vertex once, in id order: yield its in-ball
-        neighbour ids and their letters."""
-        find, step = self.index.get, self.group._coset_steps()
+        neighbour ids and their letters, each key zipped with its letter."""
+        find, (letters_of, step) = self.index.get, self.group._coset_steps()
         for p in self.payloads[len(self._rows) :]:
             ids, letters = [], []
-            for letter, key in step(p):
+            for letter, key in zip(letters_of, step(p)):
                 w = find(key)
                 if w is not None:
                     ids.append(w)
@@ -273,7 +270,8 @@ class CosetGraph:
         if self._rows:
             keys = self._rows[0]
         else:
-            keys = [key for _, key in self.group._coset_steps()(self.payloads[0])]
+            _, step = self.group._coset_steps()
+            keys = step(self.payloads[0])
         return len(set(keys))
 
     def __contains__(self, v: CosetId) -> bool:
@@ -344,20 +342,36 @@ def _bfs(graph: CosetGraph, sources, depth: int):
 
 def _shell_components(graph: CosetGraph, inner: int, outer: int) -> list:
     """``ends.components_outside_ball`` as (id list, touches sphere) pairs.
-    Rows below the last sphere are read inline; a last-sphere vertex steps
-    by ``_neighbour_ids``, the rule of ``_bfs``."""
+    Rows below the last sphere are read inline, and so is a last-sphere
+    vertex: its BFS parent and its ``_last_ids`` entry, the rule of
+    ``_neighbour_ids``.  A last-sphere vertex with no entry is a leaf and
+    is skipped.  Its one in-ball neighbour is its parent, so it was reached
+    from the parent, or it starts its component with the parent outside
+    the shell; either way it adds nothing.  On the tree pairs (free groups,
+    BS(1, n)) that is every last-sphere vertex: half the ball on BS(1, 2),
+    two thirds on free(2) and BS(1, 3)."""
     if inner > outer or outer > graph.radius:
         raise ValueError(f"bad shell [{inner}, {outer}] for radius {graph.radius}")
     lo, top, hi = (graph.ball_size(n) for n in (inner - 1, outer - 1, outer))
-    rows, last, others = graph._rows, len(graph._rows), graph._neighbour_ids
+    rows, last, parent_of = graph._rows, len(graph._rows), graph.parent_of
+    extra = graph._last_ids if last < hi else {}
     seen = bytearray(hi)
     out = []
-    for start in range(lo, hi):
+    # a shell that starts below the last sphere holds every last-sphere
+    # vertex's parent, so no component starts on the last sphere
+    for start in range(lo, hi if lo >= last else min(hi, last)):
         if not seen[start]:
             seen[start] = 1
             comp = [start]
             for v in comp:
-                for w in rows[v] if v < last else others(v):
+                if v < last:
+                    ws = rows[v]
+                else:
+                    ws = extra.get(v)
+                    if ws is None:
+                        continue
+                    ws = (parent_of[v], *ws)
+                for w in ws:
                     if lo <= w < hi and not seen[w]:
                         seen[w] = 1
                         comp.append(w)

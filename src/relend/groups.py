@@ -152,25 +152,28 @@ class Group:
     def relator_words(self) -> tuple[Word, ...]:
         raise NotImplementedError
 
-    def _coset_steps(self) -> Callable[[object], list]:
-        """The coset graph's step: a function from a coset payload to the
-        ``(letter, key)`` pairs of its non-loop neighbours, letters in
-        ``s_letters`` order and each letter's witnesses in order, a repeated
-        pair kept once.  G acts on its cosets by left multiplication, so
-        vfK = vK exactly when f is in K and vfK = vgK exactly when fK = gK:
-        a step that loops or repeats at one vertex does so at every vertex.
-        This default drops those steps once, at the base, and multiplies by
-        the other witnesses (zmod and direct products use it); zd, free
-        and bs override it with a direct step."""
+    def _coset_steps(self) -> tuple[tuple[Letter, ...], Callable[[object], list]]:
+        """The coset graph's step as ``(letters, step)``: ``step`` maps a
+        coset payload to the keys of its non-loop neighbours, and
+        ``letters`` holds the letter of each key, the same for every
+        payload.  Letters come in ``s_letters`` order and each letter's
+        witnesses in order, a repeated (letter, key) pair kept once.  G acts
+        on its cosets by left multiplication, so vfK = vK exactly when f is
+        in K and vfK = vgK exactly when fK = gK: a step that loops or
+        repeats at one vertex does so at every vertex, and every vertex
+        steps by the same letters.  This default drops those steps once, at
+        the base, and multiplies by the other witnesses (zmod and direct
+        products use it); zd, free and bs override it with a direct step."""
         mul, rep = self._mul_payload, self._coset_rep_payload
         base = rep(self._identity_payload())
         kept = {(l, rep(f)): (l, f) for l, fs in self.witnesses.items() for f in fs}
         steps = [pair for (_, key), pair in kept.items() if key != base]
+        fs = [f for _, f in steps]
 
         def step(vp):
-            return [(letter, rep(mul(vp, fp))) for letter, fp in steps]
+            return [rep(mul(vp, f)) for f in fs]
 
-        return step
+        return tuple(l for l, _ in steps), step
 
     def _left_step(self, letter: Letter) -> Callable[[object], object]:
         """The function from the payload of a coset vK to that of svK, s the
@@ -257,8 +260,13 @@ class Group:
             out = mul(out, self._letter_payloads[letter])
         return GroupElement(self, out)
 
+    def payload_str(self, p: object) -> str:
+        """The canonical word of the element with payload p, its letters by
+        name; empty for the identity."""
+        return " ".join(map(self.letter_names.__getitem__, self._word(p)))
+
     def word_str(self, a: GroupElement) -> str:
-        return " ".join(map(self.letter_names.__getitem__, self.word_of(a)))
+        return self.payload_str(a.payload)
 
     def parse_token(self, token: str) -> Letter:
         sign = -1 if token[:1].isupper() else +1
@@ -313,11 +321,11 @@ class ZdGroup(Group):
         return tuple(map(neg, a))
 
     def _word(self, p):
-        out = []
-        for i, c in enumerate(p):
-            letter = (i + 1) if c > 0 else -(i + 1)
-            out.extend([letter] * abs(c))
-        return tuple(out)
+        out = ()
+        for i, c in enumerate(p, 1):
+            if c:
+                out += (i if c > 0 else -i,) * abs(c)
+        return out
 
     def _in_k(self, p):
         return not any(map(mul, p, self._free_mask))
@@ -339,12 +347,20 @@ class ZdGroup(Group):
     def _coset_steps(self):
         # +-1 on one coordinate outside K; K's letters are loops
         free = [i for i in range(self.d) if i not in self.k_coords]
-        moves = [(s * (i + 1), i, s) for i in free for s in (1, -1)]
 
         def step(vp):
-            return [(l, vp[:i] + (vp[i] + s,) + vp[i + 1 :]) for l, i, s in moves]
+            # one list, moved and copied: cheaper than slicing the tuple
+            cells, out = list(vp), []
+            for i in free:
+                c = cells[i]
+                cells[i] = c + 1
+                out.append(tuple(cells))
+                cells[i] = c - 1
+                out.append(tuple(cells))
+                cells[i] = c
+            return out
 
-        return step
+        return tuple(s * (i + 1) for i in free for s in (1, -1)), step
 
     def _left_step(self, letter):
         # abelian, so the right step: +-1 on a free coordinate, K's letters fix
@@ -461,13 +477,13 @@ class FreeGroup(Group):
 
     def _coset_steps(self):
         # append the letter, or cancel the last one
-        letters = self.s_letters
+        moves = [(-l, (l,)) for l in self.s_letters]
 
         def step(vp):
-            last = vp[-1] if vp else 0
-            return [(l, vp[:-1] if l == -last else vp + (l,)) for l in letters]
+            back = vp[-1] if vp else 0
+            return [vp[:-1] if inv == back else vp + one for inv, one in moves]
 
-        return step
+        return self.s_letters, step
 
     def _left_step(self, letter):
         # prepend the letter, or cancel the first one
@@ -567,7 +583,7 @@ class BsGroup(Group):
         # in the Bass-Serre tree the witness x^i t^eps appends (i, eps), or
         # for i = 0 pops back to the parent when the last pair has -eps
         moves = [
-            (2 * eps, ((i, eps),), -eps if i == 0 else None)
+            (((i, eps),), -eps if i == 0 else None)
             for eps, count in ((+1, self.m), (-1, self.n))
             for i in range(count)
         ]
@@ -576,11 +592,10 @@ class BsGroup(Group):
             pairs = vp[0]
             back = pairs[-1][1] if pairs else 0
             return [
-                (l, (pairs[:-1] if pop == back else pairs + pair, 0))
-                for l, pair, pop in moves
+                (pairs[:-1] if pop == back else pairs + pair, 0) for pair, pop in moves
             ]
 
-        return step
+        return (2,) * self.m + (-2,) * self.n, step
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,31 @@ GROUPS = st.one_of(
 )
 
 
+def _pairs_at(group, p):
+    """The ``(letter, key)`` pairs of the payload p's non-loop steps by its
+    own witness products, a repeated pair kept once."""
+    mul, rep = group._mul_payload, group._coset_rep_payload
+    pairs = []
+    for letter, fs in group.witnesses.items():
+        for f in fs:
+            pair = (letter, rep(mul(p, f)))
+            if pair[1] != p and pair not in pairs:
+                pairs.append(pair)
+    return pairs
+
+
 @given(group=GROUPS, radius=st.integers(0, 5))
 def test_family_steps_equal_the_generic_default(group, radius):
-    step, generic = group._coset_steps(), Group._coset_steps(group)
+    (letters, step), (generic_letters, generic) = (
+        group._coset_steps(), Group._coset_steps(group)
+    )
+    assert type(letters) is tuple and letters == generic_letters
     graph = CosetGraph(group, radius)
     for p in graph.payloads:
-        assert step(p) == generic(p)
+        keys = step(p)
+        assert keys == generic(p)
+        # the letters handed over once are every payload's own step letters
+        assert list(zip(letters, keys, strict=True)) == _pairs_at(group, p)
 
 
 def _limit(build) -> str:
@@ -160,13 +179,13 @@ def _count_steps(monkeypatch, family) -> Counter:
     make = family._coset_steps
 
     def counted(self):
-        step = make(self)
+        letters, step = make(self)
 
         def counting(p):
             stepped[p] += 1
             return step(p)
 
-        return counting
+        return letters, counting
 
     monkeypatch.setattr(family, "_coset_steps", counted)
     return stepped

@@ -175,9 +175,13 @@ def test_tree_pairs_keep_no_last_sphere_table(group):
 def _stepped_adj(graph):
     """``(letter, id)`` rows by a fresh step of every payload, kept inside
     the ball."""
-    step, find = graph.group._coset_steps(), graph.index.get
+    (letters, step), find = graph.group._coset_steps(), graph.index.get
     return [
-        tuple((l, w) for l, k in step(p) if (w := find(k)) is not None)
+        tuple(
+            (l, w)
+            for l, k in zip(letters, step(p), strict=True)
+            if (w := find(k)) is not None
+        )
         for p in graph.payloads
     ]
 
@@ -191,7 +195,7 @@ ADJ_GROUPS = {
 @pytest.mark.parametrize("name", sorted(ADJ_GROUPS))
 def test_adj_pairs_the_letter_and_id_rows(name):
     group = ADJ_GROUPS[name]
-    step, cache = group._coset_steps(), BallCache(group)
+    (step_letters, step), cache = group._coset_steps(), BallCache(group)
     for radius in range(7):
         for graph in (CosetGraph(group, radius), cache.at_least(radius)):
             last = graph.sphere_start[radius]
@@ -206,11 +210,54 @@ def test_adj_pairs_the_letter_and_id_rows(name):
                 tuple((l, cosets[w]) for l, w in row) for row in stepped
             ]
             # every row below the last sphere aligns with the one letter
-            # tuple, and a fresh step of its payload yields those letters
+            # tuple, the hook's, and a fresh step of its payload yields a
+            # key for each of those letters
             letters = graph._step_letters
+            assert letters == step_letters
             for ids, p in zip(graph._rows, graph.payloads):
-                assert len(ids) == len(letters)
-                assert tuple(l for l, _ in step(p)) == letters
+                assert len(ids) == len(letters) == len(step(p))
+
+
+def _shell_by_rows(graph, inner, outer):
+    """The components of the vertices of norm inner..outer, each as its
+    sorted ids and whether it meets norm outer, by a search over the
+    edges of ``labelled_rows`` taken both ways."""
+    norm = graph.norm_of
+    shell = [v for v in range(graph.vertex_count()) if inner <= norm[v] <= outer]
+    edges = {v: set() for v in shell}
+    for v, (ids, _) in enumerate(graph.labelled_rows()):
+        for w in ids:
+            if v in edges and w in edges:
+                edges[v].add(w)
+                edges[w].add(v)
+    out, seen = [], set()
+    for start in shell:
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:
+                new = edges[v] - seen
+                seen |= new
+                comp += new
+            out.append((sorted(comp), any(norm[v] == outer for v in comp)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ADJ_GROUPS))
+def test_shell_components_equal_a_search_of_the_labelled_rows(name):
+    # zmod(5) and Z^2 x Z/3 have last-sphere vertices with an edge besides
+    # the one to their parent, and the tree pairs have none: a skipped
+    # leaf that still had an edge would split or drop a component
+    group, cache = ADJ_GROUPS[name], BallCache(ADJ_GROUPS[name])
+    for radius in range(7):
+        for graph in (CosetGraph(group, radius), cache.at_least(radius)):
+            shells = [(i, o) for o in range(radius + 1) for i in range(o + 1)]
+            ours = [
+                [(sorted(comp), touches) for comp, touches in
+                 _shell_components(graph, i, o)]
+                for i, o in shells
+            ]
+            assert ours == [_shell_by_rows(graph, i, o) for i, o in shells]
 
 
 # zmod(2): a and A reach one coset; zmod(1): the trivial group, degree 0
@@ -222,13 +269,13 @@ DEGREE_GROUPS = {
 @pytest.mark.parametrize("name", sorted(DEGREE_GROUPS))
 def test_degree_is_one_count_of_the_stepped_neighbours(name):
     group = DEGREE_GROUPS[name]
-    step, cache = group._coset_steps(), BallCache(group)
+    (_, step), cache = group._coset_steps(), BallCache(group)
     for radius in range(7):
         for graph in (CosetGraph(group, radius), cache.at_least(radius)):
             d = graph.degree
             assert type(d) is int
             assert {
-                len({k for _, k in step(p) if k != p}) for p in graph.payloads
+                len({k for k in step(p) if k != p}) for p in graph.payloads
             } == {d}
             assert all(graph.full_degree(v) == d for v in graph.cosets)
 
