@@ -22,6 +22,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=200)
     args = parser.parse_args()
+    if args.trials < 0:
+        message = f"--trials must be nonnegative, got {args.trials}"
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
 
     bad = 0
     for name, group, set_name, radius, cap in CASES:

@@ -174,13 +174,15 @@ def _draw_cells(
     n: int, symbols, rng: random.Random, max_entries: int = 6
 ) -> list[tuple[int, str]]:
     """Random ``(id, symbol)`` pairs on distinct ids below n: a count, the
-    ids, then one symbol per id, in that order of draws."""
+    ids, then one symbol per id, in that order of draws.
+    ``obstruction.verify_sign_identity`` makes the same draws inline."""
     count = rng.randrange(0, min(max_entries, n) + 1)
     return [(v, rng.choice(symbols)) for v in rng.sample(range(n), count)]
 
 
 def _draw_word(letters, n: int, rng: random.Random) -> list:
-    """A random word of at most n letters; its length is drawn first."""
+    """A random word of at most n letters; its length is drawn first.
+    ``obstruction.verify_sign_identity`` makes the same draws inline."""
     return [rng.choice(letters) for _ in range(rng.randrange(0, n + 1))]
 
 

@@ -193,7 +193,7 @@ ADJ_GROUPS = {
 
 
 @pytest.mark.parametrize("name", sorted(ADJ_GROUPS))
-def test_adj_pairs_the_letter_and_id_rows(name):
+def test_labelled_rows_pair_letters_and_ids(name):
     group = ADJ_GROUPS[name]
     (step_letters, step), cache = group._coset_steps(), BallCache(group)
     for radius in range(7):

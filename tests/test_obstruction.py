@@ -697,6 +697,41 @@ def test_sign_identity_draws_what_the_pattern_sampler_drew(group, set_name, radi
     assert any(counts)
 
 
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+@pytest.mark.parametrize(
+    "max_word, max_norm", [(0, 3), (3, 3), (4, 1)], ids=["w0", "w3", "n1"]
+)
+def test_sign_identity_draws_the_pattern_stream_with_any_letter_broken(
+    group, set_name, radius, max_word, max_norm
+):
+    # the same comparison with {e} xored into each letter's set in turn, at
+    # word bounds 0 and 3, and on ball(1): its at most 6 cells cap the
+    # count draw, and random.sample takes its pool branch there, where
+    # free(2) at max_norm 3 takes its set branch; zero trials must draw
+    # nothing at all
+    cache = BallCache(group)
+    boundaries = generator_boundaries(cache, builtin_set(group, set_name), radius)
+    base = coset_of(group.identity())
+    counts = []
+    for letter in group.s_letters:
+        broken = {**boundaries, letter: boundaries[letter] ^ {base}}
+        for seed, trials in ((0, 0), (1, 60), (2, 60), (3, 60)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            before = ours.getstate()
+            check = verify_sign_identity(
+                cache, broken, trials, ours, max_word, max_norm
+            )
+            assert check.trials == trials
+            assert check.violations == _pattern_identity_trials(
+                cache, broken, trials, theirs, max_word, max_norm
+            ), (letter, seed)
+            assert ours.getstate() == theirs.getstate()
+            if not trials:
+                assert check.violations == 0 and ours.getstate() == before
+            counts.append(check.violations)
+    assert any(counts) == (max_word > 0)
+
+
 def test_sign_identity_refuses_a_negative_trial_count(line):
     group, cache, region = line
     b = generator_boundaries(cache, region, 6)

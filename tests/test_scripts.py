@@ -39,3 +39,18 @@ def test_usage_line_names_only_flags_the_script_takes(script):
     assert done.returncode == 0, done.stderr
     offered = set(re.findall(r"--[\w-]+", done.stdout))
     assert usage and flags and flags <= offered, flags - offered
+
+
+def test_obstruction_demo_refuses_a_negative_trial_count():
+    # one line on stderr and exit 2, as for any malformed input; no traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "obstruction_demo.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--trials", "-1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "obstruction_demo.py: error: --trials must be nonnegative, got -1"
+    ]

@@ -9,7 +9,10 @@ with ``cocycle_to_json``, one per pair of the benchmark's tables workload.
 The cases verify each file at two seeds, trivialize each file (and the
 zd(2), zd(3) and zd(3, [0]) files at two seeds with the default 50
 samples), verify one file with a corrupted entry, and plant-and-trivialize
-at b0-windows 0 and 1.
+at b0-windows 0 and 1.  The files use ``PLANT_SEED``, whose b0 is constant
+at b0-window 0, so their cocycles are constant; the one-ended pairs are
+also trivialized on files planted at ``VARIED_SEED``, whose b0 takes both
+values (``assert_varies``).
 Two pairs carry an alphabet that K permutes, given as a
 ``{"group": ..., "alphabet": ...}`` config: zd(3, [0]) with a = (0 2 1) is
 planted and trivialized, and a file planted on BS(1, 2) with x = (0 2 3 1)
@@ -58,8 +61,11 @@ CONFIGS = {
         },
     },
 }
-PLANT_SEED = 11  # seed of every planted cocycle file
+PLANT_SEED = 11  # seed of every planted cocycle file but the varied ones
+# a seed whose b0 takes both values, so the planted cocycle is not constant
+VARIED_SEED = 4
 PLAIN = ("zd2", "zd3", "zd3k0", "free2", "bs12")  # binary trivial alphabet
+ONE_ENDED = ("zd2", "zd3", "zd3k0")
 
 # (command, pair, seed, extra arguments)
 CASES = (
@@ -72,6 +78,8 @@ CASES = (
         for seed in (1, 2)
     ]
     + [("verify-corrupt", "zd2", 1, ())]
+    # files planted at VARIED_SEED: the transfer is tested on a b0 that varies
+    + [("trivialize-varied", pair, 1, ()) for pair in ONE_ENDED]
     + [
         ("plant", pair, 1, ("--b0-window", str(w), "--samples", "12"))
         for pair in ("zd2", "zd3k0", "bs12")
@@ -95,7 +103,28 @@ def _name(case):
     return "-".join([command, pair, f"s{seed}", *(a.lstrip("-") for a in extra)])
 
 
-def _write_cocycle(pair: str, path: Path, corrupt: bool) -> None:
+def assert_varies(spec) -> None:
+    """The planted b0 takes at least two values.  With one value b, c(s, y)
+    = b^-1 hom(s) b = hom(s) at every y, a constant cocycle."""
+    values = {g.payload for g in spec.derivation.b0.values()}
+    assert len(values) >= 2, f"b0 is constant: {values}"
+
+
+def test_assert_varies_refuses_a_constant_planting():
+    # the PLANT_SEED files are constant at b0-window 0, the VARIED_SEED
+    # ones are not
+    group = group_from_config(CONFIGS["zd2"])
+    alphabet, graph = trivial_alphabet(("0", "1"), "0"), BallCache(group).at_least(1)
+
+    def plant(seed):
+        return plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, seed, graph)
+
+    with pytest.raises(AssertionError, match="b0 is constant"):
+        assert_varies(plant(PLANT_SEED))
+    assert_varies(plant(VARIED_SEED))
+
+
+def _write_cocycle(pair: str, path: Path, command: str) -> None:
     cfg = CONFIGS[pair]
     if "group" in cfg:
         group = group_from_config(cfg["group"])
@@ -103,9 +132,14 @@ def _write_cocycle(pair: str, path: Path, corrupt: bool) -> None:
     else:
         group, alphabet = group_from_config(cfg), trivial_alphabet(("0", "1"), "0")
     graph = BallCache(group).at_least(1)
-    spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, PLANT_SEED, graph)
+    varied = command == "trivialize-varied"
+    seed = VARIED_SEED if varied else PLANT_SEED
+    spec = plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, seed, graph)
+    if varied:
+        assert_varies(spec)
     data = cocycle_to_json(spec, graph)
-    if corrupt:  # flip the value of the first row of the first generator
+    if command == "verify-corrupt":
+        # flip the value of the first row of the first generator
         row = data["tables"][sorted(data["tables"])[0]][0]
         row[1] = "" if row[1] else "a"
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -123,9 +157,9 @@ def run_case(case, workdir: Path) -> str:
         argv = ["trivialize", *argv, "--plant", "--out", str(transfer)]
     else:
         cocycle = workdir / "cocycle.json"
-        _write_cocycle(pair, cocycle, command == "verify-corrupt")
+        _write_cocycle(pair, cocycle, command)
         argv = [command.split("-")[0], *argv, "--cocycle", str(cocycle)]
-        if command == "trivialize":
+        if argv[0] == "trivialize":
             argv += ["--out", str(transfer)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -183,6 +217,12 @@ GOLDEN = {
         "c4c7cc857a4ed2a50f18906775c9ef3ca203f8920a2360e52d1e25ae3dddb9a1",
     "verify-corrupt-zd2-s1":
         "c078a646d351e35c2fab2a02a871ba88bbdff89b30d10452f0821f6a9536745e",
+    "trivialize-varied-zd2-s1":
+        "90172eef7fcbefcf595bae05e150b0cc000e88f88e449bee86705587eb100eac",
+    "trivialize-varied-zd3-s1":
+        "0c4fd93b99a314245a78bc4d8a2d24a3ef3a56d704e7a9e60307e66262d3f0f7",
+    "trivialize-varied-zd3k0-s1":
+        "07b18ef3222eb03ef9bacd8139473056b3d2a54ebf5e42e4fc7a940e6ee777f9",
     "plant-zd2-s1-b0-window-0-samples-12":
         "77343e221469032abc7e6317d35fda0d9f4fa1c4b0e6aec743af17b19073cb80",
     "plant-zd2-s1-b0-window-1-samples-12":
@@ -215,6 +255,16 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES, ids=_name)
 def test_tables_output_digest(case, tmp_path):
     assert run_case(case, tmp_path) == GOLDEN[_name(case)]
+
+
+@pytest.mark.parametrize("pair", ONE_ENDED)
+def test_a_varied_planting_is_recovered_by_a_transfer_that_varies(pair, tmp_path):
+    # the digests pin bytes; this says what the varied cases show: the run
+    # passes, and the recovered b takes both values of Z/2
+    run_case(("trivialize-varied", pair, 1, ()), tmp_path)
+    assert (tmp_path / "report.txt").read_text().endswith("RESULT: ok\n")
+    transfer = json.loads((tmp_path / "transfer.json").read_text())
+    assert len(set(transfer["b"].values())) == 2
 
 
 if __name__ == "__main__":
