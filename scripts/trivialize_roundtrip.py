@@ -26,6 +26,10 @@ def main() -> int:
     parser.add_argument("--b0-window", type=int, default=2)
     parser.add_argument("--samples", type=int, default=100)
     args = parser.parse_args()
+    for flag, value in (("--b0-window", args.b0_window), ("--samples", args.samples)):
+        if value < 0:
+            message = f"{flag} must be nonnegative, got {value}"
+            parser.exit(2, f"{parser.prog}: error: {message}\n")
 
     alphabet = trivial_alphabet(("0", "1"), "0")
     failures = 0

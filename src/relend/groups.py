@@ -497,11 +497,14 @@ class FreeGroup(Group):
 class BsGroup(Group):
     """Britton normal form with excess x-powers pushed to the right.
 
-    Payload: ``(pairs, tail)`` encoding x^p1 t^e1 x^p2 t^e2 ... x^pk t^ek x^tail
-    where each pair is (p_i, e_i), p_i lies in [0, m) before t and [0, n)
-    before t^-1, there is no subword t^e x^0 t^-e, and the trailing exponent
-    is unconstrained.  Right multiplication by x only shifts the tail, so a
-    coset gK is canonicalised by zeroing it.
+    Payload: the flat int tuple ``(tail, c1, ..., ck)`` encoding
+    x^p1 t^e1 x^p2 t^e2 ... x^pk t^ek x^tail, where p_i lies in [0, m) before
+    t and [0, n) before t^-1, there is no subword t^e x^0 t^-e, and the
+    tail is unconstrained.  The pair (p, e) is the code p + 1 for e = +1 and
+    -(p + 2) for e = -1, so codes lie in [1, m] and [-(n + 1), -2]; -1 is
+    never a code, since CPython hashes -1 as it hashes -2.  Right
+    multiplication by x only shifts the tail, so a coset gK is canonicalised
+    by zeroing it, and a coset step appends or pops one code.
     """
 
     family = "bs"
@@ -515,58 +518,63 @@ class BsGroup(Group):
         super().__init__(("x", "t"), (1,))
 
     def _identity_payload(self):
-        return ((), 0)
+        return (0,)
 
     def _gen_payload(self, index: int):
-        if index == 1:
-            return ((), 1)
-        return (((0, +1),), 0)
+        return (1,) if index == 1 else (0, 1)
 
-    def _append_t(self, pairs: list, tail: int, eps: int) -> int:
-        """Append t^eps to x^tail, rewriting x-excess through the relation."""
+    def _append_t(self, out: list, tail: int, eps: int) -> int:
+        """Append t^eps to x^tail, rewriting x-excess through the relation;
+        ``out`` holds a tail slot, then the codes."""
         mod, carry = (self.m, self.n) if eps > 0 else (self.n, self.m)
         q, s = divmod(tail, mod)
-        if s == 0 and pairs and pairs[-1][1] == -eps:
-            pre, _ = pairs.pop()
-            return pre + carry * q
-        pairs.append((s, eps))
+        if s == 0 and len(out) > 1 and (out[-1] < 0) == (eps > 0):
+            c = out.pop()
+            return (c - 1 if c > 0 else -c - 2) + carry * q
+        out.append(s + 1 if eps > 0 else -s - 2)
         return carry * q
 
     def _mul_payload(self, a, b):
-        pairs = list(a[0])
-        tail = a[1]
-        for pre, eps in b[0]:
-            tail += pre
-            tail = self._append_t(pairs, tail, eps)
-        return (tuple(pairs), tail + b[1])
+        out = list(a)
+        tail = a[0]
+        for c in b[1:]:
+            if c > 0:
+                tail = self._append_t(out, tail + c - 1, +1)
+            else:
+                tail = self._append_t(out, tail - c - 2, -1)
+        out[0] = tail + b[0]
+        return tuple(out)
 
     def _inv_payload(self, a):
-        pairs: list = []
-        tail = -a[1]
-        for pre, eps in reversed(a[0]):
-            tail = self._append_t(pairs, tail, -eps)
-            tail += -pre
-        return (tuple(pairs), tail)
+        out = [0]
+        tail = -a[0]
+        for c in reversed(a[1:]):
+            if c > 0:
+                tail = self._append_t(out, tail, -1) - c + 1
+            else:
+                tail = self._append_t(out, tail, +1) + c + 2
+        out[0] = tail
+        return tuple(out)
 
     def _word(self, p):
         out = []
-        for pre, eps in p[0]:
-            out.extend([1] * pre)
-            out.append(2 if eps > 0 else -2)
-        tail = p[1]
+        for c in p[1:]:
+            out.extend([1] * (c - 1 if c > 0 else -c - 2))
+            out.append(2 if c > 0 else -2)
+        tail = p[0]
         out.extend([1 if tail > 0 else -1] * abs(tail))
         return tuple(out)
 
     def _in_k(self, p):
-        return p[0] == ()
+        return len(p) == 1
 
     def _coset_rep_payload(self, a):
-        return (a[0], 0)
+        return (0,) + a[1:]
 
     def _k_exponents(self, p):
-        if p[0] != ():
+        if len(p) != 1:
             raise InternalError("k_exponents called on an element outside <x>")
-        return (p[1],)
+        return p
 
     def _witness_elements(self, letter):
         # x^i t^eps for i below m (eps = +1) or n (eps = -1)
@@ -574,26 +582,25 @@ class BsGroup(Group):
             return (self._identity_payload(),)
         t = self._letter_payloads[letter]
         count = self.m if letter > 0 else self.n
-        return tuple(self._mul_payload(((), i), t) for i in range(count))
+        return tuple(self._mul_payload((i,), t) for i in range(count))
 
     def relator_words(self):
         return ((-2,) + (1,) * self.m + (2,) + (-1,) * self.n,)
 
     def _coset_steps(self):
-        # in the Bass-Serre tree the witness x^i t^eps appends (i, eps), or
-        # for i = 0 pops back to the parent when the last pair has -eps
+        # in the Bass-Serre tree the witness x^i t^eps appends its code, or
+        # for i = 0 pops back to the parent when the last code has sign -eps;
+        # a representative's tail is 0, so the base has sign 0
         moves = [
-            (((i, eps),), -eps if i == 0 else None)
+            ((i + 1 if eps > 0 else -i - 2,), -eps if i == 0 else None)
             for eps, count in ((+1, self.m), (-1, self.n))
             for i in range(count)
         ]
 
         def step(vp):
-            pairs = vp[0]
-            back = pairs[-1][1] if pairs else 0
-            return [
-                (pairs[:-1] if pop == back else pairs + pair, 0) for pair, pop in moves
-            ]
+            last = vp[-1]
+            back = (last > 0) - (last < 0)
+            return [vp[:-1] if pop == back else vp + one for one, pop in moves]
 
         return (2,) * self.m + (-2,) * self.n, step
 

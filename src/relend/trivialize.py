@@ -331,6 +331,11 @@ class Trivializer:
         max_word: int = 4,
         max_norm: int = 3,
     ) -> tuple[TransferTable, TrivializeReport]:
+        if cohomology_samples < 0:
+            # a negative count would sweep nothing and report a pass
+            raise ValueError(
+                f"cohomology_samples must be nonnegative, got {cohomology_samples}"
+            )
         report = TrivializeReport(self.seed)
         rng = random.Random(self.seed)
         cocycle = self.cocycle

@@ -104,6 +104,73 @@ def test_bs_rewrite_example():
     assert g.word_str(xt) == "t x x"
 
 
+BS_ORACLE_GROUPS = {f"bs{m}{n}": BsGroup(m, n) for m, n in [(1, 2), (1, 3), (1, 4)]}
+BS_LAW_GROUPS = {f"bs{m}{n}": BsGroup(m, n) for m, n in [(2, 3), (3, 2)]}
+BS_GROUPS = {**BS_ORACLE_GROUPS, **BS_LAW_GROUPS}
+
+
+def _inverse_word(word):
+    return tuple(-l for l in reversed(word))
+
+
+@st.composite
+def bs_word_pairs(draw, group):
+    """Two words, the second random or the first with a relator, its
+    inverse or a pair s s^-1 put in at a random place."""
+    w1 = draw(letters_of(group))
+    relator = group.relator_words()[0]
+    insert = draw(st.sampled_from(
+        [None, relator, _inverse_word(relator), *((l, -l) for l in group.s_letters)]
+    ))
+    if insert is None:
+        return w1, draw(letters_of(group))
+    at = draw(st.integers(0, len(w1)))
+    return w1, w1[:at] + list(insert) + w1[at:]
+
+
+@pytest.mark.parametrize("name", sorted(BS_ORACLE_GROUPS))
+@given(data=st.data())
+def test_bs1n_payloads_agree_with_the_affine_model(name, data):
+    # BS(1, n) acts faithfully on Q by x: z -> z + 1, t: z -> z / n
+    group = BS_ORACLE_GROUPS[name]
+    w1, w2 = data.draw(bs_word_pairs(group))
+    same = group.element_from_word(w1).payload == group.element_from_word(w2).payload
+    assert same == (bs1n_affine(w1, group.n) == bs1n_affine(w2, group.n))
+
+
+@pytest.mark.parametrize("name", sorted(BS_LAW_GROUPS))
+@given(data=st.data())
+def test_bs_payloads_obey_the_group_laws(name, data):
+    group = BS_LAW_GROUPS[name]
+    a, b, c = (group.element_from_word(data.draw(letters_of(group))) for _ in "abc")
+    mul = group.multiply
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, group.invert(a)).is_identity()
+    assert group.element_from_word(group.word_of(a)) == a
+    u = data.draw(letters_of(group))
+    for relator in group.relator_words():
+        assert group.element_from_word(relator).is_identity()
+        conjugate = u + list(relator) + list(_inverse_word(u))
+        assert group.element_from_word(conjugate).is_identity()
+
+
+@pytest.mark.parametrize("name", sorted(BS_GROUPS))
+@given(data=st.data())
+def test_bs_payloads_are_flat_reduced_code_tuples(name, data):
+    # (tail, c1, ..., ck): a code is p + 1 before t, -(p + 2) before t^-1,
+    # so 0 and -1 never occur, and no t^e x^0 t^-e is left
+    group = BS_GROUPS[name]
+    m, n = group.m, group.n
+    p = group.element_from_word(data.draw(letters_of(group))).payload
+    assert type(p) is tuple and p and all(type(c) is int for c in p)
+    codes = p[1:]
+    assert all(1 <= c <= m or -(n + 1) <= c <= -2 for c in codes)
+    for prev, c in zip(codes, codes[1:]):
+        assert not (c == 1 and prev < 0) and not (c == -2 and prev > 0)
+    rep = coset_of(GroupElement(group, p)).rep.payload
+    assert rep == (0, *codes)
+
+
 def test_subgroup_membership():
     z = ZdGroup(2, (0,))
     assert z.is_in_k(z.element_from_word([1, 1, 1]))

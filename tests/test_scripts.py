@@ -54,3 +54,19 @@ def test_obstruction_demo_refuses_a_negative_trial_count():
     assert done.stderr.splitlines() == [
         "obstruction_demo.py: error: --trials must be nonnegative, got -1"
     ]
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--b0-window"])
+def test_trivialize_roundtrip_refuses_a_negative_count(flag):
+    # one line and exit 2, not a passing sweep of -1 samples or a traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "trivialize_roundtrip.py"
+    done = subprocess.run(
+        [sys.executable, str(script), flag, "-1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"trivialize_roundtrip.py: error: {flag} must be nonnegative, got -1"
+    ]

@@ -19,7 +19,8 @@ planted and trivialized, and a file planted on BS(1, 2) with x = (0 2 3 1)
 is verified (BS(1, 2) is many-ended, so trivialize stops at one_ended).
 The product BS(1, 2) x Z relative to <x> x 0, whose letter steps correct
 by K-elements on flat product payloads, is planted and trivialized at
-b0-window 0, and its planted file is verified.
+b0-window 0, at seed 1 (a constant b0) and at ``VARIED_SEED``, and its
+planted file is verified.
 
 To re-record after an intended change, run this file as a script; it prints
 the table below.
@@ -93,7 +94,10 @@ CASES = (
         for w in (0, 1)
     ]
     # a product pair: K-corrections on flat product payloads
-    + [("plant", "bs12z", 1, ("--b0-window", "0", "--samples", "12"))]
+    + [
+        ("plant", "bs12z", seed, ("--b0-window", "0", "--samples", "12"))
+        for seed in (1, VARIED_SEED)
+    ]
     + [("verify", "bs12z", 1, ())]
 )
 
@@ -122,6 +126,15 @@ def test_assert_varies_refuses_a_constant_planting():
     with pytest.raises(AssertionError, match="b0 is constant"):
         assert_varies(plant(PLANT_SEED))
     assert_varies(plant(VARIED_SEED))
+
+
+def test_the_varied_product_planting_is_not_constant():
+    # what ``trivialize --plant --b0-window 0`` plants on bs12z at VARIED_SEED
+    group = group_from_config(CONFIGS["bs12z"])
+    alphabet, graph = trivial_alphabet(("0", "1"), "0"), BallCache(group).at_least(0)
+    assert_varies(
+        plant_cocycle(group, alphabet, ZmodGroup((2,)), 0, VARIED_SEED, graph)
+    )
 
 
 def _write_cocycle(pair: str, path: Path, command: str) -> None:
@@ -247,6 +260,8 @@ GOLDEN = {
         "201e885dd5c3c7df7d46bc69d78682ee143551f106e489656c493f25cde914cf",
     "plant-bs12z-s1-b0-window-0-samples-12":
         "2729fd26b9fedc60dc38a460439d393148800dcf8a1ddf30520021183abd4e00",
+    "plant-bs12z-s4-b0-window-0-samples-12":
+        "9a8f2f2bced0a2e7bd37e5660c909ab497f4918b04a225426f38b2c47733881d",
     "verify-bs12z-s1":
         "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
 }

@@ -150,6 +150,15 @@ def test_verify_cohomology_samples(grid_setting):
     assert worker.verify_cohomology(group.identity(), random_pattern(graph, alpha, 2, rng))
 
 
+def test_run_refuses_a_negative_sample_count(grid_setting, monkeypatch):
+    # refused before the ends estimate, so no report can pass on it
+    group, cache, alpha, target, c = grid_setting
+    monkeypatch.setattr(trivialize, "estimate_ends", None)
+    message = "cohomology_samples must be nonnegative, got -1"
+    with pytest.raises(ValueError, match=message):
+        Trivializer(cache, c, seed=3).run(cohomology_samples=-1)
+
+
 def test_full_roundtrip_report(grid_setting):
     group, cache, alpha, target, c = grid_setting
     table, report = Trivializer(cache, c, seed=3).run(cohomology_samples=25)
