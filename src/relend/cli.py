@@ -167,6 +167,8 @@ def _cmd_trivialize(
 def _cmd_obstruct(
     args: argparse.Namespace, group: Group, alphabet: Alphabet | None
 ) -> int:
+    if args.cap < 0:
+        raise ConfigError("--cap must be nonnegative")
     cache = BallCache(group)
     region = builtin_set(group, args.set_name)
     report = rho_forcing_check(

@@ -36,9 +36,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .coset_graph import BallCache, CosetGraph, Path
 from .errors import (
@@ -93,8 +92,7 @@ def pattern_key(p: Pattern) -> frozenset:
     return p.entries
 
 
-@dataclass(frozen=True)
-class PlantedData:
+class PlantedData(NamedTuple):
     """Provenance of a planted coboundary-of-a-homomorphism cocycle.
 
     ``region`` holds the cells of the b0 window, whose patterns key ``b0``.
@@ -111,7 +109,6 @@ class PlantedData:
         return self.b0[pattern_key(restrict(p, self.region))]
 
 
-@dataclass
 class CocycleSpec:
     """A block-coded cocycle G x Y -> H of window radius ``window``.
 
@@ -129,17 +126,36 @@ class CocycleSpec:
     part in equality and start empty in ``corrupted`` copies.
     """
 
-    group: Group
-    alphabet: Alphabet
-    target: Group
-    window: int
-    tables: dict[Letter, dict[int, GroupElement]] = field(default_factory=dict)
-    rule: Callable[[Letter, Pattern], GroupElement] | None = None
-    derivation: object | None = None
-    _letter_steps: dict = field(
-        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
-    )
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        group: Group,
+        alphabet: Alphabet,
+        target: Group,
+        window: int,
+        tables: dict[Letter, dict[int, GroupElement]] | None = None,
+        rule: Callable[[Letter, Pattern], GroupElement] | None = None,
+        derivation: object | None = None,
+    ):
+        self.group = group
+        self.alphabet = alphabet
+        self.target = target
+        self.window = window
+        self.tables = {} if tables is None else tables
+        self.rule = rule
+        self.derivation = derivation
+        self._letter_steps: dict = defaultdict(dict)
+        self._images: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.group, self.alphabet, self.target, self.window,
+            self.tables, self.rule, self.derivation,
+        ) == (
+            other.group, other.alphabet, other.target, other.window,
+            other.tables, other.rule, other.derivation,
+        )
 
     @cached_property
     def _window(self) -> dict[object, CosetId]:
@@ -237,7 +253,10 @@ class CocycleSpec:
         tables = {l: dict(t) for l, t in self.tables.items()}
         tables.setdefault(letter, {})[self._code(key)] = value
         # the rule, kept, is asked only for entries the tables lack
-        return replace(self, tables=tables)
+        return CocycleSpec(
+            self.group, self.alphabet, self.target, self.window,
+            tables, self.rule, self.derivation,
+        )
 
 
 def _window_code(digits: dict, z: list) -> int:
@@ -306,15 +325,13 @@ def evaluate(c: CocycleSpec, g: GroupElement, y: Pattern) -> GroupElement:
     return evaluate_word(c, g.word, y)
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     relator: tuple
     key: frozenset
     value: GroupElement
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     checked: int
     violations: tuple[RelationViolation, ...]
 
@@ -355,8 +372,7 @@ def verify_relations(
     return RelationReport(checked, tuple(violations))
 
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(NamedTuple):
     """Subgroup elements certifying one labeled edge: v * x^-1 = u * y * s."""
 
     y: GroupElement

@@ -36,8 +36,8 @@ module reads this layout, so the shell passes of ``ends`` live here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BallTooLargeError,
@@ -56,8 +56,7 @@ MAX_VERTICES = 200_000  # vertex budget of a ball, checked per vertex
 WITNESS_WORK = 4
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An edge path; labels[i] carries vertices[i] to vertices[i+1]."""
 
     vertices: tuple[CosetId, ...]

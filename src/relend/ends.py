@@ -11,29 +11,26 @@ radii agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coset_graph import BallCache, CosetGraph, _shell_components
 from .errors import NoStabilizationError, NotOneEndedError
 from .groups import CosetId, Group
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     vertices: frozenset[CosetId]
     touches_sphere: bool
 
 
-@dataclass(frozen=True)
-class EndsRow:
+class EndsRow(NamedTuple):
     r: int
     probe_radius: int
     components: int
     sphere_touching: int
 
 
-@dataclass(frozen=True)
-class EndsReport:
+class EndsReport(NamedTuple):
     rows: tuple[EndsRow, ...]
     kind: str  # "exact" | "at_least" | "inconclusive"
     count: int | None
@@ -49,8 +46,7 @@ class EndsReport:
         return self.kind == "exact" and self.count == k
 
 
-@dataclass(frozen=True)
-class CapacityEntry:
+class CapacityEntry(NamedTuple):
     value: int
     probe_radius: int
 
@@ -126,8 +122,7 @@ def capacity(cache: BallCache, r: int) -> CapacityEntry:
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckResult:
+class CrossCheckResult(NamedTuple):
     pair_report: EndsReport
     reference_report: EndsReport
     agrees: bool

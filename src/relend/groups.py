@@ -18,8 +18,13 @@ the element methods once over them, and ``witness`` wraps witness payloads.
 
 Lattice and cyclic arithmetic maps the ``operator`` functions over
 per-group constants (a 0/1 mask of the coordinates outside K, the moduli).
-Elements and cosets hash by their payload alone; equality still compares the
-group, so equal payloads in two groups stay distinct keys.
+
+``GroupElement`` is the named tuple (group, payload) and ``CosetId`` the
+one-field tuple (rep,), so equality is tuple equality and runs in C: it
+compares the group by identity, then the payloads.  Both hash by the
+payload alone, so equal payloads in two groups hash alike but stay distinct
+keys.  CPython hashes -1 as -2, so payloads that differ only there collide;
+such a collision costs one C tuple compare per probe, not a Python call.
 
 All values are immutable and every operation is a pure function, so elements
 and cosets are safe to share across threads.
@@ -28,11 +33,10 @@ and cosets are safe to share across threads.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import add, mod, mul, neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
 
@@ -41,8 +45,7 @@ Letter = int
 Word = tuple
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """An element of a built-in group, held in family normal form."""
 
     group: "Group"
@@ -62,8 +65,7 @@ class GroupElement:
         return f"<{self.group.word_str(self) or 'e'}>"
 
 
-@dataclass(frozen=True)
-class CosetId:
+class CosetId(NamedTuple):
     """A left coset gK, identified by its canonical representative."""
 
     rep: GroupElement
@@ -75,8 +77,7 @@ class CosetId:
         return f"[{self.rep.group.word_str(self.rep) or 'e'}]"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A finite set F_s of elements with K*s contained in F_s*K."""
 
     letter: Letter

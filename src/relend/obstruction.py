@@ -28,8 +28,7 @@ other through the component is odd, the certificate that no such B exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cocycles import CocycleSpec
 from .coset_graph import BallCache, CosetGraph
@@ -47,8 +46,7 @@ def sign_alphabet() -> Alphabet:
     return trivial_alphabet((PLUS, MINUS), PLUS)
 
 
-@dataclass(frozen=True)
-class AlmostInvariantSet:
+class AlmostInvariantSet(NamedTuple):
     """A coset-payload predicate expected to have finite generator differences."""
 
     name: str
@@ -180,8 +178,7 @@ def sign_cocycle(
     return _sign(_sign_table(group, boundaries), group.invert(g).word, minus)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """A witness B, or an odd closed walk of equations B(v) xor B(w) =
     parity that rules every B out: entries ``(v, letter, w, parity)`` with
     w = s^-1 v, or None outside the ball, where B is 0.  ``decisions``
@@ -205,6 +202,8 @@ def bounded_coboundary_search(
     The difference sets come from a pass over ball(radius + 1), certified
     at norm radius + 1; the cap bounds |ball(radius)|.
     """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     _cap_check(cache, radius, cap)
     graph, inside, sets = _differences(cache, region, radius + 1)
     _check_stable(graph, sets, radius + 1)
@@ -305,8 +304,7 @@ def sign_cocycle_spec(
     return CocycleSpec(group, sign_alphabet(), target, window, {}, rule)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     trials: int
     violations: int
 
@@ -378,8 +376,7 @@ def verify_sign_identity(
     return IdentityCheck(trials, bad)
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """The evidence for one almost-invariant set; ``ok`` reads the sign
     identity trials.  The fixed-point forcing line states a fact and computes
     nothing: the all-plus configuration has no minus cells, so every sign
@@ -448,6 +445,8 @@ def rho_forcing_check(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     graph, inside, sets = _differences(cache, region, radius + 1)
     boundaries = _stable(graph, sets, radius)
     _cap_check(cache, radius, cap)

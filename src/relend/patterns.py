@@ -11,7 +11,6 @@ K-valued coset correction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -21,7 +20,11 @@ from .errors import ConfigError, InsufficientRadiusError
 from .groups import CosetId, Group, GroupElement, coset_cocycle, coset_of
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes here."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Alphabet:
     """Finite symbol set with a K-action given by generator permutations.
 
@@ -33,11 +36,15 @@ class Alphabet:
     random patterns need a symbol besides x0.
     """
 
-    symbols: tuple[str, ...]
-    x0: str
-    perms: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        symbols: tuple[str, ...],
+        x0: str,
+        perms: tuple[tuple[str, tuple[int, ...]], ...] = (),
+    ):
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "perms", perms)
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigError(f"duplicate symbols: {self.symbols}")
         if self.x0 not in self.symbols:
@@ -60,6 +67,16 @@ class Alphabet:
                 raise ConfigError(
                     f"alphabet alpha permutations of {a!r} and {b!r} do not commute"
                 )
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.x0, self.perms) == (other.symbols, other.x0, other.perms)
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.x0, self.perms))
 
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
@@ -106,12 +123,22 @@ def trivial_alphabet(symbols: Iterable[str], x0: str) -> Alphabet:
     return Alphabet(tuple(symbols), x0, ())
 
 
-@dataclass(frozen=True)
 class Pattern:
     """A finite-support configuration; entries never hold the default symbol."""
 
-    alphabet: Alphabet
-    entries: frozenset  # frozenset[tuple[CosetId, str]]
+    def __init__(self, alphabet: Alphabet, entries: frozenset):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "entries", entries)  # frozenset[tuple[CosetId, str]]
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.entries) == (other.alphabet, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.entries))
 
     @cached_property
     def _map(self) -> dict[CosetId, str]:

@@ -27,7 +27,7 @@ advanced only as far as each request needs, finds the far elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coset_graph import BallCache, CosetGraph
 from .cocycles import (
@@ -113,26 +113,25 @@ def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: i
         older, last, sphere = last, seen, nxt
 
 
-@dataclass
 class TransferTable:
     """Recovered trivialization data: hom images and transfer values."""
 
-    window: int
-    hom: dict[Letter, GroupElement] = field(default_factory=dict)
-    entries: dict[frozenset, GroupElement] = field(default_factory=dict)
+    def __init__(self, window: int):
+        self.window = window
+        self.hom: dict[Letter, GroupElement] = {}
+        self.entries: dict[frozenset, GroupElement] = {}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class TrivializeReport:
-    seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.checks: list[CheckResult] = []
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from test_evaluation import SETTINGS
+from test_tables_golden import VARIED_SEED, assert_varies
 
 from relend.coset_graph import BallCache, Path, build_ball, neighborhood
 from relend.errors import InternalError
@@ -52,6 +53,31 @@ def random_walk(graph, rng, max_len=6, start_norm=3, stay_within=9):
         verts.append(w)
         labels.append(letter)
     return Path(tuple(verts), tuple(labels))
+
+
+def test_path_factorisation_on_a_varied_planting():
+    # criterion 5 (tests/test_acceptance.py) runs this check on a zd(3, [0])
+    # planting at seed 32, whose b0 is constant, and so is its cocycle; at
+    # VARIED_SEED b0 takes both values and c(s, y) depends on y
+    group = ZdGroup(3, (0,))
+    graph = build_ball(group, 10)
+    alpha, target = trivial_alphabet(("0", "1"), "0"), ZmodGroup((2,))
+    cocycle = plant_cocycle(group, alpha, target, 0, VARIED_SEED, graph)
+    assert cocycle.window == 1
+    assert_varies(cocycle)
+    rng = random.Random(VARIED_SEED)
+    seen = {letter: set() for letter in group.s_letters}
+    for _ in range(100):
+        path = random_walk(graph, rng, 6, 3, 9)
+        y = random_pattern(graph, alpha, 3, rng)
+        direct = target.multiply(
+            evaluate(cocycle, group.invert(path.end.rep), y),
+            target.invert(evaluate(cocycle, group.invert(path.start.rep), y)),
+        )
+        assert path_difference(cocycle, path, y) == direct
+        for letter, values in seen.items():
+            values.add(evaluate(cocycle, group.letter_element(letter), y))
+    assert any(len(values) == 2 for values in seen.values())
 
 
 def test_evaluate_identity_is_trivial(setting):

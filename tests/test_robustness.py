@@ -18,6 +18,7 @@ from relend.cli import MAX_SAMPLES, main
 from relend.cocycles import plant_cocycle
 from relend.coset_graph import CosetGraph
 from relend.groups import BsGroup, ZdGroup, ZmodGroup
+from relend.obstruction import bounded_coboundary_search, builtin_set, rho_forcing_check
 from relend.patterns import Alphabet, trivial_alphabet
 from relend.serialize import PRODUCT_DEPTH, cocycle_to_json, dump_json
 
@@ -420,6 +421,37 @@ def test_negative_samples_are_refused_with_one_line(tmp_path):
         assert _run(argv + ["--samples", "-1", "--report", report]) == (
             2, "config error: --samples must be nonnegative\n"
         )
+
+
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_a_negative_cap_is_refused_with_one_line(tmp_path, cap):
+    # a cap below zero is malformed input, not a budget the ball went over,
+    # so it is refused before any ball is built; a cap of 0 is a budget
+    line = tmp_path / "zd1.json"
+    line.write_text(json.dumps({"family": "zd", "d": 1}))
+    report = tmp_path / "report.txt"
+    argv = ["obstruct", "--config", str(line), "--radius", "3", "--report", str(report)]
+    assert _run(argv + ["--cap", cap]) == (2, "config error: --cap must be nonnegative\n")
+    assert not report.exists()
+    assert _run(argv + ["--cap", "0"]) == (
+        2, "size limit: |ball(3)| exceeds the configured cap 0\n"
+    )
+
+
+class _NoBall:
+    """A cache that fails the test when any ball is asked of it."""
+
+    group = ZdGroup(1, ())
+
+    def at_least(self, radius):
+        raise AssertionError(f"ball({radius}) was built")
+
+
+@pytest.mark.parametrize("search", [rho_forcing_check, bounded_coboundary_search])
+def test_the_obstruction_library_refuses_a_negative_cap_before_any_ball(search):
+    region = builtin_set(_NoBall.group, "halfline")
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        search(_NoBall(), region, 3, cap=-1)
 
 
 @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
