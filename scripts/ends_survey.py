@@ -12,8 +12,9 @@ import sys
 
 from relend.coset_graph import BallCache
 from relend.ends import capacity, estimate_ends
-from relend.errors import NotOneEndedError
+from relend.errors import ConfigError, NotOneEndedError
 from relend.groups import BsGroup, FreeGroup, ZdGroup
+from relend.serialize import check_output
 
 PAIRS = [
     ("Z^2 / trivial", ZdGroup(2, ()), 5, 5),
@@ -29,6 +30,10 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="ends_survey.csv")
     args = parser.parse_args()
+    try:
+        check_output(args.out)
+    except ConfigError as err:
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
     rows = []
     for name, group, rmax, margin in PAIRS:

@@ -13,9 +13,7 @@ process; its argument parser is built on the first call and reused.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
-import os
 import random
 import sys
 
@@ -34,6 +32,7 @@ from .obstruction import builtin_set, rho_forcing_check
 from .patterns import Alphabet, trivial_alphabet
 from .serialize import (
     alphabet_from_config,
+    check_output,
     cocycle_from_json,
     dump_json,
     group_from_config,
@@ -61,18 +60,6 @@ def _load_pair(path: str) -> tuple[Group, Alphabet | None]:
         if name not in k_names:
             raise ConfigError(f"alphabet alpha names {name!r}, not a generator of K")
     return group, alphabet
-
-
-def _check_output(path: str) -> None:
-    """Refuse an output path before any work, so that a run which cannot
-    write all of its outputs writes none; ``write_file`` stays the backstop."""
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or "."):
-        code = errno.ENOENT
-    else:
-        return
-    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_text(path: str | None, lines: list[str]) -> None:
@@ -267,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("out", "csv", "report"):
             path = getattr(args, name, None)
             if path:
-                _check_output(path)
+                check_output(path)
         return args.handler(args, *_load_pair(args.config))
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -473,7 +473,7 @@ def _random_target_element(target: Group, rng: random.Random) -> GroupElement:
         )
     if family == "zd":
         return GroupElement(
-            target, tuple(rng.randrange(-2, 3) for _ in range(target.d))
+            target, target.payload_of(rng.randrange(-2, 3) for _ in range(target.d))
         )
     return target.element_from_word(_draw_word(target.s_letters, 2, rng))
 

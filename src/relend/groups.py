@@ -16,15 +16,19 @@ A family implements payload hooks only (``_mul_payload``, ``_word``,
 ``_in_k``, ``_k_exponents``, ``_witness_elements``, ...); ``Group`` defines
 the element methods once over them, and ``witness`` wraps witness payloads.
 
-Lattice and cyclic arithmetic maps the ``operator`` functions over
-per-group constants (a 0/1 mask of the coordinates outside K, the moduli).
+A lattice element is one int whose fields are the coordinates, so its
+arithmetic is int arithmetic; cyclic arithmetic maps the ``operator``
+functions over the moduli.
 
 ``GroupElement`` is the named tuple (group, payload) and ``CosetId`` the
 one-field tuple (rep,), so equality is tuple equality and runs in C: it
 compares the group by identity, then the payloads.  Both hash by the
 payload alone, so equal payloads in two groups hash alike but stay distinct
-keys.  CPython hashes -1 as -2, so payloads that differ only there collide;
-such a collision costs one C tuple compare per probe, not a Python call.
+keys.  CPython hashes -1 as it hashes -2, so no payload of an infinite
+family holds -1: a lattice payload is even, a free-group letter and its
+inverse are coded i and ~i, and Baumslag-Solitar codes skip -1.  The cosets
+of a ball then hash apart, so a probe of a ball's index or of a memo keyed
+by payload finds no collision chain to walk.
 
 All values are immutable and every operation is a pure function, so elements
 and cosets are safe to share across threads.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import string
 from functools import cached_property
 from itertools import combinations
-from operator import add, mod, mul, neg
+from operator import add, mod, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, InternalError, UnsupportedFamilyError
@@ -292,10 +296,33 @@ class Group:
 # ---------------------------------------------------------------------------
 # Lattice groups Z^d with an axis subgroup
 
+# the bits of one lattice coordinate's field, the bias that makes it
+# nonnegative, and the distance from one field to the next
+_FIELD, _HALF, _WIDTH = (1 << 64) - 1, 1 << 63, 72
+
 
 class ZdGroup(Group):
+    """The lattice Z^d, K the span of the listed coordinate axes.
+
+    Payload: one int, the sum of c_i << (1 + 72 i) over the coordinates
+    c_i, so coordinate i is a signed field of 64 bits at bit 1 + 72 i.  A
+    product is one add, an inverse one negation, and a letter adds +-1 to
+    one field.  Exactness: a coordinate moves by at most one per letter, so
+    no run of fewer than 2^63 letters takes a coordinate out of its 64-bit
+    field.  Bit 0 is always clear, so no payload is -1, which CPython
+    hashes as it hashes -2.  Adding ``_bias``, 2^63 in every field, makes
+    every field nonnegative; one mask then reads a set of fields, so K's
+    part, membership in K and the coset representative are one biased add
+    and one mask.  An int hashes as itself modulo 2^61 - 1, and 2^72 is
+    2^11 there, so the hash weights of the first five fields lie 11 bits
+    apart: elements whose coordinates differ by less than 2^10 never hash
+    alike in Z^5 or below.
+    """
+
     family = "zd"
     is_abelian = True
+    _mul_payload = staticmethod(add)
+    _inv_payload = staticmethod(neg)
 
     def __init__(self, d: int, k_coords: Sequence[int] = ()):
         if d < 0 or d > 26:
@@ -304,40 +331,60 @@ class ZdGroup(Group):
         self.k_coords = tuple(sorted(set(k_coords)))
         if any(c < 0 or c >= d for c in self.k_coords):
             raise ConfigError(f"k_coords {k_coords} out of range for zd({d})")
-        # 1 on each coordinate outside K, 0 on K's: a product with it zeroes K
-        self._free_mask = tuple(0 if i in self.k_coords else 1 for i in range(d))
+        self._shifts = tuple(1 + i * _WIDTH for i in range(d))
+        self._bias = sum(_HALF << s for s in self._shifts)
+        free = [s for i, s in enumerate(self._shifts) if i not in self.k_coords]
+        self._free_mask = sum(_FIELD << s for s in free)
+        self._free_bias = sum(_HALF << s for s in free)
         names = tuple(string.ascii_lowercase[:d])
         super().__init__(names, tuple(c + 1 for c in self.k_coords))
+        self._spelled = tuple(
+            (s, self.letter_names[i] + " ", self.letter_names[-i] + " ")
+            for i, s in enumerate(self._shifts, 1)
+        )
+
+    def coordinates(self, p) -> tuple[int, ...]:
+        """The coordinates of the element with payload p."""
+        p += self._bias
+        return tuple((p >> s & _FIELD) - _HALF for s in self._shifts)
+
+    def payload_of(self, coordinates: Iterable[int]) -> int:
+        """The payload of the element with the given coordinates."""
+        return sum(c << s for c, s in zip(coordinates, self._shifts))
 
     def _identity_payload(self):
-        return (0,) * self.d
+        return 0
 
     def _gen_payload(self, index: int):
-        return tuple(1 if i == index - 1 else 0 for i in range(self.d))
-
-    def _mul_payload(self, a, b):
-        return tuple(map(add, a, b))
-
-    def _inv_payload(self, a):
-        return tuple(map(neg, a))
+        return 1 << self._shifts[index - 1]
 
     def _word(self, p):
         out = ()
-        for i, c in enumerate(p, 1):
+        for i, c in enumerate(self.coordinates(p), 1):
             if c:
                 out += (i if c > 0 else -i,) * abs(c)
         return out
 
+    def payload_str(self, p):
+        # each name with its trailing space, repeated; the last space cut
+        p += self._bias
+        out = ""
+        for s, up, down in self._spelled:
+            c = (p >> s & _FIELD) - _HALF
+            out += up * c if c > 0 else down * -c
+        return out[:-1]
+
     def _in_k(self, p):
-        return not any(map(mul, p, self._free_mask))
+        return (p + self._bias) & self._free_mask == self._free_bias
 
     def _coset_rep_payload(self, a):
         if not self.k_coords:
             return a
-        return tuple(map(mul, a, self._free_mask))
+        return ((a + self._bias) & self._free_mask) - self._free_bias
 
     def _k_exponents(self, p):
-        return tuple(p[c] for c in self.k_coords)
+        cs = self.coordinates(p)
+        return tuple(cs[c] for c in self.k_coords)
 
     def relator_words(self):
         return tuple((i, j, -i, -j) for i, j in combinations(range(1, self.d + 1), 2))
@@ -348,27 +395,16 @@ class ZdGroup(Group):
     def _coset_steps(self):
         # +-1 on one coordinate outside K; K's letters are loops
         free = [i for i in range(self.d) if i not in self.k_coords]
-
-        def step(vp):
-            # one list, moved and copied: cheaper than slicing the tuple
-            cells, out = list(vp), []
-            for i in free:
-                c = cells[i]
-                cells[i] = c + 1
-                out.append(tuple(cells))
-                cells[i] = c - 1
-                out.append(tuple(cells))
-                cells[i] = c
-            return out
-
-        return tuple(s * (i + 1) for i in free for s in (1, -1)), step
+        moves = [s << self._shifts[i] for i in free for s in (1, -1)]
+        return tuple(s * (i + 1) for i in free for s in (1, -1)), (
+            lambda vp: [vp + m for m in moves]
+        )
 
     def _left_step(self, letter):
         # abelian, so the right step: +-1 on a free coordinate, K's letters fix
-        i, s = abs(letter) - 1, 1 if letter > 0 else -1
-        if i in self.k_coords:
+        if abs(letter) - 1 in self.k_coords:
             return lambda vp: vp
-        return lambda vp: vp[:i] + (vp[i] + s,) + vp[i + 1 :]
+        return self._letter_payloads[letter].__add__
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +468,14 @@ class ZmodGroup(Group):
 
 
 class FreeGroup(Group):
+    """Free group of the given rank, K trivial.
+
+    Payload: the reduced word as a tuple of codes, generator i coded ``i``
+    and its inverse ``~i`` (= -i - 1), so a letter and its inverse are
+    bitwise complements and no code is -1, which CPython hashes as it
+    hashes -2.
+    """
+
     family = "free"
 
     def __init__(self, rank: int):
@@ -439,6 +483,9 @@ class FreeGroup(Group):
             raise ConfigError(f"free rank out of range: {rank}")
         self.rank = rank
         super().__init__(tuple(string.ascii_lowercase[:rank]), ())
+        self._code_names = {
+            code: self.letter_names[l] for l, (code,) in self._letter_payloads.items()
+        }
 
     def _identity_payload(self):
         return ()
@@ -448,18 +495,21 @@ class FreeGroup(Group):
 
     def _mul_payload(self, a, b):
         out = list(a)
-        for letter in b:
-            if out and out[-1] == -letter:
+        for code in b:
+            if out and out[-1] == ~code:
                 out.pop()
             else:
-                out.append(letter)
+                out.append(code)
         return tuple(out)
 
     def _inv_payload(self, a):
-        return tuple(-l for l in reversed(a))
+        return tuple(~c for c in reversed(a))
 
     def _word(self, p):
-        return p
+        return tuple(c if c > 0 else c + 1 for c in p)
+
+    def payload_str(self, p):
+        return " ".join(map(self._code_names.__getitem__, p))
 
     def _in_k(self, p):
         return p == ()
@@ -478,7 +528,7 @@ class FreeGroup(Group):
 
     def _coset_steps(self):
         # append the letter, or cancel the last one
-        moves = [(-l, (l,)) for l in self.s_letters]
+        moves = [(~c, (c,)) for (c,) in map(self._letter_payloads.get, self.s_letters)]
 
         def step(vp):
             back = vp[-1] if vp else 0
@@ -488,7 +538,9 @@ class FreeGroup(Group):
 
     def _left_step(self, letter):
         # prepend the letter, or cancel the first one
-        return lambda vp: vp[1:] if vp and vp[0] == -letter else (letter,) + vp
+        one = self._letter_payloads[letter]
+        inv = ~one[0]
+        return lambda vp: vp[1:] if vp and vp[0] == inv else one + vp
 
 
 # ---------------------------------------------------------------------------

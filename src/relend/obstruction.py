@@ -68,8 +68,9 @@ def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
         free_axes = [i for i in range(group.d) if i not in group.k_coords]
         if not free_axes:
             raise ValueError("halfline requires at least one free coordinate")
-        axis = free_axes[0]
-        return AlmostInvariantSet("halfline", lambda p: p[axis] >= 0)
+        # the coordinate is nonnegative when its biased field's top bit is set
+        bias, top = group._bias, group._shifts[free_axes[0]] + 63
+        return AlmostInvariantSet("halfline", lambda p: (p + bias) >> top & 1 == 1)
     if name == "aprefix":
         if group.family != "free":
             raise ValueError("aprefix requires a free group")

@@ -19,7 +19,9 @@ whose texts coincide cannot be written or read.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from typing import Any, Iterable
 
 from .cocycles import CocycleSpec, _window_rows
@@ -161,7 +163,8 @@ def _window_texts(spec: CocycleSpec) -> dict[str, int]:
 
     out: dict[str, int] = {}
     for row in _window_rows(spec.region, spec.alphabet, item):
-        _add_text(out, "|".join([t for t, _ in row]), sum([d for _, d in row]))
+        texts, ds = zip(*row) if row else ((), ())
+        _add_text(out, "|".join(texts), sum(ds))
     return out
 
 
@@ -214,7 +217,12 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
         if not isinstance(rows, list):
             raise ConfigError(f"cocycle table for {token} must be a list of rows")
         for row in rows:
-            if not isinstance(row, list) or [type(x) for x in row] != [str, str]:
+            if (
+                not isinstance(row, list)
+                or len(row) != 2
+                or type(row[0]) is not str
+                or type(row[1]) is not str
+            ):
                 raise ConfigError(
                     f"cocycle table for {token} has a row {row!r}; rows are "
                     "[key, word] pairs of strings"
@@ -230,14 +238,16 @@ def cocycle_from_json(group: Group, alphabet: Alphabet, data: dict) -> CocycleSp
             if value is None:
                 value = values[word] = target.parse_element(word)
             table[code] = value
+    # every code filed is a known one filed once, so a table is total
+    # exactly when it holds as many codes as the window
     for letter in group.s_letters:
         table = tables.get(letter, {})
-        for text, code in codes.items():
-            if code not in table:
-                raise ConfigError(
-                    f"cocycle table for {group.letter_names[letter]} is "
-                    f"missing window pattern {text!r}"
-                )
+        if len(table) < len(codes):
+            text = next(t for t, code in codes.items() if code not in table)
+            raise ConfigError(
+                f"cocycle table for {group.letter_names[letter]} is "
+                f"missing window pattern {text!r}"
+            )
     return spec
 
 
@@ -277,6 +287,18 @@ def transfer_to_json(group: Group, table) -> dict:
             for text, key in sorted(_key_texts(table.entries).items())
         },
     }
+
+
+def check_output(path: str) -> None:
+    """Refuse an output path before any work, so that a run which cannot
+    write all of its outputs writes none; ``write_file`` stays the backstop."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_file(path: str, text: str) -> None:

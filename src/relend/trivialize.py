@@ -66,9 +66,10 @@ def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: i
     element g under every threshold t of ``found`` it is far for: neither gK
     nor g^-1 K has a graph id below ball_size(t) (``graph`` reaches every t).
     As |gK| <= |g|, an element of word length d is tested only for the t in
-    [d - slack, d - 1] whose list is shorter than ``batch``.  A neighbour of
-    sphere d lies in sphere d - 1, d or d + 1, so only three spheres are
-    kept.  Yields the largest word length fully scanned: d - 1 after each
+    [d - slack, d - 1] whose list is shorter than ``batch``, and g^-1 K is
+    looked up only when gK's id reaches the first such t's ball size, the
+    smallest.  A neighbour of sphere d lies in sphere d - 1, d or d + 1, so
+    only three spheres are kept.  Yields the largest word length fully scanned: d - 1 after each
     element filed, d after each sphere.  Returns once every list is full or
     past its word radius t + slack, or a finite group's ball is exhausted.
     """
@@ -99,7 +100,10 @@ def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: i
                 nxt.append(h)
                 if not open_lists:
                     continue
-                near = min(find(rep(h), top), find(rep(inv(h)), top))
+                near = find(rep(h), top)
+                if near < open_lists[0][0]:
+                    continue
+                near = min(near, find(rep(inv(h)), top))
                 lists = [out for size, out in open_lists if near >= size]
                 if lists:
                     e = GroupElement(group, h)

@@ -23,6 +23,15 @@ def lattice_ball(dim: int, radius: int) -> list[tuple]:
     return pts
 
 
+def lattice_word_sum(dim: int, word) -> tuple:
+    """The coordinates of a word over the letters +-1..+-dim of Z^dim:
+    each letter adds its sign to its axis."""
+    out = [0] * dim
+    for letter in word:
+        out[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(out)
+
+
 def lattice_neighbors(p: tuple) -> list[tuple]:
     out = []
     for i in range(len(p)):
@@ -107,6 +116,18 @@ def free_words_of_length(rank: int, length: int) -> list[str]:
 
 def free_sphere_size(rank: int, length: int) -> int:
     return len(free_words_of_length(rank, length))
+
+
+def free_reduce(word) -> tuple:
+    """The reduced form of a word over signed letters: each adjacent pair
+    of a letter and its inverse cancels."""
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
 
 # -- affine model of bs(1, n) -------------------------------------------------

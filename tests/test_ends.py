@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -323,6 +324,23 @@ def test_ends_on_bs13_peaks_below_280_bytes_per_ball_vertex():
     finally:
         tracemalloc.stop()
     assert peak < 280 * cache.at_least(8).vertex_count()
+
+
+def test_ends_and_capacity_on_zd3_peak_below_290_bytes_per_ball_vertex():
+    # the pass grows ball(11) of Z^3, 2,047 vertices; its int payloads keep
+    # the whole pass under this bound (about 282 B; tuple payloads took
+    # about 305 B); collecting first empties the free lists, whose reused
+    # tuples tracemalloc would not count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cache = BallCache(ZdGroup(3))
+        estimate_ends(cache, 4, 4)
+        capacity(cache, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 290 * cache.at_least(0).vertex_count()
 
 
 def test_a_last_sphere_with_an_inner_edge_is_one_shell_component():

@@ -296,7 +296,11 @@ def test_broken_canonicalisation_raises_through_evaluate_word(monkeypatch):
         y = random_pattern(graph, alphabet, 2, rng, max_entries=4)
     c = _random_table_cocycle(group, alphabet, 1, seed=4)
     # zeroing the wrong coordinate: corrections then leave K = <a>
-    monkeypatch.setattr(group, "_coset_rep_payload", lambda a: (a[0], 0))
+    monkeypatch.setattr(
+        group,
+        "_coset_rep_payload",
+        lambda a: group.payload_of((group.coordinates(a)[0], 0)),
+    )
     with pytest.raises(InternalError):
         evaluate_word(c, (2, 2, 1), y)
 

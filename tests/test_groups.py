@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle_utils import bs1n_affine
+from oracle_utils import bs1n_affine, free_reduce, lattice_word_sum
 from relend import groups
 from relend.cocycles import CocycleSpec
 from relend.coset_graph import CosetGraph
 from relend.errors import InternalError
+from relend.obstruction import builtin_set
 from relend.groups import (
     BsGroup,
     FreeGroup,
@@ -77,9 +78,11 @@ def test_iter_ball_ends_for_negative_and_fractional_radii():
 
 def test_zd_examples():
     z2 = ZdGroup(2, ())
-    assert z2.multiply(z2.parse_element("a"), z2.parse_element("b")).payload == (1, 1)
+    ab = z2.multiply(z2.parse_element("a"), z2.parse_element("b"))
+    assert z2.coordinates(ab.payload) == (1, 1)
     z3 = ZdGroup(3, ())
-    assert z3.invert(z3.element_from_word([1, 2, 2, -3])).payload == (-1, -2, 1)
+    inverse = z3.invert(z3.element_from_word([1, 2, 2, -3]))
+    assert z3.coordinates(inverse.payload) == (-1, -2, 1)
 
 
 def test_free_examples():
@@ -183,7 +186,7 @@ def test_subgroup_membership():
 def test_coset_reps():
     z = ZdGroup(2, (0,))
     g = z.element_from_word([1, 1, 1] + [2] * 5)  # (3, 5)
-    assert coset_of(g).rep.payload == (0, 5)
+    assert z.coordinates(coset_of(g).rep.payload) == (0, 5)
     assert coset_of(z.element_from_word([1, 1])).rep.is_identity()
     b = BsGroup(1, 2)
     assert b.word_str(coset_of(b.parse_element("x x x t")).rep) == "t"
@@ -225,7 +228,7 @@ def test_coset_cocycle_values():
     z = ZdGroup(2, (0,))
     base = coset_of(z.identity())
     d = coset_cocycle(z.element_from_word([1, 2, 2]), base)
-    assert d.payload == (1, 0)
+    assert z.coordinates(d.payload) == (1, 0)
     k = z.element_from_word([1, 1])
     assert coset_cocycle(k, base) == k
 
@@ -233,7 +236,7 @@ def test_coset_cocycle_values():
 def test_coset_cocycle_flags_broken_rep():
     class Broken(ZdGroup):
         def _coset_rep_payload(self, a):
-            return (0, 0)  # collapses distinct cosets
+            return self.payload_of((0, 0))  # collapses distinct cosets
 
     bad = Broken(2, (0,))
     c = coset_of(bad.element_from_word([2]))
@@ -350,6 +353,11 @@ def test_product_letter_names_carry_the_factor_index():
 # payload entries the operator kernels must treat as the generator formulas
 # did: -1 and -2 (which CPython hashes alike) and integers past a machine word
 ENTRIES = st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(-2**70, 2**70))
+# lattice coordinates: the same small values and integers below 2^62 in
+# size, whose sums and negations stay inside a coordinate's signed 64-bit field
+COORDINATES = st.one_of(
+    st.sampled_from([-2, -1, 0, 1, 2]), st.integers(1 - 2**62, 2**62 - 1)
+)
 
 
 @given(st.data())
@@ -357,18 +365,103 @@ def test_zd_kernels_match_the_generator_formulas(data):
     d = data.draw(st.integers(0, 5))
     k_coords = data.draw(st.sets(st.integers(0, d - 1))) if d else set()
     group = ZdGroup(d, k_coords)
-    a, b = (data.draw(st.tuples(*[ENTRIES] * d)) for _ in range(2))
+    a, b = (data.draw(st.tuples(*[COORDINATES] * d)) for _ in range(2))
     inside = tuple(c if i in k_coords else 0 for i, c in enumerate(a))
-    assert group._mul_payload(a, b) == tuple(x + y for x, y in zip(a, b))
-    assert group._inv_payload(a) == tuple(-x for x in a)
-    assert group._coset_rep_payload(a) == tuple(
+    pa, pb, coords = group.payload_of(a), group.payload_of(b), group.coordinates
+    assert coords(pa) == a
+    assert coords(group._mul_payload(pa, pb)) == tuple(x + y for x, y in zip(a, b))
+    assert coords(group._inv_payload(pa)) == tuple(-x for x in a)
+    assert coords(group._coset_rep_payload(pa)) == tuple(
         0 if i in k_coords else c for i, c in enumerate(a)
     )
     for p in (a, inside):
-        assert group.is_in_k(GroupElement(group, p)) == all(
+        assert group.is_in_k(GroupElement(group, group.payload_of(p))) == all(
             c == 0 for i, c in enumerate(p) if i not in k_coords
         )
-    assert group.is_in_k(GroupElement(group, inside))
+    assert group.is_in_k(GroupElement(group, group.payload_of(inside)))
+
+
+@given(st.data())
+def test_zd_payloads_are_equal_exactly_when_the_coordinate_sums_are(data):
+    d = data.draw(st.integers(1, 4))
+    group = ZdGroup(d)
+    u = data.draw(letters_of(group))
+    v = data.draw(st.permutations(u) | letters_of(group))
+    g, h = group.element_from_word(u), group.element_from_word(v)
+    assert group.coordinates(g.payload) == lattice_word_sum(d, u)
+    assert (g.payload == h.payload) == (lattice_word_sum(d, u) == lattice_word_sum(d, v))
+
+
+@given(st.data())
+def test_a_lattice_coset_representative_zeroes_exactly_the_k_coordinates(data):
+    d = data.draw(st.integers(1, 5))
+    k_coords = data.draw(st.sets(st.integers(0, d - 1)))
+    group = ZdGroup(d, k_coords)
+    word = data.draw(letters_of(group))
+    rep = coset_of(group.element_from_word(word)).rep
+    assert group.coordinates(rep.payload) == tuple(
+        0 if i in k_coords else c for i, c in enumerate(lattice_word_sum(d, word))
+    )
+
+
+@given(st.data())
+def test_lattice_decoding_is_exact_near_two_to_the_62(data):
+    d = data.draw(st.integers(1, 5))
+    k_coords = data.draw(st.sets(st.integers(0, d - 1)))
+    group = ZdGroup(d, k_coords)
+    near = st.builds(
+        lambda sign, offset: sign * 2**62 + offset,
+        st.sampled_from([-1, 1]), st.integers(-8, 8),
+    )
+    coords = data.draw(st.tuples(*[near | COORDINATES] * d))
+    letter = data.draw(st.sampled_from(group.s_letters))
+    p = group.payload_of(coords)
+    moved = [lattice_word_sum(d, [letter])[i] + c for i, c in enumerate(coords)]
+    assert group.coordinates(p) == coords
+    assert group.coordinates(group._inv_payload(p)) == tuple(-c for c in coords)
+    assert group.coordinates(group._mul_payload(p, group._letter_payloads[letter])) == (
+        tuple(moved)
+    )
+    assert group.k_exponents(GroupElement(group, p)) == tuple(
+        coords[c] for c in group.k_coords
+    )
+    assert group.coordinates(group._coset_rep_payload(p)) == tuple(
+        0 if i in k_coords else c for i, c in enumerate(coords)
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+    st.just(rank), st.lists(st.sampled_from(FreeGroup(rank).s_letters), max_size=12)
+)))
+def test_free_payloads_round_trip_their_reduced_words(case):
+    rank, word = case
+    group = FreeGroup(rank)
+    g = group.element_from_word(word)
+    assert g.word == free_reduce(word)
+    assert group.element_from_word(g.word) == g
+    assert -1 not in g.payload
+    reduced = group.word_of(coset_of(g).rep)
+    aprefix = builtin_set(group, "aprefix").member(coset_of(g).rep.payload)
+    assert aprefix == (reduced[-1:] == (1,))
+
+
+# one ball per built-in family, its coset payloads hashed; CPython hashes
+# -1 as -2, so a payload encoding that can hold -1 puts two cosets on one hash
+HASH_BALLS = {
+    "free2 r8": (FreeGroup(2), 8),
+    "zd3 r10": (ZdGroup(3), 10),
+    "zd3k0 r8": (ZdGroup(3, (0,)), 8),
+    "bs13 r6": (BsGroup(1, 3), 6),
+    "bs12xz r6": (ProductGroup(BsGroup(1, 2), ZdGroup(1)), 6),
+    "zmod5 r2": (ZmodGroup((5,)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(HASH_BALLS))
+def test_no_two_payloads_of_a_ball_share_a_hash(name):
+    group, radius = HASH_BALLS[name]
+    payloads = CosetGraph(group, radius).payloads
+    assert len(set(map(hash, payloads))) == len(payloads)
 
 
 @given(st.data())

@@ -106,10 +106,12 @@ def test_equal_payloads_in_two_groups_are_distinct_keys_with_equal_hashes():
 
 
 def test_coset_ids_whose_payloads_hash_alike_stay_distinct():
-    # CPython hashes -1 as -2, so these two cosets land on one hash
+    # an int hashes modulo 2^61 - 1, where a plane payload weighs its first
+    # coordinate 2 and its second 2^12, so these two cosets land on one hash
     plane = ZdGroup(2, ())
-    u, v = (coset_of(plane.element_from_word(w)) for w in ((-2,), (-2, -2)))
-    assert u.rep.payload == (0, -1) and v.rep.payload == (0, -2)
+    u, v = (coset_of(plane.element_from_word(w)) for w in ((2,), (1,) * 2048))
+    assert plane.coordinates(u.rep.payload) == (0, 1)
+    assert plane.coordinates(v.rep.payload) == (2048, 0)
     assert hash(u) == hash(v) and u != v
     assert {u: "u", v: "v"}[v] == "v"
 

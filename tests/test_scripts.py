@@ -70,3 +70,21 @@ def test_trivialize_roundtrip_refuses_a_negative_count(flag):
     assert done.stderr.splitlines() == [
         f"trivialize_roundtrip.py: error: {flag} must be nonnegative, got -1"
     ]
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_ends_survey_refuses_an_unwritable_out_before_any_work(tmp_path, target):
+    # one line and exit 2 before the survey runs, not a traceback at its end
+    out = tmp_path / "missing" / "survey.csv" if target == "missing" else tmp_path
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "ends_survey.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"ends_survey.py: error: cannot write {out}: {reason}"
+    ]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from relend.coset_graph import build_ball
@@ -67,6 +69,28 @@ def test_cocycle_totality_enforced():
     data = cocycle_to_json(spec, graph)
     loaded = cocycle_from_json(group, alpha, data)
     assert loaded.window == spec.window
-    del data["tables"]["a"][0]
-    with pytest.raises(ConfigError):
+    text, _ = data["tables"]["a"].pop(3)
+    message = f"cocycle table for a is missing window pattern {text!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cocycle_from_json(group, alpha, data)
+    # a generator with no table misses the first pattern of the window
+    data["tables"]["a"].insert(3, [text, ""])
+    del data["tables"]["B"]
+    message = "cocycle table for B is missing window pattern ''"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cocycle_from_json(group, alpha, data)
+
+
+@pytest.mark.parametrize(
+    "row", [["e=1", 5], ["e=1", "a", "a"], ["e=1"], [None, "a"], "e=1", ("e=1", "")]
+)
+def test_a_malformed_row_is_named_in_the_message(row):
+    group = ZdGroup(2, ())
+    alpha = alphabet_from_config({"symbols": ["0", "1"], "x0": "0", "alpha": {}})
+    data = {"window": 0, "H": {"family": "zmod", "mods": [2]}, "tables": {"b": [row]}}
+    message = (
+        f"cocycle table for b has a row {row!r}; rows are [key, word] pairs of "
+        "strings"
+    )
+    with pytest.raises(ConfigError, match=re.escape(message)):
         cocycle_from_json(group, alpha, data)
