@@ -528,7 +528,7 @@ class FreeGroup(Group):
 
     def _coset_steps(self):
         # append the letter, or cancel the last one
-        moves = [(~c, (c,)) for (c,) in map(self._letter_payloads.get, self.s_letters)]
+        moves = [(~one[0], one) for one in self._letter_payloads.values()]
 
         def step(vp):
             back = vp[-1] if vp else 0

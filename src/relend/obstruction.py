@@ -68,9 +68,8 @@ def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
         free_axes = [i for i in range(group.d) if i not in group.k_coords]
         if not free_axes:
             raise ValueError("halfline requires at least one free coordinate")
-        # the coordinate is nonnegative when its biased field's top bit is set
-        bias, top = group._bias, group._shifts[free_axes[0]] + 63
-        return AlmostInvariantSet("halfline", lambda p: (p + bias) >> top & 1 == 1)
+        axis, coordinates = free_axes[0], group.coordinates
+        return AlmostInvariantSet("halfline", lambda p: coordinates(p)[axis] >= 0)
     if name == "aprefix":
         if group.family != "free":
             raise ValueError("aprefix requires a free group")
