@@ -163,8 +163,8 @@ def _window_texts(spec: CocycleSpec) -> dict[str, int]:
 
     out: dict[str, int] = {}
     for row in _window_rows(spec.region, spec.alphabet, item):
-        texts, ds = zip(*row) if row else ((), ())
-        _add_text(out, "|".join(texts), sum(ds))
+        texts, bits = zip(*row) if row else ((), ())
+        _add_text(out, "|".join(texts), sum(bits))
     return out
 
 

@@ -69,9 +69,10 @@ def _far_scan(group: Group, graph: CosetGraph, found: dict, slack: int, batch: i
     [d - slack, d - 1] whose list is shorter than ``batch``, and g^-1 K is
     looked up only when gK's id reaches the first such t's ball size, the
     smallest.  A neighbour of sphere d lies in sphere d - 1, d or d + 1, so
-    only three spheres are kept.  Yields the largest word length fully scanned: d - 1 after each
-    element filed, d after each sphere.  Returns once every list is full or
-    past its word radius t + slack, or a finite group's ball is exhausted.
+    only three spheres are kept.  Yields the largest word length fully
+    scanned: d - 1 after each element filed, d after each sphere.  Returns
+    once every list is full or past its word radius t + slack, or a finite
+    group's ball is exhausted.
     """
     mul, inv, rep = group._mul_payload, group._inv_payload, group._coset_rep_payload
     gens = [group._letter_payloads[l] for l in group.s_letters]

@@ -388,8 +388,9 @@ def test_zd_payloads_are_equal_exactly_when_the_coordinate_sums_are(data):
     u = data.draw(letters_of(group))
     v = data.draw(st.permutations(u) | letters_of(group))
     g, h = group.element_from_word(u), group.element_from_word(v)
-    assert group.coordinates(g.payload) == lattice_word_sum(d, u)
-    assert (g.payload == h.payload) == (lattice_word_sum(d, u) == lattice_word_sum(d, v))
+    sum_u, sum_v = lattice_word_sum(d, u), lattice_word_sum(d, v)
+    assert group.coordinates(g.payload) == sum_u
+    assert (g.payload == h.payload) == (sum_u == sum_v)
 
 
 @given(st.data())
