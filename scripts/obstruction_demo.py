@@ -7,6 +7,7 @@
 import argparse
 import sys
 
+from relend.cli import MAX_SAMPLES
 from relend.coset_graph import BallCache
 from relend.groups import FreeGroup, ZdGroup
 from relend.obstruction import builtin_set, rho_forcing_check
@@ -24,6 +25,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.trials < 0:
         message = f"--trials must be nonnegative, got {args.trials}"
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+    if args.trials > MAX_SAMPLES:
+        message = f"--trials {args.trials} is over the budget {MAX_SAMPLES}"
         parser.exit(2, f"{parser.prog}: error: {message}\n")
 
     bad = 0

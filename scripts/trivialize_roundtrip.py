@@ -8,8 +8,10 @@ import argparse
 import sys
 import time
 
+from relend.cli import MAX_SAMPLES
 from relend.coset_graph import BallCache
 from relend.cocycles import plant_cocycle
+from relend.errors import BallTooLargeError, ConfigError, SearchSpaceTooLargeError
 from relend.groups import ZdGroup, ZmodGroup
 from relend.patterns import trivial_alphabet
 from relend.trivialize import Trivializer
@@ -30,7 +32,16 @@ def main() -> int:
         if value < 0:
             message = f"{flag} must be nonnegative, got {value}"
             parser.exit(2, f"{parser.prog}: error: {message}\n")
+    if args.samples > MAX_SAMPLES:
+        message = f"--samples {args.samples} is over the budget {MAX_SAMPLES}"
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+    try:
+        return roundtrip(args)
+    except (ConfigError, BallTooLargeError, SearchSpaceTooLargeError) as err:
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
+
+def roundtrip(args) -> int:
     alphabet = trivial_alphabet(("0", "1"), "0")
     failures = 0
     for name, make in PAIRS:

@@ -16,19 +16,20 @@ A family implements payload hooks only (``_mul_payload``, ``_word``,
 ``_in_k``, ``_k_exponents``, ``_witness_elements``, ...); ``Group`` defines
 the element methods once over them, and ``witness`` wraps witness payloads.
 
-A lattice element is one int whose fields are the coordinates, so its
-arithmetic is int arithmetic; cyclic arithmetic maps the ``operator``
-functions over the moduli.
+An element of an infinite family is one int: a lattice payload's fields
+are the coordinates, and a free or Baumslag-Solitar payload's digits are
+the letters or Britton codes of its normal form, so no payload of theirs is
+a tuple.  Cyclic arithmetic maps the ``operator`` functions over the moduli.
 
 ``GroupElement`` is the named tuple (group, payload) and ``CosetId`` the
 one-field tuple (rep,), so equality is tuple equality and runs in C: it
 compares the group by identity, then the payloads.  Both hash by the
 payload alone, so equal payloads in two groups hash alike but stay distinct
 keys.  CPython hashes -1 as it hashes -2, so no payload of an infinite
-family holds -1: a lattice payload is even, a free-group letter and its
-inverse are coded i and ~i, and Baumslag-Solitar codes skip -1.  The cosets
-of a ball then hash apart, so a probe of a ball's index or of a memo keyed
-by payload finds no collision chain to walk.
+family is -1: a lattice payload is even, and free and Baumslag-Solitar
+payloads are nonnegative.  The cosets of a ball then hash apart, so a probe
+of a ball's index or of a memo keyed by payload finds no collision chain to
+walk.
 
 All values are immutable and every operation is a pure function, so elements
 and cosets are safe to share across threads.
@@ -470,10 +471,13 @@ class ZmodGroup(Group):
 class FreeGroup(Group):
     """Free group of the given rank, K trivial.
 
-    Payload: the reduced word as a tuple of codes, generator i coded ``i``
-    and its inverse ``~i`` (= -i - 1), so a letter and its inverse are
-    bitwise complements and no code is -1, which CPython hashes as it
-    hashes -2.
+    Payload: the reduced word as one nonnegative int in digits of
+    b = (2 rank + 1).bit_length() bits, the last letter in the lowest digit.
+    Generator i is the digit 2i and its inverse 2i + 1, so an inverse is
+    ``d ^ 1``, no digit is 0 and the identity is 0.  A coset step cancels
+    the last letter (``p >> b``) or appends one (``p << b | d``); a left
+    step cancels or prepends the top digit.  ``codes`` decodes a payload
+    and ``payload_of`` encodes a reduced word.
     """
 
     family = "free"
@@ -482,37 +486,64 @@ class FreeGroup(Group):
         if rank < 1 or rank > 26:
             raise ConfigError(f"free rank out of range: {rank}")
         self.rank = rank
+        self._bits = (2 * rank + 1).bit_length()
+        self._mask = (1 << self._bits) - 1
         super().__init__(tuple(string.ascii_lowercase[:rank]), ())
-        self._code_names = {
-            code: self.letter_names[l] for l, (code,) in self._letter_payloads.items()
+        self._digit_letters = {d: l for l, d in self._letter_payloads.items()}
+        self._digit_names = {
+            d: self.letter_names[l] for d, l in self._digit_letters.items()
         }
 
+    def codes(self, p) -> tuple[int, ...]:
+        """The digits of the reduced word with payload p, first letter first."""
+        return tuple(map(self._letter_payloads.__getitem__, self._word(p)))
+
+    def payload_of(self, word: Iterable[Letter]) -> int:
+        """The payload of a reduced word."""
+        p, digits = 0, self._letter_payloads
+        for letter in word:
+            p = p << self._bits | digits[letter]
+        return p
+
     def _identity_payload(self):
-        return ()
+        return 0
 
     def _gen_payload(self, index: int):
-        return (index,)
+        return 2 * index
 
     def _mul_payload(self, a, b):
-        out = list(a)
-        for code in b:
-            if out and out[-1] == ~code:
-                out.pop()
-            else:
-                out.append(code)
-        return tuple(out)
+        # cancel b's leading digits against a's last ones, then append the rest
+        bits, mask = self._bits, self._mask
+        n = -(-b.bit_length() // bits)
+        while n and (a ^ b >> (n - 1) * bits) & mask == 1:
+            a >>= bits
+            n -= 1
+        return a << n * bits | b & ~(-1 << n * bits)
 
     def _inv_payload(self, a):
-        return tuple(~c for c in reversed(a))
+        bits, mask, out = self._bits, self._mask, 0
+        while a:
+            out = out << bits | (a & mask) ^ 1
+            a >>= bits
+        return out
+
+    def _spell(self, p, by: dict) -> list:
+        """The digits of payload p, first letter first, each looked up in ``by``."""
+        bits, mask, out = self._bits, self._mask, []
+        while p:
+            out.append(by[p & mask])
+            p >>= bits
+        out.reverse()
+        return out
 
     def _word(self, p):
-        return tuple(c if c > 0 else c + 1 for c in p)
+        return tuple(self._spell(p, self._digit_letters))
 
     def payload_str(self, p):
-        return " ".join(map(self._code_names.__getitem__, p))
+        return " ".join(self._spell(p, self._digit_names))
 
     def _in_k(self, p):
-        return p == ()
+        return p == 0
 
     def _coset_rep_payload(self, a):
         return a
@@ -528,19 +559,29 @@ class FreeGroup(Group):
 
     def _coset_steps(self):
         # append the letter, or cancel the last one
-        moves = [(~one[0], one) for one in self._letter_payloads.values()]
+        bits, mask = self._bits, self._mask
+        digits = tuple(self._letter_payloads.values())
 
         def step(vp):
-            back = vp[-1] if vp else 0
-            return [vp[:-1] if inv == back else vp + one for inv, one in moves]
+            back, up = (vp & mask) ^ 1, vp << bits
+            return [vp >> bits if d == back else up | d for d in digits]
 
         return self.s_letters, step
 
     def _left_step(self, letter):
         # prepend the letter, or cancel the first one
-        one = self._letter_payloads[letter]
-        inv = ~one[0]
-        return lambda vp: vp[1:] if vp and vp[0] == inv else one + vp
+        bits, d = self._bits, self._letter_payloads[letter]
+        inv = d ^ 1
+
+        def step(vp):
+            if not vp:
+                return d
+            top = (vp.bit_length() - 1) // bits * bits
+            if vp >> top == inv:
+                return vp ^ inv << top
+            return d << top + bits | vp
+
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +591,21 @@ class FreeGroup(Group):
 class BsGroup(Group):
     """Britton normal form with excess x-powers pushed to the right.
 
-    Payload: the flat int tuple ``(tail, c1, ..., ck)`` encoding
-    x^p1 t^e1 x^p2 t^e2 ... x^pk t^ek x^tail, where p_i lies in [0, m) before
-    t and [0, n) before t^-1, there is no subword t^e x^0 t^-e, and the
-    tail is unconstrained.  The pair (p, e) is the code p + 1 for e = +1 and
-    -(p + 2) for e = -1, so codes lie in [1, m] and [-(n + 1), -2]; -1 is
-    never a code, since CPython hashes -1 as it hashes -2.  Right
-    multiplication by x only shifts the tail, so a coset gK is canonicalised
-    by zeroing it, and a coset step appends or pops one code.
+    The normal form x^p1 t^e1 x^p2 t^e2 ... x^pk t^ek x^tail has p_i in
+    [0, m) before t and [0, n) before t^-1, no subword t^e x^0 t^-e, and an
+    unconstrained tail.  Its codes are ``(tail, c1, ..., ck)``, the pair
+    (p, e) coded p + 1 for e = +1 and -(p + 2) for e = -1, so codes lie in
+    [1, m] and [-(n + 1), -2].
+
+    Payload: one nonnegative int.  Code c is the digit c, or m - 1 - c when
+    negative, so digits lie in [1, m + n]; each takes b = (m + n).bit_length()
+    bits and ck is the lowest.  A nonzero tail sits, zigzag coded (2 tail,
+    or -2 tail - 1 when negative), above one zero separator digit, so the
+    tail is unbounded.  K = <x> is the payloads whose lowest digit is 0, a
+    coset representative (tail 0) is the digit string alone, and a coset
+    step appends or pops one digit.  Products and inverses decode to codes,
+    run the Britton rules there and encode; ``codes`` and ``payload_of``
+    are that decoder and encoder.
     """
 
     family = "bs"
@@ -568,13 +616,38 @@ class BsGroup(Group):
             raise ConfigError(f"bs parameters must lie in 1..1000, got ({m}, {n})")
         self.m = m
         self.n = n
+        self._bits = (m + n).bit_length()
+        self._mask = (1 << self._bits) - 1
         super().__init__(("x", "t"), (1,))
 
+    def codes(self, p) -> tuple[int, ...]:
+        """The codes ``(tail, c1, ..., ck)`` of the payload p."""
+        bits, mask, m, out = self._bits, self._mask, self.m, []
+        d = p & mask
+        while d:
+            out.append(d if d <= m else m - 1 - d)
+            p >>= bits
+            d = p & mask
+        z = p >> bits
+        out.append(z >> 1 ^ -(z & 1))
+        out.reverse()
+        return tuple(out)
+
+    def payload_of(self, codes: Sequence[int]) -> int:
+        """The payload of the codes ``(tail, c1, ..., ck)``."""
+        bits, m, p = self._bits, self.m, 0
+        for c in codes[1:]:
+            p = p << bits | (c if c > 0 else m - 1 - c)
+        tail = codes[0]
+        if tail:
+            p |= (2 * tail if tail > 0 else ~(2 * tail)) << bits * len(codes)
+        return p
+
     def _identity_payload(self):
-        return (0,)
+        return 0
 
     def _gen_payload(self, index: int):
-        return (1,) if index == 1 else (0, 1)
+        return self.payload_of((1,) if index == 1 else (0, 1))
 
     def _append_t(self, out: list, tail: int, eps: int) -> int:
         """Append t^eps to x^tail, rewriting x-excess through the relation;
@@ -588,18 +661,18 @@ class BsGroup(Group):
         return carry * q
 
     def _mul_payload(self, a, b):
-        out = list(a)
-        tail = a[0]
+        out, b = list(self.codes(a)), self.codes(b)
+        tail = out[0]
         for c in b[1:]:
             if c > 0:
                 tail = self._append_t(out, tail + c - 1, +1)
             else:
                 tail = self._append_t(out, tail - c - 2, -1)
         out[0] = tail + b[0]
-        return tuple(out)
+        return self.payload_of(out)
 
     def _inv_payload(self, a):
-        out = [0]
+        out, a = [0], self.codes(a)
         tail = -a[0]
         for c in reversed(a[1:]):
             if c > 0:
@@ -607,27 +680,31 @@ class BsGroup(Group):
             else:
                 tail = self._append_t(out, tail, +1) + c + 2
         out[0] = tail
-        return tuple(out)
+        return self.payload_of(out)
 
     def _word(self, p):
-        out = []
-        for c in p[1:]:
+        out, codes = [], self.codes(p)
+        for c in codes[1:]:
             out.extend([1] * (c - 1 if c > 0 else -c - 2))
             out.append(2 if c > 0 else -2)
-        tail = p[0]
+        tail = codes[0]
         out.extend([1 if tail > 0 else -1] * abs(tail))
         return tuple(out)
 
     def _in_k(self, p):
-        return len(p) == 1
+        return not p & self._mask
 
     def _coset_rep_payload(self, a):
-        return (0,) + a[1:]
+        # the digits below the separator, the lowest zero digit
+        bits, mask, top = self._bits, self._mask, 0
+        while a >> top & mask:
+            top += bits
+        return a & ~(-1 << top)
 
     def _k_exponents(self, p):
-        if len(p) != 1:
+        if p & self._mask:
             raise InternalError("k_exponents called on an element outside <x>")
-        return p
+        return self.codes(p)
 
     def _witness_elements(self, letter):
         # x^i t^eps for i below m (eps = +1) or n (eps = -1)
@@ -635,27 +712,27 @@ class BsGroup(Group):
             return (self._identity_payload(),)
         t = self._letter_payloads[letter]
         count = self.m if letter > 0 else self.n
-        return tuple(self._mul_payload((i,), t) for i in range(count))
+        return tuple(
+            self._mul_payload(self.payload_of((i,)), t) for i in range(count)
+        )
 
     def relator_words(self):
         return ((-2,) + (1,) * self.m + (2,) + (-1,) * self.n,)
 
     def _coset_steps(self):
-        # in the Bass-Serre tree the witness x^i t^eps appends its code, or
-        # for i = 0 pops back to the parent when the last code has sign -eps;
-        # a representative's tail is 0, so the base has sign 0
-        moves = [
-            ((i + 1 if eps > 0 else -i - 2,), -eps if i == 0 else None)
-            for eps, count in ((+1, self.m), (-1, self.n))
-            for i in range(count)
-        ]
+        # in the Bass-Serre tree the witness x^i t^eps appends its digit, or
+        # for i = 0 pops back to the parent when the last code has sign
+        # -eps: t's digit 1 pops a negative code (a digit above m) and
+        # t^-1's digit m + 1 a positive one; the base has no last digit
+        m, bits, mask = self.m, self._bits, self._mask
+        digits = tuple(range(1, m + self.n + 1))
 
         def step(vp):
-            last = vp[-1]
-            back = (last > 0) - (last < 0)
-            return [vp[:-1] if pop == back else vp + one for one, pop in moves]
+            last, up = vp & mask, vp << bits
+            pop = 1 if last > m else m + 1 if last else 0
+            return [vp >> bits if d == pop else up | d for d in digits]
 
-        return (2,) * self.m + (-2,) * self.n, step
+        return (2,) * m + (-2,) * self.n, step
 
 
 # ---------------------------------------------------------------------------

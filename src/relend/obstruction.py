@@ -59,8 +59,9 @@ def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
     ``halfline``: lattice cosets whose first free coordinate is nonnegative.
     ``aprefix``: free-group cosets entered through the a-direction, realised
     as representatives whose last letter is the generator a (equivalently,
-    inverses with prefix a); the last-letter form is the one whose generator
-    differences are finite under left translation.
+    inverses with prefix a), the lowest digit of the payload; the
+    last-letter form is the one whose generator differences are finite
+    under left translation.
     """
     if name == "halfline":
         if group.family != "zd":
@@ -73,7 +74,8 @@ def builtin_set(group: Group, name: str) -> AlmostInvariantSet:
     if name == "aprefix":
         if group.family != "free":
             raise ValueError("aprefix requires a free group")
-        return AlmostInvariantSet("aprefix", lambda p: bool(p) and p[-1] == 1)
+        mask, a = group._mask, group._letter_payloads[1]
+        return AlmostInvariantSet("aprefix", lambda p: p & mask == a)
     raise ValueError(f"unknown built-in set {name!r}")
 
 

@@ -311,19 +311,33 @@ def test_capacity_probe_equals_the_unbounded_set_scan(pair):
         assert entry.value == _capacity_probe(graph, r, entry.probe_radius)
 
 
-def test_ends_on_bs13_peaks_below_280_bytes_per_ball_vertex():
-    # ball(8) of BS(1, 3) has 13,121 vertices, two thirds of them on the
-    # last sphere; the id rows, the one letter tuple, the empty last-sphere
-    # table and the flat code-tuple payloads keep the whole pass under this
-    # bound (about 256 B; nested (p, e) pair payloads took about 304 B)
+def _peak_bytes_per_vertex(group, rmax, margin):
+    """The traced peak of ``estimate_ends`` per vertex of the ball it
+    builds; collecting first empties the free lists, whose reused tuples
+    tracemalloc would not count."""
+    gc.collect()
     tracemalloc.start()
     try:
-        cache = BallCache(BsGroup(1, 3))
-        estimate_ends(cache, 4, 4)
+        cache = BallCache(group)
+        estimate_ends(cache, rmax, margin)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 280 * cache.at_least(8).vertex_count()
+    return peak / cache.at_least(0).vertex_count()
+
+
+def test_ends_on_bs13_peaks_below_200_bytes_per_ball_vertex():
+    # ball(8) of BS(1, 3) has 13,121 vertices, two thirds of them on the
+    # last sphere; the id rows, the one letter tuple, the empty last-sphere
+    # table and the one-int payloads keep the whole pass under this bound
+    # (about 179 B; flat code-tuple payloads took about 256 B)
+    assert _peak_bytes_per_vertex(BsGroup(1, 3), 4, 4) < 200
+
+
+def test_ends_on_free2_peaks_below_190_bytes_per_ball_vertex():
+    # ball(8) of F_2 has 13,121 vertices; one-int payloads keep the pass
+    # under this bound (about 168 B; code-tuple payloads took about 210 B)
+    assert _peak_bytes_per_vertex(FreeGroup(2), 3, 5) < 190
 
 
 def test_ends_and_capacity_on_zd3_peak_below_290_bytes_per_ball_vertex():

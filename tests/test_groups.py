@@ -160,18 +160,62 @@ def test_bs_payloads_obey_the_group_laws(name, data):
 @pytest.mark.parametrize("name", sorted(BS_GROUPS))
 @given(data=st.data())
 def test_bs_payloads_are_flat_reduced_code_tuples(name, data):
-    # (tail, c1, ..., ck): a code is p + 1 before t, -(p + 2) before t^-1,
-    # so 0 and -1 never occur, and no t^e x^0 t^-e is left
+    # a payload is one nonnegative int whose codes (tail, c1, ..., ck) are
+    # p + 1 before t and -(p + 2) before t^-1, so 0 and -1 never occur, and
+    # no t^e x^0 t^-e is left
     group = BS_GROUPS[name]
     m, n = group.m, group.n
     p = group.element_from_word(data.draw(letters_of(group))).payload
-    assert type(p) is tuple and p and all(type(c) is int for c in p)
-    codes = p[1:]
+    assert type(p) is int and p >= 0
+    tail, *codes = group.codes(p)
+    assert group.payload_of((tail, *codes)) == p
     assert all(1 <= c <= m or -(n + 1) <= c <= -2 for c in codes)
     for prev, c in zip(codes, codes[1:]):
         assert not (c == 1 and prev < 0) and not (c == -2 and prev > 0)
     rep = coset_of(GroupElement(group, p)).rep.payload
-    assert rep == (0, *codes)
+    assert group.codes(rep) == (0, *codes)
+
+
+# bs tails: small values and integers beyond 2^70 in size
+TAILS = st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(-2**80, 2**80))
+
+
+@st.composite
+def bs_codes(draw, group):
+    """Codes (tail, c1, ..., ck) of any size, reduced or not."""
+    values = [*range(1, group.m + 1), *range(-group.n - 1, -1)]
+    codes = draw(st.lists(st.sampled_from(values), max_size=8))
+    return (draw(TAILS), *codes)
+
+
+@pytest.mark.parametrize("name", sorted(BS_GROUPS))
+@given(data=st.data())
+def test_bs_codes_round_trip_with_any_tail(name, data):
+    group = BS_GROUPS[name]
+    tail, *codes = data.draw(bs_codes(group))
+    p = group.payload_of((tail, *codes))
+    assert p >= 0 and group.codes(p) == (tail, *codes)
+    # the representative clears exactly the tail; K holds exactly no codes
+    assert group._coset_rep_payload(p) == group.payload_of((0, *codes))
+    assert group._in_k(p) == (not codes)
+    if not codes:
+        assert group._k_exponents(p) == (tail,)
+
+
+@pytest.mark.parametrize("name", sorted(BS_GROUPS))
+@given(data=st.data())
+def test_bs_products_move_a_large_tail_exactly(name, data):
+    # right multiplication by x^k adds k to the tail; the tail stays exact
+    # far past any fixed field width
+    group = BS_GROUPS[name]
+    word = data.draw(letters_of(group))
+    shift = data.draw(TAILS)
+    g = group.element_from_word(word).payload
+    tail, *codes = group.codes(g)
+    moved = group._mul_payload(g, group.payload_of((shift,)))
+    assert group.codes(moved) == (tail + shift, *codes)
+    inverse = group._inv_payload(moved)
+    assert group._mul_payload(moved, inverse) == group._mul_payload(inverse, moved) == 0
 
 
 def test_subgroup_membership():
@@ -440,10 +484,40 @@ def test_free_payloads_round_trip_their_reduced_words(case):
     g = group.element_from_word(word)
     assert g.word == free_reduce(word)
     assert group.element_from_word(g.word) == g
-    assert -1 not in g.payload
+    # generator i is the digit 2i and its inverse 2i + 1, first letter first
+    assert g.payload >= 0 and group.payload_of(g.word) == g.payload
+    assert group.codes(g.payload) == tuple(2 * l if l > 0 else 1 - 2 * l for l in g.word)
     reduced = group.word_of(coset_of(g).rep)
     aprefix = builtin_set(group, "aprefix").member(coset_of(g).rep.payload)
     assert aprefix == (reduced[-1:] == (1,))
+
+
+FREE_WORDS = st.integers(1, 3).flatmap(lambda rank: st.tuples(
+    st.just(FreeGroup(rank)),
+    *[st.lists(st.sampled_from(FreeGroup(rank).s_letters), max_size=12)] * 2,
+))
+
+
+@given(FREE_WORDS)
+def test_free_products_and_inverses_reduce_the_concatenation(case):
+    group, u, v = case
+    g, h = group.element_from_word(u), group.element_from_word(v)
+    product = group.multiply(g, h)
+    assert product.payload >= 0 and product.word == free_reduce(u + v)
+    assert group.invert(g).payload >= 0
+    assert group.invert(g).word == _inverse_word(free_reduce(u))
+
+
+@given(FREE_WORDS, st.data())
+def test_free_left_step_is_the_left_product(case, data):
+    # the override against the generic rep(mul(s, vp)), and aprefix against
+    # the decoded word's last letter
+    group, word, _ = case
+    p = group.element_from_word(word).payload
+    letter = data.draw(st.sampled_from(group.s_letters))
+    assert group._left_step(letter)(p) == Group._left_step(group, letter)(p)
+    member = builtin_set(group, "aprefix").member
+    assert member(p) == (group._word(p)[-1:] == (1,))
 
 
 # one ball per built-in family, its coset payloads hashed; CPython hashes

@@ -60,7 +60,7 @@ def test_boundary_requires_stability():
     group = FreeGroup(2)
     cache = BallCache(group)
     # words whose first letter is the generator a: differences keep growing
-    prefix = AlmostInvariantSet("prefix", lambda p: bool(p) and p[0] == 1)
+    prefix = AlmostInvariantSet("prefix", lambda p: group.codes(p)[:1] == (2,))
     with pytest.raises(NoStabilizationError):
         generator_boundaries(cache, prefix, 5)
 
@@ -574,7 +574,7 @@ def test_forcing_check_error_order():
 
     def member(p):
         payload = group.multiply(GroupElement(group, p), shift).payload
-        return bool(payload) and payload[-1] == 1
+        return group.codes(payload)[-1:] == (2,)
 
     moved = AlmostInvariantSet("moved", member)
     cap = BallCache(group).at_least(radius).ball_size(radius)

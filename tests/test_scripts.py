@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from relend.cli import MAX_SAMPLES
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ["ends_survey.py", "obstruction_demo.py", "trivialize_roundtrip.py"]
 
@@ -69,6 +71,42 @@ def test_trivialize_roundtrip_refuses_a_negative_count(flag):
     assert done.stdout == ""
     assert done.stderr.splitlines() == [
         f"trivialize_roundtrip.py: error: {flag} must be nonnegative, got -1"
+    ]
+
+
+@pytest.mark.parametrize(
+    "script,flag",
+    [("obstruction_demo.py", "--trials"), ("trivialize_roundtrip.py", "--samples")],
+)
+def test_a_count_over_the_budget_is_refused_before_any_work(script, flag):
+    # the CLI's --samples budget; a run of 10^8 trials would not end in minutes
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    over = MAX_SAMPLES + 1
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), flag, str(over)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"{script}: error: {flag} {over} is over the budget {MAX_SAMPLES}"
+    ]
+
+
+def test_trivialize_roundtrip_reports_a_config_error_in_one_line():
+    # a b0 window whose table is too large: one line and exit 2, as the CLI
+    # gives, not a traceback with exit 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "trivialize_roundtrip.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--b0-window", "40"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "trivialize_roundtrip.py: error: b0 table over 3281 cells and 2 symbols"
+        " is too large to materialise"
     ]
 
 
