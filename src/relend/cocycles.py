@@ -24,8 +24,11 @@ asks the rule; ``factor`` reads and fills the same table from a pattern.
 The product is a target payload until the walk ends.  ``walk_word`` takes
 one more step after the last letter and returns g y with c(g, y); the
 trivializer and the planted rule move configurations that way, not with
-``act``.  Word-independence is exactly the cocycle identity and is guarded
-by ``verify_relations``.
+``act``.  Word-independence is exactly the cocycle identity.  For a zmod or
+zd target ``prove_relations`` proves it on all configurations: the Moebius
+coefficients of each table, one per assignment of symbols other than x0 to
+window cells, move back along every relator and pair (s, s^-1) by ``_move``,
+and every sum must vanish.  ``verify_relations`` samples it instead.
 ``path_difference`` recomputes a difference of cocycle values along an
 edge path from per-edge subgroup witnesses and the uncached ``act``,
 giving a second, independent route to the same group element.
@@ -37,6 +40,7 @@ import itertools
 import random
 from collections import defaultdict
 from functools import cached_property
+from operator import add, attrgetter, sub
 from typing import Callable, Iterator, NamedTuple
 
 from .coset_graph import BallCache, CosetGraph, Path
@@ -45,6 +49,7 @@ from .errors import (
     InsufficientRadiusError,
     InternalError,
     NotFoundError,
+    SearchSpaceTooLargeError,
 )
 from .groups import CosetId, Group, GroupElement, Letter, k_ball
 from .patterns import (
@@ -370,6 +375,106 @@ def verify_relations(
                     RelationViolation(rel, pattern_key(restrict(y, region)), value)
                 )
     return RelationReport(checked, tuple(violations))
+
+
+# letters x |A|^cells, the table reads of ``prove_relations``, refused before
+# the first read
+PROOF_LIMIT = 1 << 18
+
+
+class RelationProof(NamedTuple):
+    relators: int
+    pairs: int
+    violations: tuple[RelationViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _moebius(values: list, n: int, cells: int) -> list:
+    """The Moebius coefficients of a table in mixed-radix order, digit 0 the
+    symbol x0: per cell, each digit's slice minus digit 0's.  The lowest
+    cell is cut into n slices and moved to the top, so after every cell the
+    order is back."""
+    for _ in range(cells):
+        zero = values[::n]
+        out = zero[:]
+        for j in range(1, n):
+            out += map(sub, values[j::n], zero)
+        values = out
+    return values
+
+
+def prove_relations(c: CocycleSpec) -> RelationProof:
+    """Prove every relator and every pair (s, s^-1) of a cocycle into a
+    zmod or zd target on all configurations, or name a failing monomial.
+
+    A table is Σ_U f(U)·[y ⊇ U] over the partial assignments U (cell ↦
+    symbol ≠ x0) of the window, f its Moebius (ANF) coefficients, and
+    [g y ⊇ U] = [y ⊇ g⁻¹U].  A word l_1…l_k sums f_{l_i} at l_{i+1}…l_k y, so
+    its coefficients are the f_{l_i}(U) with U moved back along the suffix;
+    the monomials are independent, so the word vanishes everywhere exactly
+    when each accumulated coefficient does (mod the moduli for zmod).
+    """
+    group, alphabet, target = c.group, c.alphabet, c.target
+    digits, n = c._digits, len(alphabet.symbols)
+    if len(group.s_letters) * n ** len(digits) > PROOF_LIMIT:
+        raise SearchSpaceTooLargeError(
+            f"relation proof over {len(digits)} cells, {n} symbols and "
+            f"{len(group.s_letters)} letters is over {PROOF_LIMIT} table reads"
+        )
+    zmod = target.family == "zmod"
+    mods = target.mods if zmod else (0,) * target.d
+
+    def reduced(xs) -> tuple:
+        return tuple(x % m if m else x for x, m in zip(xs, mods))
+
+    others = [s for s in alphabet.symbols if s != alphabet.x0]
+    codes = [0]
+    for d in digits.values():
+        codes = [code + bit for bit in [0] + [d[s] for s in others] for code in codes]
+    monomials = {}
+    for letter in group.s_letters:
+        table = c.tables.get(letter, {})
+        if len(table) < len(codes):  # the rule fills what the table lacks
+            table = {code: c._value(letter, code) for code in codes}
+        rows = map(attrgetter("payload"), map(table.__getitem__, codes))
+        if not zmod:
+            rows = map(target.coordinates, rows)
+        columns, hits = [], set()
+        for col, m in zip(zip(*rows), mods):
+            col = _moebius(list(col), n, len(digits))
+            columns.append([x % m for x in col] if m else col)
+            hits.update(itertools.compress(itertools.count(), columns[-1]))
+        terms = monomials[letter] = {}
+        for index in sorted(hits):
+            xs, key = tuple(col[index] for col in columns), []
+            for p in digits:
+                index, j = divmod(index, n)
+                if j:
+                    key.append((p, others[j - 1]))
+            terms[frozenset(key)] = xs
+
+    relators = group.relator_words()
+    pairs = tuple((i, -i) for i in range(1, len(group.gen_names) + 1))
+    violations = []
+    for word in relators + pairs:
+        acc: dict = {}
+        for i, letter in enumerate(word):
+            if i:
+                acc = {frozenset(c._move(-letter, u)): xs for u, xs in acc.items()}
+            for u, xs in monomials[letter].items():
+                old = acc.get(u)
+                acc[u] = xs if old is None else tuple(map(add, old, xs))
+        bad = [(u, xs) for u, xs in acc.items() if any(reduced(xs))]
+        if bad:
+            u, xs = min(bad, key=lambda t: len(t[0]))
+            key = frozenset((CosetId(GroupElement(group, p)), s) for p, s in u)
+            xs = reduced(xs)
+            value = GroupElement(target, xs if zmod else target.payload_of(xs))
+            violations.append(RelationViolation(word, key, value))
+    return RelationProof(len(relators), len(pairs), tuple(violations))
 
 
 class EdgeWitness(NamedTuple):

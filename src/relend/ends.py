@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coset_graph import BallCache, CosetGraph, _shell_components
-from .errors import NoStabilizationError, NotOneEndedError
+from .errors import BallTooLargeError, NoStabilizationError, NotOneEndedError
 from .groups import CosetId, Group
 
 
@@ -77,8 +77,7 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
         comps = _shell_components(graph, r, r + margin)
         rows.append(EndsRow(r, r + margin, len(comps), sum(t for _, t in comps)))
     counts = [row.sphere_touching for row in rows]
-    # the top half of the counts, two of them at rmax 2; one is never exact
-    window = counts[min(r_max // 2, max(r_max - 2, 0)) :]
+    window = counts[_exact_from(r_max) :]
     if len(window) > 1 and all(c == window[-1] for c in window):
         kind, count = "exact", window[-1]
     elif all(a <= b for a, b in zip(counts, counts[1:])) and counts[-1] > counts[0]:
@@ -86,6 +85,30 @@ def estimate_ends(cache: BallCache, r_max: int = 5, margin: int = 5) -> EndsRepo
     else:
         kind, count = "inconclusive", None
     return EndsReport(tuple(rows), kind, count)
+
+
+def _exact_from(r_max: int) -> int:
+    """The index of the first count an exact estimate reads: the top half of
+    the counts, two of them at rmax 2; one is never exact."""
+    return min(r_max // 2, max(r_max - 2, 0))
+
+
+def row_ruling_out_one_end(
+    cache: BallCache, r_max: int, margin: int
+) -> EndsRow | None:
+    """The first row among those an exact estimate reads whose count is not
+    1, so that ``estimate_ends`` cannot report exact 1; rows are computed in
+    order, and None comes back when a ball over its budget stops them first."""
+    for r in range(_exact_from(r_max) + 1, r_max + 1):
+        try:
+            graph = cache.at_least(r + margin)
+        except BallTooLargeError:
+            return None
+        comps = _shell_components(graph, r, r + margin)
+        touching = sum(t for _, t in comps)
+        if touching != 1:
+            return EndsRow(r, r + margin, len(comps), touching)
+    return None
 
 
 def _capacity_probe(graph: CosetGraph, r: int, probe: int) -> int:

@@ -39,8 +39,8 @@ from .cocycles import (
     walk_word,
     window_region,
 )
-from .ends import capacity, estimate_ends
-from .errors import NotFoundError, NotOneEndedError
+from .ends import capacity, estimate_ends, row_ruling_out_one_end
+from .errors import BallTooLargeError, NotFoundError, NotOneEndedError
 from .groups import Group, GroupElement, Letter, coset_of
 from .patterns import (
     Pattern,
@@ -345,7 +345,19 @@ class Trivializer:
         cocycle = self.cocycle
         group = self.group
 
-        ends = estimate_ends(self.cache, self.ends_rmax, self.ends_margin)
+        try:
+            ends = estimate_ends(self.cache, self.ends_rmax, self.ends_margin)
+        except BallTooLargeError as err:
+            # a row that fits can already rule out exact 1
+            row = row_ruling_out_one_end(self.cache, self.ends_rmax, self.ends_margin)
+            if row is None:
+                raise
+            raise NotOneEndedError(
+                f"trivialization requires a one-ended pair; {err}, and row "
+                f"r={row.r} has {row.sphere_touching} sphere-touching components "
+                f"at probe radius {row.probe_radius}, so the estimate cannot "
+                "be exact 1"
+            ) from None
         if not ends.is_exactly(1):
             raise NotOneEndedError(
                 f"trivialization requires a one-ended pair; estimate was "

@@ -4,12 +4,16 @@ The models share no code path with what they check: nothing in them imports
 graph or group machinery from the package.  The coset-level helpers at the
 end take the package's groups and balls, but only through group arithmetic
 and the ball's vertex list, never through the id-level passes they check.
+The cocycle word oracle, last, reads a spec's tables through ``factor``
+alone and moves patterns with the uncached ``act``, never through the
+letter steps or the Moebius coefficients of the relation proof.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from relend.groups import coset_of
+from relend.patterns import Pattern, act, make_pattern
 
 
 # -- lattice model (grids Z^k under the l1 metric, unit-step edges) ----------
@@ -193,3 +197,79 @@ def sign_of(y, cells):
     """Product of a sign configuration over a finite set of cosets."""
     minus = sum(1 for c in cells if y.value_at(c) == "-1")
     return -1 if minus % 2 else 1
+
+
+# -- cocycle words by brute force --------------------------------------------
+# The value of a word on a pattern, through the uncached ``act`` and the table
+# lookup ``factor`` alone: no letter steps, window codes or Moebius
+# coefficients.
+
+
+def checked_words(group) -> list:
+    """The relators, then the pair (s, s^-1) of every generator s."""
+    pairs = [(i, -i) for i in range(1, len(group.gen_names) + 1)]
+    return list(group.relator_words()) + pairs
+
+
+class WordOracle:
+    """A word's value on patterns, c(l_1...l_k, y) = prod_i c(l_i, g_i y) with
+    g_i = l_{i+1}...l_k.  ``reach`` holds the cells the value reads, the
+    window moved back along each suffix, and ``images`` maps each letter's
+    (cell, symbol) pairs of y to the window entries of g_i y they become,
+    read off ``act`` on one-cell patterns."""
+
+    def __init__(self, spec, word):
+        group, alphabet = spec.group, spec.alphabet
+        self.spec, suffixes, g = spec, [], group.identity()
+        for letter in reversed(word):
+            suffixes.append((letter, g))
+            g = group.multiply(group.letter_element(letter), g)
+        self.reach = sorted(
+            {coset_of(group.multiply(group.invert(g), c.rep))
+             for _, g in suffixes for c in spec.region},
+            key=lambda c: group.word_key(c.rep),
+        )
+        others = [s for s in alphabet.symbols if s != alphabet.x0]
+        self.images = []
+        for letter, g in suffixes:
+            images = {}
+            for x in self.reach:
+                for s in others:
+                    (entry,) = act(g, make_pattern(alphabet, {x: s})).entries
+                    if entry[0] in spec.region:
+                        images[x, s] = entry
+            self.images.append((letter, images))
+
+    def value(self, entries):
+        """The word's value on the pattern with these (cell, symbol) entries."""
+        spec = self.spec
+        value = spec.target.identity()
+        for letter, images in self.images:
+            window = frozenset(images[e] for e in entries if e in images)
+            factor = spec.factor(letter, Pattern(spec.alphabet, window))
+            value = spec.target.multiply(factor, value)
+        return value
+
+    def violation(self):
+        """The entries of the first pattern on the reach, in ``product``
+        order, where the value is not the identity; None when all
+        |A|^|reach| patterns give the identity."""
+        x0 = self.spec.alphabet.x0
+        for symbols in product(self.spec.alphabet.symbols, repeat=len(self.reach)):
+            entries = [(c, s) for c, s in zip(self.reach, symbols) if s != x0]
+            if not self.value(entries).is_identity():
+                return entries
+        return None
+
+    def coefficient(self, monomial):
+        """The coefficient of [y ⊇ U] in the value, U a set of (cell, symbol)
+        pairs on distinct cells, by inclusion-exclusion for an abelian
+        target: the sum over V ⊆ U of (-1)^|U - V| times the value at V."""
+        target, entries = self.spec.target, list(monomial)
+        total = target.identity()
+        for bits in product((0, 1), repeat=len(entries)):
+            value = self.value([e for e, bit in zip(entries, bits) if bit])
+            if (len(entries) - sum(bits)) % 2:
+                value = target.invert(value)
+            total = target.multiply(total, value)
+        return total

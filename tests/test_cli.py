@@ -149,6 +149,39 @@ def test_trivialize_rejects_many_ends(configs):
     assert "one_ended" in rep.read_text()
 
 
+def test_trivialize_rejects_free3_on_a_row_that_fits(tmp_path, capsys):
+    # the pre-check's ball(8) is over the vertex budget on free(3), but
+    # ball(7) fits and its row r = 3, which an exact estimate reads, already
+    # has 150 sphere-touching components
+    config = tmp_path / "free3.json"
+    config.write_text(json.dumps({"family": "free", "rank": 3, "k": "trivial"}))
+    rep = tmp_path / "report.txt"
+    code = main(["trivialize", "--config", str(config), "--plant",
+                 "--report", str(rep)])
+    assert code == 1 and capsys.readouterr().err == ""
+    assert rep.read_text().splitlines() == [
+        "seed: 0",
+        "FAIL one_ended: trivialization requires a one-ended pair; ball(8) has "
+        "over 200000 vertices, and row r=3 has 150 sphere-touching components "
+        "at probe radius 7, so the estimate cannot be exact 1",
+    ]
+
+
+def test_trivialize_keeps_the_size_limit_when_no_row_rules_out_one_end(configs, monkeypatch, capsys):
+    # zd(2)'s ball(7) and ball(8) have 113 and 145 vertices: under a budget
+    # of 120 the exact estimate's row r = 3 fits and has one sphere-touching
+    # component, and its row r = 4 does not fit, so the size limit stands
+    import relend.coset_graph
+
+    tmp, paths = configs
+    monkeypatch.setattr(relend.coset_graph, "MAX_VERTICES", 120)
+    code = main(["trivialize", "--config", str(paths["z2"]), "--plant"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "size limit: ball(8) has over 120 vertices\n"
+    )
+
+
 def test_obstruct_report(configs):
     tmp, paths = configs
     rep = tmp / "obstruction.txt"
@@ -300,7 +333,8 @@ def test_verify_sizes_its_balls_by_the_file_window(configs, tmp_path):
     )
     assert code == 0
     assert (tmp / "report.txt").read_text().splitlines()[1:] == [
-        "PASS relations: 0 relator evaluations", "PASS window_soundness"
+        "PASS relations: proved on 0 relators and 1 inverse pairs",
+        "PASS window_soundness",
     ]
 
 

@@ -187,25 +187,25 @@ def run_case(case, workdir: Path) -> str:
 
 GOLDEN = {
     "verify-zd2-s1":
-        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+        "cc28e377bd2a471ad3037d1ee34f6643360f274da2d4ef8742b58da342e9b678",
     "verify-zd2-s2":
-        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+        "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "verify-zd3-s1":
-        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
+        "9b21d64b86098166dc2a351d3687747aa29533dfa45dbffaf866fd707f9ec7d8",
     "verify-zd3-s2":
-        "cc2617cdcdb54ed21c61322ffe316ad4b2e3fd46fbfcc7aea4431a5d618e3c5d",
+        "12377f581f9d98f8407effde0b00b1cb3ae5cf0a0730f828dd0a7ba2a5300964",
     "verify-zd3k0-s1":
-        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
+        "9b21d64b86098166dc2a351d3687747aa29533dfa45dbffaf866fd707f9ec7d8",
     "verify-zd3k0-s2":
-        "cc2617cdcdb54ed21c61322ffe316ad4b2e3fd46fbfcc7aea4431a5d618e3c5d",
+        "12377f581f9d98f8407effde0b00b1cb3ae5cf0a0730f828dd0a7ba2a5300964",
     "verify-free2-s1":
-        "957bd46e81e8619f55f93942b3adbb8ed3797a5aad6059b6ad64d439a2173f39",
+        "eeb289ed4ff32ed79b0d49c5dcd83b3810a561a4aa76cee7d32f95f336b5ddee",
     "verify-free2-s2":
-        "b1721e88b2d5c56568b19b109bec19ac6c8e95e3becc873bea788a0cc978e169",
+        "8f88a98d17bd4f808023fc8d21e74a9c9336d843101563c2897189bf536c7f67",
     "verify-bs12-s1":
-        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+        "cc28e377bd2a471ad3037d1ee34f6643360f274da2d4ef8742b58da342e9b678",
     "verify-bs12-s2":
-        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+        "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd2-s1-samples-12":
         "d0c8fb250aab9a6fe94e2e61db3948d49ff2d65c15428ab523f20679e0fce3b3",
     "trivialize-zd3-s1-samples-12":
@@ -229,7 +229,7 @@ GOLDEN = {
     "trivialize-zd3k0-s2":
         "c4c7cc857a4ed2a50f18906775c9ef3ca203f8920a2360e52d1e25ae3dddb9a1",
     "verify-corrupt-zd2-s1":
-        "c078a646d351e35c2fab2a02a871ba88bbdff89b30d10452f0821f6a9536745e",
+        "04a1b2e45e798f4d41d2af4e0a743f0330842a46df1a0727a482b4e44a3d6d21",
     "trivialize-varied-zd2-s1":
         "90172eef7fcbefcf595bae05e150b0cc000e88f88e449bee86705587eb100eac",
     "trivialize-varied-zd3-s1":
@@ -249,9 +249,9 @@ GOLDEN = {
     "plant-bs12-s1-b0-window-1-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
     "verify-bs12x-s1":
-        "a24d82e3cc79c34243b5c69d042aa185cf7f73182fb0266d0c6128107e0d530d",
+        "cc28e377bd2a471ad3037d1ee34f6643360f274da2d4ef8742b58da342e9b678",
     "verify-bs12x-s2":
-        "d1cbd48c0bb2edaab996b3cffcc21d23660637ab31939424c1a4d6f5c56b20ad",
+        "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd3k0a-s1-samples-12":
         "015838b3d29882ecb80f42573a3b95ee6d13c37b70f895bdafcc7da52fa8fda8",
     "plant-zd3k0a-s1-b0-window-0-samples-12":
@@ -263,7 +263,7 @@ GOLDEN = {
     "plant-bs12z-s4-b0-window-0-samples-12":
         "9a8f2f2bced0a2e7bd37e5660c909ab497f4918b04a225426f38b2c47733881d",
     "verify-bs12z-s1":
-        "94d51ccdf92779d84533713768738396c27a6f50ca176aaed55b45fa1c5365da",
+        "9b21d64b86098166dc2a351d3687747aa29533dfa45dbffaf866fd707f9ec7d8",
 }
 
 
