@@ -54,8 +54,9 @@ def _file_spec(name, target, seed, b0_window=0):
 
 
 def _bump(target):
-    """A nonzero target element: the first generator."""
-    return target.letter_element(1)
+    """A nonzero target element: the last generator, so that a corruption
+    of a two-coordinate target sits in its second coordinate."""
+    return target.letter_element(len(target.gen_names))
 
 
 def assert_proof_matches_brute_force(spec):
@@ -81,8 +82,8 @@ def assert_proof_matches_brute_force(spec):
 
 # -- planted files, genuine and with one corrupted entry -----------------------
 
-# (pair, target, seed): non-constant plantings, Z/5 and Z^1 targets, the
-# K-permuted alphabets and the product
+# (pair, target, seed): non-constant plantings, Z/5, Z^1, Z^2 and Z/2 x Z/3
+# targets, the K-permuted alphabets and the product
 PLANTED = {
     "zd2-varied": ("zd2", ZmodGroup((2,)), VARIED_SEED),
     "zd3k0-varied": ("zd3k0", ZmodGroup((2,)), VARIED_SEED),
@@ -91,6 +92,9 @@ PLANTED = {
     "bs12-z5": ("bs12", ZmodGroup((5,)), 3),
     "zd2-z1": ("zd2", ZdGroup(1), 3),
     "bs12-z1": ("bs12", ZdGroup(1), 3),
+    # two target coordinates, each transformed on its own
+    "zd2-z^2": ("zd2", ZdGroup(2), 3),
+    "bs12-z2xz3": ("bs12", ZmodGroup((2, 3)), 3),
     "zd3k0a": ("zd3k0a", ZmodGroup((2,)), VARIED_SEED),
     "bs12x": ("bs12x", ZmodGroup((2,)), VARIED_SEED),
     "bs12z": ("bs12z", ZmodGroup((2,)), VARIED_SEED),
