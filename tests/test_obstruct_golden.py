@@ -79,53 +79,53 @@ GOLDEN = {
     "zd1-halfline-r1-cap3-s3":
         "bfd48af795fd37cf3681954365d25448b3717720daa83109e7f4eda29a9d6233",
     "zd1-halfline-r2-cap5-s3":
-        "8375b517573abcf6822d7bf456ff1404b3aec48ddd389766b2e6324af8684465",
+        "f039ace097c6fd48bcd00f085a9856d6a038e0ecadb3e2b1087e17f92f23f2b5",
     "zd1-halfline-r3-cap7-s3":
-        "8f6cf4a8d63435980eff34cea1b87aefc7aa27a1e71a6ade64ab9d0172a640a2",
+        "59b15ea97145ab3624b55081ff69eb6db733aa5f1469848ae3204858e4fb171b",
     "zd1-halfline-r4-cap9-s3":
-        "4ea0148d7e04638e08d10502c2cefbc781e62e0fa9beb3d6c0aa1fa702106513",
+        "9d33c142e798023d007e25f93b6b472a071e59b9ed3e90311c35e4cf774eb3e7",
     "zd1-halfline-r5-cap11-s3":
-        "a2598a1a1d5542540346fa05b4a8df6eb01f281a5cb584fe312de5d6d0124882",
+        "5c47d475d6228d5cb0225ddaa9bac27e8a038a830299733f8fa91d413c234edd",
     "zd1-halfline-r6-cap13-s3":
-        "df082cadee4001331895a70d191e4bc507defea1af08ccd06f1701c90886e16d",
+        "9ad91689f400c178715cbb568ae2f8e4f47ba84be6d47fc1086eb450dc43e5bf",
     "zd1-halfline-r7-cap15-s3":
-        "b1f22affc77c5d1b75d3b580873dd2da5048438b5e4cacc9b7ed1c888aafa07d",
+        "e4d477fd4a92d6b921e902e236303a3f4f8f7b3d2ff8d40a680a2c78f7f54cd0",
     "zd1-halfline-r8-cap17-s3":
-        "5f5d03ef1adc0cba2374b9708d6e15dd09f3ee22ecb995ecf9a3df0b948dca4b",
+        "6b8157d876fd9f888f72da3dd9f9df4bcb125a1aaa9cad59292753a44a3a44d0",
     "zd1-halfline-r9-cap19-s3":
-        "60a7914d3327a5f129b5391733cf144cf0209698f11e0d7f87f95bc6c012d69d",
+        "949df565fafbf75cbebd8b02b4f843b5c45f8e74ff91cee404f1d020edd24f1a",
     "zd1-halfline-r10-cap21-s3":
-        "13623255c3250b8ed118eef867d4cf767e0db9ace189473b462c7d10fa6595d9",
+        "e5a7f9450ed7ea9f09f0093a448d301d0b34678a058f5105aa02330c02b8b429",
     "zd1-halfline-r11-cap23-s3":
-        "12af74698b175e49a9d79fe88e21f991b745d088ff93b5047d3d7f73f421b017",
+        "0f793c783cac5ce9850ca021dd34ae9c736bc23e099999c24674ea0dccd23f46",
     "zd1-halfline-r12-cap25-s3":
-        "a124791c993d3b8f3877452f2572184636dfc6f8eac3085ede5d68c0e64b0917",
+        "f0c7bd492bbd33750f448add276c755f2a6581229b464486c00dbd8036ab5183",
     "zd1-halfline-r20-cap41-s3":
-        "c89155abccd0976fe0df67ab017debf62d7d28ea06ac39ad9609d892cc436245",
+        "cead47233712b70409ba3b9aa3fce049806fc7d257460df2823d3b844611bed1",
     "zd1-halfline-r27-cap55-s3":
-        "01e3d100e5d3d1bed2a63436e66e4ea40b0dd16988e968c3bbde286b73e1857d",
+        "ba2168de7e3bcb6677fea66183e40678db0628a35e9626ec72c92713f1408e95",
     "zd1-halfline-r40-cap81-s3":
-        "56ef87c053fc3c66a2489fad9de93aa9f72184b961a06343091d1e1760899268",
+        "96ce5f9ab0060646282449de88455e3e81754eb3d641f83fbb7dfe5610ed8d6f",
     "zd2k0-halfline-r1-cap3-s3":
         "44a09f95bbeae5106e80dc4c6123b39dda736187ed85f835609270c63f47bf82",
     "zd2k0-halfline-r2-cap5-s3":
-        "d501d28ec25dc56e640fcdd06dd4929b63d690665997d00a5c1bda462b9fbe62",
+        "b185e85872a6155675dc60a295ee521853c394f4347a416cceb34b501aed6b5f",
     "zd2k0-halfline-r3-cap7-s3":
-        "aa4d720f0c036bde22025e7cd7c46a6c3a8f7b302aa3e7b4de2069ba4d12a3a5",
+        "8f99984731ce5e85cac80ac2edcfc032133a2b47a860d2c6dabd64e9404323fb",
     "zd2k0-halfline-r6-cap13-s3":
-        "f7819a7438eac073fff523c1f1cdce214b2d58c576a818ca9212c97b6e4dbc87",
+        "89043ad0eccea3d5922c8dc86e1b55bb1acf1a9d750ac03fb969344329e46956",
     "zd2k0-halfline-r12-cap25-s3":
-        "febc041ff016905f6cd670d1b486ea214aa51fbc4f299d3844d58f168aee056f",
+        "828e6d67fc8b058c17f1cc0cd4bb4f1e8eee1f6d71719bccafb5822126adf182",
     "free2-aprefix-r1-cap5-s3":
         "3777f47272e6c1c2a01cafcf6a64633de3fb1363cc541d9a5a384bef0c91a0a3",
     "free2-aprefix-r2-cap17-s3":
-        "d7c2023a8297b42056cacf9700616a1233dfb1ffca5996c927475be43ba5a786",
+        "61848d21e6c5dd5e76750a0d1569b7b01f06fe349480a12ceb0c57e5fc7fc7f0",
     "free2-aprefix-r3-cap53-s3":
-        "acb6d521570354ede28fb6022142541edb3abe320d8ac81666256c62875c3243",
+        "12d2035c8a046c74ec20b1a6c93f014780a60d229faa60e7e6e7c55b2feed7bb",
     "free2-aprefix-r4-cap161-s3":
-        "2ef9077e646003a4a41a2c660716ad751d8abf05dfccb1be360f335511b7b2e2",
+        "0b2127fe37e6944a1915b2392e02b35c2bf228e812ebdf5d56ca5787753e837a",
     "free2-aprefix-r5-cap485-s3":
-        "401b6e0c086bf65727a94646efa233578c16bdb1c14646a7267a688c597b049b",
+        "6c62b7f29f36c8b2fe2c8985cd1a703200171a8ac8f6c4d9266388d0861dac65",
     "zd1-halfline-r12-cap22-s3":
         "1e9960f00970da75447612e6b78a5a10a6c4956b6883fe16516592ff3f1af0a0",
     "zd1-halfline-r1-cap1-s3":

@@ -2,7 +2,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
+import relend.obstruction
 from oracle_utils import direct_boundary, sign_of, word_boundary
 from relend.coset_graph import BallCache
 from relend.errors import NoStabilizationError, SearchSpaceTooLargeError
@@ -18,6 +20,7 @@ from relend.groups import (
 )
 from relend.obstruction import (
     AlmostInvariantSet,
+    _prove_identity,
     _sign,
     _sign_table,
     bounded_coboundary_search,
@@ -564,10 +567,17 @@ def test_forcing_check_search_equals_the_standalone_search(group, set_name, radi
         assert report.search == alone
 
 
-def test_forcing_check_error_order():
+def test_forcing_check_error_order(monkeypatch):
     # the a-tail set of F_2 moved right by b^(R+1): its difference sets are
     # {a b^(R+1)} and {b^(R+1)}, stable at R but not at R + 1, which the
-    # check reports only after the cap
+    # check reports only after the cap and after the identity proof
+    proofs = []
+
+    def proof(*args):
+        proofs.append(args)
+        return _prove_identity(*args)
+
+    monkeypatch.setattr(relend.obstruction, "_prove_identity", proof)
     group = FreeGroup(2)
     radius = 3
     shift = group.invert(group.element_from_word([2] * (radius + 1)))
@@ -581,20 +591,24 @@ def test_forcing_check_error_order():
     late = f"letter -1 still grows at radius {radius + 1}"
     with pytest.raises(NoStabilizationError, match=late):
         rho_forcing_check(BallCache(group), moved, radius, cap=cap)
+    assert len(proofs) == 1
     with pytest.raises(SearchSpaceTooLargeError):
         rho_forcing_check(BallCache(group), moved, radius, cap=cap - 1)
+    assert len(proofs) == 1
     # unstable at R itself: reported before the cap
     with pytest.raises(NoStabilizationError, match=f"radius {radius + 1}"):
         rho_forcing_check(BallCache(group), moved, radius + 1, cap=1)
 
 
 def test_forcing_check_refuses_the_cap_before_any_identity_trial(monkeypatch):
-    import relend.obstruction
-
     def trials(*args, **kwargs):
         raise AssertionError("sign-identity trials ran before the cap check")
 
+    def proof(*args):
+        raise AssertionError("the sign-identity proof ran before the cap check")
+
     monkeypatch.setattr(relend.obstruction, "verify_sign_identity", trials)
+    monkeypatch.setattr(relend.obstruction, "_prove_identity", proof)
     group, radius = FreeGroup(2), 4
     cache = BallCache(group)
     cap = cache.at_least(radius).ball_size(radius) - 1
@@ -798,3 +812,365 @@ def test_a_long_free_word_agrees_with_group_arithmetic(tree):
     assert signs == [_payload_sign(group, sets, word, [x]) for x in cells]
     assert {-1, 1} <= set(signs)
     assert _sign(table, word, cells) == _payload_sign(group, sets, word, cells)
+
+
+# -- the sign identity proved on relators and inverse pairs -------------------
+# c'(gh, y) = c'(g, hy) c'(h, y) for all g, h, y exactly when c(w) is empty
+# on every relator word and every pair (s, s^-1).  The forcing check proves
+# that and runs the trials only when the proof fails; these tests hold the
+# proof against the sampler and against the identity by group arithmetic.
+
+PROOF_CASES = [
+    (ZdGroup(1, ()), "halfline", 6),
+    (ZdGroup(2, (0,)), "halfline", 6),
+    (FreeGroup(2), "aprefix", 4),
+    # finite sets on groups with relators: bs(1,2)'s T x t X X, and with it
+    # the product's commutators
+    (BsGroup(1, 2), None, 3),
+    (ProductGroup(BsGroup(1, 2), ZdGroup(1, ())), None, 3),
+]
+PROOF_IDS = ["zd1", "zd2k0", "free2", "bs12", "bs12xz"]
+
+
+def _proof_region(group, set_name):
+    """The built-in set, or a finite set of ball(1) cosets, stable at 3 and 4."""
+    if set_name:
+        return builtin_set(group, set_name)
+    graph = BallCache(group).at_least(1)
+    return planted_finite_set(graph.cosets[1 : graph.ball_size(1)])
+
+
+def _checked_words(group):
+    """The relators, then (s, s^-1) for every letter s, as the proof orders them."""
+    return [*group.relator_words(), *((s, -s) for s in group.s_letters)]
+
+
+def _violates(group, sets, g, h, x):
+    """Whether y with the one minus cell x breaks c'(gh, y) = c'(g, hy)
+    c'(h, y), every sign by group arithmetic (``_payload_sign``)."""
+    moved = group._coset_rep_payload(group._mul_payload(h.payload, x))
+    lhs = _payload_sign(group, sets, group.invert(group.multiply(g, h)).word, [x])
+    rhs = _payload_sign(group, sets, group.invert(g).word, [moved])
+    return lhs != rhs * _payload_sign(group, sets, group.invert(h).word, [x])
+
+
+def _candidates(group, sets, g, h):
+    """The cells either side of the identity at (g, h) can read: c((gh)^-1),
+    c(h^-1) and h^-1 c(g^-1), assembled by ``word_boundary``."""
+    h_inv = group.invert(h)
+    moved = {
+        coset_of(group.multiply(h_inv, c.rep))
+        for c in word_boundary(group, sets, group.invert(g).word)
+    }
+    gh_inv = group.invert(group.multiply(g, h))
+    return (
+        word_boundary(group, sets, gh_inv.word)
+        | word_boundary(group, sets, h_inv.word)
+        | moved
+    )
+
+
+def _violating_triple(group, sets, word):
+    """A (g, h, x) breaking the identity, read off a word that is the
+    identity of G with c(word) not empty.  With C(k) = c of the normal form
+    of k, c(word) is the xor of p c(l) over the prefixes p and letters l, and
+    C(word) is empty; so C(p l) = C(p) xor p c(l) fails at some step, which
+    is the identity at g = l^-1, h = p^-1."""
+    p = group.identity()
+    for letter in word:
+        g, h = group.invert(group.letter_element(letter)), group.invert(p)
+        for x in _candidates(group, sets, g, h):
+            if _violates(group, sets, g, h, x.rep.payload):
+                return g, h, x
+        p = group.multiply(p, group.letter_element(letter))
+    return None
+
+
+def _left_ball(group, radius, key):
+    """The distinct ``key(g)`` over the elements g of word length <= radius,
+    made breadth first by left multiplication with the letters: the
+    elements themselves, or their cosets."""
+    seen, frontier = {key(group.identity())}, [group.identity()]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in group.s_letters:
+                h = group.multiply(group.letter_element(s), g)
+                if key(h) not in seen:
+                    seen.add(key(h))
+                    nxt.append(h)
+        frontier = nxt
+    return list(seen)
+
+
+def _identity_violation(group, sets):
+    """A violation at any g among the letters and any h of length below the
+    longest checked word, the range every refuted word has one in."""
+    longest = max(map(len, _checked_words(group)))
+    letters = [group.letter_element(s) for s in group.s_letters]
+    for h in _left_ball(group, longest - 1, lambda g: g):
+        for g in letters:
+            for x in _candidates(group, sets, g, h):
+                if _violates(group, sets, g, h, x.rep.payload):
+                    return g, h, x
+    return None
+
+
+def _forcing_check_on(sets, *args, **kwargs):
+    """``rho_forcing_check`` with ``sets`` in place of its certified sets
+    in ball(radius); the search and the R + 1 certificate are unchanged."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relend.obstruction, "_stable", lambda *_: sets)
+        return rho_forcing_check(*args, **kwargs)
+
+
+@pytest.mark.parametrize("group,set_name,radius", PROOF_CASES, ids=PROOF_IDS)
+def test_the_forcing_check_identity_equals_the_samplers(group, set_name, radius):
+    # intact and {e}-xored sets, seeds 0-9, 0, 60 and 200 trials: the
+    # report's count is the sampler's on the same sets and seed, drawn or not
+    cache, region = BallCache(group), _proof_region(group, set_name)
+    cap = cache.at_least(radius).ball_size(radius)
+    sets = generator_boundaries(cache, region, radius)
+    base = coset_of(group.identity())
+    for seed in range(10):
+        letter = group.s_letters[seed % len(group.s_letters)]
+        for given in (sets, {**sets, letter: sets[letter] ^ {base}}):
+            for trials in (0, 60, 200):
+                report = _forcing_check_on(
+                    given, cache, region, radius, seed=seed,
+                    identity_trials=trials, cap=cap,
+                )
+                sampled = verify_sign_identity(cache, given, trials, random.Random(seed))
+                assert report.identity == sampled, (seed, trials)
+                assert report.ok == (given is sets)
+
+
+@pytest.mark.parametrize("group,set_name,radius", PROOF_CASES, ids=PROOF_IDS)
+def test_each_refuted_word_gives_a_violating_triple(group, set_name, radius):
+    sets = generator_boundaries(BallCache(group), _proof_region(group, set_name), radius)
+    intact = _prove_identity(group, sets)
+    assert intact == (len(group.relator_words()), len(group.s_letters), None)
+    base = coset_of(group.identity())
+    for letter in group.s_letters:
+        broken = {**sets, letter: sets[letter] ^ {base}}
+        refuted = [
+            (w, len(cells))
+            for w in _checked_words(group)
+            if (cells := word_boundary(group, broken, w))
+        ]
+        assert refuted and _prove_identity(group, broken).failure == refuted[0]
+        for word, _ in refuted:
+            g, h, x = _violating_triple(group, broken, word)
+            assert _violates(group, broken, g, h, x.rep.payload), (letter, word)
+
+
+@pytest.mark.parametrize("group,set_name,radius", PROOF_CASES, ids=PROOF_IDS)
+def test_no_triple_violates_the_identity_on_intact_sets(group, set_name, radius):
+    sets = generator_boundaries(BallCache(group), _proof_region(group, set_name), radius)
+    assert _identity_violation(group, sets) is None
+
+
+SWEEP_CASES = PROOF_CASES[:4]
+
+
+@given(
+    case=st.sampled_from(range(len(SWEEP_CASES))),
+    paired=st.booleans(),
+    data=st.data(),
+)
+def test_the_proof_refutes_a_xored_cell_exactly_when_the_identity_breaks(
+    case, paired, data
+):
+    # one cell x xored into c(s); paired, s^-1 x into c(s^-1) as well,
+    # which keeps every pair (s, s^-1) empty, so only a relator can fail
+    group, set_name, radius = SWEEP_CASES[case]
+    cache = BallCache(group)
+    sets = generator_boundaries(cache, _proof_region(group, set_name), radius)
+    graph = cache.at_least(radius)
+    letter = data.draw(st.sampled_from(group.s_letters))
+    x = graph.cosets[data.draw(st.integers(0, graph.ball_size(radius) - 1))]
+    broken = {**sets, letter: sets[letter] ^ {x}}
+    if paired:
+        back = coset_of(group.multiply(group.letter_element(-letter), x.rep))
+        broken[-letter] = broken[-letter] ^ {back}
+    proof = _prove_identity(group, broken)
+    assert (proof.failure is not None) == (_identity_violation(group, broken) is not None)
+    if not paired:
+        assert proof.failure is not None
+
+
+def test_a_paired_xor_breaks_only_groups_with_relators():
+    # the sweep's two outcomes, each seen: {b} into c(a) and a^-1 b into
+    # c(A) keeps a cocycle on free(2); on zd(2,[0]), where a acts trivially,
+    # the commutator's sum is c(a) xor b c(a), so it fails once c(a) = {b}
+    for group, set_name, radius, holds in (
+        (FreeGroup(2), "aprefix", 4, True), (ZdGroup(2, (0,)), "halfline", 6, False)
+    ):
+        sets = generator_boundaries(BallCache(group), builtin_set(group, set_name), radius)
+        x = coset_of(group.letter_element(2))
+        back = coset_of(group.multiply(group.letter_element(-1), x.rep))
+        broken = {**sets, 1: sets[1] ^ {x}, -1: sets[-1] ^ {back}}
+        assert (_prove_identity(group, broken).failure is None) == holds
+        assert (_identity_violation(group, broken) is None) == holds
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radius",
+    [(FreeGroup(2), "aprefix", 5), (ZdGroup(1, ()), "halfline", 6),
+     (ZdGroup(2, (0,)), "halfline", 6)],
+    ids=["free2", "zd1", "zd2k0"],
+)
+def test_a_failed_proof_fails_the_report_at_every_seed(group, set_name, radius):
+    # {e} xored into one letter's set: the sampled trials alone miss it at
+    # some seeds on free(2); the report fails at all of them
+    cache, region = BallCache(group), builtin_set(group, set_name)
+    cap = cache.at_least(radius).ball_size(radius)
+    sets = generator_boundaries(cache, region, radius)
+    base, names = coset_of(group.identity()), group.letter_names
+    missed = 0
+    for letter in group.s_letters:
+        broken = {**sets, letter: sets[letter] ^ {base}}
+        word, count = _prove_identity(group, broken).failure
+        kind = "relator" if word in group.relator_words() else "inverse pair"
+        line = (
+            f"identity proof: FAILS on {kind} "
+            f"{' '.join(names[l] for l in word)}, {count} cells"
+        )
+        for seed in range(5):
+            report = _forcing_check_on(
+                broken, cache, region, radius, seed=seed, identity_trials=200, cap=cap
+            )
+            assert not report.ok, (letter, seed)
+            lines = report.lines(group)
+            assert lines[lines.index(line) + 1].startswith("identity check: 200 trials")
+            missed += report.identity.violations == 0
+    assert missed or group.family != "free"
+
+
+def test_a_failed_proof_makes_obstruct_exit_one(tmp_path):
+    from relend.cli import main
+
+    config, report = tmp_path / "free2.json", tmp_path / "report.txt"
+    config.write_text('{"family": "free", "rank": 2, "k": "trivial"}')
+    group = FreeGroup(2)
+    sets = generator_boundaries(BallCache(group), builtin_set(group, "aprefix"), 5)
+    broken = {**sets, 1: sets[1] ^ {coset_of(group.identity())}}
+    argv = ["obstruct", "--config", str(config), "--set", "aprefix", "--radius", "5",
+            "--cap", "485", "--samples", "200", "--seed", "3", "--report", str(report)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relend.obstruction, "_stable", lambda *_: broken)
+        assert main(argv) == 1
+    lines = report.read_text().splitlines()
+    assert "identity proof: FAILS on inverse pair a A, 1 cells" in lines
+    assert "identity check: 200 trials, 0 violations" in lines
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radius",
+    [(FreeGroup(2), "aprefix", 4), (ZdGroup(1, ()), "halfline", 12)],
+    ids=["free2", "zd1"],
+)
+def test_intact_sets_skip_the_trial_loop(monkeypatch, group, set_name, radius):
+    def trials(*args, **kwargs):
+        raise AssertionError("sign-identity trials ran on an intact set")
+
+    monkeypatch.setattr(relend.obstruction, "verify_sign_identity", trials)
+    cache = BallCache(group)
+    cap = cache.at_least(radius).ball_size(radius)
+    report = rho_forcing_check(
+        cache, builtin_set(group, set_name), radius, seed=4, identity_trials=200, cap=cap
+    )
+    assert report.ok and report.identity == (200, 0) and report.proof.failure is None
+
+
+def test_the_forcing_check_refuses_a_negative_trial_count(line):
+    group, cache, region = line
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        rho_forcing_check(cache, region, 6, identity_trials=-1, cap=13)
+
+
+@pytest.mark.parametrize("group,set_name,radius", SIGN_CASES, ids=SIGN_IDS)
+def test_a_failed_proof_draws_what_the_pattern_sampler_drew(
+    monkeypatch, group, set_name, radius
+):
+    # the fallback trials on the broken sets use a fresh Random(seed), and
+    # leave it where the pattern sampler leaves its own
+    drawn = []
+
+    def spy(cache, boundaries, trials, rng, *args):
+        drawn.append(rng)
+        return verify_sign_identity(cache, boundaries, trials, rng, *args)
+
+    monkeypatch.setattr(relend.obstruction, "verify_sign_identity", spy)
+    cache, region = BallCache(group), builtin_set(group, set_name)
+    cap = cache.at_least(radius).ball_size(radius)
+    sets = generator_boundaries(cache, region, radius)
+    broken = {**sets, 1: sets[1] ^ {coset_of(group.identity())}}
+    for seed in range(4):
+        report = _forcing_check_on(
+            broken, cache, region, radius, seed=seed, identity_trials=60, cap=cap
+        )
+        theirs = random.Random(seed)
+        assert report.identity.violations == _pattern_identity_trials(
+            cache, broken, 60, theirs
+        )
+        assert drawn.pop().getstate() == theirs.getstate()
+
+
+# -- the fixed-point conflict at the all-minus configuration ------------------
+
+
+def _oracle_parities(group, region, radius):
+    """|A xor sA| mod 2 for each generator s, over the cosets of ball(radius)
+    by group arithmetic, membership by the predicate on payloads."""
+    ball = _left_ball(group, radius, coset_of)
+    out = {}
+    for s in range(1, len(group.gen_names) + 1):
+        back = group.letter_element(-s)
+        out[s] = sum(
+            region.member(v.rep.payload)
+            != region.member(coset_of(group.multiply(back, v.rep)).rep.payload)
+            for v in ball
+        ) % 2
+    return out
+
+
+@pytest.mark.parametrize(
+    "group,set_name,radii,pinned",
+    [
+        (ZdGroup(1, ()), "halfline", (2, 6, 12), "a"),
+        # a spans K, so A xor aA is empty; b moves A by one coset
+        (ZdGroup(2, (0,)), "halfline", (2, 6), "b"),
+        (FreeGroup(2), "aprefix", (2, 4), "a"),
+        (FreeGroup(3), "aprefix", (2,), "a"),
+    ],
+    ids=["zd1", "zd2k0", "free2", "free3"],
+)
+def test_the_builtin_sets_pin_a_generator_at_all_minus(group, set_name, radii, pinned):
+    region = builtin_set(group, set_name)
+    for radius in radii:
+        cache = BallCache(group)
+        cap = cache.at_least(radius).ball_size(radius)
+        lines = rho_forcing_check(cache, region, radius, cap=cap).lines(group)
+        assert lines[-2] == (
+            f"fixed-point conflict: all-minus pins {pinned} to -1 (given the "
+            f"difference sets certified at radius {radius})"
+        )
+        odd = _oracle_parities(group, region, radius + 1)
+        assert [group.letter_names[s] for s, bit in odd.items() if bit] == [pinned]
+
+
+@pytest.mark.parametrize("group,set_name,radius", PROOF_CASES, ids=PROOF_IDS)
+def test_finite_sets_pin_nothing(group, set_name, radius):
+    # |F xor sF| = 2|F| - 2|F & sF| is even for a finite F
+    rng = random.Random(16)
+    graph = BallCache(group).at_least(radius - 2)
+    inner = graph.cosets[: graph.ball_size(radius - 2)]
+    for _ in range(4):
+        region = planted_finite_set(rng.sample(inner, rng.randrange(len(inner) + 1)))
+        cache = BallCache(group)
+        cap = cache.at_least(radius).ball_size(radius)
+        lines = rho_forcing_check(cache, region, radius, cap=cap).lines(group)
+        assert lines[-2] == "no fixed-point conflict"
+        assert not any(_oracle_parities(group, region, radius + 1).values())
