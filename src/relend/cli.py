@@ -4,7 +4,8 @@ All commands are batch-style: read JSON configs, write DOT/CSV/JSON/text
 artifacts, and exit 0 when every mathematical check passed, 1 when one
 failed, 2 on configuration errors and on sizes over a budget (the vertex
 and witness-work budgets of a ball, the ``--cap`` of ``obstruct``,
-``cocycles.PROOF_LIMIT`` for ``verify`` and ``MAX_SAMPLES`` for ``--samples``).
+``cocycles.PROOF_LIMIT`` for the relation proof of ``verify`` and
+``trivialize --cocycle``, and ``MAX_SAMPLES`` for ``--samples``).
 Outputs are deterministic functions of the config and the seed, so repeated
 runs are byte-identical.  ``main(argv)`` may be called repeatedly in one
 process; its argument parser is built on the first call and reused.
@@ -17,7 +18,7 @@ import functools
 import random
 import sys
 
-from .cocycles import plant_cocycle, prove_relations, verify_relations
+from .cocycles import plant_cocycle
 from .coset_graph import BallCache, build_ball
 from .ends import capacity, estimate_ends
 from .errors import (
@@ -31,18 +32,16 @@ from .groups import Group, ZmodGroup
 from .obstruction import builtin_set, rho_forcing_check
 from .patterns import Alphabet, trivial_alphabet
 from .serialize import (
-    _key_texts,
     alphabet_from_config,
     check_output,
     cocycle_from_json,
     dump_json,
-    element_str,
     group_from_config,
     load_json,
     transfer_to_json,
     write_file,
 )
-from .trivialize import Trivializer
+from .trivialize import Trivializer, check_relations
 
 # the --samples budget of trivialize, obstruct and verify, checked before any work
 MAX_SAMPLES = 100_000
@@ -177,33 +176,15 @@ def _cmd_verify(
 ) -> int:
     alphabet = alphabet or _default_alphabet()
     cocycle = cocycle_from_json(group, alphabet, load_json(args.cocycle_path))
-    lines = [f"seed: {args.seed}"]
-    if cocycle.target.family in ("zmod", "zd"):
-        relations = prove_relations(cocycle)
-        line = (
-            f"PASS relations: proved on {relations.relators} relators and "
-            f"{relations.pairs} inverse pairs"
-        )
-        for word, key, value in relations.violations[:1]:
-            kind = "inverse pair" if word[1:] == (-word[0],) else "relator"
-            names = " ".join(map(group.letter_names.__getitem__, word))
-            line = (
-                f"FAIL relations: {kind} {names} has coefficient "
-                f"{element_str(value)} on monomial {{{next(iter(_key_texts([key])))}}}"
-            )
-    else:
-        relations = verify_relations(
-            cocycle, BallCache(group), args.samples, random.Random(args.seed)
-        )
-        mark = "PASS" if relations.ok else "FAIL"
-        line = f"{mark} relations: {relations.checked} relator evaluations"
-    lines.append(line)
+    relations = check_relations(
+        cocycle, BallCache(group), args.samples, random.Random(args.seed)
+    )
     # a table value reads the code of its window cells alone (``_window_code``
     # skips every other cell), so no change outside the window can move it;
     # tests/test_cocycles.py::test_window_soundness guards this
-    lines.append("PASS window_soundness")
+    lines = [f"seed: {args.seed}", relations.line(), "PASS window_soundness"]
     _write_text(args.report, lines)
-    return 0 if relations.ok else 1
+    return 0 if relations.passed else 1
 
 
 @functools.cache

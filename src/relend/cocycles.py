@@ -598,8 +598,8 @@ def plant_cocycle(
     The value of c(s, .) is determined by the window b0_window + 1, which
     becomes the window of the returned code.  The homomorphism's images are
     repaired until every relator maps to the identity, which makes c a
-    cocycle by construction; the tables are not evaluated on relators here
-    (``verify_relations`` does that, and costs a pass over sampled patterns).
+    cocycle by construction.  The spec is rule-backed, so
+    ``trivialize.check_relations`` samples its relators and proves nothing.
     """
     if graph.group is not group:
         raise ConfigError("the supplied graph was built over a different group")

@@ -1,7 +1,7 @@
 """Constructive trivialization of block-coded cocycles over one-ended pairs.
 
-The pipeline: certify the pair is one-ended, check the relators on sampled
-configurations, extract the homomorphism part by evaluating at the empty
+The pipeline: certify the pair is one-ended, run ``verify``'s relations
+check, extract the homomorphism part by evaluating at the empty
 configuration, then recover the transfer map by pulling each configuration
 far away with a group element whose coset norm (both ways) beats the
 capacity threshold.  Every step is an exact group-element identity; there
@@ -11,9 +11,10 @@ and compute nothing; a test guards each fact:
 * ``fixed_point``: K fixes the empty configuration, since ``Alphabet``
   refuses a permutation that moves x0 (``test_alphabet_validation``);
 * ``homomorphism_on_relators``: every relator word is the identity on the
-  empty configuration, which is the first sample of the ``relations``
-  check, and ``run`` stops when that check fails
-  (``test_verify_relations_flags_corruption``);
+  empty configuration, the proof's constant monomial or the sampled
+  check's first sample, and ``run`` stops when that check fails
+  (``test_trivialize_stops_on_every_flipped_row``,
+  ``test_verify_relations_flags_corruption``);
 * ``transfer_at_fixed_point``: b(empty) = hom(g)^-1 hom(g), as ``_value``
   reads c(g, empty) from the hom memo
   (``test_transfer_at_fixed_point_is_identity``).
@@ -35,6 +36,7 @@ from .cocycles import (
     PlantedData,
     evaluate,
     pattern_key,
+    prove_relations,
     verify_relations,
     walk_word,
     window_region,
@@ -50,6 +52,7 @@ from .patterns import (
     restrict,
     scatter_junk,
 )
+from .serialize import _key_texts, element_str
 
 
 # Far elements the scan files per threshold: enough for ``run``'s default
@@ -57,7 +60,7 @@ from .patterns import (
 FAR_BATCH = 5
 # The search for a threshold t's far elements stops at word length t + slack.
 FAR_SLACK = 4
-# Sampled configurations on which ``run`` checks every relator.
+# Sampled configurations of ``run``'s relations check, where it samples.
 RELATION_SAMPLES = 10
 
 
@@ -132,6 +135,29 @@ class CheckResult(NamedTuple):
     passed: bool
     detail: str = ""
 
+    def line(self) -> str:
+        mark = "PASS" if self.passed else "FAIL"
+        return f"{mark} {self.name}" + (f": {self.detail}" if self.detail else "")
+
+
+def check_relations(
+    cocycle: CocycleSpec, cache: BallCache, samples: int, rng: random.Random
+) -> CheckResult:
+    """The ``relations`` check of ``verify`` and ``Trivializer.run``: proved
+    for an explicit zmod or zd table (every loaded file's), sampled otherwise,
+    as reading a whole rule-backed table costs one rule call per entry."""
+    if cocycle.rule is not None or cocycle.target.family not in ("zmod", "zd"):
+        out = verify_relations(cocycle, cache, samples, rng)
+        return CheckResult("relations", out.ok, f"{out.checked} relator evaluations")
+    proof = prove_relations(cocycle)
+    detail = f"proved on {proof.relators} relators and {proof.pairs} inverse pairs"
+    for word, key, value in proof.violations[:1]:
+        kind = "inverse pair" if word[1:] == (-word[0],) else "relator"
+        names = " ".join(map(cocycle.group.letter_names.__getitem__, word))
+        h, monomial = element_str(value), next(iter(_key_texts([key])))
+        detail = f"{kind} {names} has coefficient {h} on monomial {{{monomial}}}"
+    return CheckResult("relations", proof.ok, detail)
+
 
 class TrivializeReport:
     def __init__(self, seed: int):
@@ -146,10 +172,7 @@ class TrivializeReport:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = [f"seed: {self.seed}"]
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            out.append(f"{mark} {c.name}" + (f": {c.detail}" if c.detail else ""))
+        out = [f"seed: {self.seed}", *(c.line() for c in self.checks)]
         out.append("RESULT: " + ("ok" if self.ok else "FAILED"))
         return out
 
@@ -369,13 +392,9 @@ class Trivializer:
         # construction; the module docstring names them and their tests
         report.add("fixed_point", True)
 
-        relations = verify_relations(cocycle, self.cache, RELATION_SAMPLES, rng)
-        report.add(
-            "relations",
-            relations.ok,
-            f"{relations.checked} relator evaluations",
-        )
-        if not relations.ok:
+        relations = check_relations(cocycle, self.cache, RELATION_SAMPLES, rng)
+        report.checks.append(relations)
+        if not relations.passed:
             return self.table, report
 
         for letter in group.s_letters:

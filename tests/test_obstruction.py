@@ -17,6 +17,7 @@ from relend.groups import (
     ZdGroup,
     ZmodGroup,
     coset_of,
+    witness,
 )
 from relend.obstruction import (
     AlmostInvariantSet,
@@ -217,21 +218,23 @@ def test_sign_cocycle_spec_is_a_cocycle(line):
 
 
 # -- an oracle for the coboundary search: every subset of the ball ------------
-# The brute force below shares no code with the solver: it builds the balls by
-# right multiplication (trivial K, so a coset's norm is its word length) and
-# the equations B(v) xor B(s^-1 v) = [v in A xor sA] from group.multiply,
+# The brute force below shares no code with the solver: it builds the balls
+# from the witness sets by group arithmetic (an edge joins cK to c f K for f
+# in F_s, which is right multiplication by s only when K is trivial) and the
+# equations B(v) xor B(s^-1 v) = [v in A xor sA] from group.multiply,
 # coset_of and region.member alone.
 
 
 def _oracle_ball(group, radius):
-    """The cosets within ``radius`` letters of the base, breadth first."""
+    """The cosets within ``radius`` edges of the base, breadth first."""
     ball = [coset_of(group.identity())]
     frontier = list(ball)
+    steps = [f for letter in group.s_letters for f in witness(group, letter).elements]
     for _ in range(radius):
         nxt = []
         for c in frontier:
-            for letter in group.s_letters:
-                d = coset_of(group.multiply(c.rep, group.letter_element(letter)))
+            for f in steps:
+                d = coset_of(group.multiply(c.rep, f))
                 if d not in ball and d not in nxt:
                     nxt.append(d)
         ball += nxt
@@ -313,8 +316,10 @@ def _xor_set(base, planted):
         (ZmodGroup((5,)), None, (1, 2)),
         # infinite and not bipartite: the Z/3 factor closes triangles
         (ProductGroup(ZdGroup(1, ()), ZmodGroup((3,))), None, (1, 2)),
+        # K = <x> is not normal; ball(3) has 22 cosets, too many to brute-force
+        (BsGroup(1, 2), None, (1, 2)),
     ],
-    ids=["zd1", "free2", "zmod5", "zd1xzmod3"],
+    ids=["zd1", "free2", "zmod5", "zd1xzmod3", "bs12"],
 )
 def test_search_matches_brute_force(group, builtin, radii):
     rng = random.Random(9)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import WordOracle, checked_words
-from test_tables_golden import CONFIGS, VARIED_SEED
+from test_tables_golden import CONFIGS, ONE_ENDED, VARIED_SEED, _write_cocycle
 
 from relend import cocycles
 from relend.cli import main
@@ -33,6 +33,7 @@ from relend.serialize import (
     cocycle_to_json,
     group_from_config,
 )
+from relend.trivialize import Trivializer
 
 BRUTE_LIMIT = 3**8  # patterns on a word's reach the oracle enumerates
 BINARY = trivial_alphabet(("0", "1"), "0")
@@ -162,17 +163,23 @@ def test_a_rule_backed_spec_over_the_budget_raises_before_any_read():
     assert calls == [] and not spec.tables
 
 
-# -- the verify command --------------------------------------------------------
+# -- the verify and trivialize commands ----------------------------------------
 
 
-def _verify(tmp_path, config, data, seed=1):
+def _run(tmp_path, config, data, seed=1, command="verify"):
+    """Exit code and report lines of ``verify`` (or ``trivialize``, which
+    also writes ``transfer.json``) on a cocycle file holding ``data``."""
     (tmp_path / "pair.json").write_text(json.dumps(config))
     (tmp_path / "c.json").write_text(json.dumps(data))
-    report = tmp_path / "report.txt"
-    report.unlink(missing_ok=True)
-    code = main(["verify", "--config", str(tmp_path / "pair.json"),
-                 "--cocycle", str(tmp_path / "c.json"), "--seed", str(seed),
-                 "--report", str(report)])
+    report, transfer = tmp_path / "report.txt", tmp_path / "transfer.json"
+    for f in (report, transfer):
+        f.unlink(missing_ok=True)
+    argv = [command, "--config", str(tmp_path / "pair.json"),
+            "--cocycle", str(tmp_path / "c.json"), "--seed", str(seed),
+            "--report", str(report)]
+    if command == "trivialize":
+        argv += ["--out", str(transfer)]
+    code = main(argv)
     lines = report.read_text().splitlines() if report.exists() else []
     return code, lines
 
@@ -196,7 +203,7 @@ def test_a_flipped_row_of_A_on_free2_fails_on_its_inverse_pair(tmp_path):
     data = _planted_json("free2", ZmodGroup((2,)), VARIED_SEED)
     assert len(data["tables"]["A"]) == 32
     for row in range(32):
-        code, lines = _verify(tmp_path, CONFIGS["free2"], _flip(data, "A", row))
+        code, lines = _run(tmp_path, CONFIGS["free2"], _flip(data, "A", row))
         assert code == 1
         assert lines[1].startswith("FAIL relations: inverse pair a A has coefficient a ")
         assert lines[2] == "PASS window_soundness"
@@ -210,14 +217,14 @@ def test_every_single_row_flip_of_A_on_zd2_fails_at_every_seed(tmp_path):
     assert "A=1|B=1" in keys
     for row in range(len(keys)):
         for seed in range(1, 6):
-            code, lines = _verify(tmp_path, CONFIGS["zd2"], _flip(data, "A", row), seed)
+            code, lines = _run(tmp_path, CONFIGS["zd2"], _flip(data, "A", row), seed)
             assert code == 1 and lines[1].startswith("FAIL relations: ")
 
 
 def test_a_failing_proof_names_the_word_and_the_monomial(tmp_path):
     data = _planted_json("zd2", ZmodGroup((2,)), VARIED_SEED)
     row = [key for key, _ in data["tables"]["A"]].index("A=1|B=1")
-    code, lines = _verify(tmp_path, CONFIGS["zd2"], _flip(data, "A", row))
+    code, lines = _run(tmp_path, CONFIGS["zd2"], _flip(data, "A", row))
     assert (code, lines) == (1, [
         "seed: 1",
         # the flipped row's monomial {A=1, B=1} of A, moved back along b
@@ -229,7 +236,7 @@ def test_a_failing_proof_names_the_word_and_the_monomial(tmp_path):
 def test_a_non_abelian_target_keeps_the_sampled_check(tmp_path):
     data = _planted_json("zd2", FreeGroup(2), VARIED_SEED)
     assert data["H"]["family"] == "free"
-    code, lines = _verify(tmp_path, CONFIGS["zd2"], data)
+    code, lines = _run(tmp_path, CONFIGS["zd2"], data)
     assert (code, lines) == (0, [
         "seed: 1", "PASS relations: 21 relator evaluations", "PASS window_soundness"
     ])
@@ -238,9 +245,84 @@ def test_a_non_abelian_target_keeps_the_sampled_check(tmp_path):
 def test_a_proof_over_the_budget_is_a_size_limit(tmp_path, monkeypatch, capsys):
     data = _planted_json("zd2", ZmodGroup((2,)), VARIED_SEED)
     monkeypatch.setattr(cocycles, "PROOF_LIMIT", 4 * 32 - 1)
-    code, lines = _verify(tmp_path, CONFIGS["zd2"], data)
+    code, lines = _run(tmp_path, CONFIGS["zd2"], data)
     assert (code, lines) == (2, [])
     assert capsys.readouterr().err == (
         "size limit: relation proof over 5 cells, 2 symbols and 4 letters is "
         "over 127 table reads\n"
     )
+
+
+# -- trivialize runs verify's relations check ----------------------------------
+
+
+@pytest.mark.parametrize("pair,flips", [("zd2", 128), ("zd3k0", 192)])
+def test_trivialize_stops_on_every_flipped_row(pair, flips, tmp_path):
+    # relators sampled on 10 patterns let 77 of the zd2 flips and 124 of the
+    # zd3k0 ones through to RESULT: ok; the proof refutes every one, in both
+    # commands and in the library, before any transfer is evaluated
+    group, alphabet = _pair(pair)
+    data = _planted_json(pair, ZmodGroup((2,)), VARIED_SEED)
+    cache = BallCache(group)
+    rows = [(l, row) for l, t in sorted(data["tables"].items()) for row in range(len(t))]
+    assert len(rows) == flips
+    for letter, row in rows:
+        flipped = _flip(data, letter, row)
+        code, lines = _run(tmp_path, CONFIGS[pair], flipped)
+        assert code == 1 and lines[1].startswith("FAIL relations: ")
+        assert _run(tmp_path, CONFIGS[pair], flipped, command="trivialize") == (1, [
+            "seed: 1", "PASS one_ended: exact 1", "PASS fixed_point", lines[1],
+            "RESULT: FAILED",
+        ])
+        trivializer = Trivializer(cache, cocycle_from_json(group, alphabet, flipped), 1)
+        _, report = trivializer.run()
+        assert report.checks[-1].line() == lines[1]
+        assert trivializer.transfer_evaluations == 0
+
+
+@pytest.mark.parametrize(
+    "pair,command",
+    [(pair, "verify") for pair in (*ONE_ENDED, "zd3k0a")]
+    + [(pair, "trivialize-varied") for pair in ONE_ENDED],
+)
+def test_an_intact_file_gets_one_relations_line_from_both_commands(
+    pair, command, tmp_path
+):
+    # the tables-golden files trivialize reaches the relations check on: the
+    # one-ended pairs, at PLANT_SEED (command "verify") and VARIED_SEED
+    _write_cocycle(pair, tmp_path / "file.json", command)
+    data = json.loads((tmp_path / "file.json").read_text())
+    code, verify = _run(tmp_path, CONFIGS[pair], data)
+    assert code == 0 and verify[1].startswith("PASS relations: proved on ")
+    code, lines = _run(tmp_path, CONFIGS[pair], data, command="trivialize")
+    assert (code, lines[3], lines[-1]) == (0, verify[1], "RESULT: ok")
+
+
+def test_trivialize_meets_the_proof_budget_as_verify_does(
+    tmp_path, monkeypatch, capsys
+):
+    data = _planted_json("zd2", ZmodGroup((2,)), VARIED_SEED)
+    monkeypatch.setattr(cocycles, "PROOF_LIMIT", 4 * 32 - 1)
+    for command in ("verify", "trivialize"):
+        assert _run(tmp_path, CONFIGS["zd2"], data, command=command) == (2, [])
+        assert not (tmp_path / "transfer.json").exists()
+        assert capsys.readouterr() == ("", (
+            "size limit: relation proof over 5 cells, 2 symbols and 4 letters is "
+            "over 127 table reads\n"
+        ))
+
+
+def test_a_planted_run_samples_its_relators_and_its_file_is_proved():
+    # a rule-backed spec would pay one rule call per table entry to be proved
+    group = ZdGroup(2, ())
+    graph = BallCache(group).at_least(1)
+    spec = plant_cocycle(group, BINARY, ZmodGroup((2,)), 0, VARIED_SEED, graph)
+    loaded = cocycle_from_json(group, BINARY, cocycle_to_json(spec, graph))
+    lines = [
+        Trivializer(BallCache(group), c, 1).run(2)[1].checks[2].line()
+        for c in (spec, loaded)
+    ]
+    assert lines == [
+        "PASS relations: 11 relator evaluations",
+        "PASS relations: proved on 1 relators and 2 inverse pairs",
+    ]

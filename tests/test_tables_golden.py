@@ -207,35 +207,35 @@ GOLDEN = {
     "verify-bs12-s2":
         "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd2-s1-samples-12":
-        "d0c8fb250aab9a6fe94e2e61db3948d49ff2d65c15428ab523f20679e0fce3b3",
+        "42d9dc60af584d92eebe75b35f845553ad75266068a9f9cb6ac22dfb454fe3d3",
     "trivialize-zd3-s1-samples-12":
-        "9dd1ac35e86fc0bc1ea846840d7dac6387416af9d693b8d801a8fe264d177dcb",
+        "39f385b89d1ffa61325237d107fa39c9ff401625d6d4d532f96cb3a34bb9fc2e",
     "trivialize-zd3k0-s1-samples-12":
-        "4f52b9c016a9a08f044a289f6dff2fb8596bc06652342727775f28dd8a3f85c1",
+        "879fadbd35171382cca90933b8eea20e0a9c8d1307c6ecbe60ba21e1b4f0086d",
     "trivialize-free2-s1-samples-12":
         "c20ad46b5490f5d95e488ccac08ae5e4b396040f1e1a01d8f7f11e83cd1f2577",
     "trivialize-bs12-s1-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
     "trivialize-zd2-s1":
-        "b9e89b9c215e185581acaf3c7094700a6b5c3ef6603c19322021ed94eb2d4322",
+        "07ffd4a28f04e1e640c5f4d754f74094ee27d9ee05da27867e3a7dcea5c38f14",
     "trivialize-zd2-s2":
-        "d3bcad4c3808e840bccf5c16e77db2729b267e225efcaa3d2ddeacec13320287",
+        "338bd80622e6371109878f9dee6870c3c63885693ad7e04075dad9e07ae87d85",
     "trivialize-zd3-s1":
-        "9fc7bb06b89cc658a1ef7750d0ccb3665cde446f99858fe829ed9256975ee127",
+        "224c982a32dcd3341ba00743cd6dcfbf364415d296b7c7740ba03e4f404ccf36",
     "trivialize-zd3-s2":
-        "fd080b3be72f46a4fd5a1436d3cf5f7d092037198deb1bfa0d1d49b5111d6095",
+        "79a49739d54866c0b778fe37113ca67dceae4961bb5d0d1d7db99821dae9ef3e",
     "trivialize-zd3k0-s1":
-        "a002cd568df24f1c16d9a31b2967eebd5f11fc413c3f96e8167a47b8018b39a7",
+        "278e77bee1a29000df8d7baf4106908a9faf89e1a72b3a24e4127b10bdff78f2",
     "trivialize-zd3k0-s2":
-        "c4c7cc857a4ed2a50f18906775c9ef3ca203f8920a2360e52d1e25ae3dddb9a1",
+        "b147a55859aa4159e1e6aaa539a7a61fd95adf8df8a5c365cecfebd5d4ea4ca5",
     "verify-corrupt-zd2-s1":
         "04a1b2e45e798f4d41d2af4e0a743f0330842a46df1a0727a482b4e44a3d6d21",
     "trivialize-varied-zd2-s1":
-        "90172eef7fcbefcf595bae05e150b0cc000e88f88e449bee86705587eb100eac",
+        "3371b19ac38493bd3fa3b09f63252f475fd691981f2489f21ac6d61a4b068bab",
     "trivialize-varied-zd3-s1":
-        "0c4fd93b99a314245a78bc4d8a2d24a3ef3a56d704e7a9e60307e66262d3f0f7",
+        "aa7ca0d46b4c33925858043defb898a27958da3f826fd8454b9dd94a19cb37a1",
     "trivialize-varied-zd3k0-s1":
-        "07b18ef3222eb03ef9bacd8139473056b3d2a54ebf5e42e4fc7a940e6ee777f9",
+        "5c5eb86f16427759433b15f6fa374d4bf9cc9628e42da610a7a2260579aff75e",
     "plant-zd2-s1-b0-window-0-samples-12":
         "77343e221469032abc7e6317d35fda0d9f4fa1c4b0e6aec743af17b19073cb80",
     "plant-zd2-s1-b0-window-1-samples-12":
@@ -253,7 +253,7 @@ GOLDEN = {
     "verify-bs12x-s2":
         "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd3k0a-s1-samples-12":
-        "015838b3d29882ecb80f42573a3b95ee6d13c37b70f895bdafcc7da52fa8fda8",
+        "951b85396f8ff70813d3c3e3e4bc243ac99d9e8ece58d7d302cabc41058befd9",
     "plant-zd3k0a-s1-b0-window-0-samples-12":
         "3f9d9d0ccf3e1329ec6fefe23ebeb3a1d1a9e8e70ac879900564cc1b91e09d26",
     "plant-zd3k0a-s1-b0-window-1-samples-12":
