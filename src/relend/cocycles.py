@@ -416,6 +416,9 @@ def prove_relations(c: CocycleSpec) -> RelationProof:
     its coefficients are the f_{l_i}(U) with U moved back along the suffix;
     the monomials are independent, so the word vanishes everywhere exactly
     when each accumulated coefficient does (mod the moduli for zmod).
+
+    The tables must be explicit and hold every window row of every letter,
+    as a loaded file's do; ``trivialize.check_relations`` sends no other.
     """
     group, alphabet, target = c.group, c.alphabet, c.target
     digits, n = c._digits, len(alphabet.symbols)
@@ -436,10 +439,7 @@ def prove_relations(c: CocycleSpec) -> RelationProof:
         codes = [code + bit for bit in [0] + [d[s] for s in others] for code in codes]
     monomials = {}
     for letter in group.s_letters:
-        table = c.tables.get(letter, {})
-        if len(table) < len(codes):  # the rule fills what the table lacks
-            table = {code: c._value(letter, code) for code in codes}
-        rows = map(attrgetter("payload"), map(table.__getitem__, codes))
+        rows = map(attrgetter("payload"), map(c.tables[letter].__getitem__, codes))
         if not zmod:
             rows = map(target.coordinates, rows)
         columns, hits = [], set()

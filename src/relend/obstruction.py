@@ -16,10 +16,10 @@ fall in c(g^-1), and c'(g, hy) that of those cells moved by h.
 
 The sign identity c'(gh, y) = c'(g, hy) c'(h, y) holds for all g, h, y
 exactly when c(w) is empty on every relator word and every pair s s^-1, so
-the forcing check proves it, and samples it only when the proof fails.  At
-the all-minus configuration c'(s, y) = (-1)^|A xor sA|; a -1 there conflicts
-with the all-plus pin to +1, so the sign cocycle is cohomologous to no
-homomorphism through any transfer map.
+the forcing check proves it and samples nothing.  At the all-minus
+configuration c'(s, y) = (-1)^|A xor sA|; a -1 there conflicts with the
+all-plus pin to +1, so the sign cocycle is cohomologous to no homomorphism
+through any transfer map.
 
 The falsifier asks for a finite set B inside ball(R) with B xor sB = A xor sA
 for every generator s.  The equation between v and s^-1 v has parity
@@ -357,10 +357,9 @@ def verify_sign_identity(
     The set c(k^-1) is read from a memo keyed by the payload of k, so the
     memo holds at most the elements of word length <= 2 max_word.
 
-    ``rho_forcing_check`` runs the trials only when ``_prove_identity``
-    fails; on a passing proof no trial can fail, and the report's line
-    ``identity check: N trials, 0 violations``, which the benchmark's
-    obstruct check reads, gives a count fixed by the proof, not sampled."""
+    No report runs these trials: ``rho_forcing_check`` decides the identity
+    by ``_prove_identity`` alone.  They stay as a library sampler, an
+    independent check of the proof on given sets."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = cache.group
@@ -405,8 +404,9 @@ def verify_sign_identity(
 
 class ObstructionReport(NamedTuple):
     """The evidence for one almost-invariant set; ``ok`` reads the sign
-    identity proof, and a passing proof fixes ``identity`` with no trial.
-    The fixed-point forcing line states a fact and computes nothing: the
+    identity proof.  A passing proof leaves no trial that can fail, so its
+    ``identity check`` line states ``trials`` with 0 violations, drawn from
+    nothing; a failed proof leaves the line out.  The fixed-point forcing line states a fact and computes nothing: the
     all-plus configuration has no minus cells, so every sign there is +1
     whatever the difference sets are (``test_sign_values``).  The conflict
     line reads (-1)^|A xor sA| per generator at the all-minus one."""
@@ -416,7 +416,7 @@ class ObstructionReport(NamedTuple):
     seed: int
     boundaries: Boundaries
     proof: IdentityProof
-    identity: IdentityCheck
+    trials: int
     search: SearchOutcome
 
     @property
@@ -435,17 +435,18 @@ class ObstructionReport(NamedTuple):
             cells = sorted((group.word_str(c.rep) or "e") for c in b[letter])
             out.append(f"boundary[{names[letter]}] = {{{', '.join(cells)}}}")
         relators, pairs, failure = self.proof
-        proof = f"proved on {relators} relators and {pairs} inverse pairs"
         if failure:
             word, count = failure
             kind = "inverse pair" if word[1:] == (-word[0],) else "relator"
             word = " ".join(map(names.__getitem__, word))
-            proof = f"FAILS on {kind} {word}, {count} cells"
+            out.append(f"identity proof: FAILS on {kind} {word}, {count} cells")
+        else:
+            out += [
+                f"identity proof: proved on {relators} relators and {pairs} inverse pairs",
+                f"identity check: {self.trials} trials, 0 violations",
+            ]
         pinned = ", ".join(names[l] for l in sorted(b) if l > 0 and len(b[l]) % 2)
         return out + [
-            f"identity proof: {proof}",
-            f"identity check: {self.identity.trials} trials, "
-            f"{self.identity.violations} violations",
             "fixed-point forcing: homomorphism part pinned to +1 on all "
             "generators (ok)",
             f"fixed-point conflict: all-minus pins {pinned} to -1 (given the "
@@ -473,26 +474,22 @@ def rho_forcing_check(
     + 1) gives the difference sets.  Their part in ball(radius), certified
     to have no element of norm radius, is what the report, the sign
     identity and the search read.  The cap is checked before the identity
-    proof, and sphere radius + 1 is certified empty after it.  The trials
-    run on a fresh ``Random(seed)`` only when the proof fails (or to refuse
-    a negative count).
+    proof, and sphere radius + 1 is certified empty after it.  The proof
+    decides the identity, so no trial is drawn: ``identity_trials`` is the
+    count the report states on a passing proof, and ``seed`` is reported.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if identity_trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {identity_trials}")
     graph, inside, sets = _differences(cache, region, radius + 1)
     boundaries = _stable(graph, sets, radius)
     _cap_check(cache, radius, cap)
     proof = _prove_identity(cache.group, boundaries)
-    if proof.failure is None and identity_trials >= 0:
-        identity = IdentityCheck(identity_trials, 0)
-    else:
-        identity = verify_sign_identity(
-            cache, boundaries, identity_trials, random.Random(seed)
-        )
     _check_stable(graph, sets, radius + 1)
     return ObstructionReport(
-        region.name, radius, seed, boundaries, proof, identity,
+        region.name, radius, seed, boundaries, proof, identity_trials,
         _solve(graph, radius, inside),
     )

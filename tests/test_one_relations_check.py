@@ -17,9 +17,10 @@ CHECKS = {"prove_relations", "verify_relations"}
 THE_CALLER = ("trivialize", "check_relations")
 
 
-def _calls(tree: ast.Module) -> list[tuple[str, int]]:
+def _calls(tree: ast.Module, names=CHECKS) -> list[tuple[str, int]]:
     """(enclosing top-level function or class, line) for each call of a
-    relations check, by name or as an attribute."""
+    function in ``names``, a relations check by default, by name or as an
+    attribute."""
     out = []
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
@@ -27,7 +28,7 @@ def _calls(tree: ast.Module) -> list[tuple[str, int]]:
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if name in CHECKS:
+                if name in names:
                     out.append((owner, node.lineno))
     return out
 

@@ -139,16 +139,6 @@ def test_one_random_corrupted_entry_on_zd2(letter, row):
     assert not assert_proof_matches_brute_force(corrupted).ok
 
 
-def test_a_rule_backed_spec_is_read_through_the_rule():
-    # a planted spec fills its tables from the rule as the proof reads them
-    group = ZdGroup(2, ())
-    spec = plant_cocycle(group, BINARY, ZmodGroup((2,)), 0, VARIED_SEED,
-                         BallCache(group).at_least(1))
-    assert not spec.tables
-    assert prove_relations(spec).ok
-    assert {len(t) for t in spec.tables.values()} == {32}
-
-
 def test_a_rule_backed_spec_over_the_budget_raises_before_any_read():
     group = ZdGroup(3, ())
     calls = []

@@ -207,43 +207,43 @@ GOLDEN = {
     "verify-bs12-s2":
         "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd2-s1-samples-12":
-        "42d9dc60af584d92eebe75b35f845553ad75266068a9f9cb6ac22dfb454fe3d3",
+        "65d0a62a8c7ea51097b3ef1dc9abb59f27d1a0072ca7af4067f431e787ce53eb",
     "trivialize-zd3-s1-samples-12":
-        "39f385b89d1ffa61325237d107fa39c9ff401625d6d4d532f96cb3a34bb9fc2e",
+        "3d6f36c047d933a8c21eb54cf8de1752dadf8d7c2fa4bde0c5f6115c8d3b30aa",
     "trivialize-zd3k0-s1-samples-12":
-        "879fadbd35171382cca90933b8eea20e0a9c8d1307c6ecbe60ba21e1b4f0086d",
+        "49ee12a4321a4890f14e6d3d54e6d64b23f62e69f70767595fe84ef7995bea23",
     "trivialize-free2-s1-samples-12":
         "c20ad46b5490f5d95e488ccac08ae5e4b396040f1e1a01d8f7f11e83cd1f2577",
     "trivialize-bs12-s1-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
     "trivialize-zd2-s1":
-        "07ffd4a28f04e1e640c5f4d754f74094ee27d9ee05da27867e3a7dcea5c38f14",
+        "575e245a3903240c1218091d10ec96e02eef3954ef2c7d589fff516843b5fd9c",
     "trivialize-zd2-s2":
-        "338bd80622e6371109878f9dee6870c3c63885693ad7e04075dad9e07ae87d85",
+        "ed16ddef1b3a3b1928316d4a511358995370a865066ae5fff50b7dcc21322a1b",
     "trivialize-zd3-s1":
-        "224c982a32dcd3341ba00743cd6dcfbf364415d296b7c7740ba03e4f404ccf36",
+        "ec5877204b8ff7fab0ef45b1abe2090300cdfc060a2d966ab466bce87bc8942e",
     "trivialize-zd3-s2":
-        "79a49739d54866c0b778fe37113ca67dceae4961bb5d0d1d7db99821dae9ef3e",
+        "368d0308d5bd97a6a0d8393b45d9ed0495a8c0c19c5045d1d794bfbe951ed5fa",
     "trivialize-zd3k0-s1":
-        "278e77bee1a29000df8d7baf4106908a9faf89e1a72b3a24e4127b10bdff78f2",
+        "775a3a64a7f2c768264f5775f5aab868b89d8f55ff2a3767b3b193d7bf380306",
     "trivialize-zd3k0-s2":
-        "b147a55859aa4159e1e6aaa539a7a61fd95adf8df8a5c365cecfebd5d4ea4ca5",
+        "01a363527922ff1982249484fd526f6e8ab19cea9c12d888c6ba7946ffbf41d2",
     "verify-corrupt-zd2-s1":
         "04a1b2e45e798f4d41d2af4e0a743f0330842a46df1a0727a482b4e44a3d6d21",
     "trivialize-varied-zd2-s1":
-        "3371b19ac38493bd3fa3b09f63252f475fd691981f2489f21ac6d61a4b068bab",
+        "31fa24722ee5a774a3fb5f7bfeb82624d7edd80915e886d46daba23fca4500cc",
     "trivialize-varied-zd3-s1":
-        "aa7ca0d46b4c33925858043defb898a27958da3f826fd8454b9dd94a19cb37a1",
+        "58d672485e1bbb9e1fcf06d187b87f2d402d7c9e67573b55477ee106b0d97e1c",
     "trivialize-varied-zd3k0-s1":
-        "5c5eb86f16427759433b15f6fa374d4bf9cc9628e42da610a7a2260579aff75e",
+        "720c78b9d17877b8e8530a3813b593974830efeb01a569086d08e1a456a77c20",
     "plant-zd2-s1-b0-window-0-samples-12":
-        "77343e221469032abc7e6317d35fda0d9f4fa1c4b0e6aec743af17b19073cb80",
+        "9f96b777760eb72bde9b5c1f7ea7dd410b3c0c220665c99210bbce97b6eac6d8",
     "plant-zd2-s1-b0-window-1-samples-12":
-        "60862076c05d1214cc7573baf3116281950496e07d496625e7aa1f82936005bc",
+        "1dabfd50e7fb42c11940fa61bde48269989ac8e55ae086845a73c2c52812726f",
     "plant-zd3k0-s1-b0-window-0-samples-12":
-        "95c79d6a7eb267af7583f420994be76c53518a8f99343d0ad217021fb3972eb6",
+        "92ad8d474bea71c5aceee358125e67812de9d0aab415f3ea32e508f69e89ec4e",
     "plant-zd3k0-s1-b0-window-1-samples-12":
-        "8fcebc626f029d920508d3c0dbff238d50ec8efa99079020be3bd52bbe5616df",
+        "27eb107091ffa60391f911cf27db97a0714cb0a7febe33fb79bf894232baba7c",
     "plant-bs12-s1-b0-window-0-samples-12":
         "777993a21a61936f2b97daf30a527ea5ae4aa5b600b8aaf1d477094472f8c4f4",
     "plant-bs12-s1-b0-window-1-samples-12":
@@ -253,15 +253,15 @@ GOLDEN = {
     "verify-bs12x-s2":
         "b8b38e9adf961d83252fcf48c6fa278ae2d41a39c9f2822f2a121b05e42297e6",
     "trivialize-zd3k0a-s1-samples-12":
-        "951b85396f8ff70813d3c3e3e4bc243ac99d9e8ece58d7d302cabc41058befd9",
+        "88d8e069e5d12dc40157126d7afb90cda8b01408e6a0e43bf4dc01fd75263cae",
     "plant-zd3k0a-s1-b0-window-0-samples-12":
-        "3f9d9d0ccf3e1329ec6fefe23ebeb3a1d1a9e8e70ac879900564cc1b91e09d26",
+        "96c5ce6217a4b05ba4a7ada8ec093d26ed8a1ab1deac8003760a907e3b8b406d",
     "plant-zd3k0a-s1-b0-window-1-samples-12":
-        "201e885dd5c3c7df7d46bc69d78682ee143551f106e489656c493f25cde914cf",
+        "8829f4b91f3d5fdde8eabcfa961c71087e27854b18db31b46f1996efa4f1aecf",
     "plant-bs12z-s1-b0-window-0-samples-12":
-        "2729fd26b9fedc60dc38a460439d393148800dcf8a1ddf30520021183abd4e00",
+        "b949d0642bc590888d009a3934b01ffacd04d04db5ad6c097d006dca8c0e1afa",
     "plant-bs12z-s4-b0-window-0-samples-12":
-        "9a8f2f2bced0a2e7bd37e5660c909ab497f4918b04a225426f38b2c47733881d",
+        "0b06880670f3c0a6843abad2ffcd5296fa4a6e72a7334f9bb0ed64c4c608e4de",
     "verify-bs12z-s1":
         "9b21d64b86098166dc2a351d3687747aa29533dfa45dbffaf866fd707f9ec7d8",
 }

@@ -17,6 +17,7 @@ from relend.groups import (
 )
 from relend import trivialize
 from relend.cocycles import (
+    CocycleSpec,
     constant_cocycle,
     evaluate,
     pattern_key,
@@ -404,9 +405,9 @@ def test_no_far_element_when_k_has_finite_index(order):
 
 
 def test_truncation_junk_never_lands_on_the_support(monkeypatch):
-    # a window-0 cocycle puts the junk zone at norms |g^-1 K| + 1..2, which
-    # meets the support of the sampled patterns (norm <= 3); junk drawn
-    # there would give one cell two symbols
+    # the locality check scatters junk, once per trial, on the cells at norms
+    # 3 window + 1..2 around a pattern truncated to ball(3 window); junk
+    # drawn on the support would give one cell two symbols
     import relend.trivialize as module
 
     perturbed = []
@@ -421,8 +422,91 @@ def test_truncation_junk_never_lands_on_the_support(monkeypatch):
     alpha = trivial_alphabet(("0", "1", "2"), "0")
     c = constant_cocycle(group, alpha, ZmodGroup((2,)), {}, window=0)
     table, report = Trivializer(BallCache(group), c, seed=1).run()
-    assert report.ok and len(perturbed) == 60
+    assert report.ok and len(perturbed) == 10
     assert sum(len(p.entries) != len(p.support()) for p in perturbed) == 0
+
+
+# the families whose canonical words the truncation_agreement fact rests on
+WORD_FAMILIES = {
+    "zd2": ZdGroup(2, ()),
+    "zd3": ZdGroup(3, ()),
+    "zd3k0": ZdGroup(3, (0,)),
+    "zd2k0": ZdGroup(2, (0,)),
+    "free2": FreeGroup(2),
+    "bs12": BsGroup(1, 2),
+    "bs23": BsGroup(2, 3),
+    "bs12xz": ProductGroup(BsGroup(1, 2), ZdGroup(1, ())),
+    "z2xz3": ProductGroup(ZdGroup(2, ()), ZmodGroup((3,))),
+    "free2xz": ProductGroup(FreeGroup(2), ZdGroup(1, ())),
+}
+WORD_CACHES = {name: BallCache(group) for name, group in WORD_FAMILIES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FAMILIES))
+@given(data=st.data())
+def test_suffixes_of_canonical_words_stay_inside_the_coset_norm(name, data):
+    # |sK| <= |gK| for every suffix s of g's canonical word, and |g^-1 K| =
+    # |gK|: with them the walk of c(g, y) reads y inside ball(|g^-1 K| + w)
+    group = WORD_FAMILIES[name]
+    word = data.draw(st.lists(st.sampled_from(group.s_letters), max_size=6))
+    g = group.element_from_word(word)
+    graph = WORD_CACHES[name].at_least(len(word))
+    radius = graph.norm(coset_of(g))
+    assert graph.norm(coset_of(group.invert(g))) == radius
+    inside = graph.ball_set(radius)
+    for i in range(len(g.word) + 1):
+        assert coset_of(group.element_from_word(g.word[i:])) in inside, g.word[i:]
+
+
+def _read_case(name):
+    """A spec whose reads the truncation test checks: the window-1 files
+    planted at ``VARIED_SEED``, a rule-backed planting on BS(1, 2) x Z, a
+    window-0 constant cocycle, and two counting specs into Z.  A counting
+    spec is no cocycle, but the walk reads the same cells for any table,
+    and its value moves with every non-default cell of its window; a
+    planted cocycle's telescopes to two cells of y."""
+    from test_relation_proof import BINARY, _file_spec
+    from test_tables_golden import VARIED_SEED
+
+    bs12z = ProductGroup(BsGroup(1, 2), ZdGroup(1, ()))
+    z2, z1 = ZmodGroup((2,)), ZdGroup(1)
+    if name.endswith("-file"):
+        return _file_spec(name[:-5], z2, VARIED_SEED)
+    if name == "bs12z-planted":
+        graph = BallCache(bs12z).at_least(1)
+        return plant_cocycle(bs12z, BINARY, z2, 0, VARIED_SEED, graph)
+    if name == "constant-window-0":
+        alphabet = trivial_alphabet(("0", "1", "2"), "0")
+        return constant_cocycle(
+            ZdGroup(2, ()), alphabet, z2, {1: z2.letter_element(1)}, window=0
+        )
+    group = {"zd3k0-counting": ZdGroup(3, (0,)), "bs12z-counting": bs12z}[name]
+    count = lambda _, p: z1.element_from_word([1] * len(p.entries))
+    return CocycleSpec(group, BINARY, z1, 1, rule=count)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zd2-file", "zd3k0a-file", "bs12z-planted", "constant-window-0",
+     "zd3k0-counting", "bs12z-counting"],
+)
+def test_evaluation_reads_nothing_past_the_coset_norm_plus_window(name):
+    # the truncation_agreement fact, tighter than the extension step's cut
+    # |g^-1 K| + 3w: y filled out to |gK| + 3w + 2 and y cut to ball(|gK| +
+    # w) give the same c(g, y)
+    c = _read_case(name)
+    group, w, symbols = c.group, c.window, c.alphabet.symbols
+    cache, rng = BallCache(group), random.Random(5)
+    for _ in range(30):
+        g = group.element_from_word(
+            [rng.choice(group.s_letters) for _ in range(rng.randrange(0, 5))]
+        )
+        near = cache.at_least(4).norm(coset_of(g)) + w
+        graph = cache.at_least(near + 2 * w + 2)
+        cells = graph.cosets_slice(0, graph.ball_size(near + 2 * w + 2))
+        y = make_pattern(c.alphabet, {v: rng.choice(symbols) for v in cells})
+        cut = restrict(y, graph.ball_set(near))
+        assert evaluate(c, g, y) == evaluate(c, g, cut), g.word
 
 
 def test_importing_the_submodule_gives_the_module():
